@@ -16,17 +16,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .corpus import TokenizerConfig, build_vocabulary, load_corpus, tokenize_corpus
 from .errors import NormEvalError
 from .metrics import anld, compression_ratio
 from .normalizers import normalize_corpus
 from .report import (
-    CLASSIFIER_ALIASES,
     RunConfig,
     build_normalizer,
     emit_json,
     emit_markdown,
+    report_json,
     run_evaluation,
 )
 
@@ -115,11 +116,6 @@ def _load_tokenized(args):
 
 
 def _cmd_evaluate(args) -> int:
-    classifiers = tuple(c for c in args.classifiers.split(",") if c)
-    bad = [c for c in classifiers if c not in CLASSIFIER_ALIASES]
-    if bad:
-        print(f"normeval: unknown classifier name(s) {bad}", file=sys.stderr)
-        return 1
     config = RunConfig(
         corpus_path=args.corpus,
         normalizers=tuple(args.normalizer),
@@ -130,7 +126,7 @@ def _cmd_evaluate(args) -> int:
         lowercase=not args.no_lowercase,
         strip_punct=not args.no_strip_punct,
         embedder=args.embedder,
-        classifiers=classifiers,
+        classifiers=tuple(c for c in args.classifiers.split(",") if c),
         k=args.k,
         seed=args.seed,
         anld_weighting=_WEIGHTINGS[args.anld_weighting],
@@ -144,11 +140,7 @@ def _cmd_evaluate(args) -> int:
     if args.out_json:
         emit_json(reports, args.out_json, config)
     else:
-        from .report import _report_to_dict
-
-        payload = {"schema": "1", "config": config.to_dict(),
-                   "reports": [_report_to_dict(r) for r in reports]}
-        print(json.dumps(payload, separators=(",", ":"), ensure_ascii=True))
+        print(report_json(reports, config))
     if args.out_md:
         emit_markdown(reports, args.out_md, config)
     if all(r.failed for r in reports):
@@ -190,11 +182,7 @@ def _cmd_metrics(args) -> int:
         reports.append(
             {
                 "normalizer": name,
-                "compression": {
-                    "vocab_before": compression.vocab_before,
-                    "vocab_after": compression.vocab_after,
-                    "cr": compression.cr,
-                },
+                "compression": asdict(compression),
                 "anld": {
                     "weighting": result.weighting,
                     "anld": result.anld,

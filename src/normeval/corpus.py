@@ -63,9 +63,6 @@ class FoldPlan:
     seed: int
     assignments: dict[str, int]  # doc_id -> fold index in [0, k)
 
-    def fold_of(self, doc_id: str) -> int:
-        return self.assignments[doc_id]
-
 
 def _resolve_column(spec: str | int, header: list[str] | None, what: str) -> int:
     """Map a column name or 0-based index onto an index in the row."""
@@ -94,7 +91,9 @@ def load_corpus(
 
     One Document per data row, in file order. Rows whose text is empty
     after trimming are skipped and counted in ``Corpus.skipped_rows``.
-    Document ids are the 1-based file line numbers.
+    Document ids are the 1-based file line numbers. Tab-separated fields
+    are read verbatim, without quote handling: a ``"`` is an ordinary
+    character there. Other delimiters keep csv quoting.
     """
     try:
         fh = open(path, encoding="utf-8", newline="")
@@ -106,7 +105,8 @@ def load_corpus(
     skipped = 0
     with fh:
         try:
-            reader = csv.reader(fh, delimiter=delimiter)
+            quoting = csv.QUOTE_NONE if delimiter == "\t" else csv.QUOTE_MINIMAL
+            reader = csv.reader(fh, delimiter=delimiter, quoting=quoting)
             header: list[str] | None = None
             if has_header:
                 header = next(reader, None)

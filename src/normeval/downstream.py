@@ -28,7 +28,6 @@ ALPHA = 0.05
 class TfidfModel:
     vocabulary: dict[str, int]
     idf: np.ndarray
-    doc_count: int
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def tfidf_fit(train_docs: list[TokenizedDocument]) -> TfidfModel:
     idf = np.empty(len(vocabulary), dtype=np.float64)
     for token, i in vocabulary.items():
         idf[i] = math.log((1 + n) / (1 + df[token])) + 1.0
-    return TfidfModel(vocabulary=vocabulary, idf=idf, doc_count=n)
+    return TfidfModel(vocabulary=vocabulary, idf=idf)
 
 
 def tfidf_transform(model: TfidfModel, doc: TokenizedDocument) -> sparse.csr_matrix:
@@ -304,6 +303,50 @@ def macro_f1(gold: list[str], predicted: list[str]) -> float:
     return sum(scores) / len(scores)
 
 
+def cross_validate_docs(
+    docs: list[TokenizedDocument],
+    gold: dict[str, str],
+    folds: FoldPlan,
+    specs: list[ClassifierSpec],
+    condition: str = "original",
+) -> list[EvalRun]:
+    """Out-of-fold evaluation of every spec on already tokenized docs.
+
+    For each fold, TF-IDF is fitted on the other folds only, so no
+    test-fold token ever enters the feature space (leakage guard), and
+    that one feature matrix is shared by every classifier. ``gold`` maps
+    each doc id to its label. Returns one run per spec, in spec order.
+    """
+    missing = [doc.doc_id for doc in docs if doc.doc_id not in folds.assignments]
+    if missing:
+        raise EvaluationError(f"fold plan does not cover document ids {missing[:5]}")
+    fold_scores: list[list[tuple[int, float, float]]] = [[] for _ in specs]
+    predictions: list[dict[str, str]] = [{} for _ in specs]
+    for fold in range(folds.k):
+        train_docs = [d for d in docs if folds.assignments[d.doc_id] != fold]
+        test_docs = [d for d in docs if folds.assignments[d.doc_id] == fold]
+        model = tfidf_fit(train_docs)
+        Xtr = tfidf_transform_all(model, train_docs)
+        Xte = tfidf_transform_all(model, test_docs)
+        gold_tr = [gold[d.doc_id] for d in train_docs]
+        gold_te = [gold[d.doc_id] for d in test_docs]
+        for spec, scores, predicted in zip(specs, fold_scores, predictions):
+            preds = train(spec, Xtr, gold_tr).predict(Xte)
+            scores.append((fold, accuracy(gold_te, preds), macro_f1(gold_te, preds)))
+            predicted.update(zip((d.doc_id for d in test_docs), preds))
+    return [
+        EvalRun(
+            classifier=spec.kind,
+            condition=condition,
+            fold_scores=tuple(scores),
+            mean_accuracy=sum(s[1] for s in scores) / len(scores),
+            mean_macro_f1=sum(s[2] for s in scores) / len(scores),
+            per_doc_predictions={d.doc_id: predicted[d.doc_id] for d in docs},
+        )
+        for spec, scores, predicted in zip(specs, fold_scores, predictions)
+    ]
+
+
 def cross_validate(
     corpus: Corpus,
     folds: FoldPlan,
@@ -311,43 +354,16 @@ def cross_validate(
     normalizer: Normalizer | None = None,
     tokenizer: TokenizerConfig = TokenizerConfig(),
 ) -> EvalRun:
-    """Out-of-fold evaluation: for each fold, TF-IDF and the classifier
-    are fitted on the other folds only, so no test-fold token ever
-    enters the feature space (leakage guard). Normalization, when given,
-    is applied per token before featurization."""
-    missing = [doc.id for doc in corpus.documents if doc.id not in folds.assignments]
-    if missing:
-        raise EvaluationError(f"fold plan does not cover document ids {missing[:5]}")
+    """Out-of-fold evaluation of one classifier on a corpus (see
+    :func:`cross_validate_docs`). Normalization, when given, is applied
+    per token before featurization."""
     docs = tokenize_corpus(corpus, tokenizer)
     condition = "original"
     if normalizer is not None:
         docs, _ = normalize_corpus(normalizer, docs)
         condition = "normalized"
-    by_id = {doc.doc_id: doc for doc in docs}
     gold = {doc.id: doc.label for doc in corpus.documents}
-    fold_scores: list[tuple[int, float, float]] = []
-    predictions: dict[str, str] = {}
-    for fold in range(folds.k):
-        train_ids = [d.id for d in corpus.documents if folds.assignments[d.id] != fold]
-        test_ids = [d.id for d in corpus.documents if folds.assignments[d.id] == fold]
-        model = tfidf_fit([by_id[i] for i in train_ids])
-        Xtr = tfidf_transform_all(model, [by_id[i] for i in train_ids])
-        Xte = tfidf_transform_all(model, [by_id[i] for i in test_ids])
-        clf = train(spec, Xtr, [gold[i] for i in train_ids])
-        preds = clf.predict(Xte)
-        gold_te = [gold[i] for i in test_ids]
-        fold_scores.append((fold, accuracy(gold_te, preds), macro_f1(gold_te, preds)))
-        for doc_id, pred in zip(test_ids, preds):
-            predictions[doc_id] = pred
-    predictions = {doc.id: predictions[doc.id] for doc in corpus.documents}
-    return EvalRun(
-        classifier=spec.kind,
-        condition=condition,
-        fold_scores=tuple(fold_scores),
-        mean_accuracy=sum(s[1] for s in fold_scores) / len(fold_scores),
-        mean_macro_f1=sum(s[2] for s in fold_scores) / len(fold_scores),
-        per_doc_predictions=predictions,
-    )
+    return cross_validate_docs(docs, gold, folds, [spec], condition)[0]
 
 
 def mpd_delta(metric_normalized: float, metric_original: float) -> float:

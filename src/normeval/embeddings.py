@@ -38,8 +38,12 @@ class IrsResult:
     zero_vector_docs: int
 
 
+# norms in this range keep the dot product clear of underflow and overflow
+_NORM_LO, _NORM_HI = 1e-150, 1e150
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; 0 if either vector has zero norm.
+    """Cosine similarity in [-1, 1]; 0 if either vector is all zeros.
 
     Bitwise-identical non-zero vectors score exactly 1.0 (a vector is at
     angle zero to itself; the shortcut avoids rounding the diagonal).
@@ -57,8 +61,15 @@ def cosine_with_flag(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
         raise EmbeddingError(f"cosine dimension mismatch: {u.shape} vs {v.shape}")
     nu = float(np.linalg.norm(u))
     nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0, True
+    if not (_NORM_LO < nu < _NORM_HI and _NORM_LO < nv < _NORM_HI):
+        # dividing each vector by its largest magnitude keeps the angle
+        # and brings both norms into [1, sqrt(dim)]
+        if not (u.any() and v.any()):
+            return 0.0, True
+        u = u / np.abs(u).max()
+        v = v / np.abs(v).max()
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
     if np.array_equal(u, v):
         return 1.0, False
     value = float(np.dot(u, v) / (nu * nv))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import json
 import shlex
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .corpus import (
-    Corpus,
+    FoldPlan,
     TokenizedDocument,
     TokenizerConfig,
     build_vocabulary,
@@ -22,7 +22,7 @@ from .corpus import (
     make_folds,
     tokenize_corpus,
 )
-from .downstream import EvalRun, MpdResult, cross_validate, make_classifier_spec, mcnemar, mpd
+from .downstream import EvalRun, MpdResult, cross_validate_docs, make_classifier_spec, mcnemar, mpd
 from .embeddings import (
     EmbeddingProvider,
     HashedNgramProvider,
@@ -85,23 +85,7 @@ class RunConfig:
             raise EvaluationError(f"unknown classifier name(s) {unknown}")
 
     def to_dict(self) -> dict:
-        return {
-            "corpus_path": self.corpus_path,
-            "normalizers": list(self.normalizers),
-            "text_col": self.text_col,
-            "label_col": self.label_col,
-            "delimiter": self.delimiter,
-            "has_header": self.has_header,
-            "lowercase": self.lowercase,
-            "strip_punct": self.strip_punct,
-            "embedder": self.embedder,
-            "classifiers": list(self.classifiers),
-            "k": self.k,
-            "seed": self.seed,
-            "anld_weighting": self.anld_weighting,
-            "safety_threshold": self.safety_threshold,
-            "worst_n": self.worst_n,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -193,29 +177,16 @@ def build_embedder(spec: str) -> EmbeddingProvider:
     )
 
 
-class _PrecomputedNormalizer(Normalizer):
-    """Replays an already-observed token mapping so downstream folds can
-    re-normalize without touching the (possibly external) normalizer."""
-
-    def __init__(self, name: str, pairs: dict[str, str]):
-        self.name = name
-        self._pairs = pairs
-
-    def normalize_token(self, token: str) -> str:
-        return self._pairs[token]
-
-
 def _evaluate_one(
     name: str,
     mapping: TokenMapping,
     original_docs: list[TokenizedDocument],
     normalized_docs: list[TokenizedDocument],
-    corpus: Corpus,
-    folds,
+    folds: FoldPlan | None,
+    gold: dict[str, str],
     provider: EmbeddingProvider,
     baselines: dict[str, EvalRun],
     config: RunConfig,
-    tokenizer: TokenizerConfig,
 ) -> NormalizerReport:
     compression = compression_ratio(
         build_vocabulary(original_docs), build_vocabulary(normalized_docs)
@@ -227,14 +198,14 @@ def _evaluate_one(
     gated = safety_gate(
         irs_result.irs, compression.cr, primary.anld, config.safety_threshold
     )
-    replay = _PrecomputedNormalizer(name, mapping.pairs)
+    specs = [make_classifier_spec(kind, config.seed) for kind in baselines]
+    runs = cross_validate_docs(normalized_docs, gold, folds, specs, "normalized") if specs else []
+    normalized_runs = {run.classifier: run for run in runs}
     deltas = []
     for alias in config.classifiers:
         kind = CLASSIFIER_ALIASES[alias]
-        run_norm = cross_validate(corpus, folds, make_classifier_spec(kind, config.seed),
-                                  normalizer=replay, tokenizer=tokenizer)
+        run_norm = normalized_runs[kind]
         run_orig = baselines[kind]
-        gold = {doc.id: doc.label for doc in corpus.documents}
         deltas.append(
             ClassifierDelta(
                 classifier=kind,
@@ -280,16 +251,16 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     provider = build_embedder(config.embedder)
     baselines: dict[str, EvalRun] = {}
     folds = None
+    gold: dict[str, str] = {}
     if config.classifiers:
         if len(corpus.labels) < 2:
             raise EvaluationError("downstream evaluation requires at least 2 labels")
         folds = make_folds(corpus, config.k, config.seed)
-        for alias in config.classifiers:
-            kind = CLASSIFIER_ALIASES[alias]
-            if kind not in baselines:
-                baselines[kind] = cross_validate(
-                    corpus, folds, make_classifier_spec(kind, config.seed), tokenizer=tokenizer
-                )
+        gold = {doc.id: doc.label for doc in corpus.documents}
+        kinds = dict.fromkeys(CLASSIFIER_ALIASES[alias] for alias in config.classifiers)
+        specs = [make_classifier_spec(kind, config.seed) for kind in kinds]
+        runs = cross_validate_docs(original_docs, gold, folds, specs)
+        baselines = {run.classifier: run for run in runs}
     reports: list[NormalizerReport] = []
     for spec in config.normalizers:
         normalizer = None
@@ -299,7 +270,7 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
             reports.append(
                 _evaluate_one(
                     normalizer.name, mapping, original_docs, normalized_docs,
-                    corpus, folds, provider, baselines, config, tokenizer,
+                    folds, gold, provider, baselines, config,
                 )
             )
         except NormEvalError as exc:
@@ -319,7 +290,7 @@ def _report_to_dict(report: NormalizerReport) -> dict:
     alt = report.anld_alternate
     out = {
         "normalizer": report.normalizer,
-        "compression": {"vocab_before": c.vocab_before, "vocab_after": c.vocab_after, "cr": c.cr},
+        "compression": asdict(c),
         "irs": {"irs": report.irs_result.irs, "zero_vector_docs": report.irs_result.zero_vector_docs},
         "ses": s.ses,
         "verdict": s.verdict,
@@ -367,16 +338,21 @@ def _report_to_dict(report: NormalizerReport) -> dict:
     return out
 
 
-def emit_json(reports: list[NormalizerReport], path: str, config: RunConfig | None = None) -> None:
-    """Write the machine-readable report: schema version, optional echoed
+def report_json(reports: list[NormalizerReport], config: RunConfig | None = None) -> str:
+    """The machine-readable report: schema version, optional echoed
     config (including the seed), and one entry per normalizer. Key order
     and float formatting are stable, so identical runs produce
-    byte-identical files."""
+    byte-identical text."""
     payload: dict = {"schema": "1"}
     if config is not None:
         payload["config"] = config.to_dict()
     payload["reports"] = [_report_to_dict(r) for r in reports]
-    text = json.dumps(payload, separators=(",", ":"), ensure_ascii=True)
+    return json.dumps(payload, separators=(",", ":"), ensure_ascii=True)
+
+
+def emit_json(reports: list[NormalizerReport], path: str, config: RunConfig | None = None) -> None:
+    """Write :func:`report_json` to ``path``."""
+    text = report_json(reports, config)
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

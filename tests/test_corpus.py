@@ -63,6 +63,17 @@ class TestLoadCorpus:
         corpus = load_corpus(path, delimiter=",")
         assert corpus.documents[1].text == "bye"
 
+    def test_tsv_quotes_are_ordinary_characters(self, tmp_path):
+        # with csv quoting, the opening quote of row 1 would swallow the
+        # rows up to the quote in row 3 into one document
+        rows = ['"Quoted start\tA', "plain two\tB", 'has a " inside\tA', "four\tB", "five\tA"]
+        path = write(tmp_path, "q.tsv", "text\tlabel\n" + "\n".join(rows) + "\n")
+        corpus = load_corpus(path)
+        assert len(corpus) == 5
+        assert corpus.skipped_rows == 0
+        assert corpus.documents[0].text == '"Quoted start'
+        assert corpus.documents[2].text == 'has a " inside'
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError, match="cannot open"):
             load_corpus(str(tmp_path / "nope.tsv"))

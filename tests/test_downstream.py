@@ -31,8 +31,10 @@ from normeval import (
     tfidf_fit,
     tfidf_transform,
     tfidf_transform_all,
+    tokenize_corpus,
     train,
 )
+from normeval.downstream import cross_validate_docs
 
 
 def tdoc(doc_id, *tokens):
@@ -319,6 +321,28 @@ class TestCrossValidate:
         a = cross_validate(corpus, folds, spec)
         b = cross_validate(corpus, folds, spec)
         assert a == b
+
+
+class TestCrossValidateDocs:
+    KINDS = ("multinomial_nb", "logistic_regression", "linear_svm")
+
+    def test_shared_features_match_one_run_per_classifier(self):
+        corpus = toy_corpus()
+        folds = make_folds(corpus, k=3, seed=0)
+        specs = [make_classifier_spec(kind, seed=5) for kind in self.KINDS]
+        docs = tokenize_corpus(corpus)
+        gold = {doc.id: doc.label for doc in corpus.documents}
+        runs = cross_validate_docs(docs, gold, folds, specs)
+        assert runs == [cross_validate(corpus, folds, spec) for spec in specs]
+
+    def test_incomplete_fold_plan_rejected(self):
+        corpus = toy_corpus()
+        plan = FoldPlan(k=2, seed=0, assignments={"r0": 0})
+        gold = {doc.id: doc.label for doc in corpus.documents}
+        with pytest.raises(EvaluationError, match="does not cover"):
+            cross_validate_docs(
+                tokenize_corpus(corpus), gold, plan, [make_classifier_spec("multinomial_nb")]
+            )
 
 
 def run_with_scores(kind, accs, f1s=None, condition="normalized"):

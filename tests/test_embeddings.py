@@ -6,7 +6,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normeval import (
@@ -45,6 +45,9 @@ class TestCosine:
         assert value == 0.0 and flagged
         value, flagged = cosine_with_flag(np.ones(3), np.ones(3))
         assert value == 1.0 and not flagged
+        # a vector whose norm underflows to 0 is still not a zero vector
+        value, flagged = cosine_with_flag(np.array([0.0, 1e-300]), np.array([1e-300, 1e-300]))
+        assert value == pytest.approx(2**-0.5, abs=1e-12) and not flagged
 
     def test_dimension_mismatch(self):
         with pytest.raises(EmbeddingError, match="mismatch"):
@@ -55,6 +58,8 @@ class TestCosine:
         st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=8),
         st.floats(1e-3, 1e3),
     )
+    # the dot product of this vector with its half underflows
+    @example(values=[0.0, 3.583250239489584e-162], scale=0.5)
     def test_positive_scale_invariance(self, values, scale):
         u = np.array(values)
         if np.linalg.norm(u) == 0.0 or np.linalg.norm(u * scale) == 0.0:
@@ -62,6 +67,11 @@ class TestCosine:
         value = cosine(u, u * scale)
         assert value <= 1.0
         assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_huge_opposite_vectors(self):
+        # both norms overflow to inf unless the vectors are rescaled
+        u = np.array([3e200, 1e200])
+        assert cosine(u, -2.0 * u) == pytest.approx(-1.0, abs=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(

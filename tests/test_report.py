@@ -1,6 +1,7 @@
 """Report assembly, JSON/Markdown emitters, and the command line."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,9 @@ from normeval import (
     safety_gate,
 )
 from normeval.cli import main
+from normeval.data import mini_corpus_path
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestRunConfig:
@@ -193,6 +197,13 @@ class TestRunEvaluation:
         _, reports = mixed_reports
         assert reports[0].deltas[0].original is reports[1].deltas[0].original
 
+    def test_aliases_of_one_kind_share_runs(self, corpus_path):
+        reports = run_evaluation(toy_config(corpus_path, classifiers=("nb", "multinomial_nb")))
+        first, second = reports[0].deltas
+        assert first.classifier == second.classifier == "multinomial_nb"
+        assert first.original is second.original
+        assert first.normalized == second.normalized
+
     def test_alternate_weighting_also_reported(self, mixed_reports):
         _, reports = mixed_reports
         assert reports[0].anld_primary.weighting == "by_occurrence"
@@ -257,6 +268,37 @@ class TestEmitJson:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(EvaluationError, match="cannot write"):
             emit_json([], str(tmp_path / "no" / "dir" / "out.json"))
+
+
+class TestGoldenReport:
+    """The reports of the reference run (the bundled corpus; identity,
+    snowball-en and truncate:3; nb, lr and svm; k=5, seed 42) must not
+    change by a byte. The files in tests/data were written by emit_json
+    and emit_markdown without a config, whose echoed corpus path would
+    differ between checkouts, under Python 3.11.7, numpy 2.4.6 and
+    scipy 1.17.1; other numeric library versions may legitimately move
+    the last digits of the floats."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        config = RunConfig(
+            corpus_path=mini_corpus_path(),
+            normalizers=("identity", "snowball-en", "truncate:3"),
+            classifiers=("nb", "lr", "svm"),
+            k=5,
+            seed=42,
+        )
+        return run_evaluation(config)
+
+    def test_json_bytes(self, reports, tmp_path):
+        path = tmp_path / "report.json"
+        emit_json(reports, str(path))
+        assert path.read_bytes() == (DATA / "mini_evaluate_report.json").read_bytes()
+
+    def test_markdown_bytes(self, reports, tmp_path):
+        path = tmp_path / "report.md"
+        emit_markdown(reports, str(path))
+        assert path.read_bytes() == (DATA / "mini_evaluate_report.md").read_bytes()
 
 
 class TestEmitMarkdown:
