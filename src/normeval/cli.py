@@ -14,7 +14,6 @@ for every requested normalizer.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 
@@ -27,6 +26,7 @@ from .report import (
     build_normalizer,
     emit_json,
     emit_markdown,
+    json_text,
     report_json,
     run_evaluation,
 )
@@ -195,7 +195,7 @@ def _cmd_metrics(args) -> int:
                 },
             }
         )
-    text = json.dumps({"schema": "1", "reports": reports}, separators=(",", ":"), ensure_ascii=True)
+    text = json_text({"schema": "1", "reports": reports})
     if args.out_json:
         with open(args.out_json, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -47,6 +47,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
     Bitwise-identical non-zero vectors score exactly 1.0 (a vector is at
     angle zero to itself; the shortcut avoids rounding the diagonal).
+    Raises EmbeddingError if a component is NaN or infinite.
     """
     value, _ = cosine_with_flag(u, v)
     return value
@@ -59,9 +60,13 @@ def cosine_with_flag(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise EmbeddingError(f"cosine dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        # a norm that overflows to inf is rescaled below
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
     if not (_NORM_LO < nu < _NORM_HI and _NORM_LO < nv < _NORM_HI):
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise EmbeddingError("cosine of a vector with a NaN or infinite component")
         # dividing each vector by its largest magnitude keeps the angle
         # and brings both norms into [1, sqrt(dim)]
         if not (u.any() and v.any()):

@@ -81,31 +81,61 @@ def anld(
     normalized distance above 1, and such pairs are counted in
     ``over_unit_pairs`` so the anomaly stays visible.
     """
+    _check_weighting(weighting)
+    return _weighted_anld(mapping, _pair_distances(mapping), weighting, worst_n)
+
+
+def anld_with_alternate(
+    mapping: TokenMapping,
+    weighting: Literal["by_occurrence", "by_type"] = "by_occurrence",
+    worst_n: int = 20,
+) -> tuple[AnldResult, AnldResult]:
+    """:func:`anld` under ``weighting`` and under the other weighting
+    (without worst pairs), from one Levenshtein pass over the pairs."""
+    _check_weighting(weighting)
+    scored = _pair_distances(mapping)
+    alternate = "by_type" if weighting == "by_occurrence" else "by_occurrence"
+    return (
+        _weighted_anld(mapping, scored, weighting, worst_n),
+        _weighted_anld(mapping, scored, alternate, 0),
+    )
+
+
+def _check_weighting(weighting: str) -> None:
     if weighting not in ("by_occurrence", "by_type"):
         raise ValueError(f"unknown weighting {weighting!r}")
+
+
+def _pair_distances(mapping: TokenMapping) -> list[tuple[str, str, float]]:
+    """(original, stem, normalized distance) for every pair, in mapping order."""
     if not mapping.pairs:
         raise MetricError("cannot compute distance average over an empty token mapping")
-    total = 0.0
-    weight_sum = 0.0
-    over_unit = 0
-    scored: list[tuple[str, str, float]] = []
+    scored = []
     for original, stem in mapping.pairs.items():
         if not original:
             raise MetricError("token mapping contains an empty original token")
-        d = levenshtein(original, stem) / len(original)
+        scored.append((original, stem, levenshtein(original, stem) / len(original)))
+    return scored
+
+
+def _weighted_anld(
+    mapping: TokenMapping, scored: list[tuple[str, str, float]], weighting: str, worst_n: int
+) -> AnldResult:
+    total = 0.0
+    weight_sum = 0.0
+    over_unit = 0
+    for original, _, d in scored:
         w = mapping.occurrence_counts.get(original, 0) if weighting == "by_occurrence" else 1.0
         total += d * w
         weight_sum += w
         if d > 1.0:
             over_unit += 1
-        scored.append((original, stem, d))
     if weight_sum == 0:
         raise MetricError("token mapping has zero total occurrence weight")
-    scored.sort(key=lambda item: (-item[2], item[0]))
     return AnldResult(
         anld=total / weight_sum,
         pair_count=len(mapping.pairs),
         over_unit_pairs=over_unit,
-        worst_pairs=tuple(scored[:worst_n]),
+        worst_pairs=tuple(sorted(scored, key=lambda item: (-item[2], item[0]))[:worst_n]),
         weighting=weighting,
     )

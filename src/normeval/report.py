@@ -32,7 +32,7 @@ from .embeddings import (
     irs,
 )
 from .errors import EvaluationError, NormEvalError, NormalizerError
-from .metrics import AnldResult, CompressionResult, anld, compression_ratio
+from .metrics import AnldResult, CompressionResult, anld_with_alternate, compression_ratio
 from .normalizers import (
     ExternalNormalizer,
     IdentityNormalizer,
@@ -191,9 +191,9 @@ def _evaluate_one(
     compression = compression_ratio(
         build_vocabulary(original_docs), build_vocabulary(normalized_docs)
     )
-    primary = anld(mapping, weighting=config.anld_weighting, worst_n=config.worst_n)
-    alternate_mode = "by_type" if config.anld_weighting == "by_occurrence" else "by_occurrence"
-    alternate = anld(mapping, weighting=alternate_mode, worst_n=0)
+    primary, alternate = anld_with_alternate(
+        mapping, weighting=config.anld_weighting, worst_n=config.worst_n
+    )
     irs_result = irs(provider, original_docs, normalized_docs)
     gated = safety_gate(
         irs_result.irs, compression.cr, primary.anld, config.safety_threshold
@@ -347,7 +347,16 @@ def report_json(reports: list[NormalizerReport], config: RunConfig | None = None
     if config is not None:
         payload["config"] = config.to_dict()
     payload["reports"] = [_report_to_dict(r) for r in reports]
-    return json.dumps(payload, separators=(",", ":"), ensure_ascii=True)
+    return json_text(payload)
+
+
+def json_text(payload: dict) -> str:
+    """Compact ASCII JSON of ``payload``. NaN and infinity have no JSON
+    form, so a payload holding one raises EvaluationError."""
+    try:
+        return json.dumps(payload, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
+    except ValueError as exc:
+        raise EvaluationError(f"cannot write a non-finite number to JSON: {exc}") from exc
 
 
 def emit_json(reports: list[NormalizerReport], path: str, config: RunConfig | None = None) -> None:

@@ -112,7 +112,7 @@ class TestClassifierSpec:
             ClassifierSpec(kind="multinomial_nb", **{field: value})
 
     def test_defaults_per_kind(self):
-        assert make_classifier_spec("linear_svm").learning_rate == 0.1
+        assert make_classifier_spec("linear_svm") == ClassifierSpec(kind="linear_svm")
         assert make_classifier_spec("logistic_regression").learning_rate == 0.5
         assert make_classifier_spec("multinomial_nb").alpha == 1.0
 
@@ -194,13 +194,43 @@ class TestSoftmaxGradient:
         trained_loss, _ = softmax_loss_and_grad(clf.W, X, y_idx, 1e-4)
         assert trained_loss < zero_loss
 
+    def test_training_takes_the_public_gradient_steps(self):
+        _, X, labels, _ = separable_data()
+        spec = make_classifier_spec("logistic_regression")
+        clf = train(spec, X, labels)
+        y_idx = np.array([sorted(set(labels)).index(lab) for lab in labels])
+        W = np.zeros_like(clf.W)
+        for _ in range(spec.epochs):
+            W -= spec.learning_rate * softmax_loss_and_grad(W, X, y_idx, spec.l2_lambda)[1]
+        assert np.array_equal(clf.W, W)
+
 
 class TestLinearSvm:
-    def test_unstable_hyperparameters_rejected(self):
+    @pytest.mark.parametrize("epochs", [1, 200])
+    @pytest.mark.parametrize(
+        "rows,labels",
+        [([[1.0, 0.0], [0.0, 1.0]], ["a", "b"]),
+         # an all-zero row has x.x = 0 and cannot move w
+         ([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]], ["a", "a", "b"])],
+    )
+    def test_orthogonal_rows_reach_hard_margin_in_one_epoch(self, epochs, rows, labels):
+        # each row's first dual step sets alpha = 1 (C = 1/(n * l2) is far
+        # above it), so w_a = x_a - x_b with both margins exactly 1
+        spec = ClassifierSpec(kind="linear_svm", epochs=epochs)
+        clf = train(spec, sparse.csr_matrix(np.array(rows)), labels)
+        assert np.array_equal(clf.W, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+    def test_unregularized_nonseparable_stops_at_epoch_cap(self):
+        # duplicate rows with both labels: with C unbounded the dual
+        # never converges, so only the epoch cap ends training
         _, X, labels, _ = separable_data()
-        spec = ClassifierSpec(kind="linear_svm", learning_rate=2.0, l2_lambda=0.6)
-        with pytest.raises(EvaluationError, match="must be < 1"):
-            train(spec, X, labels)
+        shuffled = [labels[j] for j in np.random.default_rng(5).permutation(len(labels))]
+        capped = [
+            train(ClassifierSpec(kind="linear_svm", l2_lambda=0.0, epochs=e), X, shuffled).W
+            for e in (20, 21)
+        ]
+        assert all(np.all(np.isfinite(W)) for W in capped)
+        assert not np.array_equal(*capped)
 
     def test_weights_finite(self):
         _, X, labels, _ = separable_data()

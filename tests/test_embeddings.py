@@ -2,6 +2,7 @@
 
 import json
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -71,7 +72,16 @@ class TestCosine:
     def test_huge_opposite_vectors(self):
         # both norms overflow to inf unless the vectors are rescaled
         u = np.array([3e200, 1e200])
-        assert cosine(u, -2.0 * u) == pytest.approx(-1.0, abs=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cosine(u, -2.0 * u) == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_component_rejected(self, bad):
+        u, v = np.array([bad, 1.0]), np.array([1.0, 1.0])
+        for a, b in ((u, v), (v, u)):
+            with pytest.raises(EmbeddingError, match="NaN or infinite"):
+                cosine_with_flag(a, b)
 
     @settings(max_examples=200, deadline=None)
     @given(

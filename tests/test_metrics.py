@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normeval import metrics
 from normeval import (
     MetricError,
     TokenMapping,
@@ -228,6 +229,24 @@ class TestAnld:
     def test_unknown_weighting(self):
         with pytest.raises(ValueError):
             anld(mapping({"a": "a"}), weighting="by_magic")
+
+    @pytest.mark.parametrize("weighting", ["by_occurrence", "by_type"])
+    def test_alternate_matches_separate_calls_from_one_pass(self, weighting, monkeypatch):
+        m = mapping(
+            {"running": "run", "cats": "cat", "ab": "abcdef", "x": "x"},
+            counts={"running": 3, "cats": 1, "ab": 2, "x": 5},
+        )
+        other = "by_type" if weighting == "by_occurrence" else "by_occurrence"
+        expected = (anld(m, weighting, worst_n=2), anld(m, other, worst_n=0))
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return levenshtein(a, b)
+
+        monkeypatch.setattr(metrics, "levenshtein", counting)
+        assert metrics.anld_with_alternate(m, weighting, worst_n=2) == expected
+        assert len(calls) == len(m.pairs)
 
     def test_truncation_distance_non_increasing_in_prefix_length(self):
         words = ["normalization", "running", "cat", "jumped", "ab"]

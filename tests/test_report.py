@@ -223,6 +223,24 @@ class TestRunEvaluation:
             run_evaluation(toy_config("/nonexistent/corpus.tsv"))
 
 
+def hand_built_report(irs=0.91):
+    """An external table's report whose SES fails the consistency check."""
+    return NormalizerReport(
+        normalizer="external-table",
+        compression=compression_ratio(161, 100),
+        irs_result=IrsResult(irs=irs, per_doc=(), zero_vector_docs=0),
+        ses_result=safety_gate(irs=0.91, cr=1.61, anld=0.05),
+        anld_primary=AnldResult(
+            anld=0.05, pair_count=1, over_unit_pairs=0, worst_pairs=(), weighting="by_occurrence"
+        ),
+        anld_alternate=AnldResult(
+            anld=0.05, pair_count=1, over_unit_pairs=0, worst_pairs=(), weighting="by_type"
+        ),
+        deltas=(),
+        consistency_ok=False,
+    )
+
+
 class TestEmitJson:
     def test_empty_report_list_bytes(self, tmp_path):
         path = tmp_path / "out.json"
@@ -268,6 +286,21 @@ class TestEmitJson:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(EvaluationError, match="cannot write"):
             emit_json([], str(tmp_path / "no" / "dir" / "out.json"))
+
+    def test_nan_never_reaches_the_json(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(EvaluationError, match="non-finite"):
+            emit_json([hand_built_report(irs=float("nan"))], str(path))
+        assert not path.exists()
+
+    def test_nan_report_exits_one(self, corpus_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "normeval.cli.run_evaluation", lambda config: [hand_built_report(irs=float("nan"))]
+        )
+        assert main(["evaluate", "--corpus", corpus_path, "--normalizer", "identity"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
 
 class TestGoldenReport:
@@ -315,24 +348,8 @@ class TestEmitMarkdown:
         assert "seed: 0" in text
 
     def test_consistency_footnote(self, tmp_path):
-        gated = safety_gate(irs=0.91, cr=1.61, anld=0.05)
-        quiet = AnldResult(
-            anld=0.05, pair_count=1, over_unit_pairs=0, worst_pairs=(), weighting="by_occurrence"
-        )
-        report = NormalizerReport(
-            normalizer="external-table",
-            compression=compression_ratio(161, 100),
-            irs_result=IrsResult(irs=0.91, per_doc=(), zero_vector_docs=0),
-            ses_result=gated,
-            anld_primary=quiet,
-            anld_alternate=AnldResult(
-                anld=0.05, pair_count=1, over_unit_pairs=0, worst_pairs=(), weighting="by_type"
-            ),
-            deltas=(),
-            consistency_ok=False,
-        )
         path = tmp_path / "out.md"
-        emit_markdown([report], str(path))
+        emit_markdown([hand_built_report()], str(path))
         assert "SES-consistency flag" in path.read_text(encoding="utf-8")
 
     def test_empty_stem_rendered_as_placeholder(self, corpus_path, tmp_path):

@@ -11,7 +11,7 @@ none was copied from this implementation's output.
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from normeval.snowball import stem
@@ -219,7 +219,10 @@ def test_output_well_formed(word):
 @given(st.text(alphabet=string.ascii_lowercase, min_size=3, max_size=12))
 def test_stem_is_prefix_compatible(word):
     # A stem never rearranges letters: it is the word with a suffix
-    # removed, possibly with a final 'e'/'i'/'y' adjustment.
+    # removed, possibly with a final 'e'/'i'/'y' adjustment. Snowball's
+    # exceptional forms dying/lying/tying -> die/lie/tie do, and are
+    # checked in REFERENCE instead.
+    assume(word not in ("dying", "lying", "tying"))
     out = stem(word)
     shared = 0
     for a, b in zip(word, out):
