@@ -217,6 +217,8 @@ def _cmd_anld_pairs(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.worst_n < 0:
+        parser.error(f"--worst-n must be >= 0, got {args.worst_n}")
     try:
         if args.command == "evaluate":
             return _cmd_evaluate(args)

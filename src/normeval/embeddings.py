@@ -93,6 +93,22 @@ class EmbeddingProvider:
         return self.embed_documents([list(tokens)])[0]
 
 
+class _GramSlots(dict):
+    """gram -> (coordinate, sign) it adds to a token vector; a gram is
+    hashed on its first lookup."""
+
+    def __init__(self, dim: int, key: bytes):
+        super().__init__()
+        self.dim = dim
+        self.key = key
+
+    def __missing__(self, gram: str) -> tuple[int, int]:
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9, key=self.key).digest()
+        index = int.from_bytes(digest[:8], "little") % self.dim
+        slot = self[gram] = (index, 1 if digest[8] & 1 else -1)
+        return slot
+
+
 class HashedNgramProvider(EmbeddingProvider):
     """Character n-gram hashing embeddings.
 
@@ -103,6 +119,12 @@ class HashedNgramProvider(EmbeddingProvider):
     vectors are the mean of token vectors. Hashing is keyed blake2b, so
     vectors are identical across runs and platforms for a fixed
     (dim, n_range, seed).
+
+    Each gram is hashed once per provider and each token's vector is
+    built once. Token vectors hold integers (int32, so a long token at
+    a small dimension cannot overflow) and documents are summed in
+    float64, which is exact for integers, so the summation order never
+    changes a document vector.
     """
 
     def __init__(self, dim: int = 256, n_range: tuple[int, int] = (3, 5), seed: int = 0):
@@ -115,7 +137,7 @@ class HashedNgramProvider(EmbeddingProvider):
         self.n_range = (lo, hi)
         self.seed = seed
         self.name = f"hash-{dim}"
-        self._key = seed.to_bytes(8, "little", signed=True)
+        self._gram_slots = _GramSlots(dim, seed.to_bytes(8, "little", signed=True))
         self._token_cache: dict[str, np.ndarray] = {}
 
     def _token_vector(self, token: str) -> np.ndarray:
@@ -124,16 +146,10 @@ class HashedNgramProvider(EmbeddingProvider):
             return cached
         lo, hi = self.n_range
         wrapped = f"<{token}>"
-        grams = {wrapped}
-        for n in range(lo, hi + 1):
-            for i in range(len(wrapped) - n + 1):
-                grams.add(wrapped[i : i + n])
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for gram in sorted(grams):
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9, key=self._key).digest()
-            idx = int.from_bytes(digest[:8], "little") % self.dim
-            sign = 1.0 if digest[8] & 1 else -1.0
-            vec[idx] += sign
+        grams = {wrapped[i : i + n] for n in range(lo, hi + 1) for i in range(len(wrapped) - n + 1)}
+        grams.add(wrapped)
+        indices, signs = zip(*map(self._gram_slots.__getitem__, grams))
+        vec = np.bincount(indices, weights=signs, minlength=self.dim).astype(np.int32)
         self._token_cache[token] = vec
         return vec
 
@@ -143,10 +159,9 @@ class HashedNgramProvider(EmbeddingProvider):
             if not tokens:
                 out.append(DocumentEmbedding(np.zeros(self.dim), 0))
                 continue
-            acc = np.zeros(self.dim, dtype=np.float64)
-            for token in tokens:
-                acc += self._token_vector(token)
-            out.append(DocumentEmbedding(acc / len(tokens), len(tokens)))
+            rows = np.array([self._token_vector(token) for token in tokens])
+            total = rows.sum(axis=0, dtype=np.float64)
+            out.append(DocumentEmbedding(total / len(tokens), len(tokens)))
         return out
 
 
@@ -216,6 +231,10 @@ class HttpServiceProvider(EmbeddingProvider):
     Tokens are joined with single spaces before sending; pooling is the
     service's responsibility. Batches may be issued concurrently up to
     ``max_in_flight``; results are reassembled in request order.
+
+    The first reply fixes the provider's dimension: a later vector of
+    another dimension, in any batch or call, raises EmbeddingError, and
+    empty documents embed to zeros of that dimension.
     """
 
     def __init__(
@@ -233,6 +252,7 @@ class HttpServiceProvider(EmbeddingProvider):
         self.timeout = timeout
         self.max_in_flight = max(1, max_in_flight)
         self.name = name or f"http:{url}"
+        self.dim: int | None = None  # fixed by the first reply
 
     def _post_batch(self, texts: list[str]) -> list[np.ndarray]:
         import requests
@@ -275,20 +295,21 @@ class HttpServiceProvider(EmbeddingProvider):
                 for idx_batch, vecs in zip(
                     batches, pool.map(lambda b: self._post_batch([texts[i] for i in b]), batches)
                 ):
-                    dims = {len(v) for v in vecs}
-                    if len(dims) != 1:
-                        raise EmbeddingError(
-                            f"embedding service {self.url}: inconsistent vector dimensions {sorted(dims)}"
-                        )
                     for i, vec in zip(idx_batch, vecs):
+                        if self.dim is None:
+                            self.dim = len(vec)
+                        elif len(vec) != self.dim:
+                            raise EmbeddingError(
+                                f"embedding service {self.url}: inconsistent vector dimensions: "
+                                f"got {len(vec)} after {self.dim}"
+                            )
                         results[i] = vec
-        dim = len(next(iter(results.values()))) if results else 1
         out = []
         for i, tokens in enumerate(token_lists):
             if i in results:
                 out.append(DocumentEmbedding(results[i], len(tokens)))
             else:
-                out.append(DocumentEmbedding(np.zeros(dim), 0))
+                out.append(DocumentEmbedding(np.zeros(self.dim or 1), 0))
         return out
 
 
@@ -296,11 +317,14 @@ def irs(
     provider: EmbeddingProvider,
     original_docs: list[TokenizedDocument],
     normalized_docs: list[TokenizedDocument],
+    original_embeddings: list[DocumentEmbedding] | None = None,
 ) -> IrsResult:
     """Mean per-document cosine between original and normalized embeddings.
 
     Documents where either side embeds to the zero vector score 0 under
     the zero-vector convention and are counted in ``zero_vector_docs``.
+    ``original_embeddings``, when given, are the provider's embeddings
+    of ``original_docs``, so that several normalizers can share them.
     """
     ids_a = [d.doc_id for d in original_docs]
     ids_b = [d.doc_id for d in normalized_docs]
@@ -308,12 +332,17 @@ def irs(
         raise EmbeddingError("original and normalized corpora have different document sequences")
     if not original_docs:
         raise EmbeddingError("cannot compute retention score over an empty corpus")
-    emb_a = provider.embed_documents([list(d.tokens) for d in original_docs])
+    if original_embeddings is None:
+        original_embeddings = provider.embed_documents([list(d.tokens) for d in original_docs])
+    elif len(original_embeddings) != len(original_docs):
+        raise EmbeddingError(
+            f"{len(original_embeddings)} original embeddings for {len(original_docs)} documents"
+        )
     emb_b = provider.embed_documents([list(d.tokens) for d in normalized_docs])
     per_doc: list[tuple[str, float]] = []
     zero_docs = 0
     total = 0.0
-    for doc_id, ea, eb in zip(ids_a, emb_a, emb_b):
+    for doc_id, ea, eb in zip(ids_a, original_embeddings, emb_b):
         value, zero_flag = cosine_with_flag(ea.vector, eb.vector)
         if zero_flag:
             zero_docs += 1

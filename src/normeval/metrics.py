@@ -6,6 +6,7 @@ All functions here are pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Literal
 
@@ -33,9 +34,21 @@ class AnldResult:
 def levenshtein(a: str, b: str) -> int:
     """Minimum number of single-character insertions, deletions, and
     substitutions transforming a into b. Operates on Unicode scalar
-    values (Python string items), not bytes."""
+    values (Python string items), not bytes.
+
+    A common prefix and a common suffix are stripped before the dynamic
+    program: some optimal alignment matches them character for
+    character, so only the differing cores need the table.
+    """
     if a == b:
         return 0
+    start, limit = 0, min(len(a), len(b))
+    while start < limit and a[start] == b[start]:
+        start += 1
+    end = 0
+    while end < limit - start and a[-1 - end] == b[-1 - end]:
+        end += 1
+    a, b = a[start : len(a) - end], b[start : len(b) - end]
     if len(a) < len(b):
         a, b = b, a
     if not b:
@@ -136,6 +149,6 @@ def _weighted_anld(
         anld=total / weight_sum,
         pair_count=len(mapping.pairs),
         over_unit_pairs=over_unit,
-        worst_pairs=tuple(sorted(scored, key=lambda item: (-item[2], item[0]))[:worst_n]),
+        worst_pairs=tuple(heapq.nsmallest(worst_n, scored, key=lambda item: (-item[2], item[0]))),
         weighting=weighting,
     )

@@ -9,8 +9,10 @@ Reports serialize to JSON (machine, full precision) and Markdown
 
 from __future__ import annotations
 
+import functools
 import json
 import shlex
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from .corpus import (
@@ -24,6 +26,7 @@ from .corpus import (
 )
 from .downstream import EvalRun, MpdResult, cross_validate_docs, make_classifier_spec, mcnemar, mpd
 from .embeddings import (
+    DocumentEmbedding,
     EmbeddingProvider,
     HashedNgramProvider,
     HttpServiceProvider,
@@ -43,7 +46,7 @@ from .normalizers import (
     TruncateNormalizer,
     normalize_corpus,
 )
-from .ses import DEFAULT_ANLD_THRESHOLD, SesResult, safety_gate, ses_consistency_ok
+from .ses import DEFAULT_ANLD_THRESHOLD, SesResult, safety_gate
 
 CLASSIFIER_ALIASES = {
     "nb": "multinomial_nb",
@@ -80,6 +83,8 @@ class RunConfig:
             raise EvaluationError("config needs at least one normalizer")
         if self.anld_weighting not in ("by_occurrence", "by_type"):
             raise EvaluationError(f"unknown anld weighting {self.anld_weighting!r}")
+        if self.worst_n < 0:
+            raise EvaluationError(f"worst_n must be >= 0, got {self.worst_n}")
         unknown = [c for c in self.classifiers if c not in CLASSIFIER_ALIASES]
         if unknown:
             raise EvaluationError(f"unknown classifier name(s) {unknown}")
@@ -116,7 +121,6 @@ class NormalizerReport:
     anld_alternate: AnldResult | None = None
     deltas: tuple[ClassifierDelta, ...] = ()
     empty_stems: int = 0
-    consistency_ok: bool = True
 
     @property
     def failed(self) -> bool:
@@ -185,6 +189,7 @@ def _evaluate_one(
     folds: FoldPlan | None,
     gold: dict[str, str],
     provider: EmbeddingProvider,
+    original_embeddings: Callable[[], list[DocumentEmbedding]],
     baselines: dict[str, EvalRun],
     config: RunConfig,
 ) -> NormalizerReport:
@@ -194,7 +199,7 @@ def _evaluate_one(
     primary, alternate = anld_with_alternate(
         mapping, weighting=config.anld_weighting, worst_n=config.worst_n
     )
-    irs_result = irs(provider, original_docs, normalized_docs)
+    irs_result = irs(provider, original_docs, normalized_docs, original_embeddings())
     gated = safety_gate(
         irs_result.irs, compression.cr, primary.anld, config.safety_threshold
     )
@@ -227,7 +232,6 @@ def _evaluate_one(
         anld_alternate=alternate,
         deltas=tuple(deltas),
         empty_stems=mapping.empty_stem_count,
-        consistency_ok=ses_consistency_ok(compression.cr, irs_result.irs, gated.ses),
     )
 
 
@@ -235,8 +239,11 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     """Evaluate every configured normalizer over the configured corpus.
 
     The un-normalized downstream baseline is computed once per
-    classifier and shared. A failure inside one normalizer's pipeline
-    becomes a failure entry in its report; the others still complete.
+    classifier and shared, and so are the embeddings of the original
+    documents: they are made when the first normalizer needs them and
+    kept once they succeed. A failure inside one normalizer's pipeline,
+    embedding the originals included, becomes a failure entry in its
+    report; the others still complete (and retry that embedding).
     Corpus loading or baseline failures abort the whole run.
     """
     corpus = load_corpus(
@@ -249,6 +256,13 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     tokenizer = TokenizerConfig(lowercase=config.lowercase, strip_punct=config.strip_punct)
     original_docs = tokenize_corpus(corpus, tokenizer)
     provider = build_embedder(config.embedder)
+
+    # functools.cache keeps only a returned value, so a failed embedding
+    # is retried by the next normalizer
+    @functools.cache
+    def original_embeddings() -> list[DocumentEmbedding]:
+        return provider.embed_documents([list(d.tokens) for d in original_docs])
+
     baselines: dict[str, EvalRun] = {}
     folds = None
     gold: dict[str, str] = {}
@@ -270,7 +284,7 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
             reports.append(
                 _evaluate_one(
                     normalizer.name, mapping, original_docs, normalized_docs,
-                    folds, gold, provider, baselines, config,
+                    folds, gold, provider, original_embeddings, baselines, config,
                 )
             )
         except NormEvalError as exc:
@@ -332,7 +346,9 @@ def _report_to_dict(report: NormalizerReport) -> dict:
             "empty_stems": report.empty_stems,
             "zero_vector_docs": report.irs_result.zero_vector_docs,
             "over_unit_pairs": a.over_unit_pairs,
-            "ses_consistency_flag": not report.consistency_ok,
+            # evaluate computes SES as CR x IRS, so its own rows always
+            # pass the check; ses.ses_consistency_ok audits quoted tables
+            "ses_consistency_flag": False,
         },
     }
     return out
@@ -423,11 +439,6 @@ def emit_markdown(reports: list[NormalizerReport], path: str, config: RunConfig 
             notes.append(
                 f"`{r.normalizer}`: UNSAFE, ANLD {r.anld_primary.anld:.2f} exceeds "
                 f"threshold {r.ses_result.threshold:.2f}; its SES should not be optimized for."
-            )
-        if not r.consistency_ok:
-            notes.append(
-                f"`{r.normalizer}`: SES-consistency flag, reported SES differs from CR x IRS "
-                f"by more than 0.005."
             )
         if r.empty_stems:
             notes.append(f"`{r.normalizer}`: {r.empty_stems} token type(s) normalized to empty stems.")

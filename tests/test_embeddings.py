@@ -1,6 +1,9 @@
 """Embedding providers, cosine similarity, and the retention score."""
 
+import hashlib
 import json
+import random
+import string
 import threading
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -151,6 +154,99 @@ class TestHashedNgramProvider:
         assert np.array_equal(first, second)
 
 
+def reference_token_vector(provider, token):
+    """Token vector by the uncached per-gram loop: every gram of the
+    token hashed afresh and added to a float64 vector."""
+    lo, hi = provider.n_range
+    wrapped = f"<{token}>"
+    grams = {wrapped}
+    for n in range(lo, hi + 1):
+        for i in range(len(wrapped) - n + 1):
+            grams.add(wrapped[i : i + n])
+    key = provider.seed.to_bytes(8, "little", signed=True)
+    vec = np.zeros(provider.dim, dtype=np.float64)
+    for gram in sorted(grams):
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9, key=key).digest()
+        idx = int.from_bytes(digest[:8], "little") % provider.dim
+        sign = 1.0 if digest[8] & 1 else -1.0
+        vec[idx] += sign
+    return vec
+
+
+def reference_document_vector(provider, tokens):
+    """Document vector pooled one token at a time with numpy ``+=``."""
+    if not tokens:
+        return np.zeros(provider.dim)
+    acc = np.zeros(provider.dim, dtype=np.float64)
+    for token in tokens:
+        acc += reference_token_vector(provider, token)
+    return acc / len(tokens)
+
+
+# 20,000 random lowercase letters: at dim 8 one coordinate of its vector
+# reaches 205, beyond the range of int8
+_rng = random.Random(0)
+LONG_TOKEN = "".join(_rng.choice(string.ascii_lowercase) for _ in range(20000))
+
+MIXED_WORDS = [
+    "running", "ran", "électricité", "naïve", "গান", "গানগুলো", "কর্ম", "বিদ্যালয়",
+    "東京", "x" * 40, "a", "r\u00e9sum\u00e9s", "ক্ষ", "mixedগান",
+]
+
+
+class TestHashedNgramAgainstReference:
+    @pytest.mark.parametrize("dim,seed", [(8, 0), (64, 3), (256, 0)])
+    def test_token_vectors_equal(self, dim, seed):
+        provider = HashedNgramProvider(dim=dim, seed=seed)
+        for word in MIXED_WORDS:
+            expected = reference_token_vector(provider, word)
+            assert np.array_equal(provider._token_vector(word), expected), word
+
+    @pytest.mark.parametrize("dim,seed", [(8, 0), (64, 3), (256, 0)])
+    def test_document_vectors_equal(self, dim, seed):
+        provider = HashedNgramProvider(dim=dim, seed=seed)
+        documents = [
+            MIXED_WORDS,
+            [],
+            ["গান", "গান", "running", "গান", "running"],
+            ["a"] * 7,
+            list(reversed(MIXED_WORDS)),
+            [],
+        ]
+        out = provider.embed_documents(documents)
+        for tokens, emb in zip(documents, out):
+            assert emb.vector.dtype == np.float64 and emb.vector.shape == (dim,)
+            assert np.array_equal(emb.vector, reference_document_vector(provider, tokens)), tokens
+            assert emb.token_count == len(tokens)
+        # one cache entry per distinct token
+        assert len(provider._token_cache) == len({t for d in documents for t in d})
+
+    def test_long_token_at_small_dimension(self):
+        provider = HashedNgramProvider(dim=8)
+        expected = reference_token_vector(provider, LONG_TOKEN)
+        assert np.abs(expected).max() > 127
+        assert np.array_equal(provider._token_vector(LONG_TOKEN), expected)
+        document = [LONG_TOKEN, "gan", LONG_TOKEN]
+        assert np.array_equal(
+            provider.embed_document(document).vector, reference_document_vector(provider, document)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.text(alphabet="abé" + "\u0995\u09be\u09cd", min_size=1, max_size=8), max_size=6
+            ),
+            max_size=4,
+        )
+    )
+    def test_random_documents_equal(self, documents):
+        provider = HashedNgramProvider(dim=16, seed=1)
+        out = provider.embed_documents(documents)
+        for tokens, emb in zip(documents, out):
+            assert np.array_equal(emb.vector, reference_document_vector(provider, tokens))
+
+
 def write_vectors(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -274,6 +370,15 @@ class TestIrs:
         with pytest.raises(EmbeddingError, match="empty"):
             irs(HashedNgramProvider(dim=16), [], [])
 
+    def test_precomputed_original_embeddings(self):
+        provider = HashedNgramProvider(dim=16)
+        original = docs(("d1", ["running", "fast"]), ("d2", ["গানগুলো"]), ("d3", []))
+        normalized = docs(("d1", ["run", "fast"]), ("d2", ["গান"]), ("d3", []))
+        embedded = provider.embed_documents([list(d.tokens) for d in original])
+        assert irs(provider, original, normalized, embedded) == irs(provider, original, normalized)
+        with pytest.raises(EmbeddingError, match="2 original embeddings for 3 documents"):
+            irs(provider, original, normalized, embedded[:2])
+
 
 class EmbeddingHandler(BaseHTTPRequestHandler):
     """Scriptable embedding service; behavior lives on the server object."""
@@ -375,6 +480,25 @@ class TestHttpServiceProvider:
         server.respond = lambda texts: (200, {"vectors": [[1.0], [1.0, 2.0]]})
         with pytest.raises(EmbeddingError, match="inconsistent"):
             HttpServiceProvider(url, batch_size=2).embed_documents([["a"], ["b"]])
+
+    def test_dimension_change_across_batches(self, embedding_service):
+        server, url = embedding_service
+        server.respond = lambda texts: (200, {"vectors": [[1.0] * len(t) for t in texts]})
+        provider = HttpServiceProvider(url, batch_size=1, max_in_flight=1)
+        with pytest.raises(EmbeddingError, match="inconsistent vector dimensions"):
+            provider.embed_documents([["ab"], ["abc"]])
+
+    def test_dimension_change_across_calls(self, embedding_service):
+        server, url = embedding_service
+        server.respond = lambda texts: (200, {"vectors": [[1.0] * len(t) for t in texts]})
+        provider = HttpServiceProvider(url)
+        first = provider.embed_documents([["ab"], ["cd"]])
+        assert [len(e.vector) for e in first] == [2, 2]
+        # an all-empty call still gets the dimension of the first reply
+        (empty,) = provider.embed_documents([[]])
+        assert np.array_equal(empty.vector, np.zeros(2))
+        with pytest.raises(EmbeddingError, match="inconsistent vector dimensions"):
+            provider.embed_documents([["abc"]])
 
     def test_unreachable_service(self):
         provider = HttpServiceProvider("http://127.0.0.1:9/none", timeout=0.5)

@@ -13,7 +13,7 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normeval import metrics
@@ -77,6 +77,23 @@ def bfs_distances(start: str, adjacency: dict[str, list[str]]) -> dict[str, int]
     return dist
 
 
+def untrimmed_distance(a: str, b: str) -> int:
+    """The full Wagner-Fischer table over both whole strings, with no
+    common prefix or suffix stripped first."""
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb)))
+        previous = current
+    return previous[-1]
+
+
+# Latin letters, Bengali consonants, vowel signs (aa, i, e) and the
+# hasant U+09CD, which joins consonants into conjuncts
+MIXED_ALPHABET = "abn" + "\u0995\u0997\u09a8\u09b0" + "\u09be\u09bf\u09c7" + "\u09cd"
+
+
 class TestLevenshtein:
     def test_identity(self):
         assert levenshtein("abc", "abc") == 0
@@ -130,6 +147,23 @@ class TestLevenshtein:
     )
     def test_triangle_inequality(self, a, b, c):
         assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        prefix=st.text(alphabet=MIXED_ALPHABET, max_size=5),
+        core_a=st.text(alphabet=MIXED_ALPHABET, max_size=5),
+        core_b=st.text(alphabet=MIXED_ALPHABET, max_size=5),
+        suffix=st.text(alphabet=MIXED_ALPHABET, max_size=5),
+    )
+    # a stem that is a prefix of its original
+    @example(prefix="\u0997\u09be\u09a8", core_a="\u0997\u09c1\u09b2\u09cb", core_b="", suffix="")
+    # the shared prefix and suffix overlap inside the shorter string
+    @example(prefix="a", core_a="a", core_b="", suffix="a")
+    @example(prefix="", core_a="", core_b="\u09cd\u09cd", suffix="\u09cd")
+    def test_affix_trim_matches_untrimmed_table(self, prefix, core_a, core_b, suffix):
+        a, b = prefix + core_a + suffix, prefix + core_b + suffix
+        assert levenshtein(a, b) == untrimmed_distance(a, b)
+        assert levenshtein(b, a) == untrimmed_distance(a, b)
 
 
 class TestCompressionRatio:

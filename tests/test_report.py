@@ -8,6 +8,7 @@ import pytest
 from normeval import (
     AnldResult,
     CorpusError,
+    EmbeddingError,
     EvaluationError,
     HashedNgramProvider,
     HttpServiceProvider,
@@ -18,6 +19,7 @@ from normeval import (
     NormalizerReport,
     RunConfig,
     SnowballEnglishNormalizer,
+    TokenizerConfig,
     TruncateNormalizer,
     VectorFileProvider,
     build_normalizer,
@@ -25,8 +27,12 @@ from normeval import (
     compression_ratio,
     emit_json,
     emit_markdown,
+    irs,
+    load_corpus,
+    normalize_corpus,
     run_evaluation,
     safety_gate,
+    tokenize_corpus,
 )
 from normeval.cli import main
 from normeval.data import mini_corpus_path
@@ -48,6 +54,10 @@ class TestRunConfig:
     def test_requires_a_normalizer(self):
         with pytest.raises(EvaluationError, match="at least one normalizer"):
             RunConfig(corpus_path="x.tsv", normalizers=())
+
+    def test_rejects_negative_worst_n(self):
+        with pytest.raises(EvaluationError, match="worst_n"):
+            RunConfig(corpus_path="x.tsv", normalizers=("identity",), worst_n=-1)
 
     def test_rejects_unknown_weighting(self):
         with pytest.raises(EvaluationError, match="weighting"):
@@ -179,7 +189,6 @@ class TestRunEvaluation:
         assert ident.ses_result.ses == 1.0
         assert ident.ses_result.safe
         assert ident.anld_primary.anld == 0.0
-        assert ident.consistency_ok
         for delta in ident.deltas:
             assert delta.mpd_accuracy.mpd == 0.0
             assert delta.mpd_accuracy.p_value == 1.0
@@ -223,8 +232,58 @@ class TestRunEvaluation:
             run_evaluation(toy_config("/nonexistent/corpus.tsv"))
 
 
+class CountingProvider(HashedNgramProvider):
+    """Hashed embedder that records each ``embed_documents`` call and
+    can fail the first ``failures`` of them."""
+
+    def __init__(self, failures=0):
+        super().__init__(dim=64, seed=0)
+        self.calls = 0
+        self.failures = failures
+
+    def embed_documents(self, token_lists):
+        self.calls += 1
+        if self.calls <= self.failures:
+            raise EmbeddingError("embedding service unavailable")
+        return super().embed_documents(token_lists)
+
+
+class TestOriginalEmbeddingsShared:
+    NORMALIZERS = ("identity", "truncate:2", "snowball-en")
+
+    def plain_irs(self, corpus_path, spec):
+        """IRS of one normalizer through ``irs`` alone, with a fresh provider."""
+        original = tokenize_corpus(load_corpus(corpus_path), TokenizerConfig())
+        normalized, _ = normalize_corpus(build_normalizer(spec), original)
+        return irs(HashedNgramProvider(dim=64, seed=0), original, normalized)
+
+    def run(self, corpus_path, monkeypatch, provider):
+        monkeypatch.setattr("normeval.report.build_embedder", lambda spec: provider)
+        config = toy_config(corpus_path, normalizers=self.NORMALIZERS, classifiers=())
+        return run_evaluation(config)
+
+    def test_originals_embedded_once(self, corpus_path, monkeypatch):
+        provider = CountingProvider()
+        reports = self.run(corpus_path, monkeypatch, provider)
+        assert provider.calls == 1 + len(self.NORMALIZERS)
+        for spec, report in zip(self.NORMALIZERS, reports):
+            assert not report.failed
+            assert report.irs_result == self.plain_irs(corpus_path, spec)
+
+    def test_failed_embedding_is_retried_by_the_next_normalizer(self, corpus_path, monkeypatch):
+        provider = CountingProvider(failures=1)
+        reports = self.run(corpus_path, monkeypatch, provider)
+        assert reports[0].failed
+        assert "embedding service unavailable" in reports[0].error
+        for spec, report in zip(self.NORMALIZERS[1:], reports[1:]):
+            assert not report.failed
+            assert report.irs_result == self.plain_irs(corpus_path, spec)
+        # the failed call, then the originals once, then one per normalizer
+        assert provider.calls == 1 + 1 + 2
+
+
 def hand_built_report(irs=0.91):
-    """An external table's report whose SES fails the consistency check."""
+    """A report built by hand from an external table's figures."""
     return NormalizerReport(
         normalizer="external-table",
         compression=compression_ratio(161, 100),
@@ -237,7 +296,6 @@ def hand_built_report(irs=0.91):
             anld=0.05, pair_count=1, over_unit_pairs=0, worst_pairs=(), weighting="by_type"
         ),
         deltas=(),
-        consistency_ok=False,
     )
 
 
@@ -347,11 +405,6 @@ class TestEmitMarkdown:
         assert "map:/nonexistent/f.tsv" in text
         assert "seed: 0" in text
 
-    def test_consistency_footnote(self, tmp_path):
-        path = tmp_path / "out.md"
-        emit_markdown([hand_built_report()], str(path))
-        assert "SES-consistency flag" in path.read_text(encoding="utf-8")
-
     def test_empty_stem_rendered_as_placeholder(self, corpus_path, tmp_path):
         mapping = tmp_path / "drop.tsv"
         mapping.write_text("red\t\nblue\t\n", encoding="utf-8")
@@ -428,6 +481,13 @@ class TestCli:
         with pytest.raises(SystemExit) as exc_info:
             main(["evaluate", "--corpus", corpus_path])
         assert exc_info.value.code == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "metrics", "anld-pairs"])
+    def test_negative_worst_n_exits_1(self, corpus_path, command, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--corpus", corpus_path, "--normalizer", "identity", "--worst-n", "-1"])
+        assert exc_info.value.code == 1
+        assert "--worst-n must be >= 0" in capsys.readouterr().err
 
     def test_all_normalizers_failed_exits_2(self, corpus_path, capsys):
         code = main(
