@@ -16,7 +16,6 @@ normalized form.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,6 +283,8 @@ class HttpServiceProvider(EmbeddingProvider):
         return arrays
 
     def embed_documents(self, token_lists: list[list[str]]) -> list[DocumentEmbedding]:
+        from concurrent.futures import ThreadPoolExecutor
+
         texts = [" ".join(tokens) for tokens in token_lists]
         nonempty = [i for i, t in enumerate(texts) if t]
         batches = [

@@ -19,6 +19,7 @@ from .corpus import (
     FoldPlan,
     TokenizedDocument,
     TokenizerConfig,
+    Vocabulary,
     build_vocabulary,
     load_corpus,
     make_folds,
@@ -185,6 +186,7 @@ def _evaluate_one(
     name: str,
     mapping: TokenMapping,
     original_docs: list[TokenizedDocument],
+    original_vocab: Vocabulary,
     normalized_docs: list[TokenizedDocument],
     folds: FoldPlan | None,
     gold: dict[str, str],
@@ -193,9 +195,7 @@ def _evaluate_one(
     baselines: dict[str, EvalRun],
     config: RunConfig,
 ) -> NormalizerReport:
-    compression = compression_ratio(
-        build_vocabulary(original_docs), build_vocabulary(normalized_docs)
-    )
+    compression = compression_ratio(original_vocab, build_vocabulary(normalized_docs))
     primary, alternate = anld_with_alternate(
         mapping, weighting=config.anld_weighting, worst_n=config.worst_n
     )
@@ -255,6 +255,7 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     )
     tokenizer = TokenizerConfig(lowercase=config.lowercase, strip_punct=config.strip_punct)
     original_docs = tokenize_corpus(corpus, tokenizer)
+    original_vocab = build_vocabulary(original_docs)
     provider = build_embedder(config.embedder)
 
     # functools.cache keeps only a returned value, so a failed embedding
@@ -283,7 +284,7 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
             normalized_docs, mapping = normalize_corpus(normalizer, original_docs)
             reports.append(
                 _evaluate_one(
-                    normalizer.name, mapping, original_docs, normalized_docs,
+                    normalizer.name, mapping, original_docs, original_vocab, normalized_docs,
                     folds, gold, provider, original_embeddings, baselines, config,
                 )
             )

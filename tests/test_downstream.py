@@ -2,6 +2,7 @@
 performance-delta significance machinery."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -403,6 +404,21 @@ class TestPairedT:
         expected = stats.ttest_rel(diffs, [0.0] * len(diffs)).pvalue
         assert paired_t_pvalue(diffs) == pytest.approx(float(expected), abs=1e-12)
 
+    @pytest.mark.parametrize("df", range(1, 41))
+    def test_tail_equals_scipy_stats_t_exactly(self, df):
+        # scipy.stats is the oracle only: normeval computes the tail with
+        # scipy.special.stdtr and must agree to the last bit
+        noise = np.random.default_rng(df).standard_normal(df + 1)
+        noise -= noise.mean()
+        sd = float(np.std(noise, ddof=1))
+        for target in np.geomspace(1e-4, 300.0, 25):
+            diffs = list(noise + target * sd / math.sqrt(df + 1))
+            arr = np.asarray(diffs)
+            t_stat = float(np.mean(arr)) / (float(np.std(arr, ddof=1)) / math.sqrt(df + 1))
+            expected = float(2.0 * stats.t.sf(abs(t_stat), df))
+            assert paired_t_pvalue(diffs) == expected
+            assert paired_t_pvalue([-d for d in diffs]) == expected
+
     def test_sign_symmetric(self):
         diffs = [0.05, -0.02, 0.04, 0.01, -0.03]
         flipped = [-d for d in diffs]
@@ -523,6 +539,31 @@ class TestMcnemar:
         # chi-square(1) upper tail equals erfc(sqrt(x/2))
         expected = math.erfc(math.sqrt(chi / 2))
         assert mcnemar(pa, pb, gold) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 26))
+    def test_exact_branch_is_the_correctly_rounded_binomial_tail(self, n):
+        for k in range(n // 2 + 1):
+            tail = Fraction(sum(math.comb(n, i) for i in range(k + 1)), 2**n)
+            expected = float(min(1, 2 * tail))
+            pa, pb, gold = mcnemar_case(k, n - k)
+            assert mcnemar(pa, pb, gold) == expected
+            assert mcnemar(pb, pa, gold) == expected
+
+    @pytest.mark.parametrize(
+        "k, expected", [(4, 0.11846923828125), (5, 0.3017578125), (6, 0.60723876953125)]
+    )
+    def test_exact_branch_where_binom_cdf_is_one_ulp_low(self, k, expected):
+        # scipy.stats.binom.cdf(k, 15, 0.5) is one ulp below the exact
+        # dyadic tail for these k; normeval keeps the exact value
+        pa, pb, gold = mcnemar_case(k, 15 - k)
+        assert mcnemar(pa, pb, gold) == expected
+
+    @pytest.mark.parametrize("n", [26, 27, 31, 40, 57, 80])
+    def test_chi_square_branch_equals_scipy_stats_chi2_exactly(self, n):
+        for n01 in range(n + 1):
+            pa, pb, gold = mcnemar_case(n01, n - n01, n_both_right=0)
+            chi = (abs(n01 - (n - n01)) - 1.0) ** 2 / n
+            assert mcnemar(pa, pb, gold) == float(stats.chi2.sf(chi, 1))
 
     def test_mismatched_document_sets(self):
         pa, pb, gold = mcnemar_case(2, 2)

@@ -20,11 +20,17 @@ from normeval import metrics
 from normeval import (
     MetricError,
     TokenMapping,
+    TruncateNormalizer,
     Vocabulary,
     anld,
+    build_vocabulary,
     compression_ratio,
     levenshtein,
+    load_corpus,
+    normalize_corpus,
+    tokenize_corpus,
 )
+from normeval.data import mini_corpus_path
 
 
 def recursive_distance(a: str, b: str) -> int:
@@ -289,3 +295,21 @@ class TestAnld:
             pairs = {w: w[:n] for w in words}
             values.append(anld(mapping(pairs)).anld)
         assert values == sorted(values, reverse=True)
+
+
+class TestTruncationLadder:
+    """On the bundled corpus, a longer prefix keeps more of every word:
+    CR and ANLD must not increase from truncate:2 to truncate:8."""
+
+    def test_cr_and_anld_non_increasing_in_prefix_length(self):
+        docs = tokenize_corpus(load_corpus(mini_corpus_path()))
+        vocab = build_vocabulary(docs)
+        crs, by_occurrence, by_type = [], [], []
+        for k in range(2, 9):
+            normalized, m = normalize_corpus(TruncateNormalizer(k), docs)
+            crs.append(compression_ratio(vocab, build_vocabulary(normalized)).cr)
+            by_occurrence.append(anld(m, "by_occurrence").anld)
+            by_type.append(anld(m, "by_type").anld)
+        for values in (crs, by_occurrence, by_type):
+            assert values == sorted(values, reverse=True)
+            assert values[0] > values[-1]
