@@ -4,20 +4,25 @@ Built-in normalizers (identity, snowball English, prefix truncation) are
 pure functions. Mapping-file and external-process normalizers adapt
 third-party tools: the mapping file is a static lookup table, and the
 external adapter speaks a line protocol over the tool's stdin/stdout
-(request ``NORM<TAB>token``, reply ``OK<TAB>stem`` or ``ERR<TAB>message``).
+(request ``NORM<TAB>token``, reply ``OK<TAB>stem`` or ``ERR<TAB>message``),
+with up to ``EXT_CHUNK_SIZE`` requests in flight.
 
-``normalize_corpus`` memoizes per token type and records every
+``normalize_corpus`` counts the original tokens, normalizes each distinct
+type once through ``Normalizer.normalize_tokens`` and records every
 (original, stem) pair with occurrence counts in a :class:`TokenMapping`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import logging
 import queue
 import subprocess
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NoReturn
 
 from .corpus import TokenizedDocument
 from .errors import NormalizerError
@@ -40,12 +45,22 @@ class TokenMapping:
 
 
 class Normalizer:
-    """Base class: subclasses implement ``normalize_token``."""
+    """Base class: subclasses implement ``normalize_token``.
+
+    ``normalize_tokens`` maps a list of tokens to their stems, in order;
+    ``normalize_corpus`` calls it once with every distinct type. Here it
+    calls ``normalize_token`` per token; adapters that pay per call, like
+    :class:`ExternalNormalizer`, override it to batch.
+    """
 
     name: str = "normalizer"
 
     def normalize_token(self, token: str) -> str:
         raise NotImplementedError
+
+    def normalize_tokens(self, tokens: list[str]) -> list[str]:
+        normalize_token = self.normalize_token
+        return [normalize_token(token) for token in tokens]
 
     def close(self) -> None:
         """Release external resources, if any."""
@@ -123,8 +138,29 @@ class MappingNormalizer(Normalizer):
         return self.mapping.get(token, token)
 
 
+EXT_CHUNK_SIZE = 256
+"""Requests an :class:`ExternalNormalizer` sends before it reads their replies."""
+
+EXT_MAX_REPLY_CHARS = 1 << 20
+"""Longest reply line, newline excluded, an :class:`ExternalNormalizer` accepts."""
+
+
+class _StreamEnd:
+    """Reader-thread marker: no reply follows, for the stated reason."""
+
+    def __init__(self, reason: str):
+        self.reason = reason
+
+
 class ExternalNormalizer(Normalizer):
     """Adapter around an external process speaking the NORM line protocol.
+
+    ``normalize_tokens`` pipelines: it sends the requests for up to
+    ``EXT_CHUNK_SIZE`` tokens, then reads their replies in order, waiting
+    at most ``timeout`` seconds for each. The session fails closed: after
+    a timeout, an ``ERR``, malformed, over-long or unsolicited reply, or
+    the end of the child's output, the child is killed and every later
+    call raises :class:`NormalizerError`.
 
     The session is serial: callers running concurrently must either wrap
     calls in their own lock or open one session per worker.
@@ -142,67 +178,139 @@ class ExternalNormalizer(Normalizer):
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                encoding="utf-8",
-                bufsize=1,
             )
         except OSError as exc:
             raise NormalizerError(f"cannot start external normalizer {self.command}: {exc}") from exc
-        self._replies: queue.Queue[str | None] = queue.Queue()
+        assert self._proc.stdin is not None and self._proc.stdout is not None
+        self._stdin = self._proc.stdin
+        # Universal newlines, as a text-mode pipe reads them.
+        self._stdout = io.TextIOWrapper(self._proc.stdout, encoding="utf-8")
+        self._failure: str | None = None
+        self._requests: queue.SimpleQueue[bytes | None] = queue.SimpleQueue()
+        self._replies: queue.SimpleQueue[str | _StreamEnd] = queue.SimpleQueue()
+        # Requests go out on their own thread, so a child that stops reading
+        # them shows up as a missing reply, under the same timeout.
+        threading.Thread(target=self._write_loop, daemon=True).start()
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
-    def _read_loop(self) -> None:
-        assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._replies.put(line.rstrip("\n"))
-        self._replies.put(None)  # EOF sentinel
+    def _write_loop(self) -> None:
+        try:
+            while (data := self._requests.get()) is not None:
+                self._stdin.write(data)
+                self._stdin.flush()
+        except OSError:
+            pass  # the child is gone; the replies it never sent report it
+        finally:
+            with contextlib.suppress(OSError):
+                self._stdin.close()
 
-    def normalize_token(self, token: str) -> str:
+    def _read_loop(self) -> None:
+        reason = "process closed its output"
+        try:
+            while line := self._stdout.readline(EXT_MAX_REPLY_CHARS + 1):
+                if not line.endswith("\n") and len(line) > EXT_MAX_REPLY_CHARS:
+                    reason = f"reply longer than {EXT_MAX_REPLY_CHARS} characters"
+                    break
+                self._replies.put(line.rstrip("\n"))
+        except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
+            reason = f"unreadable output ({exc})"
+        self._replies.put(_StreamEnd(reason))
+
+    def _fail(self, message: str) -> NoReturn:
+        """Stop the session for good and raise ``message``."""
+        self._failure = message
+        self._requests.put(None)
+        self._proc.kill()
+        self._proc.wait()
+        raise NormalizerError(message)
+
+    def _check_no_unsolicited_reply(self) -> None:
+        """With no request in flight, a queued reply is one too many."""
+        try:
+            reply = self._replies.get_nowait()
+        except queue.Empty:
+            return
+        if isinstance(reply, _StreamEnd):
+            self._replies.put(reply)  # nothing follows it; the next read reports it
+            return
+        self._fail(f"external normalizer {self.command}: unsolicited reply {reply!r}")
+
+    def _request(self, token: str) -> bytes:
         if "\n" in token or "\t" in token:
             raise NormalizerError(f"token contains protocol separator characters: {token!r}")
-        if self._proc.poll() is not None:
-            raise NormalizerError(
-                f"external normalizer {self.command} exited with code {self._proc.returncode}"
-            )
         try:
-            assert self._proc.stdin is not None
-            self._proc.stdin.write(f"NORM\t{token}\n")
-            self._proc.stdin.flush()
-        except (OSError, ValueError) as exc:
+            return f"NORM\t{token}\n".encode("utf-8")
+        except UnicodeEncodeError as exc:
             raise NormalizerError(
                 f"external normalizer {self.command}: cannot send token {token!r}: {exc}"
             ) from exc
-        try:
-            reply = self._replies.get(timeout=self.timeout)
-        except queue.Empty:
-            raise NormalizerError(
-                f"external normalizer {self.command}: timeout after {self.timeout}s on token {token!r}"
-            ) from None
-        if reply is None:
-            raise NormalizerError(
-                f"external normalizer {self.command}: process closed its output on token {token!r}"
-            )
-        kind, _, payload = reply.partition("\t")
-        if kind == "OK":
-            return payload
-        if kind == "ERR":
-            raise NormalizerError(
-                f"external normalizer {self.command}: tool error on token {token!r}: {payload}"
-            )
-        raise NormalizerError(
-            f"external normalizer {self.command}: malformed reply {reply!r} on token {token!r}"
-        )
+
+    def _round_trip(self, tokens: list[str], requests: list[bytes]) -> list[str]:
+        if self._proc.poll() is not None:
+            self._fail(f"external normalizer {self.command} exited with code {self._proc.returncode}")
+        self._check_no_unsolicited_reply()
+        self._requests.put(b"".join(requests))
+        stems: list[str] = []
+        for token in tokens:
+            try:
+                reply = self._replies.get(timeout=self.timeout)
+            except queue.Empty:
+                self._fail(
+                    f"external normalizer {self.command}: timeout after {self.timeout}s on token {token!r}"
+                )
+            if isinstance(reply, _StreamEnd):
+                self._fail(f"external normalizer {self.command}: {reply.reason} on token {token!r}")
+            kind, _, payload = reply.partition("\t")
+            if kind != "OK":
+                if kind == "ERR":
+                    self._fail(
+                        f"external normalizer {self.command}: tool error on token {token!r}: {payload}"
+                    )
+                self._fail(
+                    f"external normalizer {self.command}: malformed reply {reply!r} on token {token!r}"
+                )
+            stems.append(payload)
+        return stems
+
+    def normalize_tokens(self, tokens: list[str]) -> list[str]:
+        if self._failure is not None:
+            raise NormalizerError(f"session stopped after an earlier failure: {self._failure}")
+        stems: list[str] = []
+        for start in range(0, len(tokens), EXT_CHUNK_SIZE):
+            chunk = tokens[start : start + EXT_CHUNK_SIZE]
+            requests: list[bytes] = []
+            invalid: NormalizerError | None = None
+            for token in chunk:
+                try:
+                    requests.append(self._request(token))
+                except NormalizerError as exc:
+                    invalid = exc
+                    break
+            # The tokens before an unsendable one are answered first, so a
+            # failure among them takes precedence, as in token order.
+            if requests:
+                stems += self._round_trip(chunk[: len(requests)], requests)
+            if invalid is not None:
+                raise invalid
+        self._check_no_unsolicited_reply()
+        return stems
+
+    def normalize_token(self, token: str) -> str:
+        return self.normalize_tokens([token])[0]
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                if self._proc.stdin is not None:
-                    self._proc.stdin.close()
-                self._proc.wait(timeout=2.0)
-            except (OSError, subprocess.TimeoutExpired):
-                self._proc.kill()
-                self._proc.wait()
+        self._requests.put(None)  # the writer closes the child's stdin after pending requests
+        try:
+            self._proc.wait(timeout=2.0)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        # The reader sees end of file once the child is gone, unless a process
+        # the child started still holds the pipe; then the reader keeps it.
+        self._reader.join(timeout=1.0)
+        if not self._reader.is_alive():
+            self._stdout.close()
 
     def __enter__(self) -> "ExternalNormalizer":
         return self
@@ -214,26 +322,22 @@ class ExternalNormalizer(Normalizer):
 def normalize_corpus(
     normalizer: Normalizer, docs: list[TokenizedDocument]
 ) -> tuple[list[TokenizedDocument], TokenMapping]:
-    """Normalize every token, memoizing per distinct token.
+    """Normalize every token, each distinct token once.
 
-    Token order and document boundaries are preserved. Empty stems are
-    kept in the mapping (they count as defects and as full-length edits
-    in distance metrics) but dropped from the normalized token streams,
-    which must not contain empty tokens.
+    The distinct tokens, in first-seen order, go to one
+    ``normalizer.normalize_tokens`` call; ``TokenMapping.pairs`` keeps that
+    order. Token order and document boundaries are preserved. Empty stems
+    are kept in the mapping (they count as defects and as full-length
+    edits in distance metrics) but dropped from the normalized token
+    streams, which must not contain empty tokens.
     """
-    cache: dict[str, str] = {}
     occurrence: Counter[str] = Counter()
-    normalized: list[TokenizedDocument] = []
     for doc in docs:
-        out: list[str] = []
-        for token in doc.tokens:
-            if token in cache:
-                stem = cache[token]
-            else:
-                stem = normalizer.normalize_token(token)
-                cache[token] = stem
-            occurrence[token] += 1
-            if stem:
-                out.append(stem)
-        normalized.append(TokenizedDocument(doc_id=doc.doc_id, tokens=tuple(out)))
-    return normalized, TokenMapping(pairs=cache, occurrence_counts=dict(occurrence))
+        occurrence.update(doc.tokens)
+    pairs = dict(zip(occurrence, normalizer.normalize_tokens(list(occurrence)), strict=True))
+    stem_of = pairs.__getitem__
+    normalized = [
+        TokenizedDocument(doc_id=doc.doc_id, tokens=tuple(filter(None, map(stem_of, doc.tokens))))
+        for doc in docs
+    ]
+    return normalized, TokenMapping(pairs=pairs, occurrence_counts=dict(occurrence))
