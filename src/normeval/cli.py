@@ -15,20 +15,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 
-from .corpus import TokenizerConfig, build_vocabulary, load_corpus, tokenize_corpus
 from .errors import NormEvalError
-from .metrics import anld, compression_ratio
-from .normalizers import normalize_corpus
 from .report import (
     RunConfig,
-    build_normalizer,
     emit_json,
     emit_markdown,
-    json_text,
     report_json,
     run_evaluation,
+    run_intrinsic,
 )
 
 _DELIMITERS = {"tab": "\t", "comma": ","}
@@ -98,25 +93,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _tokenizer_from_args(args) -> TokenizerConfig:
-    return TokenizerConfig(
-        lowercase=not args.no_lowercase, strip_punct=not args.no_strip_punct
-    )
-
-
-def _load_tokenized(args):
-    corpus = load_corpus(
-        args.corpus,
-        text_col=args.text_col,
-        label_col=args.label_col,
-        delimiter=_DELIMITERS[args.delimiter],
-        has_header=not args.no_header,
-    )
-    return tokenize_corpus(corpus, _tokenizer_from_args(args))
-
-
-def _cmd_evaluate(args) -> int:
-    config = RunConfig(
+def _config_from_args(args) -> RunConfig:
+    evaluate_only = {}
+    if args.command == "evaluate":
+        evaluate_only = dict(
+            embedder=args.embedder,
+            classifiers=tuple(c for c in args.classifiers.split(",") if c),
+            k=args.k,
+            seed=args.seed,
+            safety_threshold=args.safety_threshold,
+        )
+    return RunConfig(
         corpus_path=args.corpus,
         normalizers=tuple(args.normalizer),
         text_col=args.text_col,
@@ -125,93 +112,52 @@ def _cmd_evaluate(args) -> int:
         has_header=not args.no_header,
         lowercase=not args.no_lowercase,
         strip_punct=not args.no_strip_punct,
-        embedder=args.embedder,
-        classifiers=tuple(c for c in args.classifiers.split(",") if c),
-        k=args.k,
-        seed=args.seed,
         anld_weighting=_WEIGHTINGS[args.anld_weighting],
-        safety_threshold=args.safety_threshold,
         worst_n=args.worst_n,
+        **evaluate_only,
     )
-    reports = run_evaluation(config)
+
+
+def _print_failures(reports) -> int:
+    """Name every failed normalizer on stderr; return the exit code, 2
+    when all of them failed."""
     for report in reports:
         if report.failed:
             print(f"normeval: {report.normalizer} failed: {report.error}", file=sys.stderr)
-    if args.out_json:
-        emit_json(reports, args.out_json, config)
+    return 2 if all(r.failed for r in reports) else 0
+
+
+def _write_json(reports, path: str | None, config: RunConfig | None) -> None:
+    if path:
+        emit_json(reports, path, config)
     else:
         print(report_json(reports, config))
+
+
+def _cmd_evaluate(args, config: RunConfig) -> int:
+    reports = run_evaluation(config)
+    code = _print_failures(reports)
+    _write_json(reports, args.out_json, config)
     if args.out_md:
         emit_markdown(reports, args.out_md, config)
-    if all(r.failed for r in reports):
-        return 2
-    return 0
+    return code
 
 
-def _intrinsic_reports(args):
-    docs = _load_tokenized(args)
-    vocab_before = build_vocabulary(docs)
-    weighting = _WEIGHTINGS[args.anld_weighting]
-    entries = []
-    failures = 0
-    for spec in args.normalizer:
-        normalizer = None
-        try:
-            normalizer = build_normalizer(spec)
-            normalized, mapping = normalize_corpus(normalizer, docs)
-            compression = compression_ratio(vocab_before, build_vocabulary(normalized))
-            result = anld(mapping, weighting=weighting, worst_n=args.worst_n)
-            entries.append((normalizer.name, compression, result, None))
-        except NormEvalError as exc:
-            failures += 1
-            entries.append((spec, None, None, str(exc)))
-            print(f"normeval: {spec} failed: {exc}", file=sys.stderr)
-        finally:
-            if normalizer is not None:
-                normalizer.close()
-    return entries, failures
+def _cmd_metrics(args, config: RunConfig) -> int:
+    reports = run_intrinsic(config)
+    code = _print_failures(reports)
+    _write_json(reports, args.out_json, None)
+    return code
 
 
-def _cmd_metrics(args) -> int:
-    entries, failures = _intrinsic_reports(args)
-    reports = []
-    for name, compression, result, error in entries:
-        if error is not None:
-            reports.append({"normalizer": name, "error": error})
-            continue
-        reports.append(
-            {
-                "normalizer": name,
-                "compression": asdict(compression),
-                "anld": {
-                    "weighting": result.weighting,
-                    "anld": result.anld,
-                    "pair_count": result.pair_count,
-                    "over_unit_pairs": result.over_unit_pairs,
-                    "worst_pairs": [
-                        {"original": o, "stem": s, "distance": d}
-                        for o, s, d in result.worst_pairs
-                    ],
-                },
-            }
-        )
-    text = json_text({"schema": "1", "reports": reports})
-    if args.out_json:
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text)
-    return 2 if failures == len(entries) else 0
-
-
-def _cmd_anld_pairs(args) -> int:
-    entries, failures = _intrinsic_reports(args)
-    for name, _, result, error in entries:
-        if error is not None:
-            continue
-        for original, stem, distance in result.worst_pairs:
-            print(f"{name}\t{original}\t{stem}\t{distance!r}")
-    return 2 if failures == len(entries) else 0
+def _cmd_anld_pairs(args, config: RunConfig) -> int:
+    reports = run_intrinsic(config)
+    code = _print_failures(reports)
+    for report in reports:
+        if not report.failed:
+            for original, stem, distance in report.anld_primary.worst_pairs:
+                print(f"{report.normalizer}\t{original}\t{stem}\t{distance!r}")
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -220,11 +166,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.worst_n < 0:
         parser.error(f"--worst-n must be >= 0, got {args.worst_n}")
     try:
+        config = _config_from_args(args)
         if args.command == "evaluate":
-            return _cmd_evaluate(args)
+            return _cmd_evaluate(args, config)
         if args.command == "metrics":
-            return _cmd_metrics(args)
-        return _cmd_anld_pairs(args)
+            return _cmd_metrics(args, config)
+        return _cmd_anld_pairs(args, config)
     except NormEvalError as exc:
         print(f"normeval: error: {exc}", file=sys.stderr)
         return 1

@@ -65,11 +65,18 @@ class FoldPlan:
 
 
 def _resolve_column(spec: str | int, header: list[str] | None, what: str) -> int:
-    """Map a column name or 0-based index onto an index in the row."""
-    if isinstance(spec, int):
-        return spec
-    if spec.lstrip("-").isdigit():
-        return int(spec)
+    """Map a column name or 0-based index onto an index in the row. An
+    index must not be negative and, when the file has a header, must be
+    less than the header's width."""
+    if isinstance(spec, int) or spec.removeprefix("-").isdecimal():
+        index = int(spec)
+        if index < 0:
+            raise CorpusError(f"{what} column index {index} is negative; indexes are 0-based")
+        if header is not None and index >= len(header):
+            raise CorpusError(
+                f"{what} column index {index} is out of range for {len(header)} header field(s)"
+            )
+        return index
     if header is None:
         raise CorpusError(
             f"{what} column given by name {spec!r} but the file has no header"

@@ -202,7 +202,11 @@ def softmax_loss_and_grad(W: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float)
     return loss, _softmax_grad(probs, W, X.T, y_idx, l2_lambda)
 
 
-class LogisticRegressionClassifier:
+class LinearClassifier:
+    """Scores X @ W.T, one weight row per class; logistic regression and
+    the linear SVM both train one. Ties resolve to the lowest class in
+    sort order."""
+
     def __init__(self, classes: list[str], W: np.ndarray):
         self.classes = classes
         self.W = W
@@ -221,20 +225,7 @@ def _train_logistic_regression(spec: ClassifierSpec, X, y_idx: np.ndarray, class
     for _ in range(spec.epochs):
         grad = _softmax_grad(_softmax_probs(W, X), W, XT, y_idx, spec.l2_lambda)
         W -= spec.learning_rate * grad
-    return LogisticRegressionClassifier(classes, W)
-
-
-class LinearSvmClassifier:
-    def __init__(self, classes: list[str], W: np.ndarray):
-        self.classes = classes
-        self.W = W
-
-    def decision_scores(self, X) -> np.ndarray:
-        return np.asarray(X @ self.W.T)
-
-    def predict(self, X) -> list[str]:
-        scores = self.decision_scores(X)
-        return [self.classes[i] for i in np.argmax(scores, axis=1)]
+    return LinearClassifier(classes, W)
 
 
 # Stop once every |projected gradient| of an epoch is below this. LIBLINEAR
@@ -291,7 +282,7 @@ def _train_linear_svm(spec: ClassifierSpec, X, y_idx: np.ndarray, classes: list[
                 Wt[cols] += np.outer(vals, steps)
         if max_pg < SVM_TOLERANCE:
             break
-    return LinearSvmClassifier(classes, np.ascontiguousarray(Wt.T))
+    return LinearClassifier(classes, np.ascontiguousarray(Wt.T))
 
 
 CLASSIFIER_KINDS = {

@@ -3,6 +3,8 @@
 run_evaluation ties the pieces together: normalize, score the intrinsic
 metrics, compute semantic retention, apply the safety gate, and measure
 downstream classifier deltas against a shared un-normalized baseline.
+run_intrinsic scores the intrinsic metrics only. Both load the corpus
+and run each normalizer through the same loop.
 Reports serialize to JSON (machine, full precision) and Markdown
 (human, rounded), one row group per normalizer.
 """
@@ -11,21 +13,28 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import shlex
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from .corpus import (
-    FoldPlan,
+    Corpus,
     TokenizedDocument,
     TokenizerConfig,
-    Vocabulary,
-    build_vocabulary,
     load_corpus,
     make_folds,
     tokenize_corpus,
 )
-from .downstream import EvalRun, MpdResult, cross_validate_docs, make_classifier_spec, mcnemar, mpd
+from .downstream import (
+    ClassifierSpec,
+    EvalRun,
+    MpdResult,
+    cross_validate_docs,
+    make_classifier_spec,
+    mcnemar,
+    mpd,
+)
 from .embeddings import (
     DocumentEmbedding,
     EmbeddingProvider,
@@ -36,7 +45,7 @@ from .embeddings import (
     irs,
 )
 from .errors import EvaluationError, NormEvalError, NormalizerError
-from .metrics import AnldResult, CompressionResult, anld_with_alternate, compression_ratio
+from .metrics import AnldResult, CompressionResult, anld, anld_with_alternate, compression_ratio
 from .normalizers import (
     ExternalNormalizer,
     IdentityNormalizer,
@@ -86,6 +95,12 @@ class RunConfig:
             raise EvaluationError(f"unknown anld weighting {self.anld_weighting!r}")
         if self.worst_n < 0:
             raise EvaluationError(f"worst_n must be >= 0, got {self.worst_n}")
+        if self.k < 2:
+            raise EvaluationError(f"k must be >= 2, got {self.k}")
+        if not math.isfinite(self.safety_threshold) or self.safety_threshold <= 0.0:
+            raise EvaluationError(
+                f"safety_threshold must be finite and > 0, got {self.safety_threshold}"
+            )
         unknown = [c for c in self.classifiers if c not in CLASSIFIER_ALIASES]
         if unknown:
             raise EvaluationError(f"unknown classifier name(s) {unknown}")
@@ -113,6 +128,10 @@ class ClassifierDelta:
 
 @dataclass(frozen=True)
 class NormalizerReport:
+    """One normalizer's results. A failed normalizer carries only its
+    error; an intrinsic report (:func:`run_intrinsic`) only compression
+    and ``anld_primary``."""
+
     normalizer: str
     error: str | None = None
     compression: CompressionResult | None = None
@@ -182,57 +201,65 @@ def build_embedder(spec: str) -> EmbeddingProvider:
     )
 
 
-def _evaluate_one(
-    name: str,
-    mapping: TokenMapping,
-    original_docs: list[TokenizedDocument],
-    original_vocab: Vocabulary,
-    normalized_docs: list[TokenizedDocument],
-    folds: FoldPlan | None,
-    gold: dict[str, str],
-    provider: EmbeddingProvider,
-    original_embeddings: Callable[[], list[DocumentEmbedding]],
-    baselines: dict[str, EvalRun],
-    config: RunConfig,
-) -> NormalizerReport:
-    compression = compression_ratio(original_vocab, build_vocabulary(normalized_docs))
-    primary, alternate = anld_with_alternate(
-        mapping, weighting=config.anld_weighting, worst_n=config.worst_n
+def _load_documents(config: RunConfig) -> tuple[Corpus, list[TokenizedDocument]]:
+    """Load the configured corpus and tokenize it."""
+    corpus = load_corpus(
+        config.corpus_path,
+        text_col=config.text_col,
+        label_col=config.label_col,
+        delimiter=config.delimiter,
+        has_header=config.has_header,
     )
-    irs_result = irs(provider, original_docs, normalized_docs, original_embeddings())
-    gated = safety_gate(
-        irs_result.irs, compression.cr, primary.anld, config.safety_threshold
-    )
-    specs = [make_classifier_spec(kind, config.seed) for kind in baselines]
-    runs = cross_validate_docs(normalized_docs, gold, folds, specs, "normalized") if specs else []
-    normalized_runs = {run.classifier: run for run in runs}
-    deltas = []
-    for alias in config.classifiers:
-        kind = CLASSIFIER_ALIASES[alias]
-        run_norm = normalized_runs[kind]
-        run_orig = baselines[kind]
-        deltas.append(
-            ClassifierDelta(
-                classifier=kind,
-                original=run_orig,
-                normalized=run_norm,
-                mpd_accuracy=mpd(run_norm, run_orig, "accuracy"),
-                mpd_macro_f1=mpd(run_norm, run_orig, "macro_f1"),
-                mcnemar_p=mcnemar(
-                    run_norm.per_doc_predictions, run_orig.per_doc_predictions, gold
-                ),
-            )
+    tokenizer = TokenizerConfig(lowercase=config.lowercase, strip_punct=config.strip_punct)
+    return corpus, tokenize_corpus(corpus, tokenizer)
+
+
+def _compression(mapping: TokenMapping) -> CompressionResult:
+    """CR of one normalization: distinct originals over distinct non-empty
+    stems. These are the vocabularies of the token streams before and
+    after, since ``normalize_corpus`` drops empty stems from the streams."""
+    return compression_ratio(len(mapping.pairs), len(set(filter(None, mapping.pairs.values()))))
+
+
+def _run_normalizers(
+    specs: tuple[str, ...],
+    docs: list[TokenizedDocument],
+    score: Callable[[str, list[TokenizedDocument], TokenMapping], NormalizerReport],
+) -> list[NormalizerReport]:
+    """Build each normalizer, normalize ``docs`` with it, pass its name,
+    the normalized documents and the token mapping to ``score``, and
+    close it. A NormEvalError on the way becomes that spec's failure
+    entry; the other normalizers still run."""
+    reports: list[NormalizerReport] = []
+    for spec in specs:
+        normalizer = None
+        try:
+            normalizer = build_normalizer(spec)
+            normalized_docs, mapping = normalize_corpus(normalizer, docs)
+            reports.append(score(normalizer.name, normalized_docs, mapping))
+        except NormEvalError as exc:
+            reports.append(NormalizerReport(normalizer=spec, error=str(exc)))
+        finally:
+            if normalizer is not None:
+                normalizer.close()
+    return reports
+
+
+def run_intrinsic(config: RunConfig) -> list[NormalizerReport]:
+    """CR and ANLD (under the configured weighting, with the configured
+    number of worst pairs) of every configured normalizer: no
+    embeddings and no classifiers. Failures are isolated as in
+    :func:`run_evaluation`."""
+    docs = _load_documents(config)[1]  # the Corpus is not needed here, so it is freed
+
+    def score(name: str, normalized_docs, mapping: TokenMapping) -> NormalizerReport:
+        return NormalizerReport(
+            normalizer=name,
+            compression=_compression(mapping),
+            anld_primary=anld(mapping, weighting=config.anld_weighting, worst_n=config.worst_n),
         )
-    return NormalizerReport(
-        normalizer=name,
-        compression=compression,
-        irs_result=irs_result,
-        ses_result=gated,
-        anld_primary=primary,
-        anld_alternate=alternate,
-        deltas=tuple(deltas),
-        empty_stems=mapping.empty_stem_count,
-    )
+
+    return _run_normalizers(config.normalizers, docs, score)
 
 
 def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
@@ -246,16 +273,7 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     report; the others still complete (and retry that embedding).
     Corpus loading or baseline failures abort the whole run.
     """
-    corpus = load_corpus(
-        config.corpus_path,
-        text_col=config.text_col,
-        label_col=config.label_col,
-        delimiter=config.delimiter,
-        has_header=config.has_header,
-    )
-    tokenizer = TokenizerConfig(lowercase=config.lowercase, strip_punct=config.strip_punct)
-    original_docs = tokenize_corpus(corpus, tokenizer)
-    original_vocab = build_vocabulary(original_docs)
+    corpus, original_docs = _load_documents(config)
     provider = build_embedder(config.embedder)
 
     # functools.cache keeps only a returned value, so a failed embedding
@@ -265,6 +283,7 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
         return provider.embed_documents([list(d.tokens) for d in original_docs])
 
     baselines: dict[str, EvalRun] = {}
+    specs: list[ClassifierSpec] = []
     folds = None
     gold: dict[str, str] = {}
     if config.classifiers:
@@ -276,52 +295,78 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
         specs = [make_classifier_spec(kind, config.seed) for kind in kinds]
         runs = cross_validate_docs(original_docs, gold, folds, specs)
         baselines = {run.classifier: run for run in runs}
-    reports: list[NormalizerReport] = []
-    for spec in config.normalizers:
-        normalizer = None
-        try:
-            normalizer = build_normalizer(spec)
-            normalized_docs, mapping = normalize_corpus(normalizer, original_docs)
-            reports.append(
-                _evaluate_one(
-                    normalizer.name, mapping, original_docs, original_vocab, normalized_docs,
-                    folds, gold, provider, original_embeddings, baselines, config,
+
+    def score(name: str, normalized_docs, mapping: TokenMapping) -> NormalizerReport:
+        compression = _compression(mapping)
+        primary, alternate = anld_with_alternate(
+            mapping, weighting=config.anld_weighting, worst_n=config.worst_n
+        )
+        irs_result = irs(provider, original_docs, normalized_docs, original_embeddings())
+        gated = safety_gate(
+            irs_result.irs, compression.cr, primary.anld, config.safety_threshold
+        )
+        normalized_runs = {}
+        if specs:
+            runs = cross_validate_docs(normalized_docs, gold, folds, specs, "normalized")
+            normalized_runs = {run.classifier: run for run in runs}
+        deltas = []
+        for alias in config.classifiers:
+            kind = CLASSIFIER_ALIASES[alias]
+            run_norm = normalized_runs[kind]
+            run_orig = baselines[kind]
+            deltas.append(
+                ClassifierDelta(
+                    classifier=kind,
+                    original=run_orig,
+                    normalized=run_norm,
+                    mpd_accuracy=mpd(run_norm, run_orig, "accuracy"),
+                    mpd_macro_f1=mpd(run_norm, run_orig, "macro_f1"),
+                    mcnemar_p=mcnemar(
+                        run_norm.per_doc_predictions, run_orig.per_doc_predictions, gold
+                    ),
                 )
             )
-        except NormEvalError as exc:
-            reports.append(NormalizerReport(normalizer=spec, error=str(exc)))
-        finally:
-            if normalizer is not None:
-                normalizer.close()
-    return reports
+        return NormalizerReport(
+            normalizer=name,
+            compression=compression,
+            irs_result=irs_result,
+            ses_result=gated,
+            anld_primary=primary,
+            anld_alternate=alternate,
+            deltas=tuple(deltas),
+            empty_stems=mapping.empty_stem_count,
+        )
+
+    return _run_normalizers(config.normalizers, original_docs, score)
 
 
 def _report_to_dict(report: NormalizerReport) -> dict:
     if report.failed:
         return {"normalizer": report.normalizer, "error": report.error}
-    c = report.compression
-    s = report.ses_result
     a = report.anld_primary
-    alt = report.anld_alternate
+    anld_out = {
+        "weighting": a.weighting,
+        "anld": a.anld,
+        "pair_count": a.pair_count,
+        "over_unit_pairs": a.over_unit_pairs,
+    }
+    if report.anld_alternate is not None:
+        anld_out["alternate_weighting"] = report.anld_alternate.weighting
+        anld_out["alternate_anld"] = report.anld_alternate.anld
+    anld_out["worst_pairs"] = [
+        {"original": orig, "stem": stem, "distance": dist} for orig, stem, dist in a.worst_pairs
+    ]
+    head = {"normalizer": report.normalizer, "compression": asdict(report.compression)}
+    if report.irs_result is None:  # an intrinsic report
+        return {**head, "anld": anld_out}
+    s = report.ses_result
     out = {
-        "normalizer": report.normalizer,
-        "compression": asdict(c),
+        **head,
         "irs": {"irs": report.irs_result.irs, "zero_vector_docs": report.irs_result.zero_vector_docs},
         "ses": s.ses,
         "verdict": s.verdict,
         "safety_threshold": s.threshold,
-        "anld": {
-            "weighting": a.weighting,
-            "anld": a.anld,
-            "pair_count": a.pair_count,
-            "over_unit_pairs": a.over_unit_pairs,
-            "alternate_weighting": alt.weighting,
-            "alternate_anld": alt.anld,
-            "worst_pairs": [
-                {"original": orig, "stem": stem, "distance": dist}
-                for orig, stem, dist in a.worst_pairs
-            ],
-        },
+        "anld": anld_out,
         "downstream": [
             {
                 "classifier": d.classifier,
@@ -357,19 +402,14 @@ def _report_to_dict(report: NormalizerReport) -> dict:
 
 def report_json(reports: list[NormalizerReport], config: RunConfig | None = None) -> str:
     """The machine-readable report: schema version, optional echoed
-    config (including the seed), and one entry per normalizer. Key order
-    and float formatting are stable, so identical runs produce
-    byte-identical text."""
+    config (including the seed), and one entry per normalizer, as
+    compact ASCII JSON. Key order and float formatting are stable, so
+    identical runs produce byte-identical text. NaN and infinity have no
+    JSON form, so a report holding one raises EvaluationError."""
     payload: dict = {"schema": "1"}
     if config is not None:
         payload["config"] = config.to_dict()
     payload["reports"] = [_report_to_dict(r) for r in reports]
-    return json_text(payload)
-
-
-def json_text(payload: dict) -> str:
-    """Compact ASCII JSON of ``payload``. NaN and infinity have no JSON
-    form, so a payload holding one raises EvaluationError."""
     try:
         return json.dumps(payload, separators=(",", ":"), ensure_ascii=True, allow_nan=False)
     except ValueError as exc:

@@ -88,6 +88,26 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="no header"):
             load_corpus(path, text_col="text", has_header=False)
 
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_negative_column_index(self, tmp_path, has_header):
+        path = write(tmp_path, "c.tsv", "text\tlabel\nhello\tA\n")
+        with pytest.raises(CorpusError, match="text column index -5 is negative"):
+            load_corpus(path, text_col="-5", has_header=has_header)
+        with pytest.raises(CorpusError, match="label column index -1 is negative"):
+            load_corpus(path, text_col=0, label_col=-1, has_header=has_header)
+
+    def test_column_index_beyond_header(self, tmp_path):
+        path = write(tmp_path, "c.tsv", "text\tlabel\nhello\tA\n")
+        with pytest.raises(CorpusError, match="text column index 7 is out of range for 2"):
+            load_corpus(path, text_col="7")
+        with pytest.raises(CorpusError, match="label column index 2 is out of range for 2"):
+            load_corpus(path, label_col=2)
+
+    def test_column_index_beyond_row_without_header(self, tmp_path):
+        path = write(tmp_path, "c.tsv", "hello\tA\n")
+        with pytest.raises(CorpusError, match="expected 8 fields"):
+            load_corpus(path, text_col=7, label_col=1, has_header=False)
+
     def test_short_row_reports_line_number(self, tmp_path):
         path = write(tmp_path, "c.tsv", "text\tlabel\nhello\tA\nonlyonefield\n")
         with pytest.raises(CorpusError, match="line 3"):

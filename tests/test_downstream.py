@@ -35,7 +35,7 @@ from normeval import (
     tokenize_corpus,
     train,
 )
-from normeval.downstream import cross_validate_docs
+from normeval.downstream import LinearClassifier, cross_validate_docs
 
 
 def tdoc(doc_id, *tokens):
@@ -142,6 +142,21 @@ class TestAllClassifiers:
         b = train(make_classifier_spec(kind, seed=3), X, labels)
         Xq = X[:3]
         assert np.array_equal(a.decision_scores(Xq), b.decision_scores(Xq))
+
+
+class TestLinearClassifier:
+    @pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm"])
+    def test_lr_and_svm_train_one_linear_type(self, kind):
+        _, X, labels, _ = separable_data()
+        clf = train(make_classifier_spec(kind), X, labels)
+        assert type(clf) is LinearClassifier
+        assert clf.classes == sorted(set(labels))
+        assert clf.W.shape == (len(clf.classes), X.shape[1])
+        assert np.array_equal(clf.decision_scores(X), np.asarray(X @ clf.W.T))
+
+    def test_tie_breaks_to_lowest_sorted_class(self):
+        clf = LinearClassifier(["a", "b"], np.zeros((2, 3)))
+        assert clf.predict(sparse.csr_matrix(np.ones((2, 3)))) == ["a", "a"]
 
 
 class TestMultinomialNB:

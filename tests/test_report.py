@@ -24,6 +24,7 @@ from normeval import (
     VectorFileProvider,
     build_normalizer,
     build_embedder,
+    build_vocabulary,
     compression_ratio,
     emit_json,
     emit_markdown,
@@ -66,6 +67,16 @@ class TestRunConfig:
     def test_rejects_unknown_classifier(self):
         with pytest.raises(EvaluationError, match="classifier"):
             RunConfig(corpus_path="x.tsv", normalizers=("identity",), classifiers=("boost",))
+
+    @pytest.mark.parametrize("k", [1, 0, -3])
+    def test_rejects_k_below_2(self, k):
+        with pytest.raises(EvaluationError, match="k must be >= 2"):
+            RunConfig(corpus_path="x.tsv", normalizers=("identity",), k=k)
+
+    @pytest.mark.parametrize("threshold", [0.0, -0.2, float("nan"), float("inf")])
+    def test_rejects_bad_safety_threshold(self, threshold):
+        with pytest.raises(EvaluationError, match="safety_threshold"):
+            RunConfig(corpus_path="x.tsv", normalizers=("identity",), safety_threshold=threshold)
 
 
 class TestBuildNormalizer:
@@ -221,6 +232,20 @@ class TestRunEvaluation:
     def test_fold_count_respected(self, corpus_path):
         reports = run_evaluation(toy_config(corpus_path, k=4))
         assert len(reports[0].deltas[0].normalized.fold_scores) == 4
+
+    def test_compression_counts_distinct_non_empty_stems(self, corpus_path, tmp_path):
+        # CR comes from the token mapping; it must equal the vocabularies
+        # of the token streams, where empty stems are dropped
+        mapping = tmp_path / "merge.tsv"
+        mapping.write_text("red\t\ncrimson\tred\nscarlet\tred\nblue\tazure\n", encoding="utf-8")
+        specs = ("identity", f"map:{mapping}", "truncate:2", "snowball-en")
+        reports = run_evaluation(toy_config(corpus_path, normalizers=specs, classifiers=()))
+        docs = tokenize_corpus(load_corpus(corpus_path))
+        for spec, report in zip(specs, reports):
+            normalized, _ = normalize_corpus(build_normalizer(spec), docs)
+            expected = compression_ratio(build_vocabulary(docs), build_vocabulary(normalized))
+            assert report.compression == expected
+        assert reports[1].empty_stems == 1
 
     def test_no_classifiers_skips_downstream(self, corpus_path):
         reports = run_evaluation(toy_config(corpus_path, classifiers=()))
@@ -392,6 +417,29 @@ class TestGoldenReport:
         assert path.read_bytes() == (DATA / "mini_evaluate_report.md").read_bytes()
 
 
+class TestGoldenIntrinsic:
+    """The standard output of `metrics` (under both ANLD weightings) and
+    `anld-pairs` on the bundled corpus with identity, snowball-en and
+    truncate:3 must not change by a byte."""
+
+    NORMALIZERS = ["--normalizer", "identity", "--normalizer", "snowball-en",
+                   "--normalizer", "truncate:3"]
+
+    @pytest.mark.parametrize("weighting", ["occurrence", "type"])
+    def test_metrics_stdout(self, weighting, capsys):
+        code = main(["metrics", "--corpus", mini_corpus_path(), *self.NORMALIZERS,
+                     "--anld-weighting", weighting])
+        assert code == 0
+        golden = (DATA / f"mini_metrics_{weighting}.json").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == golden
+
+    def test_anld_pairs_stdout(self, capsys):
+        code = main(["anld-pairs", "--corpus", mini_corpus_path(), *self.NORMALIZERS,
+                     "--worst-n", "50"])
+        assert code == 0
+        assert capsys.readouterr().out == (DATA / "mini_anld_pairs.tsv").read_text(encoding="utf-8")
+
+
 class TestEmitMarkdown:
     def test_summary_rows_and_notes(self, mixed_reports, tmp_path):
         config, reports = mixed_reports
@@ -548,6 +596,57 @@ class TestCli:
         assert report["compression"]["cr"] > 1.0
         assert report["anld"]["weighting"] == "by_type"
         assert "downstream" not in report
+
+    def test_metrics_unwritable_out_json_exits_1(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = main(["metrics", "--corpus", corpus_path, "--normalizer", "identity",
+                     "--out-json", str(out)])
+        assert code == 1
+        assert "normeval: error: cannot write JSON report" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_metrics_writes_out_json(self, corpus_path, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["metrics", "--corpus", corpus_path, "--normalizer", "identity",
+                     "--out-json", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["reports"][0]["compression"]["cr"] == 1.0
+
+    def test_k_below_2_exits_1(self, corpus_path, capsys):
+        code = main(["evaluate", "--corpus", corpus_path, "--normalizer", "identity",
+                     "--classifiers", "nb", "--k", "1", "--embedder", "hash:64:0"])
+        assert code == 1
+        assert "normeval: error: k must be >= 2" in capsys.readouterr().err
+
+    def test_zero_safety_threshold_exits_1(self, corpus_path, capsys):
+        code = main(["evaluate", "--corpus", corpus_path, "--normalizer", "identity",
+                     "--classifiers", "", "--safety-threshold", "0", "--embedder", "hash:64:0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "normeval: error: safety_threshold" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["metrics", "anld-pairs"])
+    def test_intrinsic_failure_is_reported_and_isolated(self, corpus_path, command, capsys):
+        code = main([command, "--corpus", corpus_path, "--normalizer", "map:/nonexistent/m.tsv",
+                     "--normalizer", "truncate:3"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "normeval: map:/nonexistent/m.tsv failed: cannot open mapping file" in captured.err
+        assert "truncate-3" in captured.out
+
+    def test_text_col_beyond_header_exits_1(self, capsys):
+        code = main(["metrics", "--corpus", mini_corpus_path(), "--normalizer", "identity",
+                     "--text-col", "7"])
+        assert code == 1
+        assert "normeval: error: text column index 7 is out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["metrics", "anld-pairs"])
+    def test_intrinsic_all_failed_exits_2(self, corpus_path, command, capsys):
+        code = main([command, "--corpus", corpus_path, "--normalizer", "map:/nonexistent/m.tsv"])
+        assert code == 2
+        assert "failed" in capsys.readouterr().err
 
     def test_anld_pairs_subcommand(self, corpus_path, capsys):
         code = main(
