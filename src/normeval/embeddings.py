@@ -16,6 +16,7 @@ normalized form.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,10 @@ def cosine_with_flag(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
     if u.shape != v.shape:
         raise EmbeddingError(f"cosine dimension mismatch: {u.shape} vs {v.shape}")
     with np.errstate(over="ignore"):
-        # a norm that overflows to inf is rescaled below
-        nu = float(np.linalg.norm(u))
-        nv = float(np.linalg.norm(v))
+        # what np.linalg.norm evaluates for a 1-d float64 vector; a norm
+        # that overflows to inf is rescaled below
+        nu = math.sqrt(u.dot(u))
+        nv = math.sqrt(v.dot(v))
     if not (_NORM_LO < nu < _NORM_HI and _NORM_LO < nv < _NORM_HI):
         if not (np.isfinite(u).all() and np.isfinite(v).all()):
             raise EmbeddingError("cosine of a vector with a NaN or infinite component")
@@ -72,9 +74,9 @@ def cosine_with_flag(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
             return 0.0, True
         u = u / np.abs(u).max()
         v = v / np.abs(v).max()
-        nu = float(np.linalg.norm(u))
-        nv = float(np.linalg.norm(v))
-    if np.array_equal(u, v):
+        nu = math.sqrt(u.dot(u))
+        nv = math.sqrt(v.dot(v))
+    if u is v or np.array_equal(u, v):
         return 1.0, False
     value = float(np.dot(u, v) / (nu * nv))
     return max(-1.0, min(1.0, value)), False
@@ -92,20 +94,45 @@ class EmbeddingProvider:
         return self.embed_documents([list(tokens)])[0]
 
 
-class _GramSlots(dict):
-    """gram -> (coordinate, sign) it adds to a token vector; a gram is
-    hashed on its first lookup."""
+class _GramBins(dict):
+    """gram -> the bin it adds to: a +1 gram at coordinate ``i`` adds to
+    bin ``i``, a -1 gram to bin ``dim + i``; a gram is hashed on its
+    first lookup."""
 
     def __init__(self, dim: int, key: bytes):
         super().__init__()
         self.dim = dim
         self.key = key
 
-    def __missing__(self, gram: str) -> tuple[int, int]:
+    def __missing__(self, gram: str) -> int:
         digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9, key=self.key).digest()
         index = int.from_bytes(digest[:8], "little") % self.dim
-        slot = self[gram] = (index, 1 if digest[8] & 1 else -1)
-        return slot
+        bin_ = self[gram] = index if digest[8] & 1 else self.dim + index
+        return bin_
+
+
+class _TokenBins(dict):
+    """token -> int array of the bins of its distinct grams; a token's
+    grams are looked up on its first use."""
+
+    def __init__(self, n_range: tuple[int, int], gram_bins: _GramBins):
+        super().__init__()
+        self.n_range = n_range
+        self.gram_bins = gram_bins
+
+    def __missing__(self, token: str) -> np.ndarray:
+        lo, hi = self.n_range
+        wrapped = f"<{token}>"
+        grams = {wrapped[i : i + n] for n in range(lo, hi + 1) for i in range(len(wrapped) - n + 1)}
+        grams.add(wrapped)
+        gram_bins = self.gram_bins
+        bins = self[token] = np.array([gram_bins[gram] for gram in grams], np.intp)
+        return bins
+
+
+# documents pooled by one np.bincount; bounds its count matrix at
+# _EMBED_BLOCK x 2 dim
+_EMBED_BLOCK = 2048
 
 
 class HashedNgramProvider(EmbeddingProvider):
@@ -119,11 +146,14 @@ class HashedNgramProvider(EmbeddingProvider):
     vectors are identical across runs and platforms for a fixed
     (dim, n_range, seed).
 
-    Each gram is hashed once per provider and each token's vector is
-    built once. Token vectors hold integers (int32, so a long token at
-    a small dimension cannot overflow) and documents are summed in
-    float64, which is exact for integers, so the summation order never
-    changes a document vector.
+    Each gram is hashed once per provider, and each token is stored once
+    as the bins of its grams, the sign folded into the bin (see
+    :class:`_GramBins`). A block of documents is pooled by one integer
+    histogram over the bins of all its tokens, offset by document; a
+    document vector is then (positive - negative counts) / token count.
+    The counts are exact integers and the division is one float64
+    operation, so the vector equals the float64 mean of the token
+    vectors whatever the summation order.
     """
 
     def __init__(self, dim: int = 256, n_range: tuple[int, int] = (3, 5), seed: int = 0):
@@ -136,42 +166,49 @@ class HashedNgramProvider(EmbeddingProvider):
         self.n_range = (lo, hi)
         self.seed = seed
         self.name = f"hash-{dim}"
-        self._gram_slots = _GramSlots(dim, seed.to_bytes(8, "little", signed=True))
-        self._token_cache: dict[str, np.ndarray] = {}
+        key = seed.to_bytes(8, "little", signed=True)
+        self._token_cache = _TokenBins(self.n_range, _GramBins(dim, key))
 
     def _token_vector(self, token: str) -> np.ndarray:
-        cached = self._token_cache.get(token)
-        if cached is not None:
-            return cached
-        lo, hi = self.n_range
-        wrapped = f"<{token}>"
-        grams = {wrapped[i : i + n] for n in range(lo, hi + 1) for i in range(len(wrapped) - n + 1)}
-        grams.add(wrapped)
-        indices, signs = zip(*map(self._gram_slots.__getitem__, grams))
-        vec = np.bincount(indices, weights=signs, minlength=self.dim).astype(np.int32)
-        self._token_cache[token] = vec
-        return vec
+        """The token's vector: the sum of its grams' +/-1, as int32."""
+        counts = np.bincount(self._token_cache[token], minlength=2 * self.dim)
+        return (counts[: self.dim] - counts[self.dim :]).astype(np.int32)
 
     def embed_documents(self, token_lists: list[list[str]]) -> list[DocumentEmbedding]:
         out = []
-        for tokens in token_lists:
-            if not tokens:
-                out.append(DocumentEmbedding(np.zeros(self.dim), 0))
-                continue
-            rows = np.array([self._token_vector(token) for token in tokens])
-            total = rows.sum(axis=0, dtype=np.float64)
-            out.append(DocumentEmbedding(total / len(tokens), len(tokens)))
+        for start in range(0, len(token_lists), _EMBED_BLOCK):
+            block = token_lists[start : start + _EMBED_BLOCK]
+            out.extend(map(DocumentEmbedding, self._pool(block), map(len, block)))
         return out
+
+    def _pool(self, block: list[list[str]]) -> np.ndarray:
+        """Mean token vectors of a block of documents, one row each."""
+        dim, width = self.dim, 2 * self.dim
+        doc_lens = np.fromiter(map(len, block), np.intp, len(block))
+        bins = [self._token_cache[token] for tokens in block for token in tokens]
+        token_lens = np.fromiter(map(len, bins), np.intp, len(bins))
+        token_starts = np.repeat(np.arange(0, len(block) * width, width), doc_lens)
+        # np.concatenate always copies, so += leaves the cached bins alone
+        flat = np.concatenate(bins or [np.zeros(0, np.intp)])
+        flat += np.repeat(token_starts, token_lens)
+        counts = np.bincount(flat, minlength=len(block) * width).reshape(len(block), width)
+        totals = np.subtract(counts[:, :dim], counts[:, dim:], dtype=np.float64)
+        # an empty document divides its zero row by 1: +0.0
+        totals /= np.maximum(doc_lens, 1)[:, None]
+        return totals
 
 
 def load_word2vec_text(path: str) -> tuple[dict[str, np.ndarray], int]:
     """Load a word2vec text-format vector file: a '<count> <dim>' header
-    line, then one '<token> <dim floats>' line per token."""
+    line, then one '<token> <dim floats>' line per token. Trailing
+    whitespace on a line is ignored (the reference word2vec tool ends
+    every component with a space); a repeated token is an error."""
     try:
         fh = open(path, encoding="utf-8")
     except OSError as exc:
         raise EmbeddingError(f"cannot open vector file {path!r}: {exc}") from exc
     vectors: dict[str, np.ndarray] = {}
+    first_line: dict[str, int] = {}
     with fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -181,7 +218,7 @@ def load_word2vec_text(path: str) -> tuple[dict[str, np.ndarray], int]:
         except ValueError:
             raise EmbeddingError(f"{path}: malformed header line {header!r}") from None
         for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
             if len(parts) != dim + 1:
                 raise EmbeddingError(
                     f"{path}: line {lineno}: expected token plus {dim} values, got {len(parts) - 1}"
@@ -192,7 +229,13 @@ def load_word2vec_text(path: str) -> tuple[dict[str, np.ndarray], int]:
                 raise EmbeddingError(f"{path}: line {lineno}: non-numeric vector component") from None
             if not np.all(np.isfinite(vec)):
                 raise EmbeddingError(f"{path}: line {lineno}: non-finite vector component")
-            vectors[parts[0]] = vec
+            token = parts[0]
+            if token in first_line:
+                raise EmbeddingError(
+                    f"{path}: line {lineno}: token {token!r} repeats line {first_line[token]}"
+                )
+            first_line[token] = lineno
+            vectors[token] = vec
     if len(vectors) != count:
         raise EmbeddingError(
             f"{path}: header declares {count} vectors but file holds {len(vectors)}"
@@ -326,6 +369,8 @@ def irs(
     the zero-vector convention and are counted in ``zero_vector_docs``.
     ``original_embeddings``, when given, are the provider's embeddings
     of ``original_docs``, so that several normalizers can share them.
+    Only the documents whose tokens the normalizer changed are embedded
+    again; the others reuse their original embedding.
     """
     ids_a = [d.doc_id for d in original_docs]
     ids_b = [d.doc_id for d in normalized_docs]
@@ -339,7 +384,13 @@ def irs(
         raise EmbeddingError(
             f"{len(original_embeddings)} original embeddings for {len(original_docs)} documents"
         )
-    emb_b = provider.embed_documents([list(d.tokens) for d in normalized_docs])
+    changed = [
+        i for i, (a, b) in enumerate(zip(original_docs, normalized_docs)) if a.tokens != b.tokens
+    ]
+    emb_b = list(original_embeddings)
+    embedded = provider.embed_documents([list(normalized_docs[i].tokens) for i in changed])
+    for i, emb in zip(changed, embedded):
+        emb_b[i] = emb
     per_doc: list[tuple[str, float]] = []
     zero_docs = 0
     total = 0.0

@@ -26,6 +26,7 @@ from normeval import (
     irs,
     load_word2vec_text,
 )
+from normeval.embeddings import _EMBED_BLOCK
 
 
 class TestCosine:
@@ -95,6 +96,96 @@ class TestCosine:
         u, v = np.array(a), np.array(b)
         assert cosine(u, v) == cosine(v, u)
         assert -1.0 <= cosine(u, v) <= 1.0
+
+
+def reference_cosine_with_flag(u, v):
+    """cosine_with_flag with every norm taken by np.linalg.norm."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise EmbeddingError(f"cosine dimension mismatch: {u.shape} vs {v.shape}")
+    with np.errstate(over="ignore"):
+        # a norm that overflows to inf is rescaled below
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+    if not (1e-150 < nu < 1e150 and 1e-150 < nv < 1e150):
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise EmbeddingError("cosine of a vector with a NaN or infinite component")
+        # dividing each vector by its largest magnitude keeps the angle
+        # and brings both norms into [1, sqrt(dim)]
+        if not (u.any() and v.any()):
+            return 0.0, True
+        u = u / np.abs(u).max()
+        v = v / np.abs(v).max()
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+    if np.array_equal(u, v):
+        return 1.0, False
+    value = float(np.dot(u, v) / (nu * nv))
+    return max(-1.0, min(1.0, value)), False
+
+
+# components spanning 1e-310 (subnormal) to 1e300, with the scales at
+# which a norm crosses the 1e-150 and 1e150 limits drawn often
+_SCALES = st.one_of(
+    st.sampled_from([0.0, 1e-310, 1e-160, 1e-150, 1e-140, 1.0, 1e140, 1e150, 1e160, 1e300]),
+    st.floats(1e-151, 1e-149),
+    st.floats(1e149, 1e151),
+    st.integers(-310, 300).map(lambda e: 10.0**e),
+)
+_COMPONENTS = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6)
+
+
+@st.composite
+def cosine_pairs(draw):
+    base = draw(_COMPONENTS)
+    u = np.array(base) * draw(_SCALES)
+    relation = draw(st.sampled_from(["free", "same", "copy", "opposite", "scaled", "zero"]))
+    if relation == "free":
+        v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=len(base), max_size=len(base))))
+        v = v * draw(_SCALES)
+    elif relation == "same":
+        v = u
+    elif relation == "copy":
+        v = u.copy()
+    elif relation == "opposite":
+        v = -u
+    elif relation == "scaled":
+        # a scale that would overflow a component is clipped to 1e300
+        v = u * min(draw(_SCALES), 1e300 / max(np.abs(u).max(), 1.0))
+    else:
+        v = np.zeros_like(u)
+    return (v, u) if draw(st.booleans()) else (u, v)
+
+
+class TestCosineMatchesLinalgNorm:
+    """cosine_with_flag takes its norms as sqrt(x . x); every result must
+    be bit for bit the one np.linalg.norm gives."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(cosine_pairs())
+    @example((np.array([3e200, 1e200]), np.array([-6e200, -2e200])))
+    @example((np.array([0.0, 1e-300]), np.array([1e-300, 1e-300])))
+    @example((np.array([1e-310, -1e-310]), np.array([1e-310, -1e-310])))
+    @example((np.zeros(3), np.zeros(3)))
+    def test_bitwise_equal_to_reference(self, pair):
+        u, v = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, flag = cosine_with_flag(u, v)
+            expected, expected_flag = reference_cosine_with_flag(u, v)
+        assert (value.hex(), flag) == (expected.hex(), expected_flag)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cosine_pairs(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_non_finite_still_raises(self, pair, bad, data):
+        u, v = (x.copy() for x in pair)
+        target = data.draw(st.sampled_from([u, v]))
+        target[data.draw(st.integers(0, len(target) - 1))] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingError, match="NaN or infinite"):
+                cosine_with_flag(u, v)
 
 
 class TestHashedNgramProvider:
@@ -247,6 +338,76 @@ class TestHashedNgramAgainstReference:
             assert np.array_equal(emb.vector, reference_document_vector(provider, tokens))
 
 
+def block_corpus(n_docs, empty_at=(), long_at=()):
+    """``n_docs`` short documents over a small vocabulary; the documents
+    at ``empty_at`` are empty and those at ``long_at`` hold LONG_TOKEN."""
+    words = ["gan", "ran", "running", "é", "গান", "a"]
+    documents = [[words[i % 6], words[i % 5]][: 1 + i % 2] for i in range(n_docs)]
+    for i in long_at:
+        documents[i] = [LONG_TOKEN, "gan"]
+    for i in empty_at:
+        documents[i] = []
+    return documents
+
+
+def assert_equal_to_reference(provider, documents):
+    out = provider.embed_documents(documents)
+    assert len(out) == len(documents)
+    reference = {}
+    for tokens, emb in zip(documents, out):
+        key = tuple(tokens)
+        if key not in reference:
+            reference[key] = reference_document_vector(provider, tokens)
+        assert emb.vector.dtype == np.float64 and emb.vector.shape == (provider.dim,)
+        assert np.array_equal(emb.vector, reference[key]), key[:2]
+        assert emb.token_count == len(tokens)
+    assert len(provider._token_cache) == len({t for d in documents for t in d})
+
+
+class TestHashedNgramBlocks:
+    """Documents are pooled a block of _EMBED_BLOCK at a time; no vector
+    may depend on where the block edges fall."""
+
+    @pytest.mark.parametrize("n_docs", [_EMBED_BLOCK - 1, _EMBED_BLOCK, _EMBED_BLOCK + 1])
+    def test_block_edges_equal_reference(self, n_docs):
+        # the first and last document of every block is empty (with
+        # _EMBED_BLOCK + 1 documents the second block holds only an
+        # empty one), and the 20,000-letter token sits next to the edges
+        edges = {i for i in (0, _EMBED_BLOCK - 1, _EMBED_BLOCK, n_docs - 1) if i < n_docs}
+        long_at = [i for i in (1, n_docs - 2) if i not in edges]
+        documents = block_corpus(n_docs, empty_at=edges, long_at=long_at)
+        assert_equal_to_reference(HashedNgramProvider(dim=8), documents)
+
+    @pytest.mark.parametrize("empty_block", [0, 1])
+    def test_block_of_only_empty_documents(self, empty_block):
+        lo = empty_block * _EMBED_BLOCK
+        documents = block_corpus(2 * _EMBED_BLOCK + 3, empty_at=range(lo, lo + _EMBED_BLOCK))
+        assert_equal_to_reference(HashedNgramProvider(dim=16), documents)
+
+    def test_all_documents_empty(self):
+        out = HashedNgramProvider(dim=8).embed_documents([[]] * (_EMBED_BLOCK + 1))
+        assert all(np.array_equal(e.vector, np.zeros(8)) for e in out)
+        assert all(e.token_count == 0 for e in out)
+
+    def test_no_documents(self):
+        assert HashedNgramProvider(dim=8).embed_documents([]) == []
+
+    @pytest.mark.parametrize("dim", [8, 256])
+    def test_empty_document_is_positive_zero_float64(self, dim):
+        provider = HashedNgramProvider(dim=dim)
+        for emb in provider.embed_documents([["gan"], [], ["ran"]])[1:2] + [
+            provider.embed_document([])
+        ]:
+            assert emb.vector.dtype == np.float64 and emb.vector.shape == (dim,)
+            assert not emb.vector.any() and not np.signbit(emb.vector).any()
+
+    def test_token_vector_is_int32(self):
+        provider = HashedNgramProvider(dim=8)
+        vec = provider._token_vector(LONG_TOKEN)
+        assert vec.dtype == np.int32 and vec.shape == (8,)
+        assert len(provider._token_cache) == 1
+
+
 def write_vectors(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -287,6 +448,34 @@ class TestWord2vecLoader:
     def test_non_finite_component(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["1 2", "a 1 nan"])
         with pytest.raises(EmbeddingError, match="non-finite"):
+            load_word2vec_text(path)
+
+    def test_trailing_space_as_written_by_word2vec(self, tmp_path):
+        # the reference word2vec tool writes "%lf " after every component
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"2 3\na 1.000000 0.000000 0.000000 \nb 0.000000 2.500000 -1.000000 \n")
+        vectors, dim = load_word2vec_text(str(path))
+        assert dim == 3
+        assert np.array_equal(vectors["a"], [1.0, 0.0, 0.0])
+        assert np.array_equal(vectors["b"], [0.0, 2.5, -1.0])
+
+    @pytest.mark.parametrize("trailing", ["", " ", "\t "])
+    def test_crlf_line_ends(self, tmp_path, trailing):
+        path = tmp_path / "v.txt"
+        path.write_bytes(f"2 2\r\na 1 0{trailing}\r\nb 0 1{trailing}\r\n".encode())
+        vectors, dim = load_word2vec_text(str(path))
+        assert dim == 2
+        assert np.array_equal(vectors["a"], [1.0, 0.0])
+        assert np.array_equal(vectors["b"], [0.0, 1.0])
+
+    def test_repeated_token_names_both_lines(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["3 2", "a 1 0", "b 0 1", "a 0.5 0.5"])
+        with pytest.raises(EmbeddingError, match=r"line 4: token 'a' repeats line 2"):
+            load_word2vec_text(path)
+
+    def test_repeated_token_beats_count_mismatch(self, tmp_path):
+        path = write_vectors(tmp_path / "v.txt", ["2 2", "a 1 0", "a 0 1"])
+        with pytest.raises(EmbeddingError, match="repeats line 2"):
             load_word2vec_text(path)
 
     def test_count_mismatch(self, tmp_path):
@@ -378,6 +567,79 @@ class TestIrs:
         assert irs(provider, original, normalized, embedded) == irs(provider, original, normalized)
         with pytest.raises(EmbeddingError, match="2 original embeddings for 3 documents"):
             irs(provider, original, normalized, embedded[:2])
+
+
+class CountingProvider(HashedNgramProvider):
+    """Hashed provider that records every document it is asked to embed."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.embedded = []
+
+    def embed_documents(self, token_lists):
+        self.embedded.extend(tuple(tokens) for tokens in token_lists)
+        return super().embed_documents(token_lists)
+
+
+def irs_embedding_everything(provider, original, normalized):
+    """The retention score with both sides of every document embedded."""
+    emb_a = provider.embed_documents([list(d.tokens) for d in original])
+    emb_b = provider.embed_documents([list(d.tokens) for d in normalized])
+    pairs = [cosine_with_flag(a.vector, b.vector) for a, b in zip(emb_a, emb_b)]
+    return (
+        sum(value for value, _ in pairs) / len(pairs),
+        tuple((d.doc_id, value) for d, (value, _) in zip(original, pairs)),
+        sum(flag for _, flag in pairs),
+    )
+
+
+class TestIrsSkipsUnchangedDocuments:
+    ORIGINAL = docs(
+        ("d1", ["running", "fast"]), ("d2", []), ("d3", ["গানগুলো"]),
+        ("d4", ["the", "runners"]), ("d5", ["x"]), ("d6", []),
+    )
+
+    def result_tuple(self, result):
+        return (result.irs, result.per_doc, result.zero_vector_docs)
+
+    def test_identity_embeds_no_normalized_document(self):
+        provider = CountingProvider(dim=16)
+        original = provider.embed_documents([list(d.tokens) for d in self.ORIGINAL])
+        provider.embedded.clear()
+        result = irs(provider, self.ORIGINAL, list(self.ORIGINAL), original)
+        assert provider.embedded == []
+        assert self.result_tuple(result) == irs_embedding_everything(
+            HashedNgramProvider(dim=16), self.ORIGINAL, self.ORIGINAL
+        )
+        # the two empty originals are reused and still count as zero vectors
+        assert result.zero_vector_docs == 2
+
+    @pytest.mark.parametrize("changed", [["d1"], ["d2", "d4"], ["d1", "d3", "d5", "d6"]])
+    def test_embeds_exactly_the_changed_documents(self, changed):
+        stems = {"d1": ["run", "fast"], "d2": ["new"], "d3": ["গান"], "d4": ["the", "runner"],
+                 "d5": [], "d6": ["x"]}
+        normalized = [
+            TokenizedDocument(d.doc_id, tuple(stems[d.doc_id]) if d.doc_id in changed else d.tokens)
+            for d in self.ORIGINAL
+        ]
+        provider = CountingProvider(dim=16)
+        original = provider.embed_documents([list(d.tokens) for d in self.ORIGINAL])
+        provider.embedded.clear()
+        result = irs(provider, self.ORIGINAL, normalized, original)
+        assert provider.embedded == [tuple(stems[doc_id]) for doc_id in changed]
+        assert self.result_tuple(result) == irs_embedding_everything(
+            HashedNgramProvider(dim=16), self.ORIGINAL, normalized
+        )
+
+    def test_reused_all_zero_original_counts_as_zero_vector(self, tmp_path):
+        # "zz" is not in the table, so d1 embeds to zero on both sides
+        provider = VectorFileProvider(write_vectors(tmp_path / "v.txt", ["1 2", "a 1 0"]))
+        original = docs(("d1", ["zz"]), ("d2", ["a"]), ("d3", ["a"]))
+        normalized = docs(("d1", ["zz"]), ("d2", ["a"]), ("d3", ["zz"]))
+        result = irs(provider, original, normalized)
+        assert self.result_tuple(result) == (1 / 3, (("d1", 0.0), ("d2", 1.0), ("d3", 0.0)), 2)
+        # the originals and the one changed document were looked up
+        assert provider.missing_tokens == 2
 
 
 class EmbeddingHandler(BaseHTTPRequestHandler):
