@@ -395,9 +395,8 @@ class TestHashedNgramBlocks:
     @pytest.mark.parametrize("dim", [8, 256])
     def test_empty_document_is_positive_zero_float64(self, dim):
         provider = HashedNgramProvider(dim=dim)
-        for emb in provider.embed_documents([["gan"], [], ["ran"]])[1:2] + [
-            provider.embed_document([])
-        ]:
+        embedded = provider.embed_documents([["gan"], [], ["ran"]])
+        for emb in (embedded[1], provider.embed_document([])):
             assert emb.vector.dtype == np.float64 and emb.vector.shape == (dim,)
             assert not emb.vector.any() and not np.signbit(emb.vector).any()
 
