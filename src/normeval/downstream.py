@@ -103,15 +103,11 @@ def tfidf_fit(train_docs: list[TokenizedDocument]) -> TfidfModel:
     return TfidfModel(vocabulary=vocabulary, idf=idf)
 
 
-def tfidf_transform(model: TfidfModel, doc: TokenizedDocument) -> sparse.csr_matrix:
-    """Single-document transform: raw token counts times idf, L2-normalized
-    unless the document has no in-vocabulary tokens (then all-zero)."""
-    return tfidf_transform_all(model, [doc])
-
-
 def tfidf_transform_all(
     model: TfidfModel, docs: list[TokenizedDocument]
 ) -> sparse.csr_matrix:
+    """One row per document: raw token counts times idf, L2-normalized
+    unless the document has no in-vocabulary tokens (then all-zero)."""
     rows: list[int] = []
     cols: list[int] = []
     vals: list[float] = []

@@ -1,6 +1,7 @@
 """Document embedding providers and the information retention score.
 
-Three provider kinds produce mean-pooled document vectors:
+Three provider kinds embed a list of documents into one C-contiguous
+float64 matrix, a row per document:
 
 * hashed character n-grams: deterministic, language-agnostic, no model
   or download required; the built-in default.
@@ -16,19 +17,15 @@ normalized form.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import urllib.parse
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import TokenizedDocument
 from .errors import EmbeddingError
-
-
-@dataclass(frozen=True)
-class DocumentEmbedding:
-    vector: np.ndarray
-    token_count: int
 
 
 @dataclass(frozen=True)
@@ -42,20 +39,14 @@ class IrsResult:
 _NORM_LO, _NORM_HI = 1e-150, 1e150
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; 0 if either vector is all zeros.
+def cosine_with_flag(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
+    """Cosine similarity in [-1, 1], and whether the zero-vector
+    convention fired: 0 if either vector is all zeros.
 
     Bitwise-identical non-zero vectors score exactly 1.0 (a vector is at
     angle zero to itself; the shortcut avoids rounding the diagonal).
     Raises EmbeddingError if a component is NaN or infinite.
     """
-    value, _ = cosine_with_flag(u, v)
-    return value
-
-
-def cosine_with_flag(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
-    """Like :func:`cosine`, also reporting whether the zero-vector
-    convention fired."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
@@ -83,15 +74,13 @@ def cosine_with_flag(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
 
 
 class EmbeddingProvider:
-    """Base class: subclasses embed token lists into fixed-size vectors."""
+    """Base class: subclasses embed token lists into a C-contiguous
+    float64 array of shape ``(len(token_lists), dim)``."""
 
     name: str = "provider"
 
-    def embed_documents(self, token_lists: list[list[str]]) -> list[DocumentEmbedding]:
+    def embed_documents(self, token_lists: list[list[str]]) -> np.ndarray:
         raise NotImplementedError
-
-    def embed_document(self, tokens: list[str]) -> DocumentEmbedding:
-        return self.embed_documents([list(tokens)])[0]
 
 
 class _GramBins(dict):
@@ -174,15 +163,16 @@ class HashedNgramProvider(EmbeddingProvider):
         counts = np.bincount(self._token_cache[token], minlength=2 * self.dim)
         return (counts[: self.dim] - counts[self.dim :]).astype(np.int32)
 
-    def embed_documents(self, token_lists: list[list[str]]) -> list[DocumentEmbedding]:
-        out = []
+    def embed_documents(self, token_lists: list[list[str]]) -> np.ndarray:
+        out = np.empty((len(token_lists), self.dim))
         for start in range(0, len(token_lists), _EMBED_BLOCK):
-            block = token_lists[start : start + _EMBED_BLOCK]
-            out.extend(map(DocumentEmbedding, self._pool(block), map(len, block)))
+            stop = start + _EMBED_BLOCK
+            self._pool(token_lists[start:stop], out[start:stop])
         return out
 
-    def _pool(self, block: list[list[str]]) -> np.ndarray:
-        """Mean token vectors of a block of documents, one row each."""
+    def _pool(self, block: list[list[str]], out: np.ndarray) -> None:
+        """Write the mean token vectors of a block of documents into the
+        rows of ``out``."""
         dim, width = self.dim, 2 * self.dim
         doc_lens = np.fromiter(map(len, block), np.intp, len(block))
         bins = [self._token_cache[token] for tokens in block for token in tokens]
@@ -192,10 +182,9 @@ class HashedNgramProvider(EmbeddingProvider):
         flat = np.concatenate(bins or [np.zeros(0, np.intp)])
         flat += np.repeat(token_starts, token_lens)
         counts = np.bincount(flat, minlength=len(block) * width).reshape(len(block), width)
-        totals = np.subtract(counts[:, :dim], counts[:, dim:], dtype=np.float64)
+        np.subtract(counts[:, :dim], counts[:, dim:], out=out, dtype=np.float64)
         # an empty document divides its zero row by 1: +0.0
-        totals /= np.maximum(doc_lens, 1)[:, None]
-        return totals
+        out /= np.maximum(doc_lens, 1)[:, None]
 
 
 def load_word2vec_text(path: str) -> tuple[dict[str, np.ndarray], int]:
@@ -248,68 +237,85 @@ class VectorFileProvider(EmbeddingProvider):
     the vectors of its found tokens. Missing tokens are skipped and
     counted; a document with no found tokens embeds to the zero vector."""
 
-    def __init__(self, path: str, name: str | None = None):
+    def __init__(self, path: str):
         self.vectors, self.dim = load_word2vec_text(path)
-        self.name = name or f"vecfile:{path}"
+        self.name = f"vecfile:{path}"
         self.missing_tokens = 0
 
-    def embed_documents(self, token_lists: list[list[str]]) -> list[DocumentEmbedding]:
-        out = []
-        for tokens in token_lists:
+    def embed_documents(self, token_lists: list[list[str]]) -> np.ndarray:
+        out = np.zeros((len(token_lists), self.dim))
+        for row, tokens in zip(out, token_lists):
             found = [self.vectors[t] for t in tokens if t in self.vectors]
             self.missing_tokens += len(tokens) - len(found)
-            if not found:
-                out.append(DocumentEmbedding(np.zeros(self.dim), 0))
-            else:
-                out.append(DocumentEmbedding(np.mean(found, axis=0), len(found)))
+            if found:
+                row[:] = np.mean(found, axis=0)
         return out
 
 
 class HttpServiceProvider(EmbeddingProvider):
     """Remote embedding service client.
 
-    Protocol: POST <url> with JSON {"texts": [...]}; the service replies
-    200 with JSON {"vectors": [[...], ...]}, one vector per input text.
-    Tokens are joined with single spaces before sending; pooling is the
-    service's responsibility. Batches may be issued concurrently up to
+    Protocol: POST <url> with JSON {"texts": [...]} and the header
+    ``Content-Type: application/json``; the service replies 200 with JSON
+    {"vectors": [[...], ...]}, one vector per input text. Tokens are
+    joined with single spaces before sending; pooling is the service's
+    responsibility. Batches may be issued concurrently up to
     ``max_in_flight``; results are reassembled in request order.
 
     The first reply fixes the provider's dimension: a later vector of
     another dimension, in any batch or call, raises EmbeddingError, and
-    empty documents embed to zeros of that dimension.
+    empty documents embed to zeros of that dimension (of width 1 before
+    the first reply).
     """
 
     def __init__(
-        self,
-        url: str,
-        batch_size: int = 32,
-        timeout: float = 30.0,
-        max_in_flight: int = 4,
-        name: str | None = None,
+        self, url: str, batch_size: int = 32, timeout: float = 30.0, max_in_flight: int = 4
     ):
+        try:
+            parts = urllib.parse.urlsplit(url)
+            parts.port  # raises ValueError unless a number in 0-65535
+        except ValueError as exc:
+            raise EmbeddingError(f"bad embedding service URL {url!r}: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise EmbeddingError(f"bad embedding service URL {url!r}: expected http(s)://<host>/...")
         if batch_size < 1:
             raise EmbeddingError(f"batch size must be >= 1, got {batch_size}")
+        if max_in_flight < 1:
+            raise EmbeddingError(f"max in flight must be >= 1, got {max_in_flight}")
         self.url = url
         self.batch_size = batch_size
         self.timeout = timeout
-        self.max_in_flight = max(1, max_in_flight)
-        self.name = name or f"http:{url}"
+        self.max_in_flight = max_in_flight
+        self.name = f"http:{url}"
         self.dim: int | None = None  # fixed by the first reply
 
     def _post_batch(self, texts: list[str]) -> list[np.ndarray]:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
+        request = urllib.request.Request(
+            self.url,
+            data=json.dumps({"texts": texts}).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
         try:
-            resp = requests.post(self.url, json={"texts": texts}, timeout=self.timeout)
-        except requests.RequestException as exc:
+            try:
+                with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                    status, body = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:  # a status other than 2xx
+                with exc:
+                    status, body = exc.code, exc.read()
+        # a truncated body raises IncompleteRead, an HTTPException but not
+        # an OSError; urllib raises ValueError for a URL it cannot parse,
+        # and a host name that cannot be IDNA-encoded raises UnicodeError
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             raise EmbeddingError(f"embedding service {self.url}: transport error: {exc}") from exc
-        if resp.status_code != 200:
-            raise EmbeddingError(
-                f"embedding service {self.url}: status {resp.status_code}: {resp.text[:200]}"
-            )
+        if status != 200:
+            text = body.decode("utf-8", "replace")
+            raise EmbeddingError(f"embedding service {self.url}: status {status}: {text[:200]}")
         try:
-            payload = resp.json()
-            vectors = payload["vectors"]
+            vectors = json.loads(body)["vectors"]
         except (ValueError, KeyError, TypeError) as exc:
             raise EmbeddingError(f"embedding service {self.url}: malformed reply: {exc}") from exc
         if not isinstance(vectors, list) or len(vectors) != len(texts):
@@ -317,15 +323,16 @@ class HttpServiceProvider(EmbeddingProvider):
                 f"embedding service {self.url}: expected {len(texts)} vectors, "
                 f"got {len(vectors) if isinstance(vectors, list) else type(vectors).__name__}"
             )
-        arrays = []
-        for vec in vectors:
-            arr = np.asarray(vec, dtype=np.float64)
-            if arr.ndim != 1 or not np.all(np.isfinite(arr)):
-                raise EmbeddingError(f"embedding service {self.url}: bad vector in reply")
-            arrays.append(arr)
+        try:  # a string, ragged or nested component raises
+            arrays = [np.asarray(vec, dtype=np.float64) for vec in vectors]
+            good = all(arr.ndim == 1 and np.isfinite(arr).all() for arr in arrays)
+        except (ValueError, TypeError):
+            good = False
+        if not good:
+            raise EmbeddingError(f"embedding service {self.url}: bad vector in reply")
         return arrays
 
-    def embed_documents(self, token_lists: list[list[str]]) -> list[DocumentEmbedding]:
+    def embed_documents(self, token_lists: list[list[str]]) -> np.ndarray:
         from concurrent.futures import ThreadPoolExecutor
 
         texts = [" ".join(tokens) for tokens in token_lists]
@@ -333,27 +340,22 @@ class HttpServiceProvider(EmbeddingProvider):
         batches = [
             nonempty[i : i + self.batch_size] for i in range(0, len(nonempty), self.batch_size)
         ]
-        results: dict[int, np.ndarray] = {}
-        if batches:
-            with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-                for idx_batch, vecs in zip(
-                    batches, pool.map(lambda b: self._post_batch([texts[i] for i in b]), batches)
-                ):
-                    for i, vec in zip(idx_batch, vecs):
-                        if self.dim is None:
-                            self.dim = len(vec)
-                        elif len(vec) != self.dim:
-                            raise EmbeddingError(
-                                f"embedding service {self.url}: inconsistent vector dimensions: "
-                                f"got {len(vec)} after {self.dim}"
-                            )
-                        results[i] = vec
-        out = []
-        for i, tokens in enumerate(token_lists):
-            if i in results:
-                out.append(DocumentEmbedding(results[i], len(tokens)))
-            else:
-                out.append(DocumentEmbedding(np.zeros(self.dim or 1), 0))
+        vectors: list[np.ndarray] = []  # one per non-empty text, in order
+        # the pool starts no thread until a batch is submitted
+        with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
+            for vecs in pool.map(lambda b: self._post_batch([texts[i] for i in b]), batches):
+                for vec in vecs:
+                    if self.dim is None:
+                        self.dim = len(vec)
+                    elif len(vec) != self.dim:
+                        raise EmbeddingError(
+                            f"embedding service {self.url}: inconsistent vector dimensions: "
+                            f"got {len(vec)} after {self.dim}"
+                        )
+                vectors += vecs
+        out = np.zeros((len(token_lists), 1 if self.dim is None else self.dim))
+        for i, vec in zip(nonempty, vectors):
+            out[i] = vec
         return out
 
 
@@ -361,16 +363,16 @@ def irs(
     provider: EmbeddingProvider,
     original_docs: list[TokenizedDocument],
     normalized_docs: list[TokenizedDocument],
-    original_embeddings: list[DocumentEmbedding] | None = None,
+    original_embeddings: np.ndarray | None = None,
 ) -> IrsResult:
     """Mean per-document cosine between original and normalized embeddings.
 
     Documents where either side embeds to the zero vector score 0 under
     the zero-vector convention and are counted in ``zero_vector_docs``.
-    ``original_embeddings``, when given, are the provider's embeddings
-    of ``original_docs``, so that several normalizers can share them.
-    Only the documents whose tokens the normalizer changed are embedded
-    again; the others reuse their original embedding.
+    ``original_embeddings``, when given, is the provider's matrix for
+    ``original_docs``, so that several normalizers can share it; it is
+    read, never copied. Only the documents whose tokens the normalizer
+    changed are embedded again; the others reuse their original row.
     """
     ids_a = [d.doc_id for d in original_docs]
     ids_b = [d.doc_id for d in normalized_docs]
@@ -387,15 +389,19 @@ def irs(
     changed = [
         i for i, (a, b) in enumerate(zip(original_docs, normalized_docs)) if a.tokens != b.tokens
     ]
-    emb_b = list(original_embeddings)
     embedded = provider.embed_documents([list(normalized_docs[i].tokens) for i in changed])
-    for i, emb in zip(changed, embedded):
-        emb_b[i] = emb
+    expected = (len(changed), original_embeddings.shape[1])
+    if embedded.shape != expected:
+        raise EmbeddingError(
+            f"{provider.name}: embeddings of shape {embedded.shape} for {expected[0]} changed "
+            f"documents of width {expected[1]}"
+        )
+    changed_rows = dict(zip(changed, embedded))
     per_doc: list[tuple[str, float]] = []
     zero_docs = 0
     total = 0.0
-    for doc_id, ea, eb in zip(ids_a, original_embeddings, emb_b):
-        value, zero_flag = cosine_with_flag(ea.vector, eb.vector)
+    for i, (doc_id, ea) in enumerate(zip(ids_a, original_embeddings)):
+        value, zero_flag = cosine_with_flag(ea, changed_rows.get(i, ea))
         if zero_flag:
             zero_docs += 1
         per_doc.append((doc_id, value))

@@ -130,9 +130,9 @@ def load_mapping(path: str) -> dict[str, str]:
 class MappingNormalizer(Normalizer):
     """Lookup-table normalizer; unknown tokens map to themselves."""
 
-    def __init__(self, path: str, name: str | None = None):
+    def __init__(self, path: str):
         self.mapping = load_mapping(path)
-        self.name = name or f"map:{path}"
+        self.name = f"map:{path}"
 
     def normalize_token(self, token: str) -> str:
         return self.mapping.get(token, token)
@@ -166,12 +166,12 @@ class ExternalNormalizer(Normalizer):
     calls in their own lock or open one session per worker.
     """
 
-    def __init__(self, command: list[str], timeout: float = 5.0, name: str | None = None):
+    def __init__(self, command: list[str], timeout: float = 5.0):
         if not command:
             raise NormalizerError("external normalizer command is empty")
         self.command = list(command)
         self.timeout = timeout
-        self.name = name or f"ext:{command[0]}"
+        self.name = f"ext:{command[0]}"
         try:
             self._proc = subprocess.Popen(
                 self.command,

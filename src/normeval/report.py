@@ -18,6 +18,8 @@ import shlex
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .corpus import (
     Corpus,
     TokenizedDocument,
@@ -36,7 +38,6 @@ from .downstream import (
     mpd,
 )
 from .embeddings import (
-    DocumentEmbedding,
     EmbeddingProvider,
     HashedNgramProvider,
     HttpServiceProvider,
@@ -279,7 +280,7 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     # functools.cache keeps only a returned value, so a failed embedding
     # is retried by the next normalizer
     @functools.cache
-    def original_embeddings() -> list[DocumentEmbedding]:
+    def original_embeddings() -> np.ndarray:
         return provider.embed_documents([list(d.tokens) for d in original_docs])
 
     baselines: dict[str, EvalRun] = {}

@@ -30,7 +30,6 @@ from normeval import (
     paired_t_pvalue,
     softmax_loss_and_grad,
     tfidf_fit,
-    tfidf_transform,
     tfidf_transform_all,
     tokenize_corpus,
     train,
@@ -52,7 +51,7 @@ class TestTfidf:
     def test_vocabulary_from_training_docs_only(self):
         model = tfidf_fit([tdoc("1", "a", "b"), tdoc("2", "b", "c")])
         assert set(model.vocabulary) == {"a", "b", "c"}
-        X = tfidf_transform(model, tdoc("t", "a", "unseen"))
+        X = tfidf_transform_all(model, [tdoc("t", "a", "unseen")])
         assert X.shape == (1, 3)
         assert X[0, model.vocabulary["a"]] > 0.0
 
@@ -64,18 +63,18 @@ class TestTfidf:
 
     def test_single_token_doc_is_unit_vector_regardless_of_repeats(self):
         model = tfidf_fit([tdoc("1", "a"), tdoc("2", "b")])
-        once = tfidf_transform(model, tdoc("t", "a")).toarray()
-        thrice = tfidf_transform(model, tdoc("t", "a", "a", "a")).toarray()
+        once = tfidf_transform_all(model, [tdoc("t", "a")]).toarray()
+        thrice = tfidf_transform_all(model, [tdoc("t", "a", "a", "a")]).toarray()
         assert np.allclose(once, thrice)
 
     def test_doc_with_no_known_tokens_is_zero_row(self):
         model = tfidf_fit([tdoc("1", "a")])
-        X = tfidf_transform(model, tdoc("t", "zz"))
+        X = tfidf_transform_all(model, [tdoc("t", "zz")])
         assert X.nnz == 0
 
     def test_term_frequency_shifts_weight(self):
         model = tfidf_fit([tdoc("1", "a", "b"), tdoc("2", "a"), tdoc("3", "b")])
-        X = tfidf_transform(model, tdoc("t", "a", "a", "b")).toarray().ravel()
+        X = tfidf_transform_all(model, [tdoc("t", "a", "a", "b")]).toarray().ravel()
         assert X[model.vocabulary["a"]] > X[model.vocabulary["b"]]
 
     def test_empty_training_set(self):
@@ -84,7 +83,7 @@ class TestTfidf:
 
     def test_matrix_is_csr(self):
         model = tfidf_fit([tdoc("1", "a")])
-        assert sparse.issparse(tfidf_transform(model, tdoc("t", "a")))
+        assert sparse.issparse(tfidf_transform_all(model, [tdoc("t", "a")]))
 
 
 def separable_data(n_per_class=6):

@@ -5,6 +5,7 @@ import json
 import random
 import string
 import threading
+import tracemalloc
 import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -14,14 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normeval import (
-    DocumentEmbedding,
     EmbeddingError,
     EmbeddingProvider,
     HashedNgramProvider,
     HttpServiceProvider,
     TokenizedDocument,
     VectorFileProvider,
-    cosine,
     cosine_with_flag,
     irs,
     load_word2vec_text,
@@ -31,18 +30,18 @@ from normeval.embeddings import _EMBED_BLOCK
 
 class TestCosine:
     def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert cosine_with_flag(np.array([1.0, 0.0]), np.array([0.0, 1.0]))[0] == 0.0
 
     def test_identical_nonzero_is_exactly_one(self):
         u = np.array([0.1, 0.2, 0.3])
-        assert cosine(u, u.copy()) == 1.0
+        assert cosine_with_flag(u, u.copy())[0] == 1.0
 
     def test_opposite(self):
         u = np.array([2.0, -1.0])
-        assert cosine(u, -u) == pytest.approx(-1.0)
+        assert cosine_with_flag(u, -u)[0] == pytest.approx(-1.0)
 
     def test_forty_five_degrees(self):
-        value = cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        value, _ = cosine_with_flag(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
         assert value == pytest.approx(1.0 / np.sqrt(2.0))
 
     def test_zero_vector_convention(self):
@@ -56,7 +55,7 @@ class TestCosine:
 
     def test_dimension_mismatch(self):
         with pytest.raises(EmbeddingError, match="mismatch"):
-            cosine(np.ones(3), np.ones(4))
+            cosine_with_flag(np.ones(3), np.ones(4))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -69,7 +68,7 @@ class TestCosine:
         u = np.array(values)
         if np.linalg.norm(u) == 0.0 or np.linalg.norm(u * scale) == 0.0:
             return
-        value = cosine(u, u * scale)
+        value, _ = cosine_with_flag(u, u * scale)
         assert value <= 1.0
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -78,7 +77,7 @@ class TestCosine:
         u = np.array([3e200, 1e200])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cosine(u, -2.0 * u) == pytest.approx(-1.0, abs=1e-12)
+            assert cosine_with_flag(u, -2.0 * u)[0] == pytest.approx(-1.0, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_component_rejected(self, bad):
@@ -94,8 +93,8 @@ class TestCosine:
     )
     def test_symmetric_and_bounded(self, a, b):
         u, v = np.array(a), np.array(b)
-        assert cosine(u, v) == cosine(v, u)
-        assert -1.0 <= cosine(u, v) <= 1.0
+        assert cosine_with_flag(u, v) == cosine_with_flag(v, u)
+        assert -1.0 <= cosine_with_flag(u, v)[0] <= 1.0
 
 
 def reference_cosine_with_flag(u, v):
@@ -201,47 +200,40 @@ class TestHashedNgramProvider:
 
     def test_deterministic_across_instances(self):
         doc = ["running", "the", "marathon"]
-        a = HashedNgramProvider(dim=64, seed=42).embed_document(doc)
-        b = HashedNgramProvider(dim=64, seed=42).embed_document(doc)
-        assert np.array_equal(a.vector, b.vector)
-        assert a.token_count == b.token_count == 3
+        a = HashedNgramProvider(dim=64, seed=42).embed_documents([doc])
+        b = HashedNgramProvider(dim=64, seed=42).embed_documents([doc])
+        assert np.array_equal(a, b)
 
     def test_seed_changes_vectors(self):
         doc = ["running"]
-        a = HashedNgramProvider(dim=64, seed=0).embed_document(doc)
-        b = HashedNgramProvider(dim=64, seed=1).embed_document(doc)
-        assert not np.array_equal(a.vector, b.vector)
+        a = HashedNgramProvider(dim=64, seed=0).embed_documents([doc])
+        b = HashedNgramProvider(dim=64, seed=1).embed_documents([doc])
+        assert not np.array_equal(a, b)
 
     def test_nonempty_tokens_never_embed_to_zero(self):
         provider = HashedNgramProvider(dim=8)
         words = ["a", "an", "cat", "running", "électricité", "গান", "x" * 40]
-        for word in words:
-            emb = provider.embed_document([word])
-            assert np.linalg.norm(emb.vector) > 0.0, word
+        for word, row in zip(words, provider.embed_documents([[word] for word in words])):
+            assert np.linalg.norm(row) > 0.0, word
 
     def test_empty_document_embeds_to_zero(self):
-        emb = HashedNgramProvider(dim=16).embed_document([])
-        assert np.array_equal(emb.vector, np.zeros(16))
-        assert emb.token_count == 0
+        out = HashedNgramProvider(dim=16).embed_documents([[]])
+        assert np.array_equal(out, np.zeros((1, 16)))
 
     def test_document_vector_is_mean_of_token_vectors(self):
         provider = HashedNgramProvider(dim=32)
-        va = provider.embed_document(["alpha"]).vector
-        vb = provider.embed_document(["beta"]).vector
-        vab = provider.embed_document(["alpha", "beta"]).vector
+        va, vb, vab = provider.embed_documents([["alpha"], ["beta"], ["alpha", "beta"]])
         assert np.allclose(vab, (va + vb) / 2.0)
 
     def test_repeated_token_weighting(self):
         provider = HashedNgramProvider(dim=32)
-        va = provider.embed_document(["alpha"]).vector
-        vb = provider.embed_document(["beta"]).vector
-        vaab = provider.embed_document(["alpha", "alpha", "beta"]).vector
+        va, vb, vaab = provider.embed_documents([["alpha"], ["beta"], ["alpha", "alpha", "beta"]])
         assert np.allclose(vaab, (2 * va + vb) / 3.0)
 
     def test_cache_does_not_change_results(self):
         provider = HashedNgramProvider(dim=32)
-        first = provider.embed_document(["token"]).vector
-        second = provider.embed_document(["token"]).vector
+        first = provider.embed_documents([["token"]])
+        second = provider.embed_documents([["token"]])
         assert np.array_equal(first, second)
 
 
@@ -305,10 +297,10 @@ class TestHashedNgramAgainstReference:
             [],
         ]
         out = provider.embed_documents(documents)
-        for tokens, emb in zip(documents, out):
-            assert emb.vector.dtype == np.float64 and emb.vector.shape == (dim,)
-            assert np.array_equal(emb.vector, reference_document_vector(provider, tokens)), tokens
-            assert emb.token_count == len(tokens)
+        assert out.dtype == np.float64 and out.shape == (len(documents), dim)
+        assert out.flags.c_contiguous
+        for tokens, row in zip(documents, out):
+            assert np.array_equal(row, reference_document_vector(provider, tokens)), tokens
         # one cache entry per distinct token
         assert len(provider._token_cache) == len({t for d in documents for t in d})
 
@@ -319,7 +311,7 @@ class TestHashedNgramAgainstReference:
         assert np.array_equal(provider._token_vector(LONG_TOKEN), expected)
         document = [LONG_TOKEN, "gan", LONG_TOKEN]
         assert np.array_equal(
-            provider.embed_document(document).vector, reference_document_vector(provider, document)
+            provider.embed_documents([document])[0], reference_document_vector(provider, document)
         )
 
     @settings(max_examples=60, deadline=None)
@@ -334,8 +326,9 @@ class TestHashedNgramAgainstReference:
     def test_random_documents_equal(self, documents):
         provider = HashedNgramProvider(dim=16, seed=1)
         out = provider.embed_documents(documents)
-        for tokens, emb in zip(documents, out):
-            assert np.array_equal(emb.vector, reference_document_vector(provider, tokens))
+        assert out.shape == (len(documents), 16)
+        for tokens, row in zip(documents, out):
+            assert np.array_equal(row, reference_document_vector(provider, tokens))
 
 
 def block_corpus(n_docs, empty_at=(), long_at=()):
@@ -352,15 +345,14 @@ def block_corpus(n_docs, empty_at=(), long_at=()):
 
 def assert_equal_to_reference(provider, documents):
     out = provider.embed_documents(documents)
-    assert len(out) == len(documents)
+    assert out.dtype == np.float64 and out.shape == (len(documents), provider.dim)
+    assert out.flags.c_contiguous
     reference = {}
-    for tokens, emb in zip(documents, out):
+    for tokens, row in zip(documents, out):
         key = tuple(tokens)
         if key not in reference:
             reference[key] = reference_document_vector(provider, tokens)
-        assert emb.vector.dtype == np.float64 and emb.vector.shape == (provider.dim,)
-        assert np.array_equal(emb.vector, reference[key]), key[:2]
-        assert emb.token_count == len(tokens)
+        assert np.array_equal(row, reference[key]), key[:2]
     assert len(provider._token_cache) == len({t for d in documents for t in d})
 
 
@@ -386,19 +378,19 @@ class TestHashedNgramBlocks:
 
     def test_all_documents_empty(self):
         out = HashedNgramProvider(dim=8).embed_documents([[]] * (_EMBED_BLOCK + 1))
-        assert all(np.array_equal(e.vector, np.zeros(8)) for e in out)
-        assert all(e.token_count == 0 for e in out)
+        assert np.array_equal(out, np.zeros((_EMBED_BLOCK + 1, 8)))
 
     def test_no_documents(self):
-        assert HashedNgramProvider(dim=8).embed_documents([]) == []
+        out = HashedNgramProvider(dim=8).embed_documents([])
+        assert out.dtype == np.float64 and out.shape == (0, 8)
 
     @pytest.mark.parametrize("dim", [8, 256])
     def test_empty_document_is_positive_zero_float64(self, dim):
         provider = HashedNgramProvider(dim=dim)
         embedded = provider.embed_documents([["gan"], [], ["ran"]])
-        for emb in (embedded[1], provider.embed_document([])):
-            assert emb.vector.dtype == np.float64 and emb.vector.shape == (dim,)
-            assert not emb.vector.any() and not np.signbit(emb.vector).any()
+        for row in (embedded[1], provider.embed_documents([[]])[0]):
+            assert row.dtype == np.float64 and row.shape == (dim,)
+            assert not row.any() and not np.signbit(row).any()
 
     def test_token_vector_is_int32(self):
         provider = HashedNgramProvider(dim=8)
@@ -490,20 +482,17 @@ class TestVectorFileProvider:
         return VectorFileProvider(path)
 
     def test_mean_of_found_vectors(self, provider):
-        emb = provider.embed_document(["a", "b"])
-        assert np.array_equal(emb.vector, [0.5, 0.5])
-        assert emb.token_count == 2
+        out = provider.embed_documents([["a", "b"]])
+        assert np.array_equal(out, [[0.5, 0.5]])
 
     def test_missing_tokens_skipped_and_counted(self, provider):
-        emb = provider.embed_document(["a", "zz", "qq"])
-        assert np.array_equal(emb.vector, [1.0, 0.0])
-        assert emb.token_count == 1
+        out = provider.embed_documents([["a", "zz", "qq"]])
+        assert np.array_equal(out, [[1.0, 0.0]])
         assert provider.missing_tokens == 2
 
     def test_all_missing_yields_zero_vector(self, provider):
-        emb = provider.embed_document(["zz"])
-        assert np.array_equal(emb.vector, [0.0, 0.0])
-        assert emb.token_count == 0
+        out = provider.embed_documents([["zz"]])
+        assert np.array_equal(out, [[0.0, 0.0]])
 
 
 class FixedProvider(EmbeddingProvider):
@@ -511,11 +500,13 @@ class FixedProvider(EmbeddingProvider):
 
     def __init__(self, table):
         self.table = {k: np.array(v, dtype=np.float64) for k, v in table.items()}
+        self.dim = len(next(iter(self.table.values())))
 
     def embed_documents(self, token_lists):
-        return [
-            DocumentEmbedding(self.table[tuple(tokens)], len(tokens)) for tokens in token_lists
-        ]
+        out = np.zeros((len(token_lists), self.dim))
+        for row, tokens in zip(out, token_lists):
+            row[:] = self.table[tuple(tokens)]
+        return out
 
 
 def docs(*pairs):
@@ -567,6 +558,39 @@ class TestIrs:
         with pytest.raises(EmbeddingError, match="2 original embeddings for 3 documents"):
             irs(provider, original, normalized, embedded[:2])
 
+    @pytest.mark.parametrize(
+        "returned", [np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((1, 3))], ids=["rows+1", "rows-1", "width+1"]
+    )
+    def test_provider_returning_wrong_shape_rejected(self, returned):
+        class WrongShapeProvider(FixedProvider):
+            def embed_documents(self, token_lists):
+                return returned
+
+        provider = WrongShapeProvider({("x",): [1, 0]})
+        original = docs(("d1", ["x"]), ("d2", ["x"]))
+        normalized = docs(("d1", ["x"]), ("d2", ["y"]))
+        embedded = np.array([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(EmbeddingError, match=r"for 1 changed documents of width 2"):
+            irs(provider, original, normalized, embedded)
+
+    def test_original_matrix_is_not_copied(self):
+        # 4,000 documents at dim 256: an 8 MB matrix, while the scores and
+        # the ids take well under 2 MB
+        provider = HashedNgramProvider(dim=256)
+        original = [TokenizedDocument(f"d{i}", (f"w{i % 50}",)) for i in range(4000)]
+        normalized = original[:-1] + [TokenizedDocument("d3999", ("changed",))]
+        embedded = provider.embed_documents([list(d.tokens) for d in original])
+        snapshot = embedded.copy()
+        tracemalloc.start()
+        try:
+            result = irs(provider, original, normalized, embedded)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < embedded.nbytes / 4
+        assert np.array_equal(embedded, snapshot)
+        assert result.per_doc[-1][1] < 1.0 and result.irs > 0.99
+
 
 class CountingProvider(HashedNgramProvider):
     """Hashed provider that records every document it is asked to embed."""
@@ -584,7 +608,7 @@ def irs_embedding_everything(provider, original, normalized):
     """The retention score with both sides of every document embedded."""
     emb_a = provider.embed_documents([list(d.tokens) for d in original])
     emb_b = provider.embed_documents([list(d.tokens) for d in normalized])
-    pairs = [cosine_with_flag(a.vector, b.vector) for a, b in zip(emb_a, emb_b)]
+    pairs = [cosine_with_flag(a, b) for a, b in zip(emb_a, emb_b)]
     return (
         sum(value for value, _ in pairs) / len(pairs),
         tuple((d.doc_id, value) for d, (value, _) in zip(original, pairs)),
@@ -642,7 +666,11 @@ class TestIrsSkipsUnchangedDocuments:
 
 
 class EmbeddingHandler(BaseHTTPRequestHandler):
-    """Scriptable embedding service; behavior lives on the server object."""
+    """Scriptable embedding service; behavior lives on the server object.
+
+    ``server.respond(texts)`` returns ``(status, payload)``, or bytes that
+    are written to the socket as the whole reply, status line included;
+    empty bytes close the connection without a reply."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", "0"))
@@ -650,7 +678,13 @@ class EmbeddingHandler(BaseHTTPRequestHandler):
         texts = body["texts"]
         with self.server.lock:
             self.server.batches.append(list(texts))
-        status, payload = self.server.respond(texts)
+            self.server.content_type = self.headers.get("Content-Type")
+        reply = self.server.respond(texts)
+        if isinstance(reply, bytes):
+            self.wfile.write(reply)
+            self.close_connection = True
+            return
+        status, payload = reply
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -684,7 +718,7 @@ class TestHttpServiceProvider:
         provider = HttpServiceProvider(url, batch_size=2)
         token_lists = [["alpha"], ["bee"], ["cc"], ["dddd"], ["e"]]
         out = provider.embed_documents(token_lists)
-        assert [list(e.vector) for e in out] == [
+        assert out.tolist() == [
             [5.0, float(ord("a"))],
             [3.0, float(ord("b"))],
             [2.0, float(ord("c"))],
@@ -698,13 +732,25 @@ class TestHttpServiceProvider:
         HttpServiceProvider(url).embed_documents([["two", "words"]])
         assert server.batches == [["two words"]]
 
+    def test_posts_json_content_type(self, embedding_service):
+        server, url = embedding_service
+        out = HttpServiceProvider(url).embed_documents([["word"]])
+        assert server.content_type == "application/json"
+        assert out.dtype == np.float64 and out.shape == (1, 2) and out.flags.c_contiguous
+
     def test_empty_documents_not_sent(self, embedding_service):
         server, url = embedding_service
         out = HttpServiceProvider(url).embed_documents([[], ["word"], []])
         assert server.batches == [["word"]]
-        assert np.array_equal(out[0].vector, np.zeros(2))
-        assert out[0].token_count == 0
-        assert np.array_equal(out[2].vector, np.zeros(2))
+        assert np.array_equal(out[0], np.zeros(2))
+        assert np.array_equal(out[2], np.zeros(2))
+        assert not np.signbit(out).any()
+
+    def test_empty_documents_before_first_reply_have_width_one(self, embedding_service):
+        server, url = embedding_service
+        out = HttpServiceProvider(url).embed_documents([[], []])
+        assert server.batches == []
+        assert np.array_equal(out, np.zeros((2, 1)))
 
     def test_non_200_response(self, embedding_service):
         server, url = embedding_service
@@ -736,6 +782,13 @@ class TestHttpServiceProvider:
         with pytest.raises(EmbeddingError, match="bad vector"):
             HttpServiceProvider(url).embed_documents([["word"]])
 
+    @pytest.mark.parametrize("vector", [["x"], [1.0, [2.0]], [[1.0], [2.0]], {"a": 1.0}, 3.0])
+    def test_non_numeric_vector_rejected(self, embedding_service, vector):
+        server, url = embedding_service
+        server.respond = lambda texts: (200, {"vectors": [vector]})
+        with pytest.raises(EmbeddingError, match="bad vector"):
+            HttpServiceProvider(url).embed_documents([["word"]])
+
     def test_inconsistent_dimensions_within_batch(self, embedding_service):
         server, url = embedding_service
         server.respond = lambda texts: (200, {"vectors": [[1.0], [1.0, 2.0]]})
@@ -754,10 +807,10 @@ class TestHttpServiceProvider:
         server.respond = lambda texts: (200, {"vectors": [[1.0] * len(t) for t in texts]})
         provider = HttpServiceProvider(url)
         first = provider.embed_documents([["ab"], ["cd"]])
-        assert [len(e.vector) for e in first] == [2, 2]
+        assert first.shape == (2, 2)
         # an all-empty call still gets the dimension of the first reply
         (empty,) = provider.embed_documents([[]])
-        assert np.array_equal(empty.vector, np.zeros(2))
+        assert np.array_equal(empty, np.zeros(2))
         with pytest.raises(EmbeddingError, match="inconsistent vector dimensions"):
             provider.embed_documents([["abc"]])
 
@@ -769,3 +822,59 @@ class TestHttpServiceProvider:
     def test_rejects_bad_batch_size(self):
         with pytest.raises(EmbeddingError, match="batch size"):
             HttpServiceProvider("http://example.invalid", batch_size=0)
+
+    @pytest.mark.parametrize("max_in_flight", [0, -1])
+    def test_rejects_bad_max_in_flight(self, max_in_flight):
+        with pytest.raises(EmbeddingError, match="max in flight must be >= 1"):
+            HttpServiceProvider("http://example.invalid", max_in_flight=max_in_flight)
+
+
+class TestHttpFaults:
+    """Each way the service or the transport can fail ends in one
+    EmbeddingError."""
+
+    def test_hang_past_timeout(self, embedding_service):
+        server, url = embedding_service
+        release = threading.Event()
+        # once released, the handler closes the connection without writing
+        server.respond = lambda texts: (release.wait(10), b"")[1]
+        try:
+            with pytest.raises(EmbeddingError, match="transport error"):
+                HttpServiceProvider(url, timeout=0.2).embed_documents([["word"]])
+        finally:
+            release.set()
+
+    def test_connection_closed_without_reply(self, embedding_service):
+        server, url = embedding_service
+        server.respond = lambda texts: b""
+        with pytest.raises(EmbeddingError, match="transport error"):
+            HttpServiceProvider(url).embed_documents([["word"]])
+
+    @pytest.mark.parametrize("status", [b"200 OK", b"503 Service Unavailable"])
+    def test_truncated_body(self, embedding_service, status):
+        server, url = embedding_service
+        server.respond = lambda texts: (
+            b"HTTP/1.0 " + status + b"\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 100\r\n\r\n{\"vectors\": [[1.0"
+        )
+        with pytest.raises(EmbeddingError, match="transport error"):
+            HttpServiceProvider(url).embed_documents([["word"]])
+
+    def test_non_utf8_body(self, embedding_service):
+        server, url = embedding_service
+        server.respond = lambda texts: (200, "\u00e9t\u00e9".encode("latin-1"))
+        with pytest.raises(EmbeddingError, match="malformed reply"):
+            HttpServiceProvider(url).embed_documents([["word"]])
+
+    def test_non_utf8_error_body(self, embedding_service):
+        server, url = embedding_service
+        server.respond = lambda texts: (500, b"\xff\xfeoverloaded")
+        with pytest.raises(EmbeddingError, match="status 500: .*overloaded"):
+            HttpServiceProvider(url).embed_documents([["word"]])
+
+    @pytest.mark.parametrize(
+        "url", ["http://[::1", "http://127.0.0.1:99999/", "http://h:port/", "ftp://h/", "http:///x"]
+    )
+    def test_malformed_url(self, url):
+        with pytest.raises(EmbeddingError, match="bad embedding service URL"):
+            HttpServiceProvider(url).embed_documents([["word"]])

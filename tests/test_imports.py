@@ -14,7 +14,15 @@ import pytest
 
 import normeval
 
-NEVER_LOADED = ("scipy.stats", "scipy.optimize", "scipy.spatial", "scipy.linalg", "requests")
+NEVER_LOADED = (
+    "scipy.stats",
+    "scipy.optimize",
+    "scipy.spatial",
+    "scipy.linalg",
+    "requests",
+    "urllib.request",
+    "http.client",
+)
 
 # Only HttpServiceProvider needs concurrent.futures. scipy loads it anyway
 # (through numpy.testing), so the probe records which normeval modules
@@ -38,12 +46,41 @@ print(json.dumps({"modules": sorted(sys.modules), "direct": direct}))
 """
 
 
-@pytest.fixture(scope="module")
-def cold_import():
+# One http: embedding in an interpreter where importing requests fails.
+_WITHOUT_REQUESTS = """
+import json, sys, threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+sys.modules["requests"] = None  # makes "import requests" raise ImportError
+from normeval import HttpServiceProvider
+
+class Handler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+        data = json.dumps({"vectors": [[float(len(t)), 1.0] for t in texts]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+url = f"http://127.0.0.1:{server.server_address[1]}/embed"
+print(json.dumps(HttpServiceProvider(url).embed_documents([["ab", "c"], []]).tolist()))
+server.shutdown()
+"""
+
+
+def run_fresh(code: str):
+    """Run ``code`` in a new interpreter that imports this normeval;
+    return its stdout parsed as JSON."""
     src = str(Path(normeval.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE],
+        [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=env,
@@ -53,6 +90,11 @@ def cold_import():
     return json.loads(proc.stdout)
 
 
+@pytest.fixture(scope="module")
+def cold_import():
+    return run_fresh(_PROBE)
+
+
 @pytest.mark.parametrize("module", NEVER_LOADED)
 def test_cli_import_does_not_load(cold_import, module):
     assert module not in cold_import["modules"]
@@ -60,3 +102,7 @@ def test_cli_import_does_not_load(cold_import, module):
 
 def test_thread_pool_is_imported_lazily(cold_import):
     assert cold_import["direct"] == []
+
+
+def test_http_embedding_without_requests():
+    assert run_fresh(_WITHOUT_REQUESTS) == [[4.0, 1.0], [0.0, 0.0]]

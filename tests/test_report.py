@@ -525,6 +525,22 @@ class TestCli:
         assert code == 1
         assert "unknown classifier" in capsys.readouterr().err
 
+    def test_malformed_http_embedder_exits_1(self, corpus_path, capsys):
+        code = main(
+            [
+                "evaluate",
+                "--corpus", corpus_path,
+                "--normalizer", "identity",
+                "--embedder", "http://[::1",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "normeval: error: bad embedding service URL 'http://[::1': Invalid IPv6 URL\n"
+        )
+
     def test_usage_error_exits_1(self, corpus_path):
         with pytest.raises(SystemExit) as exc_info:
             main(["evaluate", "--corpus", corpus_path])
