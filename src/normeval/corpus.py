@@ -175,11 +175,16 @@ def tokenize_corpus(
     ]
 
 
-def build_vocabulary(docs: list[TokenizedDocument]) -> Vocabulary:
+def count_occurrences(docs: list[TokenizedDocument]) -> Counter[str]:
+    """How often each token occurs in ``docs``, in first-seen order."""
     counts: Counter[str] = Counter()
     for doc in docs:
         counts.update(doc.tokens)
-    return Vocabulary(counts=dict(counts))
+    return counts
+
+
+def build_vocabulary(docs: list[TokenizedDocument]) -> Vocabulary:
+    return Vocabulary(counts=dict(count_occurrences(docs)))
 
 
 def make_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:

@@ -17,6 +17,7 @@ normalized form.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import urllib.parse
@@ -91,37 +92,109 @@ class _GramBins(dict):
     def __init__(self, dim: int, key: bytes):
         super().__init__()
         self.dim = dim
-        self.key = key
+        # a copy of this keyed state hashes as a freshly keyed blake2b
+        self.state = hashlib.blake2b(digest_size=9, key=key)
 
-    def __missing__(self, gram: str) -> int:
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9, key=self.key).digest()
-        index = int.from_bytes(digest[:8], "little") % self.dim
-        bin_ = self[gram] = index if digest[8] & 1 else self.dim + index
-        return bin_
+    def bins(self, grams: list[str]) -> np.ndarray:
+        """The bins of the distinct ``grams``, as int32."""
+        new = [gram for gram in grams if gram not in self]
+        if new:
+            digests = bytearray()
+            for gram in new:
+                hasher = self.state.copy()
+                hasher.update(gram.encode("utf-8"))
+                digests += hasher.digest()
+            raw = np.frombuffer(digests, np.uint8).reshape(-1, 9)
+            # the first 8 bytes, little-endian, pick the coordinate
+            index = raw[:, :8].copy().view("<u8")[:, 0] % self.dim
+            self.update(zip(new, np.where(raw[:, 8] & 1, index, index + self.dim).tolist()))
+        return np.fromiter(map(self.__getitem__, grams), np.int32, len(grams))
 
 
-class _TokenBins(dict):
-    """token -> int array of the bins of its distinct grams; a token's
-    grams are looked up on its first use."""
+def _firsts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first of each run of equal keys in a sorted array."""
+    first = np.ones(len(sorted_keys), bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
 
-    def __init__(self, n_range: tuple[int, int], gram_bins: _GramBins):
-        super().__init__()
-        self.n_range = n_range
-        self.gram_bins = gram_bins
 
-    def __missing__(self, token: str) -> np.ndarray:
-        lo, hi = self.n_range
-        wrapped = f"<{token}>"
-        grams = {wrapped[i : i + n] for n in range(lo, hi + 1) for i in range(len(wrapped) - n + 1)}
-        grams.add(wrapped)
-        gram_bins = self.gram_bins
-        bins = self[token] = np.array([gram_bins[gram] for gram in grams], np.intp)
-        return bins
+def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of ``keys``, equal keys sharing an id, and the index
+    of one key of each id."""
+    order = keys.argsort()
+    first = _firsts(keys[order])
+    ids = np.empty_like(order)
+    ids[order] = np.cumsum(first) - 1
+    return ids, order[first]
+
+
+# every code point is below 2**21, so an id below 2**42 and a code pack
+# into one int64 key
+_CODE_BITS = 21
+
+
+def _token_bins(
+    tokens: list[str], n_range: tuple[int, int], gram_bins: _GramBins
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bins of the distinct grams of each token: their number per
+    token, and the bins themselves, token by token.
+
+    The wrapped tokens are joined into one array of code points, and
+    each n-gram at position ``p`` gets an exact id, level by level, from
+    the pair (id of the (n-1)-gram at ``p``, code at ``p + n - 1``).
+    Grams that cross a token's end are dropped, a gram repeated in a
+    token counts once, and each distinct gram string is looked up once.
+    """
+    lo, hi = n_range
+    wrapped = [f"<{token}>" for token in tokens]
+    text = "".join(wrapped)
+    lens = np.fromiter(map(len, wrapped), np.intp, len(wrapped))
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32).astype(np.int64)
+    token_at = np.repeat(np.arange(len(tokens)), lens)
+    # the codes from each position to the end of its token
+    room = np.repeat(np.cumsum(lens), lens) - np.arange(len(codes))
+    pos, ids = np.arange(len(codes)), codes
+    token_parts, bin_parts = [], []
+    for n in range(1, hi + 1):
+        if n > 1:
+            keep = room[pos] >= n
+            pos, ids = pos[keep], ids[keep]
+            ids = ids << _CODE_BITS | codes[pos + n - 1]
+        if not len(pos):
+            break
+        if n >= lo:
+            ids, first = _rank(ids)
+            pairs = np.sort(token_at[pos] * len(first) + ids)
+            pairs = pairs[_firsts(pairs)]
+            found = gram_bins.bins([text[p : p + n] for p in pos[first].tolist()])
+            token_parts.append(pairs // len(first))
+            bin_parts.append(found[pairs % len(first)])
+        elif ids.max() >> (63 - _CODE_BITS):
+            # the next level's key would overflow
+            ids = _rank(ids)[0]
+    # the whole wrapped token is a gram of its own
+    whole = np.flatnonzero((lens < lo) | (lens > hi))
+    token_parts.append(whole)
+    bin_parts.append(gram_bins.bins([wrapped[i] for i in whole.tolist()]))
+    token_of = np.concatenate(token_parts)
+    bins = np.concatenate(bin_parts)[token_of.argsort()]
+    return np.bincount(token_of, minlength=len(tokens)), bins
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + lens[i]``, concatenated, by
+    one cumulative sum of steps; every length must be >= 1."""
+    steps = np.ones(lens.sum(), np.intp)
+    steps[:1] = starts[:1]
+    steps[(np.cumsum(lens) - lens)[1:]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
+    return np.cumsum(steps, out=steps)
 
 
 # documents pooled by one np.bincount; bounds its count matrix at
 # _EMBED_BLOCK x 2 dim
 _EMBED_BLOCK = 2048
+# new tokens whose bins are built in one pass; bounds its temporaries
+_BUILD_CHUNK = 2048
 
 
 class HashedNgramProvider(EmbeddingProvider):
@@ -136,8 +209,11 @@ class HashedNgramProvider(EmbeddingProvider):
     (dim, n_range, seed).
 
     Each gram is hashed once per provider, and each token is stored once
-    as the bins of its grams, the sign folded into the bin (see
-    :class:`_GramBins`). A block of documents is pooled by one integer
+    as the bins of its distinct grams, the sign folded into the bin (see
+    :class:`_GramBins`): a row of one CSR table, ``_bins[_indptr[row]:
+    _indptr[row + 1]]``, where ``_token_cache`` maps the token to its
+    row. The rows of the new tokens of a call are built in numpy (see
+    :func:`_token_bins`). A block of documents is pooled by one integer
     histogram over the bins of all its tokens, offset by document; a
     document vector is then (positive - negative counts) / token count.
     The counts are exact integers and the division is one float64
@@ -155,15 +231,41 @@ class HashedNgramProvider(EmbeddingProvider):
         self.n_range = (lo, hi)
         self.seed = seed
         self.name = f"hash-{dim}"
-        key = seed.to_bytes(8, "little", signed=True)
-        self._token_cache = _TokenBins(self.n_range, _GramBins(dim, key))
+        self._gram_bins = _GramBins(dim, seed.to_bytes(8, "little", signed=True))
+        self._token_cache: dict[str, int] = {}
+        self._indptr = np.zeros(1, np.int64)
+        # a bin plus a pooling block's largest offset must fit the type
+        self._bins = np.zeros(0, np.int32 if 2 * dim * _EMBED_BLOCK < 2**31 else np.int64)
+
+    def _add_tokens(self, token_lists: list[list[str]]) -> None:
+        """Give every token not yet in the table its row."""
+        cache = self._token_cache
+        tokens = itertools.chain.from_iterable(token_lists)
+        new = list(dict.fromkeys(itertools.filterfalse(cache.__contains__, tokens)))
+        if not new:
+            return
+        counts, bins = [], [self._bins]
+        for start in range(0, len(new), _BUILD_CHUNK):
+            chunk = new[start : start + _BUILD_CHUNK]
+            chunk_counts, chunk_bins = _token_bins(chunk, self.n_range, self._gram_bins)
+            counts.append(chunk_counts)
+            bins.append(chunk_bins)
+        # the table grows once per call
+        ends = self._indptr[-1] + np.cumsum(np.concatenate(counts))
+        self._indptr = np.concatenate([self._indptr, ends])
+        self._bins = np.concatenate(bins)
+        cache.update(zip(new, range(len(cache), len(cache) + len(new))))
 
     def _token_vector(self, token: str) -> np.ndarray:
         """The token's vector: the sum of its grams' +/-1, as int32."""
-        counts = np.bincount(self._token_cache[token], minlength=2 * self.dim)
+        self._add_tokens([[token]])
+        row = self._token_cache[token]
+        bins = self._bins[self._indptr[row] : self._indptr[row + 1]]
+        counts = np.bincount(bins, minlength=2 * self.dim)
         return (counts[: self.dim] - counts[self.dim :]).astype(np.int32)
 
     def embed_documents(self, token_lists: list[list[str]]) -> np.ndarray:
+        self._add_tokens(token_lists)
         out = np.empty((len(token_lists), self.dim))
         for start in range(0, len(token_lists), _EMBED_BLOCK):
             stop = start + _EMBED_BLOCK
@@ -175,12 +277,18 @@ class HashedNgramProvider(EmbeddingProvider):
         rows of ``out``."""
         dim, width = self.dim, 2 * self.dim
         doc_lens = np.fromiter(map(len, block), np.intp, len(block))
-        bins = [self._token_cache[token] for tokens in block for token in tokens]
-        token_lens = np.fromiter(map(len, bins), np.intp, len(bins))
-        token_starts = np.repeat(np.arange(0, len(block) * width, width), doc_lens)
-        # np.concatenate always copies, so += leaves the cached bins alone
-        flat = np.concatenate(bins or [np.zeros(0, np.intp)])
-        flat += np.repeat(token_starts, token_lens)
+        rows = np.fromiter(
+            map(self._token_cache.__getitem__, itertools.chain.from_iterable(block)),
+            np.intp,
+            doc_lens.sum(),
+        )
+        starts = self._indptr[rows]
+        token_lens = self._indptr[rows + 1] - starts
+        flat = self._bins[_ranges(starts, token_lens)]
+        # offset every bin by its document's first count
+        bin_ends = np.concatenate([[0], np.cumsum(token_lens)])[np.cumsum(doc_lens)]
+        offsets = np.arange(0, len(block) * width, width, dtype=flat.dtype)
+        flat += np.repeat(offsets, np.diff(bin_ends, prepend=0))
         counts = np.bincount(flat, minlength=len(block) * width).reshape(len(block), width)
         np.subtract(counts[:, :dim], counts[:, dim:], out=out, dtype=np.float64)
         # an empty document divides its zero row by 1: +0.0
@@ -323,12 +431,14 @@ class HttpServiceProvider(EmbeddingProvider):
                 f"embedding service {self.url}: expected {len(texts)} vectors, "
                 f"got {len(vectors) if isinstance(vectors, list) else type(vectors).__name__}"
             )
-        try:  # a string, ragged or nested component raises
-            arrays = [np.asarray(vec, dtype=np.float64) for vec in vectors]
-            good = all(arr.ndim == 1 and np.isfinite(arr).all() for arr in arrays)
-        except (ValueError, TypeError):
+        # a vector is a list of JSON numbers: np.asarray would also take
+        # numeric strings and booleans
+        good = all(isinstance(vec, list) and set(map(type, vec)) <= {int, float} for vec in vectors)
+        try:  # an integer beyond float64 raises
+            arrays = [np.array(vec, dtype=np.float64) for vec in vectors] if good else []
+        except OverflowError:
             good = False
-        if not good:
+        if not (good and all(np.isfinite(arr).all() for arr in arrays)):
             raise EmbeddingError(f"embedding service {self.url}: bad vector in reply")
         return arrays
 
@@ -359,6 +469,13 @@ class HttpServiceProvider(EmbeddingProvider):
         return out
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] . b[i]`` for every row, each by the BLAS dot that the 1-d
+    ``a[i].dot(b[i])`` calls, so with the same rounding (np.einsum sums
+    in another order)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def irs(
     provider: EmbeddingProvider,
     original_docs: list[TokenizedDocument],
@@ -370,9 +487,16 @@ def irs(
     Documents where either side embeds to the zero vector score 0 under
     the zero-vector convention and are counted in ``zero_vector_docs``.
     ``original_embeddings``, when given, is the provider's matrix for
-    ``original_docs``, so that several normalizers can share it; it is
-    read, never copied. Only the documents whose tokens the normalizer
-    changed are embedded again; the others reuse their original row.
+    ``original_docs``, so that several normalizers can share it; a
+    C-contiguous float64 matrix is read, never copied. Only the documents
+    whose tokens the normalizer changed are embedded again; the others
+    reuse their original row.
+
+    Every score is the one :func:`cosine_with_flag` gives, bit for bit.
+    The cosines of the changed documents come from batched row dots, a
+    block at a time; a document with a norm outside
+    ``(_NORM_LO, _NORM_HI)`` on either side is scored by
+    :func:`cosine_with_flag` itself.
     """
     ids_a = [d.doc_id for d in original_docs]
     ids_b = [d.doc_id for d in normalized_docs]
@@ -396,14 +520,31 @@ def irs(
             f"{provider.name}: embeddings of shape {embedded.shape} for {expected[0]} changed "
             f"documents of width {expected[1]}"
         )
-    changed_rows = dict(zip(changed, embedded))
-    per_doc: list[tuple[str, float]] = []
+    original = np.ascontiguousarray(original_embeddings, np.float64)
+    embedded = np.ascontiguousarray(embedded, np.float64)
+    values = np.ones(len(original))  # an unchanged document scores 1
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        norms = np.sqrt(_row_dots(original, original))
+        in_range = (_NORM_LO < norms) & (norms < _NORM_HI)
+        for start in range(0, len(changed), _EMBED_BLOCK):
+            rows = changed[start : start + _EMBED_BLOCK]
+            a, b = original[rows], embedded[start : start + _EMBED_BLOCK]
+            norms_b = np.sqrt(_row_dots(b, b))
+            in_range[rows] &= (_NORM_LO < norms_b) & (norms_b < _NORM_HI)
+            cosines = np.clip(_row_dots(a, b) / (norms[rows] * norms_b), -1.0, 1.0)
+            cosines[(a == b).all(axis=1)] = 1.0
+            values[rows] = cosines
+    # a norm out of range: the zero-vector convention, a rescaling, or
+    # an error for a non-finite component
+    slot = np.full(len(original), -1)
+    slot[changed] = np.arange(len(changed))
     zero_docs = 0
+    for i in np.flatnonzero(~in_range).tolist():
+        a = original[i]
+        values[i], zero_flag = cosine_with_flag(a, embedded[slot[i]] if slot[i] >= 0 else a)
+        zero_docs += zero_flag
+    per_doc = tuple(zip(ids_a, values.tolist()))
     total = 0.0
-    for i, (doc_id, ea) in enumerate(zip(ids_a, original_embeddings)):
-        value, zero_flag = cosine_with_flag(ea, changed_rows.get(i, ea))
-        if zero_flag:
-            zero_docs += 1
-        per_doc.append((doc_id, value))
+    for value in values.tolist():  # sum() compensates from Python 3.12 on
         total += value
-    return IrsResult(irs=total / len(per_doc), per_doc=tuple(per_doc), zero_vector_docs=zero_docs)
+    return IrsResult(irs=total / len(per_doc), per_doc=per_doc, zero_vector_docs=zero_docs)

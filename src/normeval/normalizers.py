@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NoReturn
 
-from .corpus import TokenizedDocument
+from .corpus import TokenizedDocument, count_occurrences
 from .errors import NormalizerError
 from .snowball import stem as snowball_stem
 
@@ -320,7 +320,9 @@ class ExternalNormalizer(Normalizer):
 
 
 def normalize_corpus(
-    normalizer: Normalizer, docs: list[TokenizedDocument]
+    normalizer: Normalizer,
+    docs: list[TokenizedDocument],
+    occurrence_counts: Counter[str] | None = None,
 ) -> tuple[list[TokenizedDocument], TokenMapping]:
     """Normalize every token, each distinct token once.
 
@@ -330,14 +332,18 @@ def normalize_corpus(
     are kept in the mapping (they count as defects and as full-length
     edits in distance metrics) but dropped from the normalized token
     streams, which must not contain empty tokens.
+
+    ``occurrence_counts``, when given, is ``count_occurrences(docs)``, so
+    that several normalizers can share one count; the mapping holds it
+    as its ``occurrence_counts``, and nothing changes it.
     """
-    occurrence: Counter[str] = Counter()
-    for doc in docs:
-        occurrence.update(doc.tokens)
-    pairs = dict(zip(occurrence, normalizer.normalize_tokens(list(occurrence)), strict=True))
+    if occurrence_counts is None:
+        occurrence_counts = count_occurrences(docs)
+    tokens = list(occurrence_counts)
+    pairs = dict(zip(tokens, normalizer.normalize_tokens(tokens), strict=True))
     stem_of = pairs.__getitem__
     normalized = [
         TokenizedDocument(doc_id=doc.doc_id, tokens=tuple(filter(None, map(stem_of, doc.tokens))))
         for doc in docs
     ]
-    return normalized, TokenMapping(pairs=pairs, occurrence_counts=dict(occurrence))
+    return normalized, TokenMapping(pairs=pairs, occurrence_counts=occurrence_counts)

@@ -24,6 +24,7 @@ from .corpus import (
     Corpus,
     TokenizedDocument,
     TokenizerConfig,
+    count_occurrences,
     load_corpus,
     make_folds,
     tokenize_corpus,
@@ -229,14 +230,16 @@ def _run_normalizers(
 ) -> list[NormalizerReport]:
     """Build each normalizer, normalize ``docs`` with it, pass its name,
     the normalized documents and the token mapping to ``score``, and
-    close it. A NormEvalError on the way becomes that spec's failure
-    entry; the other normalizers still run."""
+    close it. The original tokens are counted once, for every mapping.
+    A NormEvalError on the way becomes that spec's failure entry; the
+    other normalizers still run."""
     reports: list[NormalizerReport] = []
+    occurrence_counts = count_occurrences(docs)
     for spec in specs:
         normalizer = None
         try:
             normalizer = build_normalizer(spec)
-            normalized_docs, mapping = normalize_corpus(normalizer, docs)
+            normalized_docs, mapping = normalize_corpus(normalizer, docs, occurrence_counts)
             reports.append(score(normalizer.name, normalized_docs, mapping))
         except NormEvalError as exc:
             reports.append(NormalizerReport(normalizer=spec, error=str(exc)))

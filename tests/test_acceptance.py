@@ -174,7 +174,10 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     server.lock = threading.Lock()
     server.batches = []
     server.respond = lambda texts: (200, {"vectors": [table[t] for t in texts]})
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval lets shutdown() return promptly
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}/embed"

@@ -331,6 +331,58 @@ class TestHashedNgramAgainstReference:
             assert np.array_equal(row, reference_document_vector(provider, tokens))
 
 
+# the markers themselves, a combining acute, Bengali vowel signs and
+# virama, an astral letter and an astral emoji
+_TOKEN_CHARS = "ab<>\u00e9\u0301\u0995\u09be\u09cd\U0001d518\U0001f642"
+_TOKENS = st.one_of(
+    st.text(alphabet=_TOKEN_CHARS, max_size=10),
+    st.sampled_from(["", "a", "ab", "abc", "\U0001d518\U0001d518", "x" * 60]),
+)
+
+
+class TestBatchedTokenBins:
+    """The bins of every new token of a call are built in one numpy pass;
+    each token's vector must be the one its grams give one by one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 5), (4, 6), (5, 9)]),
+        st.integers(-2, 2),
+        st.lists(st.lists(st.lists(_TOKENS, max_size=5), max_size=4), min_size=1, max_size=3),
+    )
+    @example(n_range=(3, 5), seed=0, calls=[[["", "a", "abc", "abcd"], [LONG_TOKEN[:300]]]])
+    def test_token_vectors_equal_reference(self, n_range, seed, calls):
+        provider = HashedNgramProvider(dim=8, n_range=n_range, seed=seed)
+        seen = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # every call after the first mixes cached and new tokens
+            for documents in calls:
+                out = provider.embed_documents(documents)
+                seen.update(t for d in documents for t in d)
+                assert len(provider._token_cache) == len(seen)
+                for tokens, row in zip(documents, out):
+                    assert np.array_equal(row, reference_document_vector(provider, tokens))
+            for token in seen:
+                expected = reference_token_vector(provider, token)
+                assert np.array_equal(provider._token_vector(token), expected), token
+
+    @pytest.mark.parametrize("n_range", [(1, 2), (3, 5), (4, 8)])
+    def test_many_new_tokens_in_one_call(self, n_range):
+        # more new tokens than one build pass takes, some of them repeated
+        rng = random.Random(1)
+        words = ["".join(rng.choice(_TOKEN_CHARS) for _ in range(rng.randint(0, 12)))
+                 for _ in range(5000)]
+        documents = [words[i : i + 7] + words[i // 2 : i // 2 + 3] for i in range(0, 5000, 5)]
+        provider = HashedNgramProvider(dim=16, n_range=n_range, seed=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = provider.embed_documents(documents)
+        assert len(provider._token_cache) == len(set(words))
+        for tokens, row in zip(documents[::37], out[::37]):
+            assert np.array_equal(row, reference_document_vector(provider, tokens))
+
+
 def block_corpus(n_docs, empty_at=(), long_at=()):
     """``n_docs`` short documents over a small vocabulary; the documents
     at ``empty_at`` are empty and those at ``long_at`` hold LONG_TOKEN."""
@@ -592,6 +644,104 @@ class TestIrs:
         assert result.per_doc[-1][1] < 1.0 and result.irs > 0.99
 
 
+def irs_by_pairs(original, normalized, original_matrix, provider):
+    """The retention score by one cosine_with_flag call per document and
+    a sequential sum."""
+    changed = [i for i, (a, b) in enumerate(zip(original, normalized)) if a.tokens != b.tokens]
+    rows = dict(zip(changed, provider.embed_documents([list(normalized[i].tokens) for i in changed])))
+    per_doc, total, zero_docs = [], 0.0, 0
+    for i, (doc, row) in enumerate(zip(original, original_matrix)):
+        value, flag = cosine_with_flag(row, rows.get(i, row))
+        per_doc.append((doc.doc_id, value))
+        total += value
+        zero_docs += flag
+    return total / len(per_doc), tuple(per_doc), zero_docs
+
+
+_IRS_RELATIONS = ["unchanged", "free", "copy", "opposite", "scaled", "zero"]
+
+
+@st.composite
+def irs_corpora(draw):
+    """Original rows spanning zero, subnormal and huge norms, and a
+    normalized side that is unchanged, equal, opposite, scaled, zero or
+    free."""
+    dim = draw(st.integers(1, 5))
+    components = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    table, original, normalized, matrix = {}, [], [], []
+    for i in range(draw(st.integers(1, 10))):
+        a = np.array(draw(components)) * draw(_SCALES)
+        relation = draw(st.sampled_from(_IRS_RELATIONS))
+        if relation == "free":
+            b = np.array(draw(components)) * draw(_SCALES)
+        elif relation == "scaled":
+            b = a * min(draw(_SCALES), 1e300 / max(np.abs(a).max(), 1.0))
+        else:
+            b = {"unchanged": a, "copy": a, "opposite": -a, "zero": 0.0 * a}[relation]
+        matrix.append(a)
+        original.append(TokenizedDocument(f"d{i}", (f"o{i}",)))
+        tokens = (f"o{i}",) if relation == "unchanged" else (f"n{i}",)
+        normalized.append(TokenizedDocument(f"d{i}", tokens))
+        table[tokens] = b
+    return original, normalized, np.array(matrix), FixedProvider(table)
+
+
+class TestBatchedIrs:
+    """irs takes its cosines from batched row dots; each must be the one
+    cosine_with_flag gives, bit for bit."""
+
+    def check(self, original, normalized, matrix, provider):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = irs(provider, original, normalized, matrix)
+            expected = irs_by_pairs(original, normalized, matrix, provider)
+        assert result.irs.hex() == expected[0].hex()
+        assert [(d, v.hex()) for d, v in result.per_doc] == [(d, v.hex()) for d, v in expected[1]]
+        assert result.zero_vector_docs == expected[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(irs_corpora())
+    def test_equal_to_per_pair_loop(self, corpus):
+        self.check(*corpus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(irs_corpora(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+    def test_non_finite_row_still_raises(self, corpus, bad, data):
+        original, normalized, matrix, provider = corpus
+        i = data.draw(st.integers(0, len(original) - 1))
+        if data.draw(st.booleans()) or original[i].tokens == normalized[i].tokens:
+            matrix[i, data.draw(st.integers(0, matrix.shape[1] - 1))] = bad
+        else:
+            row = provider.table[normalized[i].tokens]
+            row[data.draw(st.integers(0, len(row) - 1))] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmbeddingError, match="NaN or infinite"):
+                irs(provider, original, normalized, matrix)
+
+    def test_rows_across_block_edges(self):
+        n, dim = 2 * _EMBED_BLOCK + 5, 7
+        rng = np.random.default_rng(0)
+        matrix = rng.standard_normal((n, dim))
+        changed = matrix + 0.3 * rng.standard_normal((n, dim))
+        # zero, subnormal, huge, equal and unchanged rows at the block edges
+        matrix[0] = 0.0
+        changed[1] = 0.0
+        matrix[_EMBED_BLOCK - 1] *= 1e-310
+        changed[_EMBED_BLOCK] *= 1e200
+        changed[_EMBED_BLOCK + 1] = matrix[_EMBED_BLOCK + 1]
+        matrix[n - 1] *= 1e160
+        changed[n - 1] = matrix[n - 1]
+        unchanged = {2, _EMBED_BLOCK + 2, 2 * _EMBED_BLOCK}
+        original = [TokenizedDocument(f"d{i}", (f"o{i}",)) for i in range(n)]
+        normalized = [
+            TokenizedDocument(f"d{i}", (f"o{i}",) if i in unchanged else (f"n{i}",))
+            for i in range(n)
+        ]
+        table = {d.tokens: row for d, row in zip(normalized, changed)}
+        self.check(original, normalized, matrix, FixedProvider(table))
+
+
 class CountingProvider(HashedNgramProvider):
     """Hashed provider that records every document it is asked to embed."""
 
@@ -705,7 +855,10 @@ def embedding_service():
         200,
         {"vectors": [[float(len(t)), float(ord(t[0]))] for t in texts]},
     )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval lets shutdown() return promptly
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield server, f"http://127.0.0.1:{server.server_address[1]}/embed"
     server.shutdown()
@@ -782,12 +935,27 @@ class TestHttpServiceProvider:
         with pytest.raises(EmbeddingError, match="bad vector"):
             HttpServiceProvider(url).embed_documents([["word"]])
 
-    @pytest.mark.parametrize("vector", [["x"], [1.0, [2.0]], [[1.0], [2.0]], {"a": 1.0}, 3.0])
+    @pytest.mark.parametrize(
+        "vector",
+        [["x"], [1, "2"], [True, 1], [1.0, False], [1.0, [2.0]], [[1.0], [2.0]], {"a": 1.0}, 3.0],
+    )
     def test_non_numeric_vector_rejected(self, embedding_service, vector):
         server, url = embedding_service
         server.respond = lambda texts: (200, {"vectors": [vector]})
         with pytest.raises(EmbeddingError, match="bad vector"):
             HttpServiceProvider(url).embed_documents([["word"]])
+
+    def test_integer_beyond_float64_rejected(self, embedding_service):
+        server, url = embedding_service
+        server.respond = lambda texts: (200, {"vectors": [[1, 10**400]]})
+        with pytest.raises(EmbeddingError, match="bad vector"):
+            HttpServiceProvider(url).embed_documents([["word"]])
+
+    def test_integer_components_accepted(self, embedding_service):
+        server, url = embedding_service
+        server.respond = lambda texts: (200, {"vectors": [[1, -2, 3.5]]})
+        out = HttpServiceProvider(url).embed_documents([["word"]])
+        assert out.tolist() == [[1.0, -2.0, 3.5]] and out.dtype == np.float64
 
     def test_inconsistent_dimensions_within_batch(self, embedding_service):
         server, url = embedding_service

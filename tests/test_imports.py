@@ -67,7 +67,10 @@ class Handler(BaseHTTPRequestHandler):
         pass
 
 server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-threading.Thread(target=server.serve_forever, daemon=True).start()
+# a short poll interval lets shutdown() return promptly
+threading.Thread(
+    target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+).start()
 url = f"http://127.0.0.1:{server.server_address[1]}/embed"
 print(json.dumps(HttpServiceProvider(url).embed_documents([["ab", "c"], []]).tolist()))
 server.shutdown()

@@ -19,6 +19,7 @@ from normeval import (
     TokenizedDocument,
     TokenMapping,
     TruncateNormalizer,
+    count_occurrences,
     load_mapping,
     normalize_corpus,
 )
@@ -178,6 +179,16 @@ class TestNormalizeCorpus:
             IdentityNormalizer(), docs(["a", "b", "a"], ["a"])
         )
         assert mapping.occurrence_counts == {"a": 3, "b": 1}
+
+    def test_shared_occurrence_counts_give_the_same_mapping(self):
+        corpus = docs(["b", "a", "b"], [], ["c", "a"])
+        counts = count_occurrences(corpus)
+        for normalizer in (IdentityNormalizer(), TruncateNormalizer(1)):
+            normalized, mapping = normalize_corpus(normalizer, corpus, counts)
+            assert (normalized, mapping) == normalize_corpus(normalizer, corpus)
+            assert list(mapping.pairs) == ["b", "a", "c"]
+            assert mapping.occurrence_counts is counts
+        assert counts == {"b": 2, "a": 2, "c": 1}
 
     def test_memoizes_per_token_type(self):
         calls = []

@@ -26,6 +26,7 @@ from normeval import (
     build_embedder,
     build_vocabulary,
     compression_ratio,
+    count_occurrences,
     emit_json,
     emit_markdown,
     irs,
@@ -305,6 +306,36 @@ class TestOriginalEmbeddingsShared:
             assert report.irs_result == self.plain_irs(corpus_path, spec)
         # the failed call, then the originals once, then one per normalizer
         assert provider.calls == 1 + 1 + 2
+
+
+class TestOccurrencesCountedOnce:
+    def test_one_count_shared_by_every_mapping(self, corpus_path, monkeypatch):
+        counted = []
+        real = count_occurrences
+
+        def counting(docs):
+            counted.append(len(docs))
+            return real(docs)
+
+        mappings = []
+        real_normalize = normalize_corpus
+
+        def recording(*args):
+            normalized, mapping = real_normalize(*args)
+            mappings.append(mapping)
+            return normalized, mapping
+
+        monkeypatch.setattr("normeval.report.count_occurrences", counting)
+        monkeypatch.setattr("normeval.normalizers.count_occurrences", counting)
+        monkeypatch.setattr("normeval.report.normalize_corpus", recording)
+        specs = ("identity", "truncate:2", "snowball-en")
+        reports = run_evaluation(toy_config(corpus_path, normalizers=specs, classifiers=()))
+        assert not any(r.failed for r in reports)
+        assert len(counted) == 1 and len(mappings) == len(specs)
+        docs = tokenize_corpus(load_corpus(corpus_path))
+        for spec, mapping in zip(specs, mappings):
+            assert mapping == real_normalize(build_normalizer(spec), docs)[1]
+            assert mapping.occurrence_counts is mappings[0].occurrence_counts
 
 
 def hand_built_report(irs=0.91):
