@@ -155,22 +155,35 @@ def _strip_punct(token: str) -> str:
     return token[start:end]
 
 
+class _TokenMemo(dict):
+    """Raw whitespace token -> tokenized form, '' when nothing is left;
+    each raw token is processed once, on its first lookup."""
+
+    def __init__(self, config: TokenizerConfig):
+        super().__init__()
+        self.config = config
+
+    def __missing__(self, raw: str) -> str:
+        token = _strip_punct(raw) if self.config.strip_punct else raw
+        if self.config.lowercase:
+            token = token.lower()
+        self[raw] = token
+        return token
+
+
 def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
     """Split on Unicode whitespace, then optionally strip edge punctuation
     and lowercase. Deterministic; empty text yields an empty list."""
-    tokens = text.split()
-    if config.strip_punct:
-        tokens = [t for t in (_strip_punct(tok) for tok in tokens) if t]
-    if config.lowercase:
-        tokens = [t.lower() for t in tokens]
-    return tokens
+    return list(filter(None, map(_TokenMemo(config).__getitem__, text.split())))
 
 
 def tokenize_corpus(
     corpus: Corpus, config: TokenizerConfig = TokenizerConfig()
 ) -> list[TokenizedDocument]:
+    """:func:`tokenize` of every document, with one memo for the corpus."""
+    memo = _TokenMemo(config).__getitem__
     return [
-        TokenizedDocument(doc_id=doc.id, tokens=tuple(tokenize(doc.text, config)))
+        TokenizedDocument(doc_id=doc.id, tokens=tuple(filter(None, map(memo, doc.text.split()))))
         for doc in corpus.documents
     ]
 

@@ -168,22 +168,26 @@ def _train_multinomial_nb(spec: ClassifierSpec, X, y_idx: np.ndarray, classes: l
     return MultinomialNBClassifier(classes, log_prior, log_likelihood)
 
 
-def _softmax_probs(W: np.ndarray, X) -> np.ndarray:
-    """Row-wise softmax of the scores X @ W.T, in a fresh array."""
-    probs = np.asarray(X @ W.T)
+def _softmax_probs(Wt: np.ndarray, X) -> np.ndarray:
+    """Row-wise softmax of the scores X @ Wt, in a fresh array; ``Wt`` is
+    the weights transposed (features x classes)."""
+    probs = np.asarray(X @ Wt)
     probs -= probs.max(axis=1, keepdims=True)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
 
 
-def _softmax_grad(probs: np.ndarray, W: np.ndarray, XT, y_idx: np.ndarray, l2_lambda: float):
-    """Gradient of :func:`softmax_loss_and_grad`'s objective from the
-    class probabilities of X's rows, which it overwrites; ``XT`` is X
-    transposed."""
+def _softmax_grad_t(probs: np.ndarray, Wt: np.ndarray, XT, y_idx: np.ndarray, l2_lambda: float):
+    """Gradient of :func:`softmax_loss_and_grad`'s objective, transposed
+    like ``Wt``, from the class probabilities of X's rows, which it
+    overwrites; ``XT`` is X transposed."""
     n = probs.shape[0]
     probs[np.arange(n), y_idx] -= 1.0
-    return np.asarray((XT @ probs).T) / n + l2_lambda * W
+    grad = np.asarray(XT @ probs)
+    grad /= n
+    grad += l2_lambda * Wt
+    return grad
 
 
 def softmax_loss_and_grad(W: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float):
@@ -191,11 +195,11 @@ def softmax_loss_and_grad(W: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float)
     features): mean cross-entropy plus (l2/2)||W||^2. Exposed so the
     analytic gradient can be checked against finite differences."""
     n = X.shape[0]
-    probs = _softmax_probs(W, X)
+    probs = _softmax_probs(W.T, X)
     loss = -np.mean(np.log(probs[np.arange(n), y_idx])) + 0.5 * l2_lambda * float(
         np.sum(W * W)
     )
-    return loss, _softmax_grad(probs, W, X.T, y_idx, l2_lambda)
+    return loss, _softmax_grad_t(probs, W.T, X.T, y_idx, l2_lambda).T
 
 
 class LinearClassifier:
@@ -216,12 +220,16 @@ class LinearClassifier:
 
 
 def _train_logistic_regression(spec: ClassifierSpec, X, y_idx: np.ndarray, classes: list[str]):
-    W = np.zeros((len(classes), X.shape[1]), dtype=np.float64)
+    # features x classes, so that X @ Wt and XT @ probs both read a
+    # C-contiguous operand; each step takes the IEEE operations of
+    # W -= learning_rate * softmax_loss_and_grad(W, ...)[1], in place
+    Wt = np.zeros((X.shape[1], len(classes)), dtype=np.float64)
     XT = sparse.csr_matrix(X.T)
     for _ in range(spec.epochs):
-        grad = _softmax_grad(_softmax_probs(W, X), W, XT, y_idx, spec.l2_lambda)
-        W -= spec.learning_rate * grad
-    return LinearClassifier(classes, W)
+        grad = _softmax_grad_t(_softmax_probs(Wt, X), Wt, XT, y_idx, spec.l2_lambda)
+        grad *= spec.learning_rate
+        Wt -= grad
+    return LinearClassifier(classes, np.ascontiguousarray(Wt.T))
 
 
 # Stop once every |projected gradient| of an epoch is below this. LIBLINEAR

@@ -511,7 +511,9 @@ def irs(
             f"{len(original_embeddings)} original embeddings for {len(original_docs)} documents"
         )
     changed = [
-        i for i, (a, b) in enumerate(zip(original_docs, normalized_docs)) if a.tokens != b.tokens
+        i
+        for i, (a, b) in enumerate(zip(original_docs, normalized_docs))
+        if a is not b and a.tokens != b.tokens
     ]
     embedded = provider.embed_documents([list(normalized_docs[i].tokens) for i in changed])
     expected = (len(changed), original_embeddings.shape[1])

@@ -331,7 +331,9 @@ def normalize_corpus(
     order. Token order and document boundaries are preserved. Empty stems
     are kept in the mapping (they count as defects and as full-length
     edits in distance metrics) but dropped from the normalized token
-    streams, which must not contain empty tokens.
+    streams, which must not contain empty tokens. A document none of
+    whose tokens the normalizer changes is returned as the very object
+    given, so callers can tell it is unchanged with an ``is`` test.
 
     ``occurrence_counts``, when given, is ``count_occurrences(docs)``, so
     that several normalizers can share one count; the mapping holds it
@@ -342,8 +344,10 @@ def normalize_corpus(
     tokens = list(occurrence_counts)
     pairs = dict(zip(tokens, normalizer.normalize_tokens(tokens), strict=True))
     stem_of = pairs.__getitem__
+    changed = {token for token, stem in pairs.items() if not stem or stem != token}
     normalized = [
-        TokenizedDocument(doc_id=doc.doc_id, tokens=tuple(filter(None, map(stem_of, doc.tokens))))
+        doc if changed.isdisjoint(doc.tokens)
+        else TokenizedDocument(doc.doc_id, tuple(filter(None, map(stem_of, doc.tokens))))
         for doc in docs
     ]
     return normalized, TokenMapping(pairs=pairs, occurrence_counts=occurrence_counts)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import shlex
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -99,6 +100,8 @@ class RunConfig:
             raise EvaluationError(f"worst_n must be >= 0, got {self.worst_n}")
         if self.k < 2:
             raise EvaluationError(f"k must be >= 2, got {self.k}")
+        if self.seed < 0:
+            raise EvaluationError(f"seed must be >= 0, got {self.seed}")
         if not math.isfinite(self.safety_threshold) or self.safety_threshold <= 0.0:
             raise EvaluationError(
                 f"safety_threshold must be finite and > 0, got {self.safety_threshold}"
@@ -272,9 +275,11 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     The un-normalized downstream baseline is computed once per
     classifier and shared, and so are the embeddings of the original
     documents: they are made when the first normalizer needs them and
-    kept once they succeed. A failure inside one normalizer's pipeline,
-    embedding the originals included, becomes a failure entry in its
-    report; the others still complete (and retry that embedding).
+    kept once they succeed. A normalizer that changes no document takes
+    the baseline runs as its normalized runs. A failure inside one
+    normalizer's pipeline, embedding the originals included, becomes a
+    failure entry in its report; the others still complete (and retry
+    that embedding).
     Corpus loading or baseline failures abort the whole run.
     """
     corpus, original_docs = _load_documents(config)
@@ -310,7 +315,13 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
             irs_result.irs, compression.cr, primary.anld, config.safety_threshold
         )
         normalized_runs = {}
-        if specs:
+        if all(map(operator.is_, normalized_docs, original_docs)):
+            # training is deterministic, so cross-validating the same
+            # documents again would reproduce the baseline's runs
+            normalized_runs = {
+                kind: replace(run, condition="normalized") for kind, run in baselines.items()
+            }
+        elif specs:
             runs = cross_validate_docs(normalized_docs, gold, folds, specs, "normalized")
             normalized_runs = {run.classifier: run for run in runs}
         deltas = []

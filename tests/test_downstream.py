@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse, stats
 
 from normeval import (
@@ -218,6 +220,29 @@ class TestSoftmaxGradient:
         for _ in range(spec.epochs):
             W -= spec.learning_rate * softmax_loss_and_grad(W, X, y_idx, spec.l2_lambda)[1]
         assert np.array_equal(clf.W, W)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        n_features=st.integers(1, 30),
+        k=st.integers(2, 4),
+        zero_rows=st.integers(0, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_training_equals_the_public_steps_byte_for_byte(self, n, n_features, k, zero_rows, seed):
+        rng = np.random.default_rng(seed)
+        dense = rng.random((n, n_features)) * (rng.random((n, n_features)) < 0.4)
+        dense[rng.permutation(n)[: min(zero_rows, n)]] = 0.0
+        X = sparse.csr_matrix(dense)
+        y_idx = rng.integers(0, k, size=n)
+        y_idx[:2] = [0, 1]
+        _, y_idx = np.unique(y_idx, return_inverse=True)
+        spec = make_classifier_spec("logistic_regression")
+        clf = train(spec, X, [f"c{i}" for i in y_idx])
+        W = np.zeros(clf.W.shape)
+        for _ in range(spec.epochs):
+            W -= spec.learning_rate * softmax_loss_and_grad(W, X, y_idx, spec.l2_lambda)[1]
+        assert clf.W.tobytes() == W.tobytes()
 
 
 class TestLinearSvm:

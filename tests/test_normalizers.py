@@ -213,6 +213,16 @@ class TestNormalizeCorpus:
         assert mapping.pairs["junk"] == ""
         assert mapping.empty_stem_count == 1
 
+    def test_unchanged_documents_are_the_given_objects(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("junk\t\nsame\tsame\nrun\tru\n", encoding="utf-8")
+        corpus = docs(["keep", "same"], ["keep", "junk"], [], ["run"], ["same"], ["", "keep"])
+        normalized, _ = normalize_corpus(MappingNormalizer(str(path)), corpus)
+        assert [n is d for n, d in zip(normalized, corpus)] == [True, False, True, False, True, False]
+        # an empty stem is a change, even that of an empty token
+        assert normalized[1].tokens == normalized[5].tokens == ("keep",)
+        assert normalized[3].tokens == ("ru",)
+
 
 class TestExternalNormalizer:
     def command(self):

@@ -36,6 +36,7 @@ from normeval import (
     safety_gate,
     tokenize_corpus,
 )
+from normeval import downstream
 from normeval.cli import main
 from normeval.data import mini_corpus_path
 
@@ -73,6 +74,10 @@ class TestRunConfig:
     def test_rejects_k_below_2(self, k):
         with pytest.raises(EvaluationError, match="k must be >= 2"):
             RunConfig(corpus_path="x.tsv", normalizers=("identity",), k=k)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(EvaluationError, match="seed must be >= 0, got -1"):
+            RunConfig(corpus_path="x.tsv", normalizers=("identity",), seed=-1)
 
     @pytest.mark.parametrize("threshold", [0.0, -0.2, float("nan"), float("inf")])
     def test_rejects_bad_safety_threshold(self, threshold):
@@ -306,6 +311,53 @@ class TestOriginalEmbeddingsShared:
             assert report.irs_result == self.plain_irs(corpus_path, spec)
         # the failed call, then the originals once, then one per normalizer
         assert provider.calls == 1 + 1 + 2
+
+
+class TestUnchangedCorpusReusesBaseline:
+    """A normalizer that changes no document takes the baseline's runs
+    instead of cross-validating the same documents again."""
+
+    CLASSIFIERS = ("nb", "lr", "svm")
+
+    def run(self, corpus_path, monkeypatch, spec):
+        calls = []
+        real = downstream.train
+
+        def counting(classifier_spec, X, labels):
+            calls.append(classifier_spec.kind)
+            return real(classifier_spec, X, labels)
+
+        monkeypatch.setattr(downstream, "train", counting)
+        config = toy_config(corpus_path, normalizers=(spec,), classifiers=self.CLASSIFIERS)
+        [report] = run_evaluation(config)
+        assert not report.failed
+        return report, len(calls)
+
+    @pytest.mark.parametrize("spec", ["identity", "truncate:50", "map"])
+    def test_no_op_normalizer_adds_no_training(self, corpus_path, monkeypatch, tmp_path, spec):
+        if spec == "map":
+            mapping = tmp_path / "absent.tsv"
+            mapping.write_text("ember\tfire\nglowing\tglow\n", encoding="utf-8")
+            spec = f"map:{mapping}"
+        report, calls = self.run(corpus_path, monkeypatch, spec)
+        # only the baseline: one model per (fold, classifier)
+        assert calls == 3 * len(self.CLASSIFIERS)
+        for delta in report.deltas:
+            assert delta.normalized.condition == "normalized"
+            assert delta.original.condition == "original"
+            assert delta.normalized.fold_scores == delta.original.fold_scores
+            for result in (delta.mpd_accuracy, delta.mpd_macro_f1):
+                assert result.mpd == 0.0 and result.p_value == 1.0
+            assert delta.mcnemar_p == 1.0
+
+    def test_one_changed_document_still_cross_validates(self, monkeypatch, tmp_path):
+        corpus = tmp_path / "one.tsv"
+        rows = [CORPUS_ROWS[0].replace("flame", "ember")] + CORPUS_ROWS[1:]
+        corpus.write_text("text\tlabel\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        mapping = tmp_path / "ember.tsv"
+        mapping.write_text("ember\tflame\n", encoding="utf-8")
+        _, calls = self.run(str(corpus), monkeypatch, f"map:{mapping}")
+        assert calls == 2 * 3 * len(self.CLASSIFIERS)
 
 
 class TestOccurrencesCountedOnce:
@@ -571,6 +623,15 @@ class TestCli:
         assert captured.err == (
             "normeval: error: bad embedding service URL 'http://[::1': Invalid IPv6 URL\n"
         )
+
+    def test_negative_seed_exits_1(self, corpus_path, capsys):
+        code = main(
+            ["evaluate", "--corpus", corpus_path, "--normalizer", "identity", "--seed", "-1"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "normeval: error: seed must be >= 0, got -1\n"
 
     def test_usage_error_exits_1(self, corpus_path):
         with pytest.raises(SystemExit) as exc_info:
