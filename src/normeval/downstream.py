@@ -12,7 +12,9 @@ McNemar test over pooled out-of-fold predictions).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from scipy import sparse, special
@@ -86,21 +88,67 @@ class MpdResult:
     significant: bool
 
 
+def _count_distinct(docs: list[TokenizedDocument], vocabulary: dict[str, int] | None = None):
+    """Every (document, distinct token) entry of ``docs``, each document's
+    tokens in first-occurrence order: ``(vocabulary, ids, tf, doc)`` with
+    the token's id in ``vocabulary``, its count and the document's index.
+    Without a vocabulary, the ids number the sorted distinct tokens of
+    ``docs``; with one, tokens outside it are dropped."""
+    counts = [Counter(doc.tokens) for doc in docs]
+    if vocabulary is None:
+        vocabulary = {token: i for i, token in enumerate(sorted(set().union(*counts)))}
+    else:
+        counts = [{t: n for t, n in c.items() if t in vocabulary} for c in counts]
+    lengths = [len(c) for c in counts]
+    nnz = sum(lengths)
+    ids = np.fromiter(map(vocabulary.__getitem__, chain.from_iterable(counts)), np.intp, nnz)
+    tf = np.fromiter(chain.from_iterable(c.values() for c in counts), np.float64, nnz)
+    return vocabulary, ids, tf, np.repeat(np.arange(len(docs)), lengths)
+
+
+def _smoothed_idf(n: int, df: np.ndarray) -> np.ndarray:
+    """ln((1 + n) / (1 + df)) + 1 for n training documents, one math.log
+    per distinct document frequency."""
+    values, inverse = np.unique(df, return_inverse=True)
+    table = np.array([math.log((1 + n) / (1 + d)) + 1.0 for d in values.tolist()])
+    return table[inverse]
+
+
+def _unit_weights(ids: np.ndarray, tf: np.ndarray, doc: np.ndarray, n_docs: int, idf: np.ndarray):
+    """tf * idf of every entry of :func:`_count_distinct` under each row of
+    ``idf`` (one feature space per row, idf 0 for a token outside it),
+    each document scaled to unit length; a document without weight stays
+    all-zero.
+
+    np.bincount adds a bin's weights one at a time in input order, so a
+    document's squared weights are summed in its first-occurrence order,
+    as a loop over its distinct tokens sums them; numpy's pairwise sum
+    would move the last bits."""
+    weights = tf * idf[:, ids]
+    bins = (np.arange(len(idf))[:, np.newaxis] * n_docs + doc).ravel()
+    squares = np.bincount(bins, weights=(weights * weights).ravel(), minlength=len(idf) * n_docs)
+    norms = np.sqrt(squares).reshape(len(idf), n_docs)
+    norms[norms == 0.0] = 1.0
+    return weights / norms[:, doc]
+
+
+def _csr_rows(values, cols, doc, keep, rows, n_cols) -> sparse.csr_matrix:
+    """The matrix of the documents selected by the mask ``rows``, from the
+    entries selected by ``keep``, which come ordered by document and then
+    by column."""
+    per_row = np.bincount(doc[keep], minlength=len(rows))[rows]
+    indptr = np.concatenate(([0], np.cumsum(per_row)))
+    return sparse.csr_matrix((values[keep], cols[keep], indptr), shape=(len(per_row), n_cols))
+
+
 def tfidf_fit(train_docs: list[TokenizedDocument]) -> TfidfModel:
     """Fit vocabulary and smoothed idf on training documents only:
     idf(t) = ln((1 + N) / (1 + df(t))) + 1."""
     if not train_docs:
         raise EvaluationError("cannot fit TF-IDF on an empty training set")
-    df: dict[str, int] = {}
-    for doc in train_docs:
-        for token in set(doc.tokens):
-            df[token] = df.get(token, 0) + 1
-    vocabulary = {token: i for i, token in enumerate(sorted(df))}
-    n = len(train_docs)
-    idf = np.empty(len(vocabulary), dtype=np.float64)
-    for token, i in vocabulary.items():
-        idf[i] = math.log((1 + n) / (1 + df[token])) + 1.0
-    return TfidfModel(vocabulary=vocabulary, idf=idf)
+    vocabulary, ids, _, _ = _count_distinct(train_docs)
+    df = np.bincount(ids, minlength=len(vocabulary))
+    return TfidfModel(vocabulary=vocabulary, idf=_smoothed_idf(len(train_docs), df))
 
 
 def tfidf_transform_all(
@@ -108,26 +156,58 @@ def tfidf_transform_all(
 ) -> sparse.csr_matrix:
     """One row per document: raw token counts times idf, L2-normalized
     unless the document has no in-vocabulary tokens (then all-zero)."""
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for r, doc in enumerate(docs):
-        counts: dict[int, int] = {}
-        for token in doc.tokens:
-            j = model.vocabulary.get(token)
-            if j is not None:
-                counts[j] = counts.get(j, 0) + 1
-        if not counts:
-            continue
-        weights = {j: tf * model.idf[j] for j, tf in counts.items()}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
-        for j in sorted(weights):
-            rows.append(r)
-            cols.append(j)
-            vals.append(weights[j] / norm)
+    _, ids, tf, doc = _count_distinct(docs, model.vocabulary)
+    [values] = _unit_weights(ids, tf, doc, len(docs), model.idf[np.newaxis])
+    order = np.lexsort((ids, doc))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=len(docs)))))
     return sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(docs), len(model.vocabulary)), dtype=np.float64
+        (values[order], ids[order], indptr), shape=(len(docs), len(model.vocabulary))
     )
+
+
+def fold_tfidf(
+    docs: list[TokenizedDocument], fold_of: np.ndarray, k: int
+) -> list[tuple[sparse.csr_matrix, sparse.csr_matrix]]:
+    """The (training, test) TF-IDF matrices of each of the k folds, where
+    ``fold_of`` holds each document's fold: the matrices of
+    :func:`tfidf_fit` on the documents outside the fold and
+    :func:`tfidf_transform_all` of that model on both sides, entry for
+    entry, from one count of the documents.
+
+    Token ids follow the sorted distinct tokens of all folds, so a
+    fold's columns, its present ids renumbered in order, keep that order.
+    A fold's document frequencies are the total minus the fold's own."""
+    vocabulary, ids, tf, doc = _count_distinct(docs)
+    n_types = len(vocabulary)
+    held_out = np.bincount(fold_of[doc] * n_types + ids, minlength=k * n_types)
+    held_out = held_out.reshape(k, n_types)
+    df = held_out.sum(axis=0) - held_out
+    present = df > 0
+    n_train = len(docs) - np.bincount(fold_of, minlength=k)
+    idf = np.zeros(df.shape)
+    for fold in range(k):
+        if not n_train[fold]:
+            raise EvaluationError(f"fold {fold}: cannot fit TF-IDF on an empty training set")
+        if not present[fold].any():
+            raise EvaluationError(
+                f"fold {fold}: the training documents have no tokens, so there are no features"
+            )
+        idf[fold, present[fold]] = _smoothed_idf(int(n_train[fold]), df[fold, present[fold]])
+    order = np.lexsort((ids, doc))
+    values = _unit_weights(ids, tf, doc, len(docs), idf)[:, order]
+    ids, doc = ids[order], doc[order]
+    tested = fold_of[doc]
+    matrices = []
+    for fold in range(k):
+        cols = np.cumsum(present[fold])[ids] - 1
+        n_cols = int(present[fold].sum())
+        in_fold = tested == fold
+        train_rows = _csr_rows(values[fold], cols, doc, ~in_fold, fold_of != fold, n_cols)
+        test_rows = _csr_rows(
+            values[fold], cols, doc, in_fold & present[fold, ids], fold_of == fold, n_cols
+        )
+        matrices.append((train_rows, test_rows))
+    return matrices
 
 
 class MultinomialNBClassifier:
@@ -172,18 +252,31 @@ def _softmax_probs(Wt: np.ndarray, X) -> np.ndarray:
     """Row-wise softmax of the scores X @ Wt, in a fresh array; ``Wt`` is
     the weights transposed (features x classes)."""
     probs = np.asarray(X @ Wt)
-    probs -= probs.max(axis=1, keepdims=True)
+    # the row maxima by one np.maximum per class: the values of
+    # probs.max(axis=1), which takes several times longer on few classes
+    top = probs[:, 0].copy()
+    for column in probs.T[1:]:
+        np.maximum(top, column, out=top)
+    probs -= top[:, np.newaxis]
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=1, keepdims=True)
     return probs
 
 
-def _softmax_grad_t(probs: np.ndarray, Wt: np.ndarray, XT, y_idx: np.ndarray, l2_lambda: float):
+def _one_hot(y_idx: np.ndarray, k: int) -> np.ndarray:
+    targets = np.zeros((len(y_idx), k))
+    targets[np.arange(len(y_idx)), y_idx] = 1.0
+    return targets
+
+
+def _softmax_grad_t(
+    probs: np.ndarray, Wt: np.ndarray, XT, targets: np.ndarray, l2_lambda: float, n
+):
     """Gradient of :func:`softmax_loss_and_grad`'s objective, transposed
     like ``Wt``, from the class probabilities of X's rows, which it
-    overwrites; ``XT`` is X transposed."""
-    n = probs.shape[0]
-    probs[np.arange(n), y_idx] -= 1.0
+    overwrites; ``XT`` is X transposed, ``targets`` the one-hot labels
+    and ``n`` the row count to average over (or one per entry of Wt)."""
+    probs -= targets
     grad = np.asarray(XT @ probs)
     grad /= n
     grad += l2_lambda * Wt
@@ -199,7 +292,8 @@ def softmax_loss_and_grad(W: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float)
     loss = -np.mean(np.log(probs[np.arange(n), y_idx])) + 0.5 * l2_lambda * float(
         np.sum(W * W)
     )
-    return loss, _softmax_grad_t(probs, W.T, X.T, y_idx, l2_lambda).T
+    targets = _one_hot(y_idx, W.shape[0])
+    return loss, _softmax_grad_t(probs, W.T, X.T, targets, l2_lambda, n).T
 
 
 class LinearClassifier:
@@ -220,16 +314,39 @@ class LinearClassifier:
 
 
 def _train_logistic_regression(spec: ClassifierSpec, X, y_idx: np.ndarray, classes: list[str]):
+    return _train_logistic_regression_blocks(spec, [X], [y_idx], classes)[0]
+
+
+def _train_logistic_regression_blocks(
+    spec: ClassifierSpec, blocks: list, labels: list[np.ndarray], classes: list[str]
+) -> list[LinearClassifier]:
+    """One model per training set (``blocks[i]`` with class indices
+    ``labels[i]``, all over ``classes``), stepped together as the
+    diagonal blocks of one problem.
+
+    A row's scores and a feature's gradient read the same nonzeros in
+    the same order as in its own set, and each feature row's gradient is
+    divided by its own set's row count, so every model's weights are
+    bit-identical to training its set alone."""
+    X = sparse.block_diag(blocks, format="csr")
+    XT = sparse.csr_matrix(X.T)
+    targets = _one_hot(np.concatenate(labels), len(classes))
+    widths = [block.shape[1] for block in blocks]
     # features x classes, so that X @ Wt and XT @ probs both read a
     # C-contiguous operand; each step takes the IEEE operations of
     # W -= learning_rate * softmax_loss_and_grad(W, ...)[1], in place
     Wt = np.zeros((X.shape[1], len(classes)), dtype=np.float64)
-    XT = sparse.csr_matrix(X.T)
+    # each set's row count at its own weights, in full: dividing by a
+    # broadcast column is twice as slow
+    n_rows = np.repeat([[float(block.shape[0])] * len(classes) for block in blocks], widths, axis=0)
     for _ in range(spec.epochs):
-        grad = _softmax_grad_t(_softmax_probs(Wt, X), Wt, XT, y_idx, spec.l2_lambda)
+        grad = _softmax_grad_t(_softmax_probs(Wt, X), Wt, XT, targets, spec.l2_lambda, n_rows)
         grad *= spec.learning_rate
         Wt -= grad
-    return LinearClassifier(classes, np.ascontiguousarray(Wt.T))
+    return [
+        LinearClassifier(classes, np.ascontiguousarray(W.T))
+        for W in np.split(Wt, np.cumsum(widths)[:-1])
+    ]
 
 
 # Stop once every |projected gradient| of an epoch is below this. LIBLINEAR
@@ -269,7 +386,8 @@ def _train_linear_svm(spec: ClassifierSpec, X, y_idx: np.ndarray, classes: list[
             if q == 0.0:
                 continue
             cols, vals = rows[i]
-            scores = (vals @ Wt[cols]).tolist()
+            G = Wt[cols]
+            scores = (vals @ G).tolist()
             a_i, label = alpha[i], labels[i]
             steps = [0.0] * k
             # k is small: scalar arithmetic beats numpy calls on length-k arrays
@@ -283,7 +401,8 @@ def _train_linear_svm(spec: ClassifierSpec, X, y_idx: np.ndarray, classes: list[
                     a_i[c] = min(max(a - g / q, 0.0), C)
                     steps[c] = (a_i[c] - a) * y
             if any(steps):
-                Wt[cols] += np.outer(vals, steps)
+                G += vals[:, np.newaxis] * steps
+                Wt[cols] = G
         if max_pg < SVM_TOLERANCE:
             break
     return LinearClassifier(classes, np.ascontiguousarray(Wt.T))
@@ -296,15 +415,39 @@ CLASSIFIER_KINDS = {
 }
 
 
-def train(spec: ClassifierSpec, X, labels: list[str]):
-    """Train the classifier named by spec on feature rows X. Training is
-    deterministic for fixed inputs and seed. Requires >= 2 classes."""
+def _encode_labels(labels: list[str]) -> tuple[list[str], np.ndarray]:
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise EvaluationError(f"training set has a single class {classes}; need at least 2")
     index = {c: i for i, c in enumerate(classes)}
-    y_idx = np.array([index[lab] for lab in labels], dtype=np.intp)
+    return classes, np.array([index[lab] for lab in labels], dtype=np.intp)
+
+
+def train(spec: ClassifierSpec, X, labels: list[str]):
+    """Train the classifier named by spec on feature rows X. Training is
+    deterministic for fixed inputs and seed. Requires >= 2 classes."""
+    classes, y_idx = _encode_labels(labels)
     return CLASSIFIER_KINDS[spec.kind](spec, X, y_idx, classes)
+
+
+def train_folds(spec: ClassifierSpec, training_sets: list[tuple[object, list[str]]]) -> list:
+    """One model per (X, labels) training set, each the model
+    ``train(spec, X, labels)`` returns. Logistic regression trains all
+    sets with the same classes together, as one block-diagonal problem."""
+    if spec.kind != "logistic_regression":
+        return [train(spec, X, labels) for X, labels in training_sets]
+    encoded = [_encode_labels(labels) for _, labels in training_sets]
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for i, (classes, _) in enumerate(encoded):
+        groups.setdefault(tuple(classes), []).append(i)
+    models: list = [None] * len(training_sets)
+    for classes, members in groups.items():
+        blocks = [training_sets[i][0] for i in members]
+        labels = [encoded[i][1] for i in members]
+        trained = _train_logistic_regression_blocks(spec, blocks, labels, list(classes))
+        for i, model in zip(members, trained):
+            models[i] = model
+    return models
 
 
 def accuracy(gold: list[str], predicted: list[str]) -> float:
@@ -346,37 +489,43 @@ def cross_validate_docs(
 
     For each fold, TF-IDF is fitted on the other folds only, so no
     test-fold token ever enters the feature space (leakage guard), and
-    that one feature matrix is shared by every classifier. ``gold`` maps
-    each doc id to its label. Returns one run per spec, in spec order.
+    that one feature matrix is shared by every classifier; all folds'
+    matrices come from one pass (:func:`fold_tfidf`). ``gold`` maps each
+    doc id to its label. Returns one run per spec, in spec order.
     """
     missing = [doc.doc_id for doc in docs if doc.doc_id not in folds.assignments]
     if missing:
         raise EvaluationError(f"fold plan does not cover document ids {missing[:5]}")
-    fold_scores: list[list[tuple[int, float, float]]] = [[] for _ in specs]
-    predictions: list[dict[str, str]] = [{} for _ in specs]
-    for fold in range(folds.k):
-        train_docs = [d for d in docs if folds.assignments[d.doc_id] != fold]
-        test_docs = [d for d in docs if folds.assignments[d.doc_id] == fold]
-        model = tfidf_fit(train_docs)
-        Xtr = tfidf_transform_all(model, train_docs)
-        Xte = tfidf_transform_all(model, test_docs)
-        gold_tr = [gold[d.doc_id] for d in train_docs]
-        gold_te = [gold[d.doc_id] for d in test_docs]
-        for spec, scores, predicted in zip(specs, fold_scores, predictions):
-            preds = train(spec, Xtr, gold_tr).predict(Xte)
-            scores.append((fold, accuracy(gold_te, preds), macro_f1(gold_te, preds)))
-            predicted.update(zip((d.doc_id for d in test_docs), preds))
-    return [
-        EvalRun(
-            classifier=spec.kind,
-            condition=condition,
-            fold_scores=tuple(scores),
-            mean_accuracy=sum(s[1] for s in scores) / len(scores),
-            mean_macro_f1=sum(s[2] for s in scores) / len(scores),
-            per_doc_predictions={d.doc_id: predicted[d.doc_id] for d in docs},
-        )
-        for spec, scores, predicted in zip(specs, fold_scores, predictions)
+    fold_of = [folds.assignments[doc.doc_id] for doc in docs]
+    if not set(fold_of) <= set(range(folds.k)):
+        raise EvaluationError(f"fold plan assigns a fold outside 0..{folds.k - 1}")
+    features = fold_tfidf(docs, np.array(fold_of, dtype=np.intp), folds.k)
+    tested = [[d.doc_id for d, f in zip(docs, fold_of) if f == fold] for fold in range(folds.k)]
+    gold_tested = [[gold[doc_id] for doc_id in ids] for ids in tested]
+    training_sets = [
+        (Xtr, [gold[d.doc_id] for d, f in zip(docs, fold_of) if f != fold])
+        for fold, (Xtr, _) in enumerate(features)
     ]
+    runs = []
+    for spec in specs:
+        scores: list[tuple[int, float, float]] = []
+        predicted: dict[str, str] = {}
+        for fold, model in enumerate(train_folds(spec, training_sets)):
+            preds = model.predict(features[fold][1])
+            gold_te = gold_tested[fold]
+            scores.append((fold, accuracy(gold_te, preds), macro_f1(gold_te, preds)))
+            predicted.update(zip(tested[fold], preds))
+        runs.append(
+            EvalRun(
+                classifier=spec.kind,
+                condition=condition,
+                fold_scores=tuple(scores),
+                mean_accuracy=sum(s[1] for s in scores) / len(scores),
+                mean_macro_f1=sum(s[2] for s in scores) / len(scores),
+                per_doc_predictions={d.doc_id: predicted[d.doc_id] for d in docs},
+            )
+        )
+    return runs
 
 
 def cross_validate(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
@@ -19,12 +19,14 @@ from normeval import (
     EvaluationError,
     FoldPlan,
     IdentityNormalizer,
+    TfidfModel,
     TokenizedDocument,
     TruncateNormalizer,
     accuracy,
     cross_validate,
     macro_f1,
     make_classifier_spec,
+    load_corpus,
     make_folds,
     mcnemar,
     mpd,
@@ -36,7 +38,8 @@ from normeval import (
     tokenize_corpus,
     train,
 )
-from normeval.downstream import LinearClassifier, cross_validate_docs
+from normeval.data import mini_corpus_path
+from normeval.downstream import LinearClassifier, cross_validate_docs, fold_tfidf, train_folds
 
 
 def tdoc(doc_id, *tokens):
@@ -278,6 +281,247 @@ class TestLinearSvm:
         assert np.all(np.isfinite(clf.W))
 
 
+# Frozen per-fold references: TF-IDF fitted and applied one fold at a time
+# through dicts, and logistic regression and the SVM trained one set at a
+# time, kept as they were before the folds were featurized and trained
+# together. They share no helper with the package, so a change inside one
+# of its helpers cannot hide from the byte comparisons below.
+
+
+def reference_tfidf_fit(train_docs):
+    if not train_docs:
+        raise EvaluationError("cannot fit TF-IDF on an empty training set")
+    df = {}
+    for doc in train_docs:
+        for token in set(doc.tokens):
+            df[token] = df.get(token, 0) + 1
+    vocabulary = {token: i for i, token in enumerate(sorted(df))}
+    n = len(train_docs)
+    idf = np.empty(len(vocabulary), dtype=np.float64)
+    for token, i in vocabulary.items():
+        idf[i] = math.log((1 + n) / (1 + df[token])) + 1.0
+    return TfidfModel(vocabulary=vocabulary, idf=idf)
+
+
+def reference_tfidf_transform_all(model, docs):
+    rows = []
+    cols = []
+    vals = []
+    for r, doc in enumerate(docs):
+        counts = {}
+        for token in doc.tokens:
+            j = model.vocabulary.get(token)
+            if j is not None:
+                counts[j] = counts.get(j, 0) + 1
+        if not counts:
+            continue
+        weights = {j: tf * model.idf[j] for j, tf in counts.items()}
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        for j in sorted(weights):
+            rows.append(r)
+            cols.append(j)
+            vals.append(weights[j] / norm)
+    return sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(len(docs), len(model.vocabulary)), dtype=np.float64
+    )
+
+
+def reference_softmax_probs(Wt, X):
+    probs = np.asarray(X @ Wt)
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+def reference_softmax_grad_t(probs, Wt, XT, y_idx, l2_lambda):
+    n = probs.shape[0]
+    probs[np.arange(n), y_idx] -= 1.0
+    grad = np.asarray(XT @ probs)
+    grad /= n
+    grad += l2_lambda * Wt
+    return grad
+
+
+def reference_train_logistic_regression(spec, X, y_idx, classes):
+    Wt = np.zeros((X.shape[1], len(classes)), dtype=np.float64)
+    XT = sparse.csr_matrix(X.T)
+    for _ in range(spec.epochs):
+        probs = reference_softmax_probs(Wt, X)
+        grad = reference_softmax_grad_t(probs, Wt, XT, y_idx, spec.l2_lambda)
+        grad *= spec.learning_rate
+        Wt -= grad
+    return LinearClassifier(classes, np.ascontiguousarray(Wt.T))
+
+
+def reference_train_linear_svm(spec, X, y_idx, classes):
+    X = sparse.csr_matrix(X)
+    n, n_features = X.shape
+    k = len(classes)
+    C = 1.0 / (n * spec.l2_lambda) if spec.l2_lambda > 0 else math.inf
+    q_diag = np.asarray(X.multiply(X).sum(axis=1)).ravel().tolist()
+    rows = [
+        (X.indices[X.indptr[i] : X.indptr[i + 1]], X.data[X.indptr[i] : X.indptr[i + 1]])
+        for i in range(n)
+    ]
+    labels = y_idx.tolist()
+    rng = np.random.default_rng(spec.seed)
+    Wt = np.zeros((n_features, k), dtype=np.float64)
+    alpha = [[0.0] * k for _ in range(n)]
+    for _ in range(spec.epochs):
+        max_pg = 0.0
+        for i in rng.permutation(n).tolist():
+            q = q_diag[i]
+            if q == 0.0:
+                continue
+            cols, vals = rows[i]
+            scores = (vals @ Wt[cols]).tolist()
+            a_i, label = alpha[i], labels[i]
+            steps = [0.0] * k
+            for c in range(k):
+                y = 1.0 if c == label else -1.0
+                g = y * scores[c] - 1.0
+                a = a_i[c]
+                pg = min(g, 0.0) if a == 0.0 else max(g, 0.0) if a == C else g
+                if pg != 0.0:
+                    max_pg = max(max_pg, abs(pg))
+                    a_i[c] = min(max(a - g / q, 0.0), C)
+                    steps[c] = (a_i[c] - a) * y
+            if any(steps):
+                Wt[cols] += np.outer(vals, steps)
+        if max_pg < 0.1:
+            break
+    return LinearClassifier(classes, np.ascontiguousarray(Wt.T))
+
+
+def csr_bytes(X):
+    return (X.shape, X.data.dtype, X.data.tobytes(), X.indices.dtype, X.indices.tobytes(),
+            X.indptr.dtype, X.indptr.tobytes())
+
+
+# repeated, case-distinct and non-ASCII tokens; an empty list is an empty document
+TOKENS = st.text(alphabet="abAé日ß́", min_size=1, max_size=3)
+# up to 20 tokens, so that a document can have more distinct tokens than the
+# 8 below which numpy's pairwise sum adds sequentially
+DOCUMENTS = st.lists(st.lists(TOKENS, max_size=20), min_size=2, max_size=24)
+
+
+class TestFoldTfidfAgainstPerFoldReference:
+    @settings(max_examples=60, deadline=None)
+    @given(tokens=DOCUMENTS, k=st.integers(2, 6), data=st.data())
+    def test_every_fold_byte_for_byte(self, tokens, k, data):
+        docs = [tdoc(f"d{i}", *t) for i, t in enumerate(tokens)]
+        fold_of = data.draw(st.lists(st.integers(0, k - 1), min_size=len(docs), max_size=len(docs)))
+        # every fold trains on at least one token (featureless folds are tested apart)
+        assume(all(any(t for t, f in zip(tokens, fold_of) if f != fold) for fold in range(k)))
+        matrices = fold_tfidf(docs, np.array(fold_of, dtype=np.intp), k)
+        assert len(matrices) == k
+        for fold, (Xtr, Xte) in enumerate(matrices):
+            train_docs = [d for d, f in zip(docs, fold_of) if f != fold]
+            test_docs = [d for d, f in zip(docs, fold_of) if f == fold]
+            model = reference_tfidf_fit(train_docs)
+            assert csr_bytes(Xtr) == csr_bytes(reference_tfidf_transform_all(model, train_docs))
+            assert csr_bytes(Xte) == csr_bytes(reference_tfidf_transform_all(model, test_docs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(train_tokens=DOCUMENTS, test_tokens=DOCUMENTS)
+    def test_public_fit_and_transform_byte_for_byte(self, train_tokens, test_tokens):
+        train_docs = [tdoc(f"r{i}", *t) for i, t in enumerate(train_tokens)]
+        test_docs = [tdoc(f"t{i}", *t) for i, t in enumerate(test_tokens)]
+        model, expected = tfidf_fit(train_docs), reference_tfidf_fit(train_docs)
+        assert list(model.vocabulary.items()) == list(expected.vocabulary.items())
+        assert model.idf.tobytes() == expected.idf.tobytes()
+        for docs in (train_docs, test_docs):
+            got = tfidf_transform_all(model, docs)
+            assert csr_bytes(got) == csr_bytes(reference_tfidf_transform_all(expected, docs))
+
+    def test_test_document_without_training_tokens_is_a_zero_row(self):
+        docs = [tdoc("a", "x", "y"), tdoc("b", "x"), tdoc("c", "only-here", "only-here")]
+        (_, _), (_, _), (Xtr, Xte) = fold_tfidf(docs, np.array([0, 1, 2]), 3)
+        assert Xte.shape == (1, 2) and Xte.nnz == 0
+        assert Xtr.shape == (2, 2)
+
+    def test_featureless_training_fold_names_the_fold(self):
+        docs = [tdoc("a"), tdoc("b", "x"), tdoc("c")]
+        with pytest.raises(EvaluationError, match="^fold 1: the training documents have no tokens"):
+            fold_tfidf(docs, np.array([0, 1, 0]), 2)
+
+    def test_empty_training_fold_names_the_fold(self):
+        with pytest.raises(EvaluationError, match="^fold 0: cannot fit TF-IDF on an empty"):
+            fold_tfidf([tdoc("a", "x"), tdoc("b", "y")], np.array([0, 0]), 2)
+
+
+def random_training_set(rng, n_classes):
+    """A sparse training set with some all-zero rows over a random subset
+    of at least two of the n_classes classes."""
+    n, n_features = int(rng.integers(2, 30)), int(rng.integers(1, 20))
+    dense = rng.random((n, n_features)) * (rng.random((n, n_features)) < 0.4)
+    dense[rng.permutation(n)[: int(rng.integers(0, n))]] = 0.0
+    present = rng.permutation(n_classes)[: int(rng.integers(2, n_classes + 1))]
+    y = rng.choice(present, size=n)
+    y[:2] = present[:2]
+    return sparse.csr_matrix(dense), [f"c{c}" for c in y]
+
+
+class TestTrainFoldsAgainstPerSetReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_sets=st.integers(2, 6),
+        n_classes=st.sampled_from([2, 3, 4, 9]),
+        epochs=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_logistic_regression_byte_for_byte(self, n_sets, n_classes, epochs, seed):
+        rng = np.random.default_rng(seed)
+        sets = [random_training_set(rng, n_classes) for _ in range(n_sets)]
+        spec = ClassifierSpec(kind="logistic_regression", epochs=epochs)
+        for (X, labels), model in zip(sets, train_folds(spec, sets)):
+            classes = sorted(set(labels))
+            y_idx = np.array([classes.index(lab) for lab in labels])
+            expected = reference_train_logistic_regression(spec, X, y_idx, classes)
+            assert model.classes == classes
+            assert model.W.tobytes() == expected.W.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(n_classes=st.sampled_from([2, 3, 4, 9]), seed=st.integers(0, 2**32 - 1))
+    def test_linear_svm_byte_for_byte(self, n_classes, seed):
+        rng = np.random.default_rng(seed)
+        sets = [random_training_set(rng, n_classes) for _ in range(3)]
+        spec = make_classifier_spec("linear_svm", seed=seed)
+        for (X, labels), model in zip(sets, train_folds(spec, sets)):
+            classes = sorted(set(labels))
+            y_idx = np.array([classes.index(lab) for lab in labels])
+            expected = reference_train_linear_svm(spec, X, y_idx, classes)
+            assert model.W.tobytes() == expected.W.tobytes()
+
+    def test_mini_corpus_folds_byte_for_byte_at_200_steps(self):
+        corpus = load_corpus(mini_corpus_path())
+        folds = make_folds(corpus, k=5, seed=42)
+        docs = tokenize_corpus(corpus)
+        gold = [doc.label for doc in corpus.documents]
+        fold_of = np.array([folds.assignments[d.doc_id] for d in docs])
+        sets = [
+            (Xtr, [lab for lab, f in zip(gold, fold_of) if f != fold])
+            for fold, (Xtr, _) in enumerate(fold_tfidf(docs, fold_of, folds.k))
+        ]
+        spec = make_classifier_spec("logistic_regression", seed=42)
+        for (X, labels), model in zip(sets, train_folds(spec, sets)):
+            classes = sorted(set(labels))
+            y_idx = np.array([classes.index(lab) for lab in labels])
+            expected = reference_train_logistic_regression(spec, X, y_idx, classes)
+            assert model.W.tobytes() == expected.W.tobytes()
+
+    def test_sets_with_different_classes_train_apart(self):
+        rng = np.random.default_rng(3)
+        X = sparse.csr_matrix(rng.random((4, 3)))
+        sets = [(X, ["a", "b", "a", "b"]), (X, ["a", "c", "c", "a"]), (X, ["b", "a", "a", "b"])]
+        spec = make_classifier_spec("logistic_regression")
+        models = train_folds(spec, sets)
+        assert [m.classes for m in models] == [["a", "b"], ["a", "c"], ["a", "b"]]
+        for (X, labels), model in zip(sets, models):
+            assert model.W.tobytes() == train(spec, X, labels).W.tobytes()
+
+
 class TestScoring:
     def test_accuracy(self):
         assert accuracy(["a", "a", "b", "b"], ["a", "b", "b", "b"]) == 0.75
@@ -412,6 +656,18 @@ class TestCrossValidateDocs:
         with pytest.raises(EvaluationError, match="does not cover"):
             cross_validate_docs(
                 tokenize_corpus(corpus), gold, plan, [make_classifier_spec("multinomial_nb")]
+            )
+
+    @pytest.mark.parametrize("bad_fold", [-1, 2])
+    def test_fold_outside_the_plan_rejected(self, bad_fold):
+        corpus = toy_corpus()
+        assignments = dict(make_folds(corpus, k=2, seed=0).assignments)
+        assignments["r0"] = bad_fold
+        gold = {doc.id: doc.label for doc in corpus.documents}
+        with pytest.raises(EvaluationError, match="outside 0..1"):
+            cross_validate_docs(
+                tokenize_corpus(corpus), gold, FoldPlan(k=2, seed=0, assignments=assignments),
+                [make_classifier_spec("multinomial_nb")],
             )
 
 

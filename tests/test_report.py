@@ -31,6 +31,7 @@ from normeval import (
     emit_markdown,
     irs,
     load_corpus,
+    make_folds,
     normalize_corpus,
     run_evaluation,
     safety_gate,
@@ -321,13 +322,15 @@ class TestUnchangedCorpusReusesBaseline:
 
     def run(self, corpus_path, monkeypatch, spec):
         calls = []
-        real = downstream.train
+        real = downstream.train_folds
 
-        def counting(classifier_spec, X, labels):
-            calls.append(classifier_spec.kind)
-            return real(classifier_spec, X, labels)
+        def counting(classifier_spec, training_sets):
+            models = real(classifier_spec, training_sets)
+            # one model per (fold, classifier)
+            calls.extend(classifier_spec.kind for _ in models)
+            return models
 
-        monkeypatch.setattr(downstream, "train", counting)
+        monkeypatch.setattr(downstream, "train_folds", counting)
         config = toy_config(corpus_path, normalizers=(spec,), classifiers=self.CLASSIFIERS)
         [report] = run_evaluation(config)
         assert not report.failed
@@ -358,6 +361,45 @@ class TestUnchangedCorpusReusesBaseline:
         mapping.write_text("ember\tflame\n", encoding="utf-8")
         _, calls = self.run(str(corpus), monkeypatch, f"map:{mapping}")
         assert calls == 2 * 3 * len(self.CLASSIFIERS)
+
+
+class TestFeaturelessTrainingFold:
+    """A fold whose training documents have no tokens is one
+    EvaluationError naming the fold, whatever the classifier."""
+
+    MESSAGE = "fold 0: the training documents have no tokens, so there are no features"
+
+    @pytest.mark.parametrize("classifier", ["nb", "lr", "svm"])
+    def test_in_the_baseline_exits_1(self, classifier, tmp_path, capsys):
+        corpus = tmp_path / "punct.tsv"
+        corpus.write_text("text\tlabel\n" + "!!!\ta\n!!!\tb\n" * 5, encoding="utf-8")
+        code = main(["evaluate", "--corpus", str(corpus), "--normalizer", "identity",
+                     "--classifiers", classifier, "--k", "2"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"normeval: error: {self.MESSAGE}\n"
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("classifier", ["nb", "lr", "svm"])
+    def test_in_a_normalizer_is_its_failure_entry(self, classifier, tmp_path):
+        corpus = tmp_path / "unique.tsv"
+        corpus.write_text(
+            "text\tlabel\n" + "".join(f"w{i}\t{'ab'[i % 2]}\n" for i in range(10)),
+            encoding="utf-8",
+        )
+        # drop every token of fold 1, so that fold 0 trains on empty documents
+        folds = make_folds(load_corpus(str(corpus)), k=2, seed=0)
+        docs = tokenize_corpus(load_corpus(str(corpus)), TokenizerConfig())
+        mapping = tmp_path / "drop.tsv"
+        mapping.write_text(
+            "".join(f"{doc.tokens[0]}\t\n" for doc in docs if folds.assignments[doc.doc_id] == 1),
+            encoding="utf-8",
+        )
+        config = toy_config(str(corpus), normalizers=(f"map:{mapping}", "identity"),
+                            classifiers=(classifier,), k=2, seed=0)
+        dropped, kept = run_evaluation(config)
+        assert dropped.error == self.MESSAGE
+        assert not kept.failed
 
 
 class TestOccurrencesCountedOnce:
@@ -498,6 +540,35 @@ class TestGoldenReport:
         path = tmp_path / "report.md"
         emit_markdown(reports, str(path))
         assert path.read_bytes() == (DATA / "mini_evaluate_report.md").read_bytes()
+
+
+class TestGoldenReportThreeFolds:
+    """The reports of a second run on the bundled corpus, with another
+    fold count, seed, embedder and classifier order (identity and
+    truncate:2; lr, svm and nb; hash:8:3; k=3, seed 7), must not change
+    by a byte either. Written like the reference run's files."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        config = RunConfig(
+            corpus_path=mini_corpus_path(),
+            normalizers=("identity", "truncate:2"),
+            classifiers=("lr", "svm", "nb"),
+            embedder="hash:8:3",
+            k=3,
+            seed=7,
+        )
+        return run_evaluation(config)
+
+    def test_json_bytes(self, reports, tmp_path):
+        path = tmp_path / "report.json"
+        emit_json(reports, str(path))
+        assert path.read_bytes() == (DATA / "mini_evaluate_k3_report.json").read_bytes()
+
+    def test_markdown_bytes(self, reports, tmp_path):
+        path = tmp_path / "report.md"
+        emit_markdown(reports, str(path))
+        assert path.read_bytes() == (DATA / "mini_evaluate_k3_report.md").read_bytes()
 
 
 class TestGoldenIntrinsic:
