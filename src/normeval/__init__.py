@@ -10,94 +10,110 @@ significance tests.
 
 __version__ = "0.1.0"
 
-from .corpus import (
-    Corpus,
-    Document,
-    FoldPlan,
-    TokenizedDocument,
-    TokenizerConfig,
-    Vocabulary,
-    build_vocabulary,
-    count_occurrences,
-    load_corpus,
-    make_folds,
-    tokenize,
-    tokenize_corpus,
-)
-from .downstream import (
-    ALPHA,
-    ClassifierSpec,
-    EvalRun,
-    MpdResult,
-    TfidfModel,
-    accuracy,
-    cross_validate,
-    macro_f1,
-    make_classifier_spec,
-    mcnemar,
-    mpd,
-    mpd_delta,
-    paired_t_pvalue,
-    softmax_loss_and_grad,
-    tfidf_fit,
-    tfidf_transform_all,
-    train,
-)
-from .embeddings import (
-    EmbeddingProvider,
-    HashedNgramProvider,
-    HttpServiceProvider,
-    IrsResult,
-    VectorFileProvider,
-    cosine_with_flag,
-    irs,
-    load_word2vec_text,
-)
-from .errors import (
-    CorpusError,
-    EmbeddingError,
-    EvaluationError,
-    MetricError,
-    NormalizerError,
-    NormEvalError,
-)
-from .metrics import (
-    AnldResult,
-    CompressionResult,
-    anld,
-    compression_ratio,
-    levenshtein,
-)
-from .normalizers import (
-    ExternalNormalizer,
-    IdentityNormalizer,
-    MappingNormalizer,
-    Normalizer,
-    SnowballEnglishNormalizer,
-    TokenMapping,
-    TruncateNormalizer,
-    load_mapping,
-    normalize_corpus,
-)
-from .report import (
-    ClassifierDelta,
-    NormalizerReport,
-    RunConfig,
-    build_embedder,
-    build_normalizer,
-    emit_json,
-    emit_markdown,
-    run_evaluation,
-    run_intrinsic,
-)
-from .ses import (
-    DEFAULT_ANLD_THRESHOLD,
-    SES_CONSISTENCY_TOLERANCE,
-    SesResult,
-    safety_gate,
-    ses,
-    ses_consistency_ok,
-)
+import os as _os
+
+# OpenBLAS starts its worker threads when its library loads, and numpy
+# and scipy each load one below. normeval's BLAS calls are far too small
+# for OpenBLAS to split across threads, so unless the user has chosen a
+# thread count (OpenBLAS reads these variables in this order) the
+# libraries load single-threaded. The variable is removed again once they
+# have read it, so child processes see the user's environment.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_cap_blas_threads = not any(name in _os.environ for name in _BLAS_THREAD_VARS)
+if _cap_blas_threads:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+try:
+    from .corpus import (
+        Corpus,
+        Document,
+        FoldPlan,
+        TokenizedDocument,
+        TokenizerConfig,
+        Vocabulary,
+        build_vocabulary,
+        count_occurrences,
+        load_corpus,
+        make_folds,
+        tokenize,
+        tokenize_corpus,
+    )
+    from .downstream import (
+        ALPHA,
+        ClassifierSpec,
+        EvalRun,
+        MpdResult,
+        TfidfModel,
+        accuracy,
+        cross_validate,
+        macro_f1,
+        make_classifier_spec,
+        mcnemar,
+        mpd,
+        mpd_delta,
+        paired_t_pvalue,
+        softmax_loss_and_grad,
+        tfidf_fit,
+        tfidf_transform_all,
+        train,
+    )
+    from .embeddings import (
+        EmbeddingProvider,
+        HashedNgramProvider,
+        HttpServiceProvider,
+        IrsResult,
+        VectorFileProvider,
+        cosine_with_flag,
+        irs,
+        load_word2vec_text,
+    )
+    from .errors import (
+        CorpusError,
+        EmbeddingError,
+        EvaluationError,
+        MetricError,
+        NormalizerError,
+        NormEvalError,
+    )
+    from .metrics import (
+        AnldResult,
+        CompressionResult,
+        anld,
+        compression_ratio,
+        levenshtein,
+    )
+    from .normalizers import (
+        ExternalNormalizer,
+        IdentityNormalizer,
+        MappingNormalizer,
+        Normalizer,
+        SnowballEnglishNormalizer,
+        TokenMapping,
+        TruncateNormalizer,
+        load_mapping,
+        normalize_corpus,
+    )
+    from .report import (
+        ClassifierDelta,
+        NormalizerReport,
+        RunConfig,
+        build_embedder,
+        build_normalizer,
+        emit_json,
+        emit_markdown,
+        run_evaluation,
+        run_intrinsic,
+    )
+    from .ses import (
+        DEFAULT_ANLD_THRESHOLD,
+        SES_CONSISTENCY_TOLERANCE,
+        SesResult,
+        safety_gate,
+        ses,
+        ses_consistency_ok,
+    )
+finally:
+    if _cap_blas_threads:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 __all__ = [
     "__version__",

@@ -121,6 +121,11 @@ def load_corpus(
                     raise CorpusError(f"corpus file {path!r} is empty")
             ti = _resolve_column(text_col, header, "text")
             li = _resolve_column(label_col, header, "label")
+            if ti == li:
+                raise CorpusError(
+                    f"text column {text_col!r} and label column {label_col!r} "
+                    f"are the same column (index {ti})"
+                )
             expected = len(header) if header is not None else max(ti, li) + 1
             for row in reader:
                 if not row:

@@ -109,6 +109,12 @@ class RunConfig:
         unknown = [c for c in self.classifiers if c not in CLASSIFIER_ALIASES]
         if unknown:
             raise EvaluationError(f"unknown classifier name(s) {unknown}")
+        kinds = [CLASSIFIER_ALIASES[c] for c in self.classifiers]
+        repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
+        if repeated:
+            raise EvaluationError(
+                f"classifier(s) {repeated} named more than once in {list(self.classifiers)}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -300,8 +306,10 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
             raise EvaluationError("downstream evaluation requires at least 2 labels")
         folds = make_folds(corpus, config.k, config.seed)
         gold = {doc.id: doc.label for doc in corpus.documents}
-        kinds = dict.fromkeys(CLASSIFIER_ALIASES[alias] for alias in config.classifiers)
-        specs = [make_classifier_spec(kind, config.seed) for kind in kinds]
+        specs = [
+            make_classifier_spec(CLASSIFIER_ALIASES[alias], config.seed)
+            for alias in config.classifiers
+        ]
         runs = cross_validate_docs(original_docs, gold, folds, specs)
         baselines = {run.classifier: run for run in runs}
 

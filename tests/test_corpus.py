@@ -1,6 +1,7 @@
 """Corpus loading, tokenization, vocabulary, and fold planning."""
 
 import collections
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,25 @@ class TestLoadCorpus:
             load_corpus(path, text_col="7")
         with pytest.raises(CorpusError, match="label column index 2 is out of range for 2"):
             load_corpus(path, label_col=2)
+
+    @pytest.mark.parametrize(
+        "text_col, label_col",
+        [("label", "label"), ("1", "label"), (1, "label"), ("text", 0), ("0", "0")],
+    )
+    def test_text_and_label_in_the_same_column(self, tmp_path, text_col, label_col):
+        path = write(tmp_path, "c.tsv", "text\tlabel\nhello\tA\n")
+        index = 0 if str(text_col) in ("text", "0") else 1
+        message = (
+            f"text column {text_col!r} and label column {label_col!r} "
+            f"are the same column (index {index})"
+        )
+        with pytest.raises(CorpusError, match=re.escape(message)):
+            load_corpus(path, text_col=text_col, label_col=label_col)
+
+    def test_same_index_without_header(self, tmp_path):
+        path = write(tmp_path, "c.tsv", "hello\tA\n")
+        with pytest.raises(CorpusError, match="same column"):
+            load_corpus(path, text_col=1, label_col="1", has_header=False)
 
     def test_column_index_beyond_row_without_header(self, tmp_path):
         path = write(tmp_path, "c.tsv", "hello\tA\n")

@@ -1,6 +1,7 @@
 """Report assembly, JSON/Markdown emitters, and the command line."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,19 @@ class TestRunConfig:
     def test_rejects_unknown_classifier(self):
         with pytest.raises(EvaluationError, match="classifier"):
             RunConfig(corpus_path="x.tsv", normalizers=("identity",), classifiers=("boost",))
+
+    @pytest.mark.parametrize(
+        "classifiers, repeated",
+        [
+            (("nb", "nb"), "multinomial_nb"),
+            (("nb", "multinomial_nb"), "multinomial_nb"),
+            (("svm", "lr", "logistic_regression"), "logistic_regression"),
+        ],
+    )
+    def test_rejects_a_repeated_classifier(self, classifiers, repeated):
+        message = f"classifier(s) [{repeated!r}] named more than once"
+        with pytest.raises(EvaluationError, match=re.escape(message)):
+            RunConfig(corpus_path="x.tsv", normalizers=("identity",), classifiers=classifiers)
 
     @pytest.mark.parametrize("k", [1, 0, -3])
     def test_rejects_k_below_2(self, k):
@@ -224,12 +238,15 @@ class TestRunEvaluation:
         _, reports = mixed_reports
         assert reports[0].deltas[0].original is reports[1].deltas[0].original
 
-    def test_aliases_of_one_kind_share_runs(self, corpus_path):
-        reports = run_evaluation(toy_config(corpus_path, classifiers=("nb", "multinomial_nb")))
-        first, second = reports[0].deltas
-        assert first.classifier == second.classifier == "multinomial_nb"
-        assert first.original is second.original
-        assert first.normalized == second.normalized
+    def test_alias_and_full_name_give_the_same_runs(self, corpus_path):
+        (by_alias,) = run_evaluation(
+            toy_config(corpus_path, normalizers=("truncate:3",), classifiers=("nb",))
+        )
+        (by_name,) = run_evaluation(
+            toy_config(corpus_path, normalizers=("truncate:3",), classifiers=("multinomial_nb",))
+        )
+        assert by_alias.deltas[0].classifier == "multinomial_nb"
+        assert by_alias.deltas == by_name.deltas
 
     def test_alternate_weighting_also_reported(self, mixed_reports):
         _, reports = mixed_reports
@@ -679,6 +696,23 @@ class TestCli:
         assert code == 1
         assert "unknown classifier" in capsys.readouterr().err
 
+    def test_repeated_classifier_exits_1(self, corpus_path, capsys):
+        code = main(
+            [
+                "evaluate",
+                "--corpus", corpus_path,
+                "--normalizer", "identity",
+                "--classifiers", "nb,multinomial_nb",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "normeval: error: classifier(s) ['multinomial_nb'] named more than once "
+            "in ['nb', 'multinomial_nb']\n"
+        )
+
     def test_malformed_http_embedder_exits_1(self, corpus_path, capsys):
         code = main(
             [
@@ -820,6 +854,19 @@ class TestCli:
                      "--text-col", "7"])
         assert code == 1
         assert "normeval: error: text column index 7 is out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text_col", ["label", "1"])
+    @pytest.mark.parametrize("command", ["evaluate", "metrics", "anld-pairs"])
+    def test_text_col_equal_to_label_col_exits_1(self, command, text_col, capsys):
+        code = main([command, "--corpus", mini_corpus_path(), "--normalizer", "identity",
+                     "--text-col", text_col, "--label-col", "label"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"normeval: error: text column '{text_col}' and label column 'label' "
+            "are the same column (index 1)\n"
+        )
 
     @pytest.mark.parametrize("command", ["metrics", "anld-pairs"])
     def test_intrinsic_all_failed_exits_2(self, corpus_path, command, capsys):
