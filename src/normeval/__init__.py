@@ -29,8 +29,6 @@ try:
         FoldPlan,
         TokenizedDocument,
         TokenizerConfig,
-        Vocabulary,
-        build_vocabulary,
         count_occurrences,
         load_corpus,
         make_folds,
@@ -42,18 +40,13 @@ try:
         ClassifierSpec,
         EvalRun,
         MpdResult,
-        TfidfModel,
         accuracy,
-        cross_validate,
+        cross_validate_docs,
         macro_f1,
         make_classifier_spec,
         mcnemar,
         mpd,
-        mpd_delta,
         paired_t_pvalue,
-        softmax_loss_and_grad,
-        tfidf_fit,
-        tfidf_transform_all,
         train,
     )
     from .embeddings import (
@@ -122,8 +115,6 @@ __all__ = [
     "FoldPlan",
     "TokenizedDocument",
     "TokenizerConfig",
-    "Vocabulary",
-    "build_vocabulary",
     "count_occurrences",
     "load_corpus",
     "make_folds",
@@ -167,18 +158,13 @@ __all__ = [
     "ClassifierSpec",
     "EvalRun",
     "MpdResult",
-    "TfidfModel",
     "accuracy",
     "macro_f1",
     "make_classifier_spec",
-    "cross_validate",
+    "cross_validate_docs",
     "mcnemar",
     "mpd",
-    "mpd_delta",
     "paired_t_pvalue",
-    "softmax_loss_and_grad",
-    "tfidf_fit",
-    "tfidf_transform_all",
     "train",
     "ClassifierDelta",
     "NormalizerReport",

@@ -43,15 +43,6 @@ class TokenizedDocument:
 
 
 @dataclass(frozen=True)
-class Vocabulary:
-    counts: dict[str, int]
-
-    @property
-    def size(self) -> int:
-        return len(self.counts)
-
-
-@dataclass(frozen=True)
 class TokenizerConfig:
     lowercase: bool = True
     strip_punct: bool = True
@@ -201,10 +192,6 @@ def count_occurrences(docs: list[TokenizedDocument]) -> Counter[str]:
     return counts
 
 
-def build_vocabulary(docs: list[TokenizedDocument]) -> Vocabulary:
-    return Vocabulary(counts=dict(count_occurrences(docs)))
-
-
 def make_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:
     """Stratified k-fold assignment, deterministic for fixed (corpus, k, seed).
 
@@ -213,7 +200,7 @@ def make_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:
     per-label and global fold sizes differ by at most 1.
     """
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+        raise CorpusError(f"k must be >= 2, got {k}")
     by_label: dict[str, list[str]] = {}
     for doc in corpus.documents:
         by_label.setdefault(doc.label, []).append(doc.id)

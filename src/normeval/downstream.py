@@ -19,17 +19,10 @@ from itertools import chain
 import numpy as np
 from scipy import sparse, special
 
-from .corpus import Corpus, FoldPlan, TokenizedDocument, TokenizerConfig, tokenize_corpus
+from .corpus import FoldPlan, TokenizedDocument
 from .errors import EvaluationError
-from .normalizers import Normalizer, normalize_corpus
 
 ALPHA = 0.05
-
-
-@dataclass(frozen=True)
-class TfidfModel:
-    vocabulary: dict[str, int]
-    idf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,17 +81,13 @@ class MpdResult:
     significant: bool
 
 
-def _count_distinct(docs: list[TokenizedDocument], vocabulary: dict[str, int] | None = None):
+def _count_distinct(docs: list[TokenizedDocument]):
     """Every (document, distinct token) entry of ``docs``, each document's
     tokens in first-occurrence order: ``(vocabulary, ids, tf, doc)`` with
-    the token's id in ``vocabulary``, its count and the document's index.
-    Without a vocabulary, the ids number the sorted distinct tokens of
-    ``docs``; with one, tokens outside it are dropped."""
+    the token's id in ``vocabulary``, which numbers the sorted distinct
+    tokens of ``docs``, its count and the document's index."""
     counts = [Counter(doc.tokens) for doc in docs]
-    if vocabulary is None:
-        vocabulary = {token: i for i, token in enumerate(sorted(set().union(*counts)))}
-    else:
-        counts = [{t: n for t, n in c.items() if t in vocabulary} for c in counts]
+    vocabulary = {token: i for i, token in enumerate(sorted(set().union(*counts)))}
     lengths = [len(c) for c in counts]
     nnz = sum(lengths)
     ids = np.fromiter(map(vocabulary.__getitem__, chain.from_iterable(counts)), np.intp, nnz)
@@ -141,38 +130,14 @@ def _csr_rows(values, cols, doc, keep, rows, n_cols) -> sparse.csr_matrix:
     return sparse.csr_matrix((values[keep], cols[keep], indptr), shape=(len(per_row), n_cols))
 
 
-def tfidf_fit(train_docs: list[TokenizedDocument]) -> TfidfModel:
-    """Fit vocabulary and smoothed idf on training documents only:
-    idf(t) = ln((1 + N) / (1 + df(t))) + 1."""
-    if not train_docs:
-        raise EvaluationError("cannot fit TF-IDF on an empty training set")
-    vocabulary, ids, _, _ = _count_distinct(train_docs)
-    df = np.bincount(ids, minlength=len(vocabulary))
-    return TfidfModel(vocabulary=vocabulary, idf=_smoothed_idf(len(train_docs), df))
-
-
-def tfidf_transform_all(
-    model: TfidfModel, docs: list[TokenizedDocument]
-) -> sparse.csr_matrix:
-    """One row per document: raw token counts times idf, L2-normalized
-    unless the document has no in-vocabulary tokens (then all-zero)."""
-    _, ids, tf, doc = _count_distinct(docs, model.vocabulary)
-    [values] = _unit_weights(ids, tf, doc, len(docs), model.idf[np.newaxis])
-    order = np.lexsort((ids, doc))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=len(docs)))))
-    return sparse.csr_matrix(
-        (values[order], ids[order], indptr), shape=(len(docs), len(model.vocabulary))
-    )
-
-
 def fold_tfidf(
     docs: list[TokenizedDocument], fold_of: np.ndarray, k: int
 ) -> list[tuple[sparse.csr_matrix, sparse.csr_matrix]]:
     """The (training, test) TF-IDF matrices of each of the k folds, where
-    ``fold_of`` holds each document's fold: the matrices of
-    :func:`tfidf_fit` on the documents outside the fold and
-    :func:`tfidf_transform_all` of that model on both sides, entry for
-    entry, from one count of the documents.
+    ``fold_of`` holds each document's fold, from one count of the
+    documents: raw token counts times the smoothed idf
+    ln((1 + N) / (1 + df)) + 1 of the N documents outside the fold, each
+    row L2-normalized (all-zero without a token of the fold's features).
 
     Token ids follow the sorted distinct tokens of all folds, so a
     fold's columns, its present ids renumbered in order, keep that order.
@@ -272,28 +237,16 @@ def _one_hot(y_idx: np.ndarray, k: int) -> np.ndarray:
 def _softmax_grad_t(
     probs: np.ndarray, Wt: np.ndarray, XT, targets: np.ndarray, l2_lambda: float, n
 ):
-    """Gradient of :func:`softmax_loss_and_grad`'s objective, transposed
-    like ``Wt``, from the class probabilities of X's rows, which it
-    overwrites; ``XT`` is X transposed, ``targets`` the one-hot labels
-    and ``n`` the row count to average over (or one per entry of Wt)."""
+    """Gradient of the multinomial softmax objective, mean cross-entropy
+    plus (l2/2)||W||^2, transposed like ``Wt``, from the class
+    probabilities of X's rows, which it overwrites; ``XT`` is X
+    transposed, ``targets`` the one-hot labels and ``n`` the row count to
+    average over (or one per entry of Wt)."""
     probs -= targets
     grad = np.asarray(XT @ probs)
     grad /= n
     grad += l2_lambda * Wt
     return grad
-
-
-def softmax_loss_and_grad(W: np.ndarray, X, y_idx: np.ndarray, l2_lambda: float):
-    """Multinomial softmax objective and its gradient in W (classes x
-    features): mean cross-entropy plus (l2/2)||W||^2. Exposed so the
-    analytic gradient can be checked against finite differences."""
-    n = X.shape[0]
-    probs = _softmax_probs(W.T, X)
-    loss = -np.mean(np.log(probs[np.arange(n), y_idx])) + 0.5 * l2_lambda * float(
-        np.sum(W * W)
-    )
-    targets = _one_hot(y_idx, W.shape[0])
-    return loss, _softmax_grad_t(probs, W.T, X.T, targets, l2_lambda, n).T
 
 
 class LinearClassifier:
@@ -333,8 +286,7 @@ def _train_logistic_regression_blocks(
     targets = _one_hot(np.concatenate(labels), len(classes))
     widths = [block.shape[1] for block in blocks]
     # features x classes, so that X @ Wt and XT @ probs both read a
-    # C-contiguous operand; each step takes the IEEE operations of
-    # W -= learning_rate * softmax_loss_and_grad(W, ...)[1], in place
+    # C-contiguous operand
     Wt = np.zeros((X.shape[1], len(classes)), dtype=np.float64)
     # each set's row count at its own weights, in full: dividing by a
     # broadcast column is twice as slow
@@ -528,30 +480,6 @@ def cross_validate_docs(
     return runs
 
 
-def cross_validate(
-    corpus: Corpus,
-    folds: FoldPlan,
-    spec: ClassifierSpec,
-    normalizer: Normalizer | None = None,
-    tokenizer: TokenizerConfig = TokenizerConfig(),
-) -> EvalRun:
-    """Out-of-fold evaluation of one classifier on a corpus (see
-    :func:`cross_validate_docs`). Normalization, when given, is applied
-    per token before featurization."""
-    docs = tokenize_corpus(corpus, tokenizer)
-    condition = "original"
-    if normalizer is not None:
-        docs, _ = normalize_corpus(normalizer, docs)
-        condition = "normalized"
-    gold = {doc.id: doc.label for doc in corpus.documents}
-    return cross_validate_docs(docs, gold, folds, [spec], condition)[0]
-
-
-def mpd_delta(metric_normalized: float, metric_original: float) -> float:
-    """Performance delta in the callers' units: normalized minus original."""
-    return float(metric_normalized - metric_original)
-
-
 def paired_t_pvalue(differences: list[float]) -> float:
     """Two-sided paired t-test p-value over per-fold score differences.
 
@@ -593,13 +521,11 @@ def mpd(run_normalized: EvalRun, run_original: EvalRun, metric: str = "accuracy"
         for sa, sb in zip(run_normalized.fold_scores, run_original.fold_scores)
     ]
     p_value = paired_t_pvalue(diffs)
-    delta = mpd_delta(
-        sum(s[col] for s in run_normalized.fold_scores) / len(diffs),
-        sum(s[col] for s in run_original.fold_scores) / len(diffs),
-    )
+    mean_normalized = sum(s[col] for s in run_normalized.fold_scores) / len(diffs)
+    mean_original = sum(s[col] for s in run_original.fold_scores) / len(diffs)
     return MpdResult(
         metric_name=metric,
-        mpd=delta,
+        mpd=float(mean_normalized - mean_original),
         p_value=p_value,
         test="paired_t",
         significant=p_value < ALPHA,

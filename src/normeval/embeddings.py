@@ -227,6 +227,8 @@ class HashedNgramProvider(EmbeddingProvider):
         lo, hi = n_range
         if lo < 1 or lo > hi:
             raise EmbeddingError(f"invalid n-gram range {n_range}")
+        if not -(2**63) <= seed < 2**63:
+            raise EmbeddingError(f"hashed n-gram seed must be in [-2**63, 2**63), got {seed}")
         self.dim = dim
         self.n_range = (lo, hi)
         self.seed = seed

@@ -7,10 +7,10 @@ All functions here are pure and safe for concurrent use.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from typing import Literal
 
-from .corpus import Vocabulary
 from .errors import MetricError
 from .normalizers import TokenMapping
 
@@ -65,14 +65,18 @@ def levenshtein(a: str, b: str) -> int:
     return previous[-1]
 
 
-def compression_ratio(before: Vocabulary | int, after: Vocabulary | int) -> CompressionResult:
+def compression_ratio(before: int, after: int) -> CompressionResult:
     """Unique-token count before normalization divided by after.
 
     cr > 1 means the vocabulary shrank; cr = 1 means the normalization
     changed nothing; cr < 1 means it expanded the vocabulary.
     """
-    nb = before.size if isinstance(before, Vocabulary) else int(before)
-    na = after.size if isinstance(after, Vocabulary) else int(after)
+    try:
+        nb, na = operator.index(before), operator.index(after)
+    except TypeError:
+        raise MetricError(f"vocabulary sizes must be integers, got {before!r}, {after!r}") from None
+    if nb < 0 or na < 0:
+        raise MetricError(f"vocabulary sizes must not be negative, got {nb}, {na}")
     if nb > 0 and na == 0:
         raise MetricError(
             "degenerate normalizer: non-empty vocabulary collapsed to zero distinct tokens"
@@ -116,7 +120,7 @@ def anld_with_alternate(
 
 def _check_weighting(weighting: str) -> None:
     if weighting not in ("by_occurrence", "by_type"):
-        raise ValueError(f"unknown weighting {weighting!r}")
+        raise MetricError(f"unknown weighting {weighting!r}")
 
 
 def _pair_distances(mapping: TokenMapping) -> list[tuple[str, str, float]]:

@@ -25,9 +25,8 @@ from normeval import (
     TruncateNormalizer,
     VectorFileProvider,
     anld,
-    build_vocabulary,
     compression_ratio,
-    cross_validate,
+    cross_validate_docs,
     irs,
     levenshtein,
     load_corpus,
@@ -35,18 +34,19 @@ from normeval import (
     make_folds,
     mcnemar,
     mpd,
-    mpd_delta,
     normalize_corpus,
     paired_t_pvalue,
     ses,
     ses_consistency_ok,
-    softmax_loss_and_grad,
-    tfidf_fit,
-    tfidf_transform_all,
     tokenize_corpus,
     train,
 )
 from normeval.data import mini_corpus_path
+from reference import (
+    reference_softmax_loss_and_grad,
+    reference_tfidf_fit,
+    reference_tfidf_transform_all,
+)
 
 
 def test_criterion_01_ses_arithmetic():
@@ -189,21 +189,27 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
 
 
 def test_criterion_07_mpd_null_and_delta_arithmetic():
+    from test_downstream import run_with_scores  # one-fold runs: a mean is its score
     corpus = load_corpus(mini_corpus_path())
     folds = make_folds(corpus, k=5, seed=42)
+    docs = tokenize_corpus(corpus)
+    gold = {doc.id: doc.label for doc in corpus.documents}
     for kind in ("multinomial_nb", "logistic_regression", "linear_svm"):
         spec = make_classifier_spec(kind, seed=42)
-        baseline = cross_validate(corpus, folds, spec)
-        identity = cross_validate(corpus, folds, spec, normalizer=IdentityNormalizer())
+        [baseline] = cross_validate_docs(docs, gold, folds, [spec])
+        identity_docs, _ = normalize_corpus(IdentityNormalizer(), docs)
+        [identity] = cross_validate_docs(identity_docs, gold, folds, [spec], "normalized")
         for metric in ("accuracy", "macro_f1"):
             result = mpd(identity, baseline, metric)
             assert result.mpd == 0.0, kind
             assert result.p_value == 1.0, kind
             assert not result.significant
-        gold = {doc.id: doc.label for doc in corpus.documents}
         assert mcnemar(identity.per_doc_predictions, baseline.per_doc_predictions, gold) == 1.0
 
-    delta = mpd_delta(69.59, 68.21)
+    delta = mpd(
+        run_with_scores("multinomial_nb", [69.59]),
+        run_with_scores("multinomial_nb", [68.21], condition="original"),
+    ).mpd
     assert abs(delta - 1.38) < 1e-12
     assert f"{delta:+.2f}" == "+1.38"
 
@@ -234,8 +240,8 @@ def test_criterion_09_classifier_sanity():
             docs.append(TokenizedDocument(doc_id=f"t{i}", tokens=(word, f"pad{i % 3}")))
             labels.append(label)
             i += 1
-    model = tfidf_fit(docs)
-    X = tfidf_transform_all(model, docs)
+    model = reference_tfidf_fit(docs)
+    X = reference_tfidf_transform_all(model, docs)
     for kind in ("multinomial_nb", "logistic_regression", "linear_svm"):
         clf = train(make_classifier_spec(kind, seed=0), X, labels)
         assert clf.predict(X) == labels, kind
@@ -257,7 +263,12 @@ def test_criterion_09_classifier_sanity():
     chance = 1.0 / 3.0
     se = math.sqrt(chance * (1 - chance) / len(shuffled_corpus))
     for kind in ("multinomial_nb", "logistic_regression", "linear_svm"):
-        run = cross_validate(shuffled_corpus, folds, make_classifier_spec(kind, seed=42))
+        [run] = cross_validate_docs(
+            tokenize_corpus(shuffled_corpus),
+            {d.id: d.label for d in shuffled_corpus.documents},
+            folds,
+            [make_classifier_spec(kind, seed=42)],
+        )
         assert abs(run.mean_accuracy - chance) <= 3 * se, (kind, run.mean_accuracy)
 
     # analytic softmax gradient vs central finite differences
@@ -265,15 +276,15 @@ def test_criterion_09_classifier_sanity():
     X = sparse.csr_matrix(rng.random((5, 4)))
     y_idx = np.array([0, 1, 2, 0, 1])
     W = rng.normal(size=(3, 4))
-    _, grad = softmax_loss_and_grad(W, X, y_idx, l2_lambda=0.01)
+    _, grad = reference_softmax_loss_and_grad(W, X, y_idx, l2_lambda=0.01)
     h = 1e-6
     for i in range(W.shape[0]):
         for j in range(W.shape[1]):
             Wp, Wm = W.copy(), W.copy()
             Wp[i, j] += h
             Wm[i, j] -= h
-            lp, _ = softmax_loss_and_grad(Wp, X, y_idx, 0.01)
-            lm, _ = softmax_loss_and_grad(Wm, X, y_idx, 0.01)
+            lp, _ = reference_softmax_loss_and_grad(Wp, X, y_idx, 0.01)
+            lm, _ = reference_softmax_loss_and_grad(Wm, X, y_idx, 0.01)
             numeric = (lp - lm) / (2 * h)
             denom = max(abs(grad[i, j]), abs(numeric), 1e-8)
             assert abs(grad[i, j] - numeric) / denom < 1e-5

@@ -12,7 +12,7 @@ from normeval import (
     CorpusError,
     Document,
     TokenizerConfig,
-    build_vocabulary,
+    count_occurrences,
     load_corpus,
     make_folds,
     tokenize,
@@ -185,19 +185,19 @@ class TestTokenize:
         assert all(docs[0].tokens)
 
 
-class TestVocabulary:
-    def test_counts(self):
+class TestCountOccurrences:
+    def test_counts_in_first_seen_order(self):
         corpus = Corpus(
             documents=(
-                Document(id="1", text="a b a", label="x"),
-                Document(id="2", text="b c", label="x"),
+                Document(id="1", text="b a b", label="x"),
+                Document(id="2", text="c a", label="x"),
             ),
             labels=frozenset({"x"}),
         )
-        vocab = build_vocabulary(tokenize_corpus(corpus))
-        assert vocab.counts == {"a": 2, "b": 2, "c": 1}
-        assert vocab.size == 3
-        assert all(c >= 1 for c in vocab.counts.values())
+        counts = count_occurrences(tokenize_corpus(corpus))
+        assert counts == {"a": 2, "b": 2, "c": 1}
+        assert list(counts) == ["b", "a", "c"]
+        assert len(counts) == 3
 
 
 class TestMakeFolds:
@@ -237,7 +237,7 @@ class TestMakeFolds:
 
     def test_k_below_two(self):
         corpus = make_corpus(["A"] * 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(CorpusError, match="k must be >= 2"):
             make_folds(corpus, k=1, seed=0)
 
     @settings(max_examples=30, deadline=None)

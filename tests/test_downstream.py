@@ -19,76 +19,94 @@ from normeval import (
     EvaluationError,
     FoldPlan,
     IdentityNormalizer,
-    TfidfModel,
     TokenizedDocument,
     TruncateNormalizer,
     accuracy,
-    cross_validate,
+    cross_validate_docs,
     macro_f1,
     make_classifier_spec,
     load_corpus,
     make_folds,
     mcnemar,
     mpd,
-    mpd_delta,
+    normalize_corpus,
     paired_t_pvalue,
-    softmax_loss_and_grad,
-    tfidf_fit,
-    tfidf_transform_all,
     tokenize_corpus,
     train,
 )
 from normeval.data import mini_corpus_path
-from normeval.downstream import LinearClassifier, cross_validate_docs, fold_tfidf, train_folds
+from normeval.downstream import LinearClassifier, fold_tfidf, train_folds
+from reference import (
+    reference_softmax_loss_and_grad,
+    reference_tfidf_fit,
+    reference_tfidf_transform_all,
+    reference_train_linear_svm,
+    reference_train_logistic_regression,
+)
 
 
 def tdoc(doc_id, *tokens):
     return TokenizedDocument(doc_id=doc_id, tokens=tokens)
 
 
+def fold0_tfidf(train_docs, test_docs):
+    """fold_tfidf's fold-0 (training, test) matrices, with ``train_docs``
+    in fold 1 and ``test_docs`` in fold 0."""
+    fold_of = np.array([1] * len(train_docs) + [0] * len(test_docs))
+    return fold_tfidf(list(train_docs) + list(test_docs), fold_of, 2)[0]
+
+
+def columns(train_docs):
+    """Each training token's column: the sorted distinct training tokens."""
+    return {t: i for i, t in enumerate(sorted({t for d in train_docs for t in d.tokens}))}
+
+
 class TestTfidf:
     def test_idf_values(self):
-        model = tfidf_fit([tdoc("1", "both", "only1"), tdoc("2", "both")])
-        # token in every doc: ln(3/3) + 1; token in one of two: ln(3/2) + 1
-        assert model.idf[model.vocabulary["both"]] == pytest.approx(1.0)
-        assert model.idf[model.vocabulary["only1"]] == pytest.approx(math.log(1.5) + 1.0)
+        train_docs = [tdoc("1", "both", "only1"), tdoc("2", "both")]
+        _, X = fold0_tfidf(train_docs, [tdoc("t", "both", "only1")])
+        # token in every doc: ln(3/3) + 1; token in one of two: ln(3/2) + 1;
+        # a document with each once weighs them in the ratio of their idfs
+        both, only1 = X.toarray().ravel()
+        assert only1 / both == pytest.approx((math.log(1.5) + 1.0) / 1.0)
 
     def test_vocabulary_from_training_docs_only(self):
-        model = tfidf_fit([tdoc("1", "a", "b"), tdoc("2", "b", "c")])
-        assert set(model.vocabulary) == {"a", "b", "c"}
-        X = tfidf_transform_all(model, [tdoc("t", "a", "unseen")])
+        train_docs = [tdoc("1", "a", "b"), tdoc("2", "b", "c")]
+        _, X = fold0_tfidf(train_docs, [tdoc("t", "a", "unseen")])
+        assert list(columns(train_docs)) == ["a", "b", "c"]
         assert X.shape == (1, 3)
-        assert X[0, model.vocabulary["a"]] > 0.0
+        assert X[0, columns(train_docs)["a"]] > 0.0
 
     def test_rows_are_unit_length(self):
-        model = tfidf_fit([tdoc("1", "a", "b", "b"), tdoc("2", "c")])
-        X = tfidf_transform_all(model, [tdoc("t1", "a", "b"), tdoc("t2", "c", "c", "a")])
+        train_docs = [tdoc("1", "a", "b", "b"), tdoc("2", "c")]
+        _, X = fold0_tfidf(train_docs, [tdoc("t1", "a", "b"), tdoc("t2", "c", "c", "a")])
         norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1))).ravel()
         assert norms == pytest.approx([1.0, 1.0])
 
     def test_single_token_doc_is_unit_vector_regardless_of_repeats(self):
-        model = tfidf_fit([tdoc("1", "a"), tdoc("2", "b")])
-        once = tfidf_transform_all(model, [tdoc("t", "a")]).toarray()
-        thrice = tfidf_transform_all(model, [tdoc("t", "a", "a", "a")]).toarray()
+        train_docs = [tdoc("1", "a"), tdoc("2", "b")]
+        once = fold0_tfidf(train_docs, [tdoc("t", "a")])[1].toarray()
+        thrice = fold0_tfidf(train_docs, [tdoc("t", "a", "a", "a")])[1].toarray()
         assert np.allclose(once, thrice)
 
     def test_doc_with_no_known_tokens_is_zero_row(self):
-        model = tfidf_fit([tdoc("1", "a")])
-        X = tfidf_transform_all(model, [tdoc("t", "zz")])
+        _, X = fold0_tfidf([tdoc("1", "a")], [tdoc("t", "zz")])
         assert X.nnz == 0
 
     def test_term_frequency_shifts_weight(self):
-        model = tfidf_fit([tdoc("1", "a", "b"), tdoc("2", "a"), tdoc("3", "b")])
-        X = tfidf_transform_all(model, [tdoc("t", "a", "a", "b")]).toarray().ravel()
-        assert X[model.vocabulary["a"]] > X[model.vocabulary["b"]]
+        train_docs = [tdoc("1", "a", "b"), tdoc("2", "a"), tdoc("3", "b")]
+        _, X = fold0_tfidf(train_docs, [tdoc("t", "a", "a", "b")])
+        X = X.toarray().ravel()
+        assert X[columns(train_docs)["a"]] > X[columns(train_docs)["b"]]
 
     def test_empty_training_set(self):
         with pytest.raises(EvaluationError, match="empty"):
-            tfidf_fit([])
+            fold0_tfidf([], [tdoc("t", "a")])
 
     def test_matrix_is_csr(self):
-        model = tfidf_fit([tdoc("1", "a")])
-        assert sparse.issparse(tfidf_transform_all(model, [tdoc("t", "a")]))
+        Xtr, Xte = fold0_tfidf([tdoc("1", "a")], [tdoc("t", "a")])
+        assert sparse.issparse(Xte) and Xte.format == "csr"
+        assert sparse.issparse(Xtr) and Xtr.format == "csr"
 
 
 def separable_data(n_per_class=6):
@@ -99,8 +117,8 @@ def separable_data(n_per_class=6):
         labels.append("warm")
         docs.append(tdoc(f"q{i}", "blue", "azure", f"filler{i % 3}"))
         labels.append("cool")
-    model = tfidf_fit(docs)
-    return model, tfidf_transform_all(model, docs), labels, docs
+    model = reference_tfidf_fit(docs)
+    return model, reference_tfidf_transform_all(model, docs), labels, docs
 
 
 class TestClassifierSpec:
@@ -135,7 +153,7 @@ class TestAllClassifiers:
         model, X, labels, _ = separable_data()
         clf = train(make_classifier_spec(kind), X, labels)
         assert clf.predict(X) == labels
-        held_out = tfidf_transform_all(
+        held_out = reference_tfidf_transform_all(
             model, [tdoc("h1", "crimson", "filler0"), tdoc("h2", "azure", "filler1")]
         )
         assert clf.predict(held_out) == ["warm", "cool"]
@@ -191,7 +209,7 @@ class TestSoftmaxGradient:
         X = sparse.csr_matrix(rng.random((5, 4)))
         y_idx = np.array([0, 1, 2, 0, 1])
         W = rng.normal(size=(3, 4))
-        _, grad = softmax_loss_and_grad(W, X, y_idx, l2_lambda=0.01)
+        _, grad = reference_softmax_loss_and_grad(W, X, y_idx, l2_lambda=0.01)
         h = 1e-6
         numeric = np.zeros_like(W)
         for i in range(W.shape[0]):
@@ -199,8 +217,8 @@ class TestSoftmaxGradient:
                 Wp, Wm = W.copy(), W.copy()
                 Wp[i, j] += h
                 Wm[i, j] -= h
-                lp, _ = softmax_loss_and_grad(Wp, X, y_idx, 0.01)
-                lm, _ = softmax_loss_and_grad(Wm, X, y_idx, 0.01)
+                lp, _ = reference_softmax_loss_and_grad(Wp, X, y_idx, 0.01)
+                lm, _ = reference_softmax_loss_and_grad(Wm, X, y_idx, 0.01)
                 numeric[i, j] = (lp - lm) / (2 * h)
         denom = np.maximum(np.abs(grad) + np.abs(numeric), 1e-8)
         assert np.max(np.abs(grad - numeric) / denom) < 1e-5
@@ -210,18 +228,19 @@ class TestSoftmaxGradient:
         clf = train(make_classifier_spec("logistic_regression"), X, labels)
         classes = sorted(set(labels))
         y_idx = np.array([classes.index(lab) for lab in labels])
-        zero_loss, _ = softmax_loss_and_grad(np.zeros_like(clf.W), X, y_idx, 1e-4)
-        trained_loss, _ = softmax_loss_and_grad(clf.W, X, y_idx, 1e-4)
+        zero_loss, _ = reference_softmax_loss_and_grad(np.zeros_like(clf.W), X, y_idx, 1e-4)
+        trained_loss, _ = reference_softmax_loss_and_grad(clf.W, X, y_idx, 1e-4)
         assert trained_loss < zero_loss
 
-    def test_training_takes_the_public_gradient_steps(self):
+    def test_training_takes_the_reference_gradient_steps(self):
         _, X, labels, _ = separable_data()
         spec = make_classifier_spec("logistic_regression")
         clf = train(spec, X, labels)
         y_idx = np.array([sorted(set(labels)).index(lab) for lab in labels])
         W = np.zeros_like(clf.W)
         for _ in range(spec.epochs):
-            W -= spec.learning_rate * softmax_loss_and_grad(W, X, y_idx, spec.l2_lambda)[1]
+            _, grad = reference_softmax_loss_and_grad(W, X, y_idx, spec.l2_lambda)
+            W -= spec.learning_rate * grad
         assert np.array_equal(clf.W, W)
 
     @settings(max_examples=40, deadline=None)
@@ -232,7 +251,7 @@ class TestSoftmaxGradient:
         zero_rows=st.integers(0, 40),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_training_equals_the_public_steps_byte_for_byte(self, n, n_features, k, zero_rows, seed):
+    def test_training_equals_the_reference_steps_byte_for_byte(self, n, n_features, k, zero_rows, seed):
         rng = np.random.default_rng(seed)
         dense = rng.random((n, n_features)) * (rng.random((n, n_features)) < 0.4)
         dense[rng.permutation(n)[: min(zero_rows, n)]] = 0.0
@@ -244,7 +263,8 @@ class TestSoftmaxGradient:
         clf = train(spec, X, [f"c{i}" for i in y_idx])
         W = np.zeros(clf.W.shape)
         for _ in range(spec.epochs):
-            W -= spec.learning_rate * softmax_loss_and_grad(W, X, y_idx, spec.l2_lambda)[1]
+            _, grad = reference_softmax_loss_and_grad(W, X, y_idx, spec.l2_lambda)
+            W -= spec.learning_rate * grad
         assert clf.W.tobytes() == W.tobytes()
 
 
@@ -281,119 +301,6 @@ class TestLinearSvm:
         assert np.all(np.isfinite(clf.W))
 
 
-# Frozen per-fold references: TF-IDF fitted and applied one fold at a time
-# through dicts, and logistic regression and the SVM trained one set at a
-# time, kept as they were before the folds were featurized and trained
-# together. They share no helper with the package, so a change inside one
-# of its helpers cannot hide from the byte comparisons below.
-
-
-def reference_tfidf_fit(train_docs):
-    if not train_docs:
-        raise EvaluationError("cannot fit TF-IDF on an empty training set")
-    df = {}
-    for doc in train_docs:
-        for token in set(doc.tokens):
-            df[token] = df.get(token, 0) + 1
-    vocabulary = {token: i for i, token in enumerate(sorted(df))}
-    n = len(train_docs)
-    idf = np.empty(len(vocabulary), dtype=np.float64)
-    for token, i in vocabulary.items():
-        idf[i] = math.log((1 + n) / (1 + df[token])) + 1.0
-    return TfidfModel(vocabulary=vocabulary, idf=idf)
-
-
-def reference_tfidf_transform_all(model, docs):
-    rows = []
-    cols = []
-    vals = []
-    for r, doc in enumerate(docs):
-        counts = {}
-        for token in doc.tokens:
-            j = model.vocabulary.get(token)
-            if j is not None:
-                counts[j] = counts.get(j, 0) + 1
-        if not counts:
-            continue
-        weights = {j: tf * model.idf[j] for j, tf in counts.items()}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
-        for j in sorted(weights):
-            rows.append(r)
-            cols.append(j)
-            vals.append(weights[j] / norm)
-    return sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(len(docs), len(model.vocabulary)), dtype=np.float64
-    )
-
-
-def reference_softmax_probs(Wt, X):
-    probs = np.asarray(X @ Wt)
-    probs -= probs.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
-
-
-def reference_softmax_grad_t(probs, Wt, XT, y_idx, l2_lambda):
-    n = probs.shape[0]
-    probs[np.arange(n), y_idx] -= 1.0
-    grad = np.asarray(XT @ probs)
-    grad /= n
-    grad += l2_lambda * Wt
-    return grad
-
-
-def reference_train_logistic_regression(spec, X, y_idx, classes):
-    Wt = np.zeros((X.shape[1], len(classes)), dtype=np.float64)
-    XT = sparse.csr_matrix(X.T)
-    for _ in range(spec.epochs):
-        probs = reference_softmax_probs(Wt, X)
-        grad = reference_softmax_grad_t(probs, Wt, XT, y_idx, spec.l2_lambda)
-        grad *= spec.learning_rate
-        Wt -= grad
-    return LinearClassifier(classes, np.ascontiguousarray(Wt.T))
-
-
-def reference_train_linear_svm(spec, X, y_idx, classes):
-    X = sparse.csr_matrix(X)
-    n, n_features = X.shape
-    k = len(classes)
-    C = 1.0 / (n * spec.l2_lambda) if spec.l2_lambda > 0 else math.inf
-    q_diag = np.asarray(X.multiply(X).sum(axis=1)).ravel().tolist()
-    rows = [
-        (X.indices[X.indptr[i] : X.indptr[i + 1]], X.data[X.indptr[i] : X.indptr[i + 1]])
-        for i in range(n)
-    ]
-    labels = y_idx.tolist()
-    rng = np.random.default_rng(spec.seed)
-    Wt = np.zeros((n_features, k), dtype=np.float64)
-    alpha = [[0.0] * k for _ in range(n)]
-    for _ in range(spec.epochs):
-        max_pg = 0.0
-        for i in rng.permutation(n).tolist():
-            q = q_diag[i]
-            if q == 0.0:
-                continue
-            cols, vals = rows[i]
-            scores = (vals @ Wt[cols]).tolist()
-            a_i, label = alpha[i], labels[i]
-            steps = [0.0] * k
-            for c in range(k):
-                y = 1.0 if c == label else -1.0
-                g = y * scores[c] - 1.0
-                a = a_i[c]
-                pg = min(g, 0.0) if a == 0.0 else max(g, 0.0) if a == C else g
-                if pg != 0.0:
-                    max_pg = max(max_pg, abs(pg))
-                    a_i[c] = min(max(a - g / q, 0.0), C)
-                    steps[c] = (a_i[c] - a) * y
-            if any(steps):
-                Wt[cols] += np.outer(vals, steps)
-        if max_pg < 0.1:
-            break
-    return LinearClassifier(classes, np.ascontiguousarray(Wt.T))
-
-
 def csr_bytes(X):
     return (X.shape, X.data.dtype, X.data.tobytes(), X.indices.dtype, X.indices.tobytes(),
             X.indptr.dtype, X.indptr.tobytes())
@@ -422,18 +329,6 @@ class TestFoldTfidfAgainstPerFoldReference:
             model = reference_tfidf_fit(train_docs)
             assert csr_bytes(Xtr) == csr_bytes(reference_tfidf_transform_all(model, train_docs))
             assert csr_bytes(Xte) == csr_bytes(reference_tfidf_transform_all(model, test_docs))
-
-    @settings(max_examples=60, deadline=None)
-    @given(train_tokens=DOCUMENTS, test_tokens=DOCUMENTS)
-    def test_public_fit_and_transform_byte_for_byte(self, train_tokens, test_tokens):
-        train_docs = [tdoc(f"r{i}", *t) for i, t in enumerate(train_tokens)]
-        test_docs = [tdoc(f"t{i}", *t) for i, t in enumerate(test_tokens)]
-        model, expected = tfidf_fit(train_docs), reference_tfidf_fit(train_docs)
-        assert list(model.vocabulary.items()) == list(expected.vocabulary.items())
-        assert model.idf.tobytes() == expected.idf.tobytes()
-        for docs in (train_docs, test_docs):
-            got = tfidf_transform_all(model, docs)
-            assert csr_bytes(got) == csr_bytes(reference_tfidf_transform_all(expected, docs))
 
     def test_test_document_without_training_tokens_is_a_zero_row(self):
         docs = [tdoc("a", "x", "y"), tdoc("b", "x"), tdoc("c", "only-here", "only-here")]
@@ -576,19 +471,30 @@ def toy_corpus():
     return Corpus(documents=tuple(documents), labels=frozenset({"warm", "cool"}))
 
 
+def gold_of(corpus):
+    return {doc.id: doc.label for doc in corpus.documents}
+
+
+def cross_validate_one(docs, corpus, folds, spec, condition="original"):
+    return cross_validate_docs(docs, gold_of(corpus), folds, [spec], condition)[0]
+
+
 class TestCrossValidate:
     def test_separable_corpus_scores_perfectly(self):
         corpus = toy_corpus()
         folds = make_folds(corpus, k=3, seed=0)
+        docs = tokenize_corpus(corpus)
         for kind in ("multinomial_nb", "logistic_regression", "linear_svm"):
-            run = cross_validate(corpus, folds, make_classifier_spec(kind))
+            run = cross_validate_one(docs, corpus, folds, make_classifier_spec(kind))
             assert run.mean_accuracy == 1.0, kind
             assert run.mean_macro_f1 == 1.0, kind
 
     def test_out_of_fold_predictions_cover_corpus_in_order(self):
         corpus = toy_corpus()
         folds = make_folds(corpus, k=4, seed=1)
-        run = cross_validate(corpus, folds, make_classifier_spec("multinomial_nb"))
+        run = cross_validate_one(
+            tokenize_corpus(corpus), corpus, folds, make_classifier_spec("multinomial_nb")
+        )
         assert list(run.per_doc_predictions) == [doc.id for doc in corpus.documents]
         assert len(run.fold_scores) == 4
         assert [s[0] for s in run.fold_scores] == [0, 1, 2, 3]
@@ -597,16 +503,20 @@ class TestCrossValidate:
         corpus = toy_corpus()
         folds = make_folds(corpus, k=3, seed=0)
         spec = make_classifier_spec("multinomial_nb")
-        assert cross_validate(corpus, folds, spec).condition == "original"
-        run = cross_validate(corpus, folds, spec, normalizer=IdentityNormalizer())
+        docs = tokenize_corpus(corpus)
+        assert cross_validate_one(docs, corpus, folds, spec).condition == "original"
+        normalized, _ = normalize_corpus(IdentityNormalizer(), docs)
+        run = cross_validate_one(normalized, corpus, folds, spec, "normalized")
         assert run.condition == "normalized"
 
     def test_identity_normalizer_measures_identically_to_none(self):
         corpus = toy_corpus()
         folds = make_folds(corpus, k=3, seed=0)
         spec = make_classifier_spec("logistic_regression")
-        bare = cross_validate(corpus, folds, spec)
-        ident = cross_validate(corpus, folds, spec, normalizer=IdentityNormalizer())
+        docs = tokenize_corpus(corpus)
+        bare = cross_validate_one(docs, corpus, folds, spec)
+        normalized, _ = normalize_corpus(IdentityNormalizer(), docs)
+        ident = cross_validate_one(normalized, corpus, folds, spec, "normalized")
         assert ident.fold_scores == bare.fold_scores
         assert ident.mean_accuracy == bare.mean_accuracy
         assert ident.mean_macro_f1 == bare.mean_macro_f1
@@ -617,23 +527,18 @@ class TestCrossValidate:
         folds = make_folds(corpus, k=3, seed=0)
         # truncation to 1 char collapses red/blue vocabularies far less
         # cleanly; the run must still complete and stay in [0, 1]
-        run = cross_validate(
-            corpus, folds, make_classifier_spec("multinomial_nb"), normalizer=TruncateNormalizer(1)
+        normalized, _ = normalize_corpus(TruncateNormalizer(1), tokenize_corpus(corpus))
+        run = cross_validate_one(
+            normalized, corpus, folds, make_classifier_spec("multinomial_nb"), "normalized"
         )
         assert 0.0 <= run.mean_accuracy <= 1.0
-
-    def test_incomplete_fold_plan_rejected(self):
-        corpus = toy_corpus()
-        plan = FoldPlan(k=2, seed=0, assignments={"r0": 0})
-        with pytest.raises(EvaluationError, match="does not cover"):
-            cross_validate(corpus, plan, make_classifier_spec("multinomial_nb"))
 
     def test_deterministic(self):
         corpus = toy_corpus()
         folds = make_folds(corpus, k=3, seed=0)
         spec = make_classifier_spec("linear_svm", seed=7)
-        a = cross_validate(corpus, folds, spec)
-        b = cross_validate(corpus, folds, spec)
+        a = cross_validate_one(tokenize_corpus(corpus), corpus, folds, spec)
+        b = cross_validate_one(tokenize_corpus(corpus), corpus, folds, spec)
         assert a == b
 
 
@@ -645,9 +550,8 @@ class TestCrossValidateDocs:
         folds = make_folds(corpus, k=3, seed=0)
         specs = [make_classifier_spec(kind, seed=5) for kind in self.KINDS]
         docs = tokenize_corpus(corpus)
-        gold = {doc.id: doc.label for doc in corpus.documents}
-        runs = cross_validate_docs(docs, gold, folds, specs)
-        assert runs == [cross_validate(corpus, folds, spec) for spec in specs]
+        runs = cross_validate_docs(docs, gold_of(corpus), folds, specs)
+        assert runs == [cross_validate_one(docs, corpus, folds, spec) for spec in specs]
 
     def test_incomplete_fold_plan_rejected(self):
         corpus = toy_corpus()
@@ -786,8 +690,11 @@ class TestMpd:
             mpd(a, a, metric="auc")
 
     def test_mpd_delta_units(self):
-        assert mpd_delta(0.6959, 0.6821) == pytest.approx(0.0138, abs=1e-12)
-        assert 100 * mpd_delta(0.6959, 0.6821) == pytest.approx(1.38, abs=1e-10)
+        # one fold: each mean is its score divided by 1, which is exact
+        a = run_with_scores("multinomial_nb", [0.6959])
+        b = run_with_scores("multinomial_nb", [0.6821], condition="original")
+        assert mpd(a, b).mpd == pytest.approx(0.0138, abs=1e-12)
+        assert 100 * mpd(a, b).mpd == pytest.approx(1.38, abs=1e-10)
 
 
 def mcnemar_case(n01, n10, n_both_right=10):

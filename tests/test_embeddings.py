@@ -198,6 +198,16 @@ class TestHashedNgramProvider:
         with pytest.raises(EmbeddingError, match="range"):
             HashedNgramProvider(n_range=(0, 2))
 
+    @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 99999999999999999999])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        with pytest.raises(EmbeddingError, match="seed"):
+            HashedNgramProvider(seed=seed)
+
+    @pytest.mark.parametrize("seed", [-(2**63), 2**63 - 1])
+    def test_accepts_seed_at_64_bit_limits(self, seed):
+        provider = HashedNgramProvider(dim=8, seed=seed)
+        assert provider.embed_documents([["token"]]).shape == (1, 8)
+
     def test_deterministic_across_instances(self):
         doc = ["running", "the", "marathon"]
         a = HashedNgramProvider(dim=64, seed=42).embed_documents([doc])

@@ -12,6 +12,7 @@ so BFS graph distance equals edit distance on it.
 import functools
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,12 +20,12 @@ from hypothesis import strategies as st
 from normeval import metrics
 from normeval import (
     MetricError,
+    TokenizedDocument,
     TokenMapping,
     TruncateNormalizer,
-    Vocabulary,
     anld,
-    build_vocabulary,
     compression_ratio,
+    count_occurrences,
     levenshtein,
     load_corpus,
     normalize_corpus,
@@ -178,14 +179,24 @@ class TestCompressionRatio:
         assert f"{compression_ratio(2956, 2227).cr:.2f}" == "1.33"
 
     def test_identity_vocabulary(self):
-        vocab = Vocabulary(counts={"a": 3, "b": 1})
-        result = compression_ratio(vocab, vocab)
+        result = compression_ratio(2, 2)
         assert result.cr == 1.0
         assert result.vocab_before == result.vocab_after == 2
 
-    def test_vocabulary_and_int_inputs_agree(self):
-        vocab = Vocabulary(counts={"a": 1, "b": 1, "c": 1})
-        assert compression_ratio(vocab, 2).cr == compression_ratio(3, 2).cr == 1.5
+    def test_ratio_of_counts(self):
+        result = compression_ratio(3, 2)
+        assert (result.vocab_before, result.vocab_after, result.cr) == (3, 2, 1.5)
+        assert compression_ratio(np.int64(3), np.intp(2)) == result
+
+    @pytest.mark.parametrize("before,after", [(3, -2), (-3, 2), (-1, 0)])
+    def test_negative_count_rejected(self, before, after):
+        with pytest.raises(MetricError, match="negative"):
+            compression_ratio(before, after)
+
+    @pytest.mark.parametrize("before,after", [(2.9, 1), (3, 2.0), ("3", 2), (None, 1)])
+    def test_non_integer_count_rejected(self, before, after):
+        with pytest.raises(MetricError, match="integers"):
+            compression_ratio(before, after)
 
     def test_degenerate_normalizer(self):
         with pytest.raises(MetricError, match="degenerate"):
@@ -195,9 +206,12 @@ class TestCompressionRatio:
         assert compression_ratio(0, 0).cr == 1.0
 
     def test_invariant_under_token_renaming(self):
-        before = Vocabulary(counts={"x": 5, "y": 2, "z": 1})
-        renamed = Vocabulary(counts={"q1": 5, "q2": 2, "q3": 1})
-        after = Vocabulary(counts={"s": 8})
+        def size(*tokens):
+            return len(count_occurrences([TokenizedDocument(doc_id="d", tokens=tokens)]))
+
+        before = size("x", "x", "x", "x", "x", "y", "y", "z")
+        renamed = size("q1", "q1", "q1", "q1", "q1", "q2", "q2", "q3")
+        after = size(*["s"] * 8)
         assert compression_ratio(before, after).cr == compression_ratio(renamed, after).cr
 
 
@@ -267,8 +281,10 @@ class TestAnld:
         assert result.anld == pytest.approx(1.0)
 
     def test_unknown_weighting(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(MetricError, match="unknown weighting"):
             anld(mapping({"a": "a"}), weighting="by_magic")
+        with pytest.raises(MetricError, match="unknown weighting"):
+            metrics.anld_with_alternate(mapping({"a": "a"}), weighting="by_magic")
 
     @pytest.mark.parametrize("weighting", ["by_occurrence", "by_type"])
     def test_alternate_matches_separate_calls_from_one_pass(self, weighting, monkeypatch):
@@ -303,11 +319,11 @@ class TestTruncationLadder:
 
     def test_cr_and_anld_non_increasing_in_prefix_length(self):
         docs = tokenize_corpus(load_corpus(mini_corpus_path()))
-        vocab = build_vocabulary(docs)
+        n_types = len(count_occurrences(docs))
         crs, by_occurrence, by_type = [], [], []
         for k in range(2, 9):
             normalized, m = normalize_corpus(TruncateNormalizer(k), docs)
-            crs.append(compression_ratio(vocab, build_vocabulary(normalized)).cr)
+            crs.append(compression_ratio(n_types, len(count_occurrences(normalized))).cr)
             by_occurrence.append(anld(m, "by_occurrence").anld)
             by_type.append(anld(m, "by_type").anld)
         for values in (crs, by_occurrence, by_type):

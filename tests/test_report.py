@@ -25,7 +25,6 @@ from normeval import (
     VectorFileProvider,
     build_normalizer,
     build_embedder,
-    build_vocabulary,
     compression_ratio,
     count_occurrences,
     emit_json,
@@ -267,7 +266,9 @@ class TestRunEvaluation:
         docs = tokenize_corpus(load_corpus(corpus_path))
         for spec, report in zip(specs, reports):
             normalized, _ = normalize_corpus(build_normalizer(spec), docs)
-            expected = compression_ratio(build_vocabulary(docs), build_vocabulary(normalized))
+            expected = compression_ratio(
+                len(count_occurrences(docs)), len(count_occurrences(normalized))
+            )
             assert report.compression == expected
         assert reports[1].empty_stems == 1
 
@@ -737,6 +738,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "normeval: error: seed must be >= 0, got -1\n"
+
+    def test_out_of_range_hash_seed_exits_1(self, corpus_path, capsys):
+        code = main(
+            [
+                "evaluate",
+                "--corpus", corpus_path,
+                "--normalizer", "identity",
+                "--embedder", "hash:256:99999999999999999999",
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("normeval: error: ")
+        assert "seed" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_usage_error_exits_1(self, corpus_path):
         with pytest.raises(SystemExit) as exc_info:
