@@ -47,12 +47,14 @@ class ClassifierSpec:
             raise EvaluationError(
                 f"unknown classifier kind {self.kind!r}; expected one of {sorted(CLASSIFIER_KINDS)}"
             )
-        if self.alpha <= 0:
-            raise EvaluationError(f"alpha must be > 0, got {self.alpha}")
-        if self.l2_lambda < 0:
-            raise EvaluationError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
-        if self.learning_rate <= 0:
-            raise EvaluationError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not math.isfinite(self.alpha) or self.alpha <= 0:
+            raise EvaluationError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not math.isfinite(self.l2_lambda) or self.l2_lambda < 0:
+            raise EvaluationError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
+        if not math.isfinite(self.learning_rate) or self.learning_rate <= 0:
+            raise EvaluationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.epochs < 1:
             raise EvaluationError(f"epochs must be >= 1, got {self.epochs}")
 

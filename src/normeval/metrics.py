@@ -36,12 +36,17 @@ def levenshtein(a: str, b: str) -> int:
     substitutions transforming a into b. Operates on Unicode scalar
     values (Python string items), not bytes.
 
-    A common prefix and a common suffix are stripped before the dynamic
-    program: some optimal alignment matches them character for
-    character, so only the differing cores need the table.
+    When one string is a prefix of the other, as a stem usually is of
+    its word, the distance is the difference in length: deletions alone
+    reach that lower bound. Otherwise a common prefix and a common suffix
+    are stripped before the dynamic program: some optimal alignment
+    matches them character for character, so only the differing cores
+    need the table.
     """
     if a == b:
         return 0
+    if a.startswith(b) or b.startswith(a):
+        return abs(len(a) - len(b))
     start, limit = 0, min(len(a), len(b))
     while start < limit and a[start] == b[start]:
         start += 1

@@ -76,6 +76,6 @@ def ses_consistency_ok(
     Useful when auditing published score tables, where a quoted SES may
     not match the product of its quoted factors.
     """
-    if tolerance < 0.0:
-        raise MetricError(f"tolerance must be >= 0, got {tolerance}")
+    if not math.isfinite(tolerance) or tolerance < 0.0:
+        raise MetricError(f"tolerance must be finite and >= 0, got {tolerance}")
     return abs(reported_ses - cr * irs) <= tolerance

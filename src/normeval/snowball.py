@@ -5,15 +5,27 @@ The entry point is :func:`stem`, which lowercases its input and returns
 the stem. Words of two letters or fewer are returned unchanged.
 
 Implementation notes kept close to the algorithm text: R1/R2 are fixed
-character positions computed once per word; suffix rules use
-longest-match-wins semantics (a failed condition on the longest match
-never falls back to a shorter one); 'y' is marked as consonant 'Y' at
-the start of the word and after vowels, and unmarked at the end.
+character positions computed once per word, each the end of one match
+of a compiled pattern (non-vowels, vowels, one non-vowel) from the start
+and from R1; suffix rules use longest-match-wins semantics (a failed
+condition on the longest match never falls back to a shorter one); 'y'
+is marked as consonant 'Y' at the start of the word and after vowels,
+and unmarked at the end.
+
+Each step first tests the word's ending with one ``endswith`` on a
+tuple, so most words skip most steps. The suffix tables of steps 2-4
+are listed longest first; the longest n for which ``word[-n:]`` is in
+the table gives the longest match.
 """
 
 from __future__ import annotations
 
+import re
+
 _VOWELS = frozenset("aeiouy")  # marked consonant 'Y' is deliberately absent
+_VOWEL = re.compile("[aeiouy]")
+# R1 ends after the first non-vowel that follows a vowel; R2 likewise from R1
+_REGION = re.compile("[^aeiouy]*[aeiouy]+[^aeiouy]")
 _DOUBLES = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
 _LI_ENDINGS = frozenset("cdeghkmnrt")
 
@@ -46,32 +58,14 @@ _EXCEPTION2 = frozenset(
 _R1_PREFIXES = ("gener", "commun", "arsen")
 
 
-def _region_after(word: str, start: int) -> int:
-    """Position after the first non-vowel that follows a vowel, from start."""
-    n = len(word)
-    i = start
-    while i < n and word[i] not in _VOWELS:
-        i += 1
-    if i == n:
-        return n
-    i += 1
-    while i < n and word[i] in _VOWELS:
-        i += 1
-    if i == n:
-        return n
-    return i + 1
-
-
 def _mark_regions(word: str) -> tuple[int, int]:
-    p1 = None
-    for prefix in _R1_PREFIXES:
-        if word.startswith(prefix):
-            p1 = len(prefix)
-            break
-    if p1 is None:
-        p1 = _region_after(word, 0)
-    p2 = _region_after(word, p1)
-    return p1, p2
+    if word.startswith(_R1_PREFIXES):
+        p1 = next(len(prefix) for prefix in _R1_PREFIXES if word.startswith(prefix))
+    else:
+        region = _REGION.match(word)
+        p1 = region.end() if region else len(word)
+    region = _REGION.match(word, p1)
+    return p1, region.end() if region else len(word)
 
 
 def _ends_short_syllable(word: str) -> bool:
@@ -88,32 +82,43 @@ def _ends_short_syllable(word: str) -> bool:
     return False
 
 
-def _contains_vowel(part: str) -> bool:
-    return any(c in _VOWELS for c in part)
+def _longest_suffix(word: str, suffixes: tuple[str, ...], table: dict | frozenset) -> str:
+    """The longest of ``suffixes`` (listed longest first, and each in
+    ``table``) that ends ``word``, or '' if none does."""
+    if word.endswith(suffixes):
+        for n in range(len(suffixes[0]), 0, -1):
+            if word[-n:] in table:
+                return word[-n:]
+    return ""
 
 
 def _step0(word: str) -> str:
-    for suf in ("'s'", "'s", "'"):
-        if word.endswith(suf):
-            return word[: -len(suf)]
+    if word.endswith(("'", "'s")):
+        for suf in ("'s'", "'s", "'"):
+            if word.endswith(suf):
+                return word[: -len(suf)]
     return word
 
 
 def _step1a(word: str) -> str:
+    if not word.endswith(("s", "d")):
+        return word
     if word.endswith("sses"):
         return word[:-2]
-    if word.endswith("ied") or word.endswith("ies"):
+    if word.endswith(("ied", "ies")):
         return word[:-3] + ("i" if len(word) >= 5 else "ie")
-    if word.endswith("us") or word.endswith("ss"):
+    if word.endswith(("us", "ss")):
         return word
     if word.endswith("s"):
         # delete only if some vowel precedes the position just before the s
-        if _contains_vowel(word[:-2]):
+        if _VOWEL.search(word, 0, len(word) - 2):
             return word[:-1]
     return word
 
 
 def _step1b(word: str, p1: int) -> str:
+    if not word.endswith(("ed", "ly", "ing")):
+        return word
     for suf in ("eedly", "eed"):
         if word.endswith(suf):
             if len(word) - len(suf) >= p1:
@@ -121,10 +126,9 @@ def _step1b(word: str, p1: int) -> str:
             return word
     for suf in ("ingly", "edly", "ing", "ed"):
         if word.endswith(suf):
-            stem_part = word[: -len(suf)]
-            if not _contains_vowel(stem_part):
+            if not _VOWEL.search(word, 0, len(word) - len(suf)):
                 return word
-            word = stem_part
+            word = word[: -len(suf)]
             if word.endswith(("at", "bl", "iz")):
                 return word + "e"
             if word.endswith(_DOUBLES):
@@ -136,82 +140,76 @@ def _step1b(word: str, p1: int) -> str:
 
 
 def _step1c(word: str) -> str:
-    if (
-        len(word) >= 3
-        and word[-1] in "yY"
-        and word[-2] not in _VOWELS
-    ):
+    if word.endswith(("y", "Y")) and len(word) >= 3 and word[-2] not in _VOWELS:
         return word[:-1] + "i"
     return word
 
 
-_STEP2_RULES = [
-    ("ization", "ize"),
-    ("ational", "ate"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("iveness", "ive"),
-    ("tional", "tion"),
-    ("biliti", "ble"),
-    ("lessli", "less"),
-    ("entli", "ent"),
-    ("ation", "ate"),
-    ("alism", "al"),
-    ("aliti", "al"),
-    ("ousli", "ous"),
-    ("iviti", "ive"),
-    ("fulli", "ful"),
-    ("enci", "ence"),
-    ("anci", "ance"),
-    ("abli", "able"),
-    ("izer", "ize"),
-    ("ator", "ate"),
-    ("alli", "al"),
-    ("bli", "ble"),
-    ("ogi", "og"),
-    ("li", ""),
-]
+_STEP2_RULES = {
+    "ization": "ize",
+    "ational": "ate",
+    "fulness": "ful",
+    "ousness": "ous",
+    "iveness": "ive",
+    "tional": "tion",
+    "biliti": "ble",
+    "lessli": "less",
+    "entli": "ent",
+    "ation": "ate",
+    "alism": "al",
+    "aliti": "al",
+    "ousli": "ous",
+    "iviti": "ive",
+    "fulli": "ful",
+    "enci": "ence",
+    "anci": "ance",
+    "abli": "able",
+    "izer": "ize",
+    "ator": "ate",
+    "alli": "al",
+    "bli": "ble",
+    "ogi": "og",
+    "li": "",
+}
+_STEP2_SUFFIXES = tuple(_STEP2_RULES)
 
 
 def _step2(word: str, p1: int) -> str:
-    for suf, repl in _STEP2_RULES:
-        if word.endswith(suf):
-            if len(word) - len(suf) < p1:
-                return word
-            if suf == "ogi":
-                if len(word) >= 4 and word[-4] == "l":
-                    return word[:-3] + "og"
-                return word
-            if suf == "li":
-                if len(word) >= 3 and word[-3] in _LI_ENDINGS:
-                    return word[:-2]
-                return word
-            return word[: -len(suf)] + repl
-    return word
+    suf = _longest_suffix(word, _STEP2_SUFFIXES, _STEP2_RULES)
+    if not suf or len(word) - len(suf) < p1:
+        return word
+    if suf == "ogi":
+        if len(word) >= 4 and word[-4] == "l":
+            return word[:-3] + "og"
+        return word
+    if suf == "li":
+        if len(word) >= 3 and word[-3] in _LI_ENDINGS:
+            return word[:-2]
+        return word
+    return word[: -len(suf)] + _STEP2_RULES[suf]
 
 
-_STEP3_RULES = [
-    ("ational", "ate"),
-    ("tional", "tion"),
-    ("alize", "al"),
-    ("icate", "ic"),
-    ("iciti", "ic"),
-    ("ative", ""),
-    ("ical", "ic"),
-    ("ness", ""),
-    ("ful", ""),
-]
+_STEP3_RULES = {
+    "ational": "ate",
+    "tional": "tion",
+    "alize": "al",
+    "icate": "ic",
+    "iciti": "ic",
+    "ative": "",
+    "ical": "ic",
+    "ness": "",
+    "ful": "",
+}
+_STEP3_SUFFIXES = tuple(_STEP3_RULES)
 
 
 def _step3(word: str, p1: int, p2: int) -> str:
-    for suf, repl in _STEP3_RULES:
-        if word.endswith(suf):
-            if len(word) - len(suf) < p1:
-                return word
-            if suf == "ative" and len(word) - len(suf) < p2:
-                return word
-            return word[: -len(suf)] + repl
-    return word
+    suf = _longest_suffix(word, _STEP3_SUFFIXES, _STEP3_RULES)
+    if not suf or len(word) - len(suf) < p1:
+        return word
+    if suf == "ative" and len(word) - len(suf) < p2:
+        return word
+    return word[: -len(suf)] + _STEP3_RULES[suf]
 
 
 _STEP4_SUFFIXES = (
@@ -234,19 +232,18 @@ _STEP4_SUFFIXES = (
     "er",
     "ic",
 )
+_STEP4_TABLE = frozenset(_STEP4_SUFFIXES)
 
 
 def _step4(word: str, p2: int) -> str:
-    for suf in _STEP4_SUFFIXES:
-        if word.endswith(suf):
-            if len(word) - len(suf) < p2:
-                return word
-            if suf == "ion":
-                if len(word) >= 4 and word[-4] in "st":
-                    return word[:-3]
-                return word
-            return word[: -len(suf)]
-    return word
+    suf = _longest_suffix(word, _STEP4_SUFFIXES, _STEP4_TABLE)
+    if not suf or len(word) - len(suf) < p2:
+        return word
+    if suf == "ion":
+        if len(word) >= 4 and word[-4] in "st":
+            return word[:-3]
+        return word
+    return word[: -len(suf)]
 
 
 def _step5(word: str, p1: int, p2: int) -> str:
@@ -272,13 +269,15 @@ def stem(word: str) -> str:
 
     if word.startswith("'"):
         word = word[1:]
-    if word.startswith("y"):
-        word = "Y" + word[1:]
-    chars = list(word)
-    for i in range(1, len(chars)):
-        if chars[i] == "y" and chars[i - 1] in _VOWELS:
-            chars[i] = "Y"
-    word = "".join(chars)
+    if "y" in word:
+        # in order: a 'y' marked 'Y' is no vowel to the 'y' after it
+        if word.startswith("y"):
+            word = "Y" + word[1:]
+        chars = list(word)
+        for i in range(1, len(chars)):
+            if chars[i] == "y" and chars[i - 1] in _VOWELS:
+                chars[i] = "Y"
+        word = "".join(chars)
 
     p1, p2 = _mark_regions(word)
 

@@ -1,10 +1,10 @@
 """Reference implementations that the tests compare normeval against.
 
 TF-IDF fitted and applied one training set at a time through dicts,
-logistic regression and the SVM trained one set at a time, and the
-softmax objective with its gradient. They share no helper with the
-package, so a change inside one of its helpers cannot hide from the
-byte comparisons made against them.
+logistic regression and the SVM trained one set at a time, the softmax
+objective with its gradient, and the English Snowball stemmer step by
+step. They share no helper with the package, so a change inside one of
+its helpers cannot hide from the comparisons made against them.
 """
 
 import math
@@ -134,3 +134,293 @@ def reference_train_linear_svm(spec, X, y_idx, classes):
         if max_pg < 0.1:
             break
     return LinearClassifier(classes, np.ascontiguousarray(Wt.T))
+
+
+# ------------------------------------------------------------- Snowball
+# The English Snowball stemmer as one linear endswith scan per step and a
+# character loop per region, frozen from the package before its steps
+# became table lookups and its regions a compiled pattern.
+
+_SNOWBALL_VOWELS = frozenset("aeiouy")  # marked consonant 'Y' is deliberately absent
+_SNOWBALL_DOUBLES = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
+_SNOWBALL_LI_ENDINGS = frozenset("cdeghkmnrt")
+
+_SNOWBALL_EXCEPTION1 = {
+    "skis": "ski",
+    "skies": "sky",
+    "dying": "die",
+    "lying": "lie",
+    "tying": "tie",
+    "idly": "idl",
+    "gently": "gentl",
+    "ugly": "ugli",
+    "early": "earli",
+    "only": "onli",
+    "singly": "singl",
+    "sky": "sky",
+    "news": "news",
+    "howe": "howe",
+    "atlas": "atlas",
+    "cosmos": "cosmos",
+    "bias": "bias",
+    "andes": "andes",
+}
+
+# invariant once step 1a has run
+_SNOWBALL_EXCEPTION2 = frozenset(
+    ["inning", "outing", "canning", "herring", "earring", "proceed", "exceed", "succeed"]
+)
+
+_SNOWBALL_R1_PREFIXES = ("gener", "commun", "arsen")
+
+
+def _snowball_region_after(word: str, start: int) -> int:
+    """Position after the first non-vowel that follows a vowel, from start."""
+    n = len(word)
+    i = start
+    while i < n and word[i] not in _SNOWBALL_VOWELS:
+        i += 1
+    if i == n:
+        return n
+    i += 1
+    while i < n and word[i] in _SNOWBALL_VOWELS:
+        i += 1
+    if i == n:
+        return n
+    return i + 1
+
+
+def _snowball_mark_regions(word: str) -> tuple[int, int]:
+    p1 = None
+    for prefix in _SNOWBALL_R1_PREFIXES:
+        if word.startswith(prefix):
+            p1 = len(prefix)
+            break
+    if p1 is None:
+        p1 = _snowball_region_after(word, 0)
+    p2 = _snowball_region_after(word, p1)
+    return p1, p2
+
+
+def _snowball_ends_short_syllable(word: str) -> bool:
+    n = len(word)
+    if n == 2:
+        return word[0] in _SNOWBALL_VOWELS and word[1] not in _SNOWBALL_VOWELS
+    if n >= 3:
+        return (
+            word[-3] not in _SNOWBALL_VOWELS
+            and word[-2] in _SNOWBALL_VOWELS
+            and word[-1] not in _SNOWBALL_VOWELS
+            and word[-1] not in "wxY"
+        )
+    return False
+
+
+def _snowball_contains_vowel(part: str) -> bool:
+    return any(c in _SNOWBALL_VOWELS for c in part)
+
+
+def _snowball_step0(word: str) -> str:
+    for suf in ("'s'", "'s", "'"):
+        if word.endswith(suf):
+            return word[: -len(suf)]
+    return word
+
+
+def _snowball_step1a(word: str) -> str:
+    if word.endswith("sses"):
+        return word[:-2]
+    if word.endswith("ied") or word.endswith("ies"):
+        return word[:-3] + ("i" if len(word) >= 5 else "ie")
+    if word.endswith("us") or word.endswith("ss"):
+        return word
+    if word.endswith("s"):
+        # delete only if some vowel precedes the position just before the s
+        if _snowball_contains_vowel(word[:-2]):
+            return word[:-1]
+    return word
+
+
+def _snowball_step1b(word: str, p1: int) -> str:
+    for suf in ("eedly", "eed"):
+        if word.endswith(suf):
+            if len(word) - len(suf) >= p1:
+                return word[: -len(suf)] + "ee"
+            return word
+    for suf in ("ingly", "edly", "ing", "ed"):
+        if word.endswith(suf):
+            stem_part = word[: -len(suf)]
+            if not _snowball_contains_vowel(stem_part):
+                return word
+            word = stem_part
+            if word.endswith(("at", "bl", "iz")):
+                return word + "e"
+            if word.endswith(_SNOWBALL_DOUBLES):
+                return word[:-1]
+            if p1 >= len(word) and _snowball_ends_short_syllable(word):
+                return word + "e"
+            return word
+    return word
+
+
+def _snowball_step1c(word: str) -> str:
+    if (
+        len(word) >= 3
+        and word[-1] in "yY"
+        and word[-2] not in _SNOWBALL_VOWELS
+    ):
+        return word[:-1] + "i"
+    return word
+
+
+_SNOWBALL_STEP2_RULES = [
+    ("ization", "ize"),
+    ("ational", "ate"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("iveness", "ive"),
+    ("tional", "tion"),
+    ("biliti", "ble"),
+    ("lessli", "less"),
+    ("entli", "ent"),
+    ("ation", "ate"),
+    ("alism", "al"),
+    ("aliti", "al"),
+    ("ousli", "ous"),
+    ("iviti", "ive"),
+    ("fulli", "ful"),
+    ("enci", "ence"),
+    ("anci", "ance"),
+    ("abli", "able"),
+    ("izer", "ize"),
+    ("ator", "ate"),
+    ("alli", "al"),
+    ("bli", "ble"),
+    ("ogi", "og"),
+    ("li", ""),
+]
+
+
+def _snowball_step2(word: str, p1: int) -> str:
+    for suf, repl in _SNOWBALL_STEP2_RULES:
+        if word.endswith(suf):
+            if len(word) - len(suf) < p1:
+                return word
+            if suf == "ogi":
+                if len(word) >= 4 and word[-4] == "l":
+                    return word[:-3] + "og"
+                return word
+            if suf == "li":
+                if len(word) >= 3 and word[-3] in _SNOWBALL_LI_ENDINGS:
+                    return word[:-2]
+                return word
+            return word[: -len(suf)] + repl
+    return word
+
+
+_SNOWBALL_STEP3_RULES = [
+    ("ational", "ate"),
+    ("tional", "tion"),
+    ("alize", "al"),
+    ("icate", "ic"),
+    ("iciti", "ic"),
+    ("ative", ""),
+    ("ical", "ic"),
+    ("ness", ""),
+    ("ful", ""),
+]
+
+
+def _snowball_step3(word: str, p1: int, p2: int) -> str:
+    for suf, repl in _SNOWBALL_STEP3_RULES:
+        if word.endswith(suf):
+            if len(word) - len(suf) < p1:
+                return word
+            if suf == "ative" and len(word) - len(suf) < p2:
+                return word
+            return word[: -len(suf)] + repl
+    return word
+
+
+_SNOWBALL_STEP4_SUFFIXES = (
+    "ement",
+    "ance",
+    "ence",
+    "able",
+    "ible",
+    "ment",
+    "ant",
+    "ent",
+    "ism",
+    "ate",
+    "iti",
+    "ous",
+    "ive",
+    "ize",
+    "ion",
+    "al",
+    "er",
+    "ic",
+)
+
+
+def _snowball_step4(word: str, p2: int) -> str:
+    for suf in _SNOWBALL_STEP4_SUFFIXES:
+        if word.endswith(suf):
+            if len(word) - len(suf) < p2:
+                return word
+            if suf == "ion":
+                if len(word) >= 4 and word[-4] in "st":
+                    return word[:-3]
+                return word
+            return word[: -len(suf)]
+    return word
+
+
+def _snowball_step5(word: str, p1: int, p2: int) -> str:
+    if word.endswith("e"):
+        pos = len(word) - 1
+        if pos >= p2 or (pos >= p1 and not _snowball_ends_short_syllable(word[:-1])):
+            return word[:-1]
+        return word
+    if word.endswith("l"):
+        pos = len(word) - 1
+        if pos >= p2 and len(word) >= 2 and word[-2] == "l":
+            return word[:-1]
+    return word
+
+
+def reference_snowball_stem(word: str) -> str:
+    """Snowball English stem of ``word`` (lowercased first), one linear
+    ``endswith`` scan per suffix step, as the package had it before its
+    steps became table lookups."""
+    word = word.lower()
+    if word in _SNOWBALL_EXCEPTION1:
+        return _SNOWBALL_EXCEPTION1[word]
+    if len(word) < 3:
+        return word
+
+    if word.startswith("'"):
+        word = word[1:]
+    if word.startswith("y"):
+        word = "Y" + word[1:]
+    chars = list(word)
+    for i in range(1, len(chars)):
+        if chars[i] == "y" and chars[i - 1] in _SNOWBALL_VOWELS:
+            chars[i] = "Y"
+    word = "".join(chars)
+
+    p1, p2 = _snowball_mark_regions(word)
+
+    word = _snowball_step0(word)
+    word = _snowball_step1a(word)
+    if word in _SNOWBALL_EXCEPTION2:
+        return word
+    word = _snowball_step1b(word, p1)
+    word = _snowball_step1c(word)
+    word = _snowball_step2(word, p1)
+    word = _snowball_step3(word, p1, p2)
+    word = _snowball_step4(word, p2)
+    word = _snowball_step5(word, p1, p2)
+
+    return word.replace("Y", "y")

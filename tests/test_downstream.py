@@ -134,6 +134,13 @@ class TestClassifierSpec:
         with pytest.raises(EvaluationError):
             ClassifierSpec(kind="multinomial_nb", **{field: value})
 
+    @pytest.mark.parametrize("field", ["alpha", "l2_lambda", "learning_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hyperparameters(self, field, value):
+        # NaN passed the range checks, which compare False either way
+        with pytest.raises(EvaluationError, match=f"{field} must be finite"):
+            ClassifierSpec(kind="multinomial_nb", **{field: value})
+
     def test_defaults_per_kind(self):
         assert make_classifier_spec("linear_svm") == ClassifierSpec(kind="linear_svm")
         assert make_classifier_spec("logistic_regression").learning_rate == 0.5

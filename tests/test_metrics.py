@@ -172,6 +172,15 @@ class TestLevenshtein:
         assert levenshtein(a, b) == untrimmed_distance(a, b)
         assert levenshtein(b, a) == untrimmed_distance(a, b)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=MIXED_ALPHABET, max_size=10), st.integers(min_value=0, max_value=10))
+    # a Bengali stem that keeps the hasant of a conjunct
+    @example("\u0997\u09cd\u09b0\u09be\u09a8", 2)
+    def test_prefix_distance_matches_untrimmed_table(self, a, cut):
+        b = a[:cut]
+        assert levenshtein(a, b) == untrimmed_distance(a, b) == len(a) - len(b)
+        assert levenshtein(b, a) == untrimmed_distance(b, a)
+
 
 class TestCompressionRatio:
     def test_two_decimal_display_at_realistic_vocabulary_sizes(self):

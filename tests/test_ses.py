@@ -130,6 +130,12 @@ class TestConsistencyAudit:
         with pytest.raises(MetricError):
             ses_consistency_ok(1.0, 1.0, 1.0, tolerance=-0.01)
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        # NaN made every triple inconsistent and infinity every one consistent
+        with pytest.raises(MetricError, match="tolerance must be finite"):
+            ses_consistency_ok(1.0, 1.0, 1.0, tolerance=tolerance)
+
     @settings(max_examples=100, deadline=None)
     @given(finite_irs, finite_cr)
     def test_true_product_always_consistent(self, irs, cr):

@@ -6,15 +6,32 @@ algorithm's own exception lists, its documented example words, two
 whole derivational families from its published sample vocabulary, and a
 set of hand-traced words. Every entry was settled before being frozen;
 none was copied from this implementation's output.
+
+A second oracle is ``reference_snowball_stem``: the step-by-step
+implementation frozen before the steps became table lookups. The
+package's ``stem`` must equal it on every input.
 """
 
+import random
 import string
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from normeval.corpus import load_corpus, tokenize_corpus
+from normeval.data import mini_corpus_path
 from normeval.snowball import stem
+from reference import (
+    _SNOWBALL_DOUBLES,
+    _SNOWBALL_EXCEPTION1,
+    _SNOWBALL_EXCEPTION2,
+    _SNOWBALL_LI_ENDINGS,
+    _SNOWBALL_STEP2_RULES,
+    _SNOWBALL_STEP3_RULES,
+    _SNOWBALL_STEP4_SUFFIXES,
+    reference_snowball_stem,
+)
 
 # (input, expected stem)
 REFERENCE = [
@@ -238,3 +255,79 @@ def test_stem_is_prefix_compatible(word):
             break
         shared += 1
     assert shared >= len(out) - 1, (word, out)
+
+
+# Vowels, 'y' and the apostrophe (region and marking edge cases) weigh more
+# than the other letters; every letter of every suffix table is present,
+# and a few capitals check the lowercasing.
+_SUFFIX_LETTERS = sorted(
+    set("sediulyngatbz")  # step 1
+    | set("".join(_SNOWBALL_DOUBLES))
+    | _SNOWBALL_LI_ENDINGS
+    | set("".join(suf for suf, _ in _SNOWBALL_STEP2_RULES))
+    | set("".join(suf for suf, _ in _SNOWBALL_STEP3_RULES))
+    | set("".join(_SNOWBALL_STEP4_SUFFIXES))
+)
+_EDGE_ALPHABET = list("aeiouy" * 3 + "yy''" + "YSE") + _SUFFIX_LETTERS
+_EDGE_PREFIXES = ["", "", "", "", "gener", "commun", "arsen", "y", "'", "''"]
+EDGE_WORDS = [
+    # a 'y' marked 'Y' is no vowel to the next 'y', so ayyy is marked aYyY
+    # and keeps its final 'y'; marking aYYY at once would stem it to "ayyi"
+    "ayyy",
+    "sayyid",
+    "'s'",
+    "ied",
+    "generalization",
+    "generously",
+    "communities",
+    "communism",
+    # "ness" starts inside the fixed six-letter R1 of commun-
+    "communess",
+    "arsenals",
+    "arsenic",
+    *_SNOWBALL_EXCEPTION1,
+    *sorted(_SNOWBALL_EXCEPTION2),
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.builds(
+        lambda prefix, rest: prefix + "".join(rest),
+        st.sampled_from(_EDGE_PREFIXES),
+        st.lists(st.sampled_from(_EDGE_ALPHABET), max_size=14),
+    )
+)
+def test_stem_equals_step_by_step_reference(word):
+    assert stem(word) == reference_snowball_stem(word), word
+
+
+for _word in EDGE_WORDS:
+    test_stem_equals_step_by_step_reference = example(_word)(
+        test_stem_equals_step_by_step_reference
+    )
+
+
+def _noise_endings():
+    """The 120 pseudo-suffixes the English scale-up benchmark appends:
+    a consonant-vowel chunk plus an English ending, drawn in order from
+    ``random.Random(0)``."""
+    pool = random.Random(0)
+    endings = []
+    while len(endings) < 120:
+        ending = (
+            pool.choice("bcdfghklmnprstvwz")
+            + pool.choice("aeiou")
+            + pool.choice(("s", "ed", "ing", "er", "ly", "ness", "ment", "able", "ism", "ful"))
+        )
+        if ending not in endings:
+            endings.append(ending)
+    return endings
+
+
+def test_stem_equals_reference_over_bundled_corpus_with_noise_endings():
+    docs = tokenize_corpus(load_corpus(mini_corpus_path()))
+    types = sorted({token for doc in docs for token in doc.tokens})
+    words = types + [word + ending for word in types for ending in _noise_endings()]
+    mismatches = [w for w in words if stem(w) != reference_snowball_stem(w)]
+    assert not mismatches, f"{len(mismatches)} of {len(words)}: {mismatches[:10]}"
