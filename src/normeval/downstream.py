@@ -201,18 +201,20 @@ class MultinomialNBClassifier:
         return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _train_multinomial_nb(spec: ClassifierSpec, X, y_idx: np.ndarray, classes: list[str]):
-    n_features = X.shape[1]
-    k = len(classes)
-    log_prior = np.empty(k)
-    log_likelihood = np.empty((k, n_features))
-    for c in range(k):
-        mask = y_idx == c
-        log_prior[c] = math.log(mask.sum() / len(y_idx))
-        feature_sums = np.asarray(X[np.where(mask)[0]].sum(axis=0)).ravel()
-        smoothed = feature_sums + spec.alpha
-        log_likelihood[c] = np.log(smoothed) - math.log(smoothed.sum())
-    return MultinomialNBClassifier(classes, log_prior, log_likelihood)
+def _train_multinomial_nb(spec: ClassifierSpec, blocks: list, labels: list, classes: list[str]):
+    """One model per training set, each trained on its own."""
+    models = []
+    for X, y_idx in zip(blocks, labels):
+        log_prior = np.empty(len(classes))
+        log_likelihood = np.empty((len(classes), X.shape[1]))
+        for c in range(len(classes)):
+            mask = y_idx == c
+            log_prior[c] = math.log(mask.sum() / len(y_idx))
+            feature_sums = np.asarray(X[np.where(mask)[0]].sum(axis=0)).ravel()
+            smoothed = feature_sums + spec.alpha
+            log_likelihood[c] = np.log(smoothed) - math.log(smoothed.sum())
+        models.append(MultinomialNBClassifier(classes, log_prior, log_likelihood))
+    return models
 
 
 def _softmax_probs(Wt: np.ndarray, X) -> np.ndarray:
@@ -268,11 +270,7 @@ class LinearClassifier:
         return [self.classes[i] for i in np.argmax(scores, axis=1)]
 
 
-def _train_logistic_regression(spec: ClassifierSpec, X, y_idx: np.ndarray, classes: list[str]):
-    return _train_logistic_regression_blocks(spec, [X], [y_idx], classes)[0]
-
-
-def _train_logistic_regression_blocks(
+def _train_logistic_regression(
     spec: ClassifierSpec, blocks: list, labels: list[np.ndarray], classes: list[str]
 ) -> list[LinearClassifier]:
     """One model per training set (``blocks[i]`` with class indices
@@ -306,60 +304,143 @@ def _train_logistic_regression_blocks(
 # Stop once every |projected gradient| of an epoch is below this. LIBLINEAR
 # uses the same 0.1, but on the spread max PG - min PG, which is stricter.
 SVM_TOLERANCE = 0.1
+# Steps per batch of the SVM's lockstep. A batch's rows are gathered at
+# once, padded to the batch's widest row, so this bounds the memory they
+# take: on the bundled corpus, 32 keeps a run's peak resident set at what
+# training one row at a time took, and 128 raised it by about 0.6 MB.
+SVM_CHUNK = 32
 
 
-def _train_linear_svm(spec: ClassifierSpec, X, y_idx: np.ndarray, classes: list[str]):
-    """One-vs-rest L2-regularized hinge loss, trained by dual coordinate
-    descent (Hsieh et al., ICML 2008; the LIBLINEAR solver).
+def _train_linear_svm(
+    spec: ClassifierSpec, blocks: list, labels: list[np.ndarray], classes: list[str]
+) -> list[LinearClassifier]:
+    """One-vs-rest L2-regularized hinge loss, one model per training set,
+    trained by dual coordinate descent (Hsieh et al., ICML 2008; the
+    LIBLINEAR solver) with every set stepped in lockstep.
 
-    The primal l2/2 ||w||^2 + (1/n) sum hinge has the dual box
-    0 <= alpha_i <= C with C = 1/(n * l2) (unbounded when l2 is 0), and
-    w = sum alpha_i y_i x_i. Rows are visited in a seeded per-epoch
-    permutation; training stops once the largest |projected gradient|
-    over all rows and classes of an epoch is below SVM_TOLERANCE, or
-    after spec.epochs epochs. Rows
-    with x_i . x_i = 0 cannot move w and are skipped."""
-    X = sparse.csr_matrix(X)
+    For a set of n rows, the primal l2/2 ||w||^2 + (1/n) sum hinge has
+    the dual box 0 <= alpha_i <= C with C = 1/(n * l2) (unbounded when
+    l2 is 0), and w = sum alpha_i y_i x_i. Each set visits its rows in a
+    per-epoch permutation from its own generator, seeded with spec.seed,
+    and stops once the largest |projected gradient| over all rows and
+    classes of an epoch is below SVM_TOLERANCE, or after spec.epochs
+    epochs. Rows with x_i . x_i = 0 cannot move w and are skipped.
+
+    A row's score for class c is the sum of x_ij * w_jc over the row's
+    nonzeros, added one at a time in the row's column order; normeval
+    defines it so, where a BLAS dot product would sum in the order of
+    the CPU's kernel. Each set owns a range of rows of one weight table
+    (features x classes), and every step trains the next row of every
+    set still running. A batch of steps pads its rows to its widest one
+    with a column of weight 0 that never moves, and adding 0 leaves a
+    sum unchanged, so every set's weights are bit-identical to training
+    it alone."""
+    sizes = [X.shape[0] for X in blocks]
+    row_start = np.concatenate(([0], np.cumsum(sizes)))
+    col_start = np.concatenate(([0], np.cumsum([X.shape[1] for X in blocks])))
+    # the sets' rows and features numbered one after another
+    X = sparse.block_diag(blocks, format="csr")
     n, n_features = X.shape
-    k = len(classes)
-    C = 1.0 / (n * spec.l2_lambda) if spec.l2_lambda > 0 else math.inf
-    q_diag = np.asarray(X.multiply(X).sum(axis=1)).ravel().tolist()
-    rows = [
-        (X.indices[X.indptr[i] : X.indptr[i + 1]], X.data[X.indptr[i] : X.indptr[i + 1]])
-        for i in range(n)
+    q = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    signs = np.full((n, len(classes)), -1.0)
+    signs[np.arange(n), np.concatenate(labels)] = 1.0
+    bound = [
+        1.0 / (size * spec.l2_lambda) if spec.l2_lambda > 0 else math.inf for size in sizes
     ]
-    labels = y_idx.tolist()
-    rng = np.random.default_rng(spec.seed)
-    # features x classes, so that a row's columns are one contiguous gather
-    Wt = np.zeros((n_features, k), dtype=np.float64)
-    alpha = [[0.0] * k for _ in range(n)]
-    for _ in range(spec.epochs):
-        max_pg = 0.0
-        for i in rng.permutation(n).tolist():
-            q = q_diag[i]
-            if q == 0.0:
+    rngs = [np.random.default_rng(spec.seed) for _ in blocks]
+
+    def epoch(lane: int) -> np.ndarray:
+        """The lane's rows for one more epoch, without the rows of q = 0."""
+        order = rngs[lane].permutation(sizes[lane]) + row_start[lane]
+        return order[q[order] != 0.0]
+
+    Wt = np.zeros((n_features + 1, len(classes)))
+    alpha = np.zeros(signs.shape)
+    # each running lane's rows left in its epoch, its epoch number, and
+    # the largest |projected gradient| of its epoch so far
+    queue = {lane: epoch(lane) for lane in range(len(blocks))}
+    queue = {lane: rows for lane, rows in queue.items() if len(rows)}
+    epochs = dict.fromkeys(queue, 1)
+    top = dict.fromkeys(queue, 0.0)
+    while queue:
+        lanes = list(queue)
+        # up to the first epoch end of a running lane, the lanes are fixed
+        steps = min(SVM_CHUNK, *(len(rows) for rows in queue.values()))
+        chunk = np.stack([queue[lane][:steps] for lane in lanes], axis=1)
+        C = np.array([bound[lane] for lane in lanes])
+        reached = _svm_steps(Wt, alpha, chunk, X, signs, q, C)
+        for lane, pg in zip(lanes, reached.tolist()):
+            top[lane] = max(top[lane], pg)
+            queue[lane] = queue[lane][steps:]
+            if len(queue[lane]):
                 continue
-            cols, vals = rows[i]
-            G = Wt[cols]
-            scores = (vals @ G).tolist()
-            a_i, label = alpha[i], labels[i]
-            steps = [0.0] * k
-            # k is small: scalar arithmetic beats numpy calls on length-k arrays
-            for c in range(k):
-                y = 1.0 if c == label else -1.0
-                g = y * scores[c] - 1.0
-                a = a_i[c]
-                pg = min(g, 0.0) if a == 0.0 else max(g, 0.0) if a == C else g
-                if pg != 0.0:
-                    max_pg = max(max_pg, abs(pg))
-                    a_i[c] = min(max(a - g / q, 0.0), C)
-                    steps[c] = (a_i[c] - a) * y
-            if any(steps):
-                G += vals[:, np.newaxis] * steps
-                Wt[cols] = G
-        if max_pg < SVM_TOLERANCE:
-            break
-    return LinearClassifier(classes, np.ascontiguousarray(Wt.T))
+            if top[lane] < SVM_TOLERANCE or epochs[lane] == spec.epochs:
+                del queue[lane]
+            else:
+                queue[lane], epochs[lane], top[lane] = epoch(lane), epochs[lane] + 1, 0.0
+    return [
+        LinearClassifier(classes, np.ascontiguousarray(Wt[start:stop].T))
+        for start, stop in zip(col_start[:-1], col_start[1:])
+    ]
+
+
+def _svm_steps(Wt, alpha, chunk, X, signs, q, C) -> np.ndarray:
+    """Dual coordinate descent steps of the lanes of ``chunk``'s columns,
+    one row of ``X`` per lane and step (``chunk[t, l]``), updating the
+    weight table ``Wt`` and the duals ``alpha`` in place; ``C`` holds
+    each lane's box bound. Returns each lane's largest |projected
+    gradient|."""
+    steps, lanes = chunk.shape
+    k = Wt.shape[1]
+    shape = (steps, lanes * k)
+    # the rows' nonzeros, padded to the widest row of the batch with the
+    # zero weight column after all features
+    start = X.indptr[chunk]
+    length = X.indptr[chunk + 1] - start
+    slots = np.arange(length.max())
+    entry = start[..., np.newaxis] + slots
+    pad = slots >= length[..., np.newaxis]
+    entry[pad] = 0
+    cols = np.where(pad, X.shape[1], X.indices[entry])
+    vals = np.where(pad, 0.0, X.data[entry])
+    # a step's (lane, class) pairs along one flat axis, so that numpy
+    # runs each operation as one loop; its gathered weights lead with the
+    # nonzero slot, so that summing over the slots adds whole planes in
+    # slot order
+    at = (cols.transpose(0, 2, 1)[..., np.newaxis] * k + np.arange(k)).reshape(
+        steps, -1, lanes * k
+    )
+    row_vals = np.repeat(vals.transpose(0, 2, 1), k, axis=2)
+    dual_at = (chunk[..., np.newaxis] * k + np.arange(k)).reshape(shape)
+    row_signs = signs[chunk].reshape(shape)
+    row_q = np.repeat(q[chunk], k, axis=1)
+    bound = np.repeat(C, k)
+    zeros = np.zeros(lanes * k)
+    flat_w = Wt.reshape(-1)
+    flat_alpha = alpha.reshape(-1)
+    # every step's gradients and duals before its update; the projected
+    # gradients are taken from them once, after the last step
+    grads = np.empty(shape)
+    before = np.empty(shape)
+    for i, v, j, y, qq, g, a in zip(at, row_vals, dual_at, row_signs, row_q, grads, before):
+        G = flat_w.take(i)
+        np.multiply(np.add.reduce(v * G, axis=0), y, out=g)
+        g -= 1.0
+        flat_alpha.take(j, out=a)
+        # the clipped Newton step; where the projected gradient is 0 the
+        # clip returns alpha itself, so no step needs masking
+        new = g / qq
+        np.subtract(a, new, out=new)
+        np.maximum(new, zeros, out=new)
+        np.minimum(new, bound, out=new)
+        flat_alpha[j] = new
+        new -= a
+        new *= y
+        G += v * new
+        flat_w[i] = G
+    pg = np.where(before == 0.0, np.minimum(grads, 0.0), grads)
+    pg = np.where(before == bound, np.maximum(pg, 0.0), pg)
+    return np.abs(pg).reshape(steps, lanes, k).max(axis=(0, 2))
 
 
 CLASSIFIER_KINDS = {
@@ -380,16 +461,14 @@ def _encode_labels(labels: list[str]) -> tuple[list[str], np.ndarray]:
 def train(spec: ClassifierSpec, X, labels: list[str]):
     """Train the classifier named by spec on feature rows X. Training is
     deterministic for fixed inputs and seed. Requires >= 2 classes."""
-    classes, y_idx = _encode_labels(labels)
-    return CLASSIFIER_KINDS[spec.kind](spec, X, y_idx, classes)
+    return train_folds(spec, [(X, labels)])[0]
 
 
 def train_folds(spec: ClassifierSpec, training_sets: list[tuple[object, list[str]]]) -> list:
-    """One model per (X, labels) training set, each the model
-    ``train(spec, X, labels)`` returns. Logistic regression trains all
-    sets with the same classes together, as one block-diagonal problem."""
-    if spec.kind != "logistic_regression":
-        return [train(spec, X, labels) for X, labels in training_sets]
+    """One model per (X, labels) training set, each as if trained alone.
+    Sets with the same classes go to the classifier's trainer together:
+    logistic regression steps them as one block-diagonal problem, the
+    SVM in lockstep."""
     encoded = [_encode_labels(labels) for _, labels in training_sets]
     groups: dict[tuple[str, ...], list[int]] = {}
     for i, (classes, _) in enumerate(encoded):
@@ -398,7 +477,7 @@ def train_folds(spec: ClassifierSpec, training_sets: list[tuple[object, list[str
     for classes, members in groups.items():
         blocks = [training_sets[i][0] for i in members]
         labels = [encoded[i][1] for i in members]
-        trained = _train_logistic_regression_blocks(spec, blocks, labels, list(classes))
+        trained = CLASSIFIER_KINDS[spec.kind](spec, blocks, labels, list(classes))
         for i, model in zip(members, trained):
             models[i] = model
     return models
@@ -432,6 +511,88 @@ def macro_f1(gold: list[str], predicted: list[str]) -> float:
     return sum(scores) / len(scores)
 
 
+@dataclass(frozen=True)
+class FoldSplit:
+    """Which documents each fold of a plan tests and trains on, in corpus
+    order; every normalization of the same corpus shares it."""
+
+    fold_of: np.ndarray
+    doc_ids: list[str]
+    tested: list[list[str]]
+    gold_tested: list[list[str]]
+    train_labels: list[list[str]]
+
+
+def fold_split(docs: list[TokenizedDocument], gold: dict[str, str], folds: FoldPlan) -> FoldSplit:
+    """The split of ``docs`` under ``folds``; ``gold`` maps each doc id
+    to its label."""
+    missing = [doc.doc_id for doc in docs if doc.doc_id not in folds.assignments]
+    if missing:
+        raise EvaluationError(f"fold plan does not cover document ids {missing[:5]}")
+    fold_of = [folds.assignments[doc.doc_id] for doc in docs]
+    if not set(fold_of) <= set(range(folds.k)):
+        raise EvaluationError(f"fold plan assigns a fold outside 0..{folds.k - 1}")
+    doc_ids = [doc.doc_id for doc in docs]
+    tested = [[i for i, f in zip(doc_ids, fold_of) if f == fold] for fold in range(folds.k)]
+    return FoldSplit(
+        fold_of=np.array(fold_of, dtype=np.intp),
+        doc_ids=doc_ids,
+        tested=tested,
+        gold_tested=[[gold[i] for i in ids] for ids in tested],
+        train_labels=[
+            [gold[i] for i, f in zip(doc_ids, fold_of) if f != fold] for fold in range(folds.k)
+        ],
+    )
+
+
+def fold_features(docs: list[TokenizedDocument], split: FoldSplit) -> list:
+    """The (training, test) TF-IDF matrices of each fold of ``split``
+    (:func:`fold_tfidf`); ``docs`` are in the split's corpus order. A
+    fold without features fails first, then one that trains on a
+    single class, so the features of a corpus are known to train."""
+    features = fold_tfidf(docs, split.fold_of, len(split.tested))
+    for labels in split.train_labels:
+        _encode_labels(labels)
+    return features
+
+
+def cross_validate_features(
+    split: FoldSplit, corpora: list[list], specs: list[ClassifierSpec], conditions: list[str]
+) -> list[list[EvalRun]]:
+    """The run of every spec on every corpus, ``runs[c][s]`` for the
+    fold features ``corpora[c]`` (:func:`fold_features`) under the
+    condition name ``conditions[c]``. Each spec trains the folds of all
+    corpora in one :func:`train_folds` call, so the SVM steps them all
+    in lockstep."""
+    training_sets = [
+        (Xtr, labels)
+        for features in corpora
+        for (Xtr, _), labels in zip(features, split.train_labels)
+    ]
+    runs: list[list[EvalRun]] = [[] for _ in corpora]
+    for spec in specs:
+        models = iter(train_folds(spec, training_sets))
+        for features, condition, out in zip(corpora, conditions, runs):
+            scores: list[tuple[int, float, float]] = []
+            predicted: dict[str, str] = {}
+            for fold, (_, Xte) in enumerate(features):
+                preds = next(models).predict(Xte)
+                gold_te = split.gold_tested[fold]
+                scores.append((fold, accuracy(gold_te, preds), macro_f1(gold_te, preds)))
+                predicted.update(zip(split.tested[fold], preds))
+            out.append(
+                EvalRun(
+                    classifier=spec.kind,
+                    condition=condition,
+                    fold_scores=tuple(scores),
+                    mean_accuracy=sum(s[1] for s in scores) / len(scores),
+                    mean_macro_f1=sum(s[2] for s in scores) / len(scores),
+                    per_doc_predictions={i: predicted[i] for i in split.doc_ids},
+                )
+            )
+    return runs
+
+
 def cross_validate_docs(
     docs: list[TokenizedDocument],
     gold: dict[str, str],
@@ -447,39 +608,8 @@ def cross_validate_docs(
     matrices come from one pass (:func:`fold_tfidf`). ``gold`` maps each
     doc id to its label. Returns one run per spec, in spec order.
     """
-    missing = [doc.doc_id for doc in docs if doc.doc_id not in folds.assignments]
-    if missing:
-        raise EvaluationError(f"fold plan does not cover document ids {missing[:5]}")
-    fold_of = [folds.assignments[doc.doc_id] for doc in docs]
-    if not set(fold_of) <= set(range(folds.k)):
-        raise EvaluationError(f"fold plan assigns a fold outside 0..{folds.k - 1}")
-    features = fold_tfidf(docs, np.array(fold_of, dtype=np.intp), folds.k)
-    tested = [[d.doc_id for d, f in zip(docs, fold_of) if f == fold] for fold in range(folds.k)]
-    gold_tested = [[gold[doc_id] for doc_id in ids] for ids in tested]
-    training_sets = [
-        (Xtr, [gold[d.doc_id] for d, f in zip(docs, fold_of) if f != fold])
-        for fold, (Xtr, _) in enumerate(features)
-    ]
-    runs = []
-    for spec in specs:
-        scores: list[tuple[int, float, float]] = []
-        predicted: dict[str, str] = {}
-        for fold, model in enumerate(train_folds(spec, training_sets)):
-            preds = model.predict(features[fold][1])
-            gold_te = gold_tested[fold]
-            scores.append((fold, accuracy(gold_te, preds), macro_f1(gold_te, preds)))
-            predicted.update(zip(tested[fold], preds))
-        runs.append(
-            EvalRun(
-                classifier=spec.kind,
-                condition=condition,
-                fold_scores=tuple(scores),
-                mean_accuracy=sum(s[1] for s in scores) / len(scores),
-                mean_macro_f1=sum(s[2] for s in scores) / len(scores),
-                per_doc_predictions={d.doc_id: predicted[d.doc_id] for d in docs},
-            )
-        )
-    return runs
+    split = fold_split(docs, gold, folds)
+    return cross_validate_features(split, [fold_features(docs, split)], specs, [condition])[0]
 
 
 def paired_t_pvalue(differences: list[float]) -> float:

@@ -316,6 +316,10 @@ def load_word2vec_text(path: str) -> tuple[dict[str, np.ndarray], int]:
             count, dim = int(header[0]), int(header[1])
         except ValueError:
             raise EmbeddingError(f"{path}: malformed header line {header!r}") from None
+        if count < 0 or dim < 1:
+            raise EmbeddingError(
+                f"{path}: header needs a count >= 0 and a dimension >= 1, got {count} {dim}"
+            )
         for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip().split(" ")
             if len(parts) != dim + 1:

@@ -34,7 +34,9 @@ from .downstream import (
     ClassifierSpec,
     EvalRun,
     MpdResult,
-    cross_validate_docs,
+    cross_validate_features,
+    fold_features,
+    fold_split,
     make_classifier_spec,
     mcnemar,
     mpd,
@@ -278,15 +280,19 @@ def run_intrinsic(config: RunConfig) -> list[NormalizerReport]:
 def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     """Evaluate every configured normalizer over the configured corpus.
 
-    The un-normalized downstream baseline is computed once per
-    classifier and shared, and so are the embeddings of the original
-    documents: they are made when the first normalizer needs them and
-    kept once they succeed. A normalizer that changes no document takes
-    the baseline runs as its normalized runs. A failure inside one
-    normalizer's pipeline, embedding the originals included, becomes a
-    failure entry in its report; the others still complete (and retry
-    that embedding).
-    Corpus loading or baseline failures abort the whole run.
+    The embeddings of the original documents are shared: they are made
+    when the first normalizer needs them and kept once they succeed. The
+    run has two phases. The first runs each normalizer's intrinsic
+    metrics, IRS and safety gate, and featurizes the folds of each
+    corpus a normalizer changed. The second trains every classifier on
+    the folds of the un-normalized baseline and of all those corpora
+    together, then scores each normalizer's deltas against the shared
+    baseline; a normalizer that changes no document takes the baseline
+    runs as its normalized runs. A failure inside one normalizer's first
+    phase, embedding the originals included, becomes a failure entry in
+    its report; the others still complete (and retry that embedding).
+    Corpus loading or baseline failures abort the whole run before any
+    normalizer runs.
     """
     corpus, original_docs = _load_documents(config)
     provider = build_embedder(config.embedder)
@@ -297,21 +303,24 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     def original_embeddings() -> np.ndarray:
         return provider.embed_documents([list(d.tokens) for d in original_docs])
 
-    baselines: dict[str, EvalRun] = {}
     specs: list[ClassifierSpec] = []
-    folds = None
+    split = None
+    baseline_features = None
     gold: dict[str, str] = {}
     if config.classifiers:
         if len(corpus.labels) < 2:
             raise EvaluationError("downstream evaluation requires at least 2 labels")
-        folds = make_folds(corpus, config.k, config.seed)
         gold = {doc.id: doc.label for doc in corpus.documents}
         specs = [
             make_classifier_spec(CLASSIFIER_ALIASES[alias], config.seed)
             for alias in config.classifiers
         ]
-        runs = cross_validate_docs(original_docs, gold, folds, specs)
-        baselines = {run.classifier: run for run in runs}
+        split = fold_split(original_docs, gold, make_folds(corpus, config.k, config.seed))
+        baseline_features = fold_features(original_docs, split)
+
+    # each successful report of the first phase with its corpus's fold
+    # features, None for a corpus the normalizer left unchanged
+    pending: list[tuple[NormalizerReport, list | None]] = []
 
     def score(name: str, normalized_docs, mapping: TokenMapping) -> NormalizerReport:
         compression = _compression(mapping)
@@ -322,45 +331,54 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
         gated = safety_gate(
             irs_result.irs, compression.cr, primary.anld, config.safety_threshold
         )
-        normalized_runs = {}
-        if all(map(operator.is_, normalized_docs, original_docs)):
-            # training is deterministic, so cross-validating the same
-            # documents again would reproduce the baseline's runs
-            normalized_runs = {
-                kind: replace(run, condition="normalized") for kind, run in baselines.items()
-            }
-        elif specs:
-            runs = cross_validate_docs(normalized_docs, gold, folds, specs, "normalized")
-            normalized_runs = {run.classifier: run for run in runs}
-        deltas = []
-        for alias in config.classifiers:
-            kind = CLASSIFIER_ALIASES[alias]
-            run_norm = normalized_runs[kind]
-            run_orig = baselines[kind]
-            deltas.append(
-                ClassifierDelta(
-                    classifier=kind,
-                    original=run_orig,
-                    normalized=run_norm,
-                    mpd_accuracy=mpd(run_norm, run_orig, "accuracy"),
-                    mpd_macro_f1=mpd(run_norm, run_orig, "macro_f1"),
-                    mcnemar_p=mcnemar(
-                        run_norm.per_doc_predictions, run_orig.per_doc_predictions, gold
-                    ),
-                )
-            )
-        return NormalizerReport(
+        features = None
+        # training is deterministic, so cross-validating unchanged
+        # documents again would reproduce the baseline's runs
+        if specs and not all(map(operator.is_, normalized_docs, original_docs)):
+            features = fold_features(normalized_docs, split)
+        report = NormalizerReport(
             normalizer=name,
             compression=compression,
             irs_result=irs_result,
             ses_result=gated,
             anld_primary=primary,
             anld_alternate=alternate,
-            deltas=tuple(deltas),
             empty_stems=mapping.empty_stem_count,
         )
+        pending.append((report, features))
+        return report
 
-    return _run_normalizers(config.normalizers, original_docs, score)
+    reports = _run_normalizers(config.normalizers, original_docs, score)
+    if not specs:
+        return reports
+    changed = [features for _, features in pending if features is not None]
+    baseline_runs, *changed_runs = cross_validate_features(
+        split,
+        [baseline_features, *changed],
+        specs,
+        ["original"] + ["normalized"] * len(changed),
+    )
+    changed_runs = iter(changed_runs)
+    unchanged_runs = [replace(run, condition="normalized") for run in baseline_runs]
+    finished = []
+    for report, features in pending:
+        runs = unchanged_runs if features is None else next(changed_runs)
+        deltas = tuple(_delta(run, baseline, gold) for run, baseline in zip(runs, baseline_runs))
+        finished.append(replace(report, deltas=deltas))
+    done = iter(finished)
+    return [report if report.failed else next(done) for report in reports]
+
+
+def _delta(run_norm: EvalRun, run_orig: EvalRun, gold: dict[str, str]) -> ClassifierDelta:
+    """One classifier's normalized run against its baseline run."""
+    return ClassifierDelta(
+        classifier=run_norm.classifier,
+        original=run_orig,
+        normalized=run_norm,
+        mpd_accuracy=mpd(run_norm, run_orig, "accuracy"),
+        mpd_macro_f1=mpd(run_norm, run_orig, "macro_f1"),
+        mcnemar_p=mcnemar(run_norm.per_doc_predictions, run_orig.per_doc_predictions, gold),
+    )
 
 
 def _report_to_dict(report: NormalizerReport) -> dict:

@@ -117,7 +117,12 @@ def reference_train_linear_svm(spec, X, y_idx, classes):
             if q == 0.0:
                 continue
             cols, vals = rows[i]
-            scores = (vals @ Wt[cols]).tolist()
+            # the row score as normeval defines it: each nonzero's terms
+            # added one at a time, in the row's column order
+            scores = [0.0] * k
+            for col, val in zip(cols.tolist(), vals.tolist()):
+                for c, weight in enumerate(Wt[col].tolist()):
+                    scores[c] += val * weight
             a_i, label = alpha[i], labels[i]
             steps = [0.0] * k
             for c in range(k):

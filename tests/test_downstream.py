@@ -2,7 +2,12 @@
 performance-delta significance machinery."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse, stats
 
+import normeval
 from normeval import (
     ALPHA,
     ClassifierSpec,
@@ -19,6 +25,7 @@ from normeval import (
     EvaluationError,
     FoldPlan,
     IdentityNormalizer,
+    SnowballEnglishNormalizer,
     TokenizedDocument,
     TruncateNormalizer,
     accuracy,
@@ -365,6 +372,22 @@ def random_training_set(rng, n_classes):
     return sparse.csr_matrix(dense), [f"c{c}" for c in y]
 
 
+def mini_corpus_fold_sets(normalizer=None):
+    """The five fold training sets of the bundled corpus (k=5, seed 42),
+    normalized by ``normalizer`` if one is given."""
+    corpus = load_corpus(mini_corpus_path())
+    folds = make_folds(corpus, k=5, seed=42)
+    docs = tokenize_corpus(corpus)
+    if normalizer is not None:
+        docs, _ = normalize_corpus(normalizer, docs)
+    gold = [doc.label for doc in corpus.documents]
+    fold_of = np.array([folds.assignments[d.doc_id] for d in docs])
+    return [
+        (Xtr, [lab for lab, f in zip(gold, fold_of) if f != fold])
+        for fold, (Xtr, _) in enumerate(fold_tfidf(docs, fold_of, folds.k))
+    ]
+
+
 class TestTrainFoldsAgainstPerSetReference:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -397,15 +420,7 @@ class TestTrainFoldsAgainstPerSetReference:
             assert model.W.tobytes() == expected.W.tobytes()
 
     def test_mini_corpus_folds_byte_for_byte_at_200_steps(self):
-        corpus = load_corpus(mini_corpus_path())
-        folds = make_folds(corpus, k=5, seed=42)
-        docs = tokenize_corpus(corpus)
-        gold = [doc.label for doc in corpus.documents]
-        fold_of = np.array([folds.assignments[d.doc_id] for d in docs])
-        sets = [
-            (Xtr, [lab for lab, f in zip(gold, fold_of) if f != fold])
-            for fold, (Xtr, _) in enumerate(fold_tfidf(docs, fold_of, folds.k))
-        ]
+        sets = mini_corpus_fold_sets()
         spec = make_classifier_spec("logistic_regression", seed=42)
         for (X, labels), model in zip(sets, train_folds(spec, sets)):
             classes = sorted(set(labels))
@@ -422,6 +437,124 @@ class TestTrainFoldsAgainstPerSetReference:
         assert [m.classes for m in models] == [["a", "b"], ["a", "c"], ["a", "b"]]
         for (X, labels), model in zip(sets, models):
             assert model.W.tobytes() == train(spec, X, labels).W.tobytes()
+
+
+@st.composite
+def svm_lanes(draw):
+    """1-8 training sets of different row counts, feature counts and row
+    widths (up to 40 nonzeros), with all-zero rows; every set trains on
+    at least two classes, and with three or more classes the second set
+    lacks one of the first set's classes."""
+    n_classes = draw(st.sampled_from([2, 3, 4]))
+    n_lanes = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sets = []
+    for lane in range(n_lanes):
+        n, n_features = int(rng.integers(n_classes, 30)), int(rng.integers(1, 41))
+        dense = rng.random((n, n_features)) * (rng.random((n, n_features)) < rng.random())
+        dense[rng.permutation(n)[: int(rng.integers(0, n))]] = 0.0
+        present = rng.permutation(n_classes)[: int(rng.integers(2, n_classes + 1))]
+        if lane == 1 and n_classes > 2:
+            present = np.arange(n_classes - 1)
+        y = rng.choice(present, size=n)
+        y[: len(present)] = present
+        sets.append((sparse.csr_matrix(dense), [f"c{c}" for c in y]))
+    return sets
+
+
+class TestLinearSvmLockstep:
+    """Each lane of the SVM's lockstep trains exactly as its set does
+    alone in the per-set reference, whose row scores add a row's terms
+    one at a time in column order."""
+
+    @staticmethod
+    def assert_each_lane_is_its_reference(spec, sets):
+        for (X, labels), model in zip(sets, train_folds(spec, sets)):
+            classes = sorted(set(labels))
+            y_idx = np.array([classes.index(lab) for lab in labels])
+            expected = reference_train_linear_svm(spec, X, y_idx, classes)
+            assert model.classes == classes
+            assert model.W.tobytes() == expected.W.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sets=svm_lanes(),
+        l2_lambda=st.sampled_from([0.0, 1e-4, 1e-2, 0.5]),
+        epochs=st.integers(1, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_lane_byte_for_byte(self, sets, l2_lambda, epochs, seed):
+        spec = ClassifierSpec(kind="linear_svm", l2_lambda=l2_lambda, epochs=epochs, seed=seed)
+        self.assert_each_lane_is_its_reference(spec, sets)
+
+    def test_lanes_that_stop_in_different_epochs(self):
+        # orthogonal rows reach their margins in the first epoch and stop
+        # after the second; duplicate rows with both labels and C
+        # unbounded run to the epoch cap, the ninth
+        converging = (sparse.csr_matrix(np.eye(3)), ["a", "b", "a"])
+        capped = (sparse.csr_matrix(np.ones((4, 2))), ["a", "b", "a", "b"])
+        spec = ClassifierSpec(kind="linear_svm", l2_lambda=0.0, epochs=9)
+        self.assert_each_lane_is_its_reference(spec, [converging, capped, converging])
+
+    def test_mini_corpus_conditions_byte_for_byte(self):
+        # the reference run's lanes: three corpora x five folds
+        sets = [
+            *mini_corpus_fold_sets(),
+            *mini_corpus_fold_sets(SnowballEnglishNormalizer()),
+            *mini_corpus_fold_sets(TruncateNormalizer(3)),
+        ]
+        self.assert_each_lane_is_its_reference(make_classifier_spec("linear_svm", seed=42), sets)
+
+
+# the weights of the mini corpus's five fold SVMs as hex; run in this
+# process and in fresh ones under other OpenBLAS kernels
+FOLD_SVM_WEIGHTS = """
+from normeval import load_corpus, make_folds, tokenize_corpus
+from normeval.data import mini_corpus_path
+from normeval.downstream import fold_tfidf, make_classifier_spec, train_folds
+import numpy as np
+
+corpus = load_corpus(mini_corpus_path())
+folds = make_folds(corpus, k=5, seed=42)
+docs = tokenize_corpus(corpus)
+fold_of = np.array([folds.assignments[d.doc_id] for d in docs])
+sets = [
+    (Xtr, [d.label for d, f in zip(corpus.documents, fold_of) if f != fold])
+    for fold, (Xtr, _) in enumerate(fold_tfidf(docs, fold_of, folds.k))
+]
+models = train_folds(make_classifier_spec("linear_svm", seed=42), sets)
+weights = b"".join(model.W.tobytes() for model in models).hex()
+"""
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            return {flag for line in fh if line.startswith("flags") for flag in line.split()[2:]}
+    except OSError:
+        return set()
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"), reason="OpenBLAS x86-64 kernels"
+)
+class TestSvmWeightsDoNotDependOnTheBlasKernel:
+    @pytest.mark.parametrize("coretype", ["Prescott", "Haswell"])
+    def test_fresh_process_under_another_kernel(self, coretype):
+        # every x86-64 CPU runs Prescott; forcing a kernel whose
+        # instructions the CPU lacks can crash the process
+        if coretype == "Haswell" and "avx2" not in _cpu_flags():
+            pytest.skip("the CPU has no AVX2")
+        here = {}
+        exec(FOLD_SVM_WEIGHTS, here)
+        src = str(Path(normeval.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype)
+        env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", FOLD_SVM_WEIGHTS + "print(weights)"],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == here["weights"]
 
 
 class TestScoring:

@@ -488,6 +488,20 @@ class TestWord2vecLoader:
         with pytest.raises(EmbeddingError, match="header"):
             load_word2vec_text(path)
 
+    @pytest.mark.parametrize(
+        "lines",
+        [["0 -1"], ["0 0"], ["1 0", "foo"], ["-1 4"]],
+        ids=["negative-dim", "zero-dim", "zero-dim-with-token", "negative-count"],
+    )
+    def test_non_positive_dimension_or_negative_count(self, tmp_path, lines):
+        path = write_vectors(tmp_path / "v.txt", lines)
+        with pytest.raises(EmbeddingError, match="header needs a count >= 0 and a dimension >= 1"):
+            load_word2vec_text(path)
+
+    def test_empty_file_with_a_valid_header(self, tmp_path):
+        vectors, dim = load_word2vec_text(write_vectors(tmp_path / "v.txt", ["0 3"]))
+        assert vectors == {} and dim == 3
+
     def test_wrong_component_count_reports_line(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["2 3", "a 1 0 0", "b 1 0"])
         with pytest.raises(EmbeddingError, match="line 3"):

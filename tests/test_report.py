@@ -857,6 +857,17 @@ class TestCli:
         assert "normeval: error: safety_threshold" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("header", ["0 -1", "0 0", "1 0\nfoo"])
+    def test_vector_file_without_a_dimension_exits_1(self, corpus_path, tmp_path, capsys, header):
+        vectors = tmp_path / "v.txt"
+        vectors.write_text(header + "\n", encoding="utf-8")
+        code = main(["evaluate", "--corpus", corpus_path, "--normalizer", "truncate:3",
+                     "--classifiers", "", "--embedder", f"vecfile:{vectors}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "normeval: error:" in captured.err and "dimension >= 1" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("command", ["metrics", "anld-pairs"])
     def test_intrinsic_failure_is_reported_and_isolated(self, corpus_path, command, capsys):
         code = main([command, "--corpus", corpus_path, "--normalizer", "map:/nonexistent/m.tsv",
