@@ -85,7 +85,8 @@ def load_corpus(
     delimiter: str = "\t",
     has_header: bool = True,
 ) -> Corpus:
-    """Load a labeled corpus from a delimited UTF-8 file.
+    """Load a labeled corpus from a delimited UTF-8 file; a leading
+    byte-order mark is dropped.
 
     One Document per data row, in file order. Rows whose text is empty
     after trimming are skipped and counted in ``Corpus.skipped_rows``.
@@ -94,7 +95,7 @@ def load_corpus(
     character there. Other delimiters keep csv quoting.
     """
     try:
-        fh = open(path, encoding="utf-8", newline="")
+        fh = open(path, encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise CorpusError(f"cannot open corpus file {path!r}: {exc}") from exc
 

@@ -95,19 +95,23 @@ class _GramBins(dict):
         # a copy of this keyed state hashes as a freshly keyed blake2b
         self.state = hashlib.blake2b(digest_size=9, key=key)
 
+    def hash(self, grams: list[str]) -> np.ndarray:
+        """The bins of ``grams``, as int32, hashed without caching."""
+        digests = bytearray()
+        for gram in grams:
+            hasher = self.state.copy()
+            hasher.update(gram.encode("utf-8"))
+            digests += hasher.digest()
+        raw = np.frombuffer(digests, np.uint8).reshape(-1, 9)
+        # the first 8 bytes, little-endian, pick the coordinate
+        index = raw[:, :8].copy().view("<u8")[:, 0] % self.dim
+        return np.where(raw[:, 8] & 1, index, index + self.dim).astype(np.int32)
+
     def bins(self, grams: list[str]) -> np.ndarray:
         """The bins of the distinct ``grams``, as int32."""
         new = [gram for gram in grams if gram not in self]
         if new:
-            digests = bytearray()
-            for gram in new:
-                hasher = self.state.copy()
-                hasher.update(gram.encode("utf-8"))
-                digests += hasher.digest()
-            raw = np.frombuffer(digests, np.uint8).reshape(-1, 9)
-            # the first 8 bytes, little-endian, pick the coordinate
-            index = raw[:, :8].copy().view("<u8")[:, 0] % self.dim
-            self.update(zip(new, np.where(raw[:, 8] & 1, index, index + self.dim).tolist()))
+            self.update(zip(new, self.hash(new).tolist()))
         return np.fromiter(map(self.__getitem__, grams), np.int32, len(grams))
 
 
@@ -172,10 +176,12 @@ def _token_bins(
         elif ids.max() >> (63 - _CODE_BITS):
             # the next level's key would overflow
             ids = _rank(ids)[0]
-    # the whole wrapped token is a gram of its own
+    # the whole wrapped token is a gram of its own; outside [lo, hi] it
+    # is no other token's n-gram, and its token is built once, so it is
+    # hashed without being cached
     whole = np.flatnonzero((lens < lo) | (lens > hi))
     token_parts.append(whole)
-    bin_parts.append(gram_bins.bins([wrapped[i] for i in whole.tolist()]))
+    bin_parts.append(gram_bins.hash([wrapped[i] for i in whole.tolist()]))
     token_of = np.concatenate(token_parts)
     bins = np.concatenate(bin_parts)[token_of.argsort()]
     return np.bincount(token_of, minlength=len(tokens)), bins
@@ -190,9 +196,25 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.cumsum(steps, out=steps)
 
 
-# documents pooled by one np.bincount; bounds its count matrix at
-# _EMBED_BLOCK x 2 dim
-_EMBED_BLOCK = 2048
+def _append(table: np.ndarray, used: int, extra: np.ndarray) -> np.ndarray:
+    """``table[:used]`` followed by ``extra``: in ``table`` itself when it
+    has room, else in a new array at least twice as long, so a table
+    grown by many small calls is copied O(log n) times. The room past
+    the end is not written until it is used, so in a large table its
+    pages stay out of the resident set."""
+    end = used + len(extra)
+    if end > len(table):
+        grown = np.empty(max(end, 2 * len(table)), table.dtype)
+        grown[:used] = table[:used]
+        table = grown
+    table[used:end] = extra
+    return table
+
+
+# documents pooled by one np.bincount, and changed documents embedded
+# and scored at a time by irs; bounds the count matrix at
+# _EMBED_BLOCK x 2 dim and irs's normalized rows at _EMBED_BLOCK x dim
+_EMBED_BLOCK = 512
 # new tokens whose bins are built in one pass; bounds its temporaries
 _BUILD_CHUNK = 2048
 
@@ -212,7 +234,7 @@ class HashedNgramProvider(EmbeddingProvider):
     as the bins of its distinct grams, the sign folded into the bin (see
     :class:`_GramBins`): a row of one CSR table, ``_bins[_indptr[row]:
     _indptr[row + 1]]``, where ``_token_cache`` maps the token to its
-    row. The rows of the new tokens of a call are built in numpy (see
+    row; both arrays keep room to grow (see :func:`_append`). The rows of the new tokens of a call are built in numpy (see
     :func:`_token_bins`). A block of documents is pooled by one integer
     histogram over the bins of all its tokens, offset by document; a
     document vector is then (positive - negative counts) / token count.
@@ -246,17 +268,18 @@ class HashedNgramProvider(EmbeddingProvider):
         new = list(dict.fromkeys(itertools.filterfalse(cache.__contains__, tokens)))
         if not new:
             return
-        counts, bins = [], [self._bins]
+        counts, bins = [], []
         for start in range(0, len(new), _BUILD_CHUNK):
             chunk = new[start : start + _BUILD_CHUNK]
             chunk_counts, chunk_bins = _token_bins(chunk, self.n_range, self._gram_bins)
             counts.append(chunk_counts)
             bins.append(chunk_bins)
-        # the table grows once per call
-        ends = self._indptr[-1] + np.cumsum(np.concatenate(counts))
-        self._indptr = np.concatenate([self._indptr, ends])
-        self._bins = np.concatenate(bins)
-        cache.update(zip(new, range(len(cache), len(cache) + len(new))))
+        rows = len(cache)
+        used = int(self._indptr[rows])
+        ends = used + np.cumsum(np.concatenate(counts))
+        self._indptr = _append(self._indptr, rows + 1, ends)
+        self._bins = _append(self._bins, used, np.concatenate(bins))
+        cache.update(zip(new, range(rows, rows + len(new))))
 
     def _token_vector(self, token: str) -> np.ndarray:
         """The token's vector: the sum of its grams' +/-1, as int32."""
@@ -298,12 +321,13 @@ class HashedNgramProvider(EmbeddingProvider):
 
 
 def load_word2vec_text(path: str) -> tuple[dict[str, np.ndarray], int]:
-    """Load a word2vec text-format vector file: a '<count> <dim>' header
-    line, then one '<token> <dim floats>' line per token. Trailing
-    whitespace on a line is ignored (the reference word2vec tool ends
-    every component with a space); a repeated token is an error."""
+    """Load a word2vec text-format vector file, UTF-8 with or without a
+    byte-order mark: a '<count> <dim>' header line, then one '<token>
+    <dim floats>' line per token. Trailing whitespace on a line is
+    ignored (the reference word2vec tool ends every component with a
+    space); a repeated token is an error."""
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise EmbeddingError(f"cannot open vector file {path!r}: {exc}") from exc
     vectors: dict[str, np.ndarray] = {}
@@ -498,10 +522,12 @@ def irs(
     whose tokens the normalizer changed are embedded again; the others
     reuse their original row.
 
-    Every score is the one :func:`cosine_with_flag` gives, bit for bit.
-    The cosines of the changed documents come from batched row dots, a
-    block at a time; a document with a norm outside
-    ``(_NORM_LO, _NORM_HI)`` on either side is scored by
+    The changed documents are embedded and scored a block of
+    ``_EMBED_BLOCK`` at a time, so the run holds the original matrix and
+    one block of normalized rows, never a matrix of all of them. Every
+    score is the one :func:`cosine_with_flag` gives, bit for bit: the
+    cosines come from batched row dots, and a document with a norm
+    outside ``(_NORM_LO, _NORM_HI)`` on either side is scored by
     :func:`cosine_with_flag` itself.
     """
     ids_a = [d.doc_id for d in original_docs]
@@ -516,40 +542,41 @@ def irs(
         raise EmbeddingError(
             f"{len(original_embeddings)} original embeddings for {len(original_docs)} documents"
         )
+    original = np.ascontiguousarray(original_embeddings, np.float64)
     changed = [
         i
         for i, (a, b) in enumerate(zip(original_docs, normalized_docs))
         if a is not b and a.tokens != b.tokens
     ]
-    embedded = provider.embed_documents([list(normalized_docs[i].tokens) for i in changed])
-    expected = (len(changed), original_embeddings.shape[1])
-    if embedded.shape != expected:
-        raise EmbeddingError(
-            f"{provider.name}: embeddings of shape {embedded.shape} for {expected[0]} changed "
-            f"documents of width {expected[1]}"
-        )
-    original = np.ascontiguousarray(original_embeddings, np.float64)
-    embedded = np.ascontiguousarray(embedded, np.float64)
     values = np.ones(len(original))  # an unchanged document scores 1
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(_row_dots(original, original))
-        in_range = (_NORM_LO < norms) & (norms < _NORM_HI)
-        for start in range(0, len(changed), _EMBED_BLOCK):
-            rows = changed[start : start + _EMBED_BLOCK]
-            a, b = original[rows], embedded[start : start + _EMBED_BLOCK]
-            norms_b = np.sqrt(_row_dots(b, b))
-            in_range[rows] &= (_NORM_LO < norms_b) & (norms_b < _NORM_HI)
-            cosines = np.clip(_row_dots(a, b) / (norms[rows] * norms_b), -1.0, 1.0)
-            cosines[(a == b).all(axis=1)] = 1.0
-            values[rows] = cosines
-    # a norm out of range: the zero-vector convention, a rescaling, or
-    # an error for a non-finite component
-    slot = np.full(len(original), -1)
-    slot[changed] = np.arange(len(changed))
+    in_range = (_NORM_LO < norms) & (norms < _NORM_HI)
+    unchanged_out = ~in_range
+    unchanged_out[changed] = False
     zero_docs = 0
-    for i in np.flatnonzero(~in_range).tolist():
-        a = original[i]
-        values[i], zero_flag = cosine_with_flag(a, embedded[slot[i]] if slot[i] >= 0 else a)
+    for start in range(0, len(changed), _EMBED_BLOCK):
+        rows = changed[start : start + _EMBED_BLOCK]
+        b = provider.embed_documents([list(normalized_docs[i].tokens) for i in rows])
+        if b.shape != (len(rows), original.shape[1]):
+            raise EmbeddingError(
+                f"{provider.name}: embeddings of shape {b.shape} for {len(rows)} changed "
+                f"documents of width {original.shape[1]}"
+            )
+        a, b = original[rows], np.ascontiguousarray(b, np.float64)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            norms_b = np.sqrt(_row_dots(b, b))
+            cosines = np.clip(_row_dots(a, b) / (norms[rows] * norms_b), -1.0, 1.0)
+        cosines[(a == b).all(axis=1)] = 1.0
+        # a norm out of range: the zero-vector convention, a rescaling,
+        # or an error for a non-finite component
+        out = ~(in_range[rows] & (_NORM_LO < norms_b) & (norms_b < _NORM_HI))
+        for j in np.flatnonzero(out).tolist():
+            cosines[j], zero_flag = cosine_with_flag(a[j], b[j])
+            zero_docs += zero_flag
+        values[rows] = cosines
+    for i in np.flatnonzero(unchanged_out).tolist():
+        values[i], zero_flag = cosine_with_flag(original[i], original[i])
         zero_docs += zero_flag
     per_doc = tuple(zip(ids_a, values.tolist()))
     total = 0.0

@@ -99,7 +99,8 @@ class TruncateNormalizer(Normalizer):
 
 
 def load_mapping(path: str) -> dict[str, str]:
-    """Load an 'original<TAB>stem' mapping file.
+    """Load an 'original<TAB>stem' mapping file, UTF-8 with or without
+    a byte-order mark.
 
     Lines starting with '#' are comments. Duplicate originals keep the
     last entry; duplicates are counted and logged as a warning.
@@ -107,7 +108,7 @@ def load_mapping(path: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
     duplicates = 0
     try:
-        fh = open(path, encoding="utf-8")
+        fh = open(path, encoding="utf-8-sig")
     except OSError as exc:
         raise NormalizerError(f"cannot open mapping file {path!r}: {exc}") from exc
     with fh:

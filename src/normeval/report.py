@@ -471,6 +471,12 @@ def _pct(x: float) -> str:
     return f"{100.0 * x:.2f}"
 
 
+def _table_row(cells: list[str]) -> str:
+    """One Markdown table row; a ``|`` inside a cell is escaped, so a
+    token or a normalizer name cannot add a column."""
+    return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+
+
 def emit_markdown(reports: list[NormalizerReport], path: str, config: RunConfig | None = None) -> None:
     """Write the human-readable report: a summary table (one row per
     normalizer), per-classifier detail, worst over-stemming pairs, and
@@ -494,7 +500,7 @@ def emit_markdown(reports: list[NormalizerReport], path: str, config: RunConfig 
 
     header = ["Normalizer", "CR", "IRS", "SES", "ANLD"]
     header += [f"{name} acc (orig→norm)" for name in classifier_names]
-    lines.append("| " + " | ".join(header) + " |")
+    lines.append(_table_row(header))
     lines.append("|" + "---|" * len(header))
     notes: list[str] = []
     for r in ok:
@@ -516,7 +522,7 @@ def emit_markdown(reports: list[NormalizerReport], path: str, config: RunConfig 
                 row.append(
                     f"{_pct(d.original.mean_accuracy)} → {_pct(d.normalized.mean_accuracy)}{mark}"
                 )
-        lines.append("| " + " | ".join(row) + " |")
+        lines.append(_table_row(row))
         if not r.ses_result.safe:
             notes.append(
                 f"`{r.normalizer}`: UNSAFE, ANLD {r.anld_primary.anld:.2f} exceeds "
@@ -548,16 +554,18 @@ def emit_markdown(reports: list[NormalizerReport], path: str, config: RunConfig 
         for r in ok:
             for d in r.deltas:
                 lines.append(
-                    "| {} | {} | {} | {} | {:+.2f} | {:.4f} | {:.4f} | {} | {} |".format(
-                        r.normalizer,
-                        d.classifier,
-                        _pct(d.original.mean_accuracy),
-                        _pct(d.normalized.mean_accuracy),
-                        100.0 * d.mpd_accuracy.mpd,
-                        d.mpd_accuracy.p_value,
-                        d.mcnemar_p,
-                        _pct(d.original.mean_macro_f1),
-                        _pct(d.normalized.mean_macro_f1),
+                    _table_row(
+                        [
+                            r.normalizer,
+                            d.classifier,
+                            _pct(d.original.mean_accuracy),
+                            _pct(d.normalized.mean_accuracy),
+                            f"{100.0 * d.mpd_accuracy.mpd:+.2f}",
+                            f"{d.mpd_accuracy.p_value:.4f}",
+                            f"{d.mcnemar_p:.4f}",
+                            _pct(d.original.mean_macro_f1),
+                            _pct(d.normalized.mean_macro_f1),
+                        ]
                     )
                 )
         lines.append("")
@@ -568,7 +576,7 @@ def emit_markdown(reports: list[NormalizerReport], path: str, config: RunConfig 
         for r in pairs_sections:
             lines += [f"### {r.normalizer}", "", "| Original | Stem | Normalized distance |", "|---|---|---|"]
             for orig, stem, dist in r.anld_primary.worst_pairs:
-                lines.append(f"| {orig} | {stem if stem else '(empty)'} | {dist:.2f} |")
+                lines.append(_table_row([orig, stem if stem else "(empty)", f"{dist:.2f}"]))
             lines.append("")
 
     if notes:

@@ -59,6 +59,15 @@ class TestLoadCorpus:
         assert corpus.documents[0].text == "hello"
         assert corpus.documents[0].label == "A"
 
+    @pytest.mark.parametrize("has_header", [True, False])
+    def test_byte_order_mark_dropped(self, tmp_path, has_header):
+        # without a header the mark would be part of the first document
+        path = tmp_path / "c.tsv"
+        path.write_text("text\tlabel\nhello\tA\n" if has_header else "hello\tA\n", encoding="utf-8-sig")
+        columns = {} if has_header else {"text_col": 0, "label_col": 1}
+        corpus = load_corpus(str(path), has_header=has_header, **columns)
+        assert [(d.text, d.label) for d in corpus.documents] == [("hello", "A")]
+
     def test_comma_delimiter(self, tmp_path):
         path = write(tmp_path, "c.csv", "text,label\nhello,A\nbye,B\n")
         corpus = load_corpus(path, delimiter=",")

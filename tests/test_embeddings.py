@@ -25,6 +25,7 @@ from normeval import (
     irs,
     load_word2vec_text,
 )
+from normeval import embeddings
 from normeval.embeddings import _EMBED_BLOCK
 
 
@@ -376,6 +377,22 @@ class TestBatchedTokenBins:
             for token in seen:
                 expected = reference_token_vector(provider, token)
                 assert np.array_equal(provider._token_vector(token), expected), token
+        # only the n-grams of the range are cached, not the whole wrapped
+        # tokens outside it
+        assert all(n_range[0] <= len(gram) <= n_range[1] for gram in provider._gram_bins)
+
+    def test_table_grows_by_doubling(self):
+        # irs adds a block's new tokens per call; the table must not be
+        # copied whole on each of them
+        provider = HashedNgramProvider(dim=8)
+        lengths = set()
+        for i in range(1000):
+            provider.embed_documents([[f"token{i}"]])
+            lengths.add((len(provider._indptr), len(provider._bins)))
+        assert len(lengths) <= 2 * 16
+        for i in (0, 511, 999):
+            token = f"token{i}"
+            assert np.array_equal(provider._token_vector(token), reference_token_vector(provider, token))
 
     @pytest.mark.parametrize("n_range", [(1, 2), (3, 5), (4, 8)])
     def test_many_new_tokens_in_one_call(self, n_range):
@@ -473,6 +490,13 @@ class TestWord2vecLoader:
         assert dim == 3
         assert np.array_equal(vectors["a"], [1.0, 0.0, 0.0])
         assert np.array_equal(vectors["b"], [0.0, 2.5, -1.0])
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("1 2\na 1 0\n", encoding="utf-8-sig")
+        vectors, dim = load_word2vec_text(str(path))
+        assert dim == 2
+        assert list(vectors) == ["a"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(EmbeddingError, match="cannot open"):
@@ -710,23 +734,26 @@ def irs_corpora(draw):
     return original, normalized, np.array(matrix), FixedProvider(table)
 
 
+def check_against_pairs(original, normalized, matrix, provider):
+    """irs equals irs_by_pairs bit for bit, and warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = irs(provider, original, normalized, matrix)
+        expected = irs_by_pairs(original, normalized, matrix, provider)
+    assert result.irs.hex() == expected[0].hex()
+    assert [(d, v.hex()) for d, v in result.per_doc] == [(d, v.hex()) for d, v in expected[1]]
+    assert result.zero_vector_docs == expected[2]
+    return result
+
+
 class TestBatchedIrs:
     """irs takes its cosines from batched row dots; each must be the one
     cosine_with_flag gives, bit for bit."""
 
-    def check(self, original, normalized, matrix, provider):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            result = irs(provider, original, normalized, matrix)
-            expected = irs_by_pairs(original, normalized, matrix, provider)
-        assert result.irs.hex() == expected[0].hex()
-        assert [(d, v.hex()) for d, v in result.per_doc] == [(d, v.hex()) for d, v in expected[1]]
-        assert result.zero_vector_docs == expected[2]
-
     @settings(max_examples=300, deadline=None)
     @given(irs_corpora())
     def test_equal_to_per_pair_loop(self, corpus):
-        self.check(*corpus)
+        check_against_pairs(*corpus)
 
     @settings(max_examples=100, deadline=None)
     @given(irs_corpora(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
@@ -763,18 +790,38 @@ class TestBatchedIrs:
             for i in range(n)
         ]
         table = {d.tokens: row for d, row in zip(normalized, changed)}
-        self.check(original, normalized, matrix, FixedProvider(table))
+        check_against_pairs(original, normalized, matrix, FixedProvider(table))
+
+    def test_no_matrix_of_all_normalized_documents(self):
+        # eight blocks of changed documents at dim 256: one float64 matrix
+        # of them, or of the whole corpus, would take 8 MiB
+        provider = HashedNgramProvider(dim=256)
+        n = 8 * _EMBED_BLOCK
+        original = [TokenizedDocument(f"d{i}", (f"w{i % 50}", f"v{i % 7}")) for i in range(n)]
+        normalized = [TokenizedDocument(d.doc_id, d.tokens[:1]) for d in original]
+        matrix = provider.embed_documents([list(d.tokens) for d in original])
+        tracemalloc.start()
+        try:
+            result = irs(provider, original, normalized, matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes
+        assert result == irs(HashedNgramProvider(dim=256), original, normalized)
 
 
 class CountingProvider(HashedNgramProvider):
-    """Hashed provider that records every document it is asked to embed."""
+    """Hashed provider that records every document it is asked to embed,
+    and counts its calls."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.embedded = []
+        self.calls = 0
 
     def embed_documents(self, token_lists):
         self.embedded.extend(tuple(tokens) for tokens in token_lists)
+        self.calls += 1
         return super().embed_documents(token_lists)
 
 
@@ -803,8 +850,9 @@ class TestIrsSkipsUnchangedDocuments:
         provider = CountingProvider(dim=16)
         original = provider.embed_documents([list(d.tokens) for d in self.ORIGINAL])
         provider.embedded.clear()
+        provider.calls = 0
         result = irs(provider, self.ORIGINAL, list(self.ORIGINAL), original)
-        assert provider.embedded == []
+        assert provider.embedded == [] and provider.calls == 0
         assert self.result_tuple(result) == irs_embedding_everything(
             HashedNgramProvider(dim=16), self.ORIGINAL, self.ORIGINAL
         )
@@ -837,6 +885,70 @@ class TestIrsSkipsUnchangedDocuments:
         assert self.result_tuple(result) == (1 / 3, (("d1", 0.0), ("d2", 1.0), ("d3", 0.0)), 2)
         # the originals and the one changed document were looked up
         assert provider.missing_tokens == 2
+
+
+class TestIrsInSmallBlocks:
+    """irs embeds and scores the changed documents _EMBED_BLOCK at a
+    time; with blocks of 3, a few documents span several blocks."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def small_blocks(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embeddings, "_EMBED_BLOCK", 3)
+            yield
+
+    @settings(max_examples=100, deadline=None)
+    @given(irs_corpora())
+    def test_equal_to_per_pair_loop(self, corpus):
+        check_against_pairs(*corpus)
+
+    def test_zero_and_out_of_range_rows_in_later_blocks(self):
+        n, dim = 11, 4
+        rng = np.random.default_rng(1)
+        matrix = rng.standard_normal((n, dim))
+        changed = matrix + 0.3 * rng.standard_normal((n, dim))
+        # the changed documents 0 2 3 | 4 5 7 | 8 9 10 make three blocks
+        unchanged = {1, 6}
+        matrix[6] = 0.0
+        changed[5] = 0.0
+        matrix[8] *= 1e-310
+        changed[10] *= 1e200
+        original = [TokenizedDocument(f"d{i}", (f"o{i}",)) for i in range(n)]
+        normalized = [
+            TokenizedDocument(f"d{i}", (f"o{i}",) if i in unchanged else (f"n{i}",))
+            for i in range(n)
+        ]
+        table = {d.tokens: row for d, row in zip(normalized, changed)}
+        result = check_against_pairs(original, normalized, matrix, FixedProvider(table))
+        assert result.zero_vector_docs == 2
+
+    def test_wrong_shape_in_second_block_rejected(self):
+        class SecondBlockTooShort(FixedProvider):
+            calls = 0
+
+            def embed_documents(self, token_lists):
+                self.calls += 1
+                out = super().embed_documents(token_lists)
+                return out[:-1] if self.calls == 2 else out
+
+        provider = SecondBlockTooShort({("x",): [1, 0], ("y",): [0, 1]})
+        original = docs(*((f"d{i}", ["x"]) for i in range(5)))
+        normalized = docs(*((f"d{i}", ["y"]) for i in range(5)))
+        embedded = np.array([[1.0, 0.0]] * 5)
+        with pytest.raises(EmbeddingError, match=r"shape \(1, 2\) for 2 changed documents"):
+            irs(provider, original, normalized, embedded)
+
+    @pytest.mark.parametrize("n_changed, calls", [(0, 0), (1, 1), (3, 1), (4, 2), (7, 3)])
+    def test_one_call_per_block_of_changed_documents(self, n_changed, calls):
+        provider = CountingProvider(dim=16)
+        original = docs(*((f"d{i}", [f"w{i}"]) for i in range(8)))
+        normalized = original[:8 - n_changed] + docs(
+            *((f"d{i}", [f"s{i}"]) for i in range(8 - n_changed, 8))
+        )
+        matrix = provider.embed_documents([list(d.tokens) for d in original])
+        provider.calls = 0
+        irs(provider, original, normalized, matrix)
+        assert provider.calls == calls
 
 
 class EmbeddingHandler(BaseHTTPRequestHandler):

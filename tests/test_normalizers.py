@@ -149,6 +149,11 @@ class TestMapping:
         path.write_text("a\tx\na\ty\n", encoding="utf-8")
         assert load_mapping(str(path)) == {"a": "y"}
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("running\trun\n", encoding="utf-8-sig")
+        assert load_mapping(str(path)) == {"running": "run"}
+
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("a\tx\nbroken line\n", encoding="utf-8")

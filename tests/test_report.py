@@ -315,7 +315,9 @@ class TestOriginalEmbeddingsShared:
     def test_originals_embedded_once(self, corpus_path, monkeypatch):
         provider = CountingProvider()
         reports = self.run(corpus_path, monkeypatch, provider)
-        assert provider.calls == 1 + len(self.NORMALIZERS)
+        # the originals once, then one block of changed documents for each
+        # of truncate:2 and snowball-en; identity changes none
+        assert provider.calls == 1 + 2
         for spec, report in zip(self.NORMALIZERS, reports):
             assert not report.failed
             assert report.irs_result == self.plain_irs(corpus_path, spec)
@@ -636,6 +638,22 @@ class TestEmitMarkdown:
         text = path.read_text(encoding="utf-8")
         assert "(empty)" in text
         assert "normalized to empty stems" in text
+
+    def test_pipe_in_a_cell_is_escaped(self, corpus_path, tmp_path):
+        mapping = tmp_path / "a|b.tsv"
+        mapping.write_text("red\tr|d\n", encoding="utf-8")
+        config = toy_config(corpus_path, normalizers=(f"map:{mapping}",))
+        reports = run_evaluation(config)
+        path = tmp_path / "out.md"
+        emit_markdown(reports, str(path), config)
+        text = path.read_text(encoding="utf-8")
+        assert f"| map:{tmp_path}/a\\|b.tsv | multinomial_nb |" in text
+        assert "| red | r\\|d | 0.33 |" in text
+        # every row of a table has as many cells as its separator line
+        tables = re.findall(r"(?m)(?:^\|.*\n)+", text)
+        assert len(tables) == 3
+        for table in tables:
+            assert len({len(re.split(r"(?<!\\)\|", row)) for row in table.splitlines()}) == 1
 
 
 class TestCli:
