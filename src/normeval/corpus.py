@@ -1,4 +1,10 @@
-"""Corpus loading, tokenization, vocabulary counting, and fold planning.
+"""Corpus loading, tokenization into a type table, occurrence counting,
+and fold planning.
+
+A run tokenizes its corpus once, into a :class:`TypeTable`: the distinct
+tokens and every document as an array of their ids. Normalization,
+CR, ANLD, IRS and the fold TF-IDF all read that table;
+:class:`TokenizedDocument` is built from it only on demand.
 
 All structures produced here are immutable after construction and safe to
 share across threads.
@@ -152,45 +158,146 @@ def _strip_punct(token: str) -> str:
     return token[start:end]
 
 
-class _TokenMemo(dict):
-    """Raw whitespace token -> tokenized form, '' when nothing is left;
-    each raw token is processed once, on its first lookup."""
+class _TypeIds(dict):
+    """Token -> type id; a token not seen before takes the next id, so
+    ids follow first-seen order."""
+
+    def __missing__(self, token: str) -> int:
+        self[token] = type_id = len(self)
+        return type_id
+
+
+class _RawTypeIds(dict):
+    """Raw whitespace token -> the type id of its tokenized form in
+    ``type_ids``, -1 when nothing is left; each raw token is tokenized
+    once, on its first lookup."""
 
     def __init__(self, config: TokenizerConfig):
         super().__init__()
         self.config = config
+        self.type_ids = _TypeIds()
 
-    def __missing__(self, raw: str) -> str:
+    def __missing__(self, raw: str) -> int:
         token = _strip_punct(raw) if self.config.strip_punct else raw
         if self.config.lowercase:
             token = token.lower()
-        self[raw] = token
-        return token
+        self[raw] = type_id = self.type_ids[token] if token else -1
+        return type_id
+
+
+def _cumulative(mask: np.ndarray) -> np.ndarray:
+    """How many entries of ``mask`` are set before each position, the
+    end included: ``_cumulative(mask)[indptr]`` is an indptr over the
+    set entries."""
+    return np.concatenate(([0], np.cumsum(mask)))
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + lens[i]``, concatenated, by
+    one cumulative sum of steps; every length must be >= 1."""
+    steps = np.ones(lens.sum(), np.intp)
+    steps[:1] = starts[:1]
+    steps[(np.cumsum(lens) - lens)[1:]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
+    return np.cumsum(steps, out=steps)
+
+
+@dataclass(frozen=True)
+class TypeTable:
+    """A tokenized corpus as type ids: the distinct tokens (``types``)
+    in first-occurrence order, and document ``i`` as the int32 ids
+    ``ids[indptr[i] : indptr[i + 1]]`` into them. Every type occurs."""
+
+    types: list[str]
+    ids: np.ndarray
+    indptr: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def occurrence_counts(self) -> Counter[str]:
+        """How often each type occurs, in first-seen order."""
+        counts = np.bincount(self.ids, minlength=len(self.types)).tolist()
+        return Counter(dict(zip(self.types, counts)))
+
+    def documents(self, doc_ids: list[str]) -> list[TokenizedDocument]:
+        """The documents as :class:`TokenizedDocument`, with ``doc_ids``."""
+        tokens = list(map(self.types.__getitem__, self.ids.tolist()))
+        bounds = self.indptr.tolist()
+        return [
+            TokenizedDocument(doc_id, tuple(tokens[start:end]))
+            for doc_id, start, end in zip(doc_ids, bounds, bounds[1:])
+        ]
+
+    def select(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ids and indptr of the documents at ``rows``, in that order."""
+        starts = self.indptr[rows]
+        lens = self.indptr[rows + 1] - starts
+        nonempty = lens > 0  # _ranges takes no empty range
+        return self.ids[_ranges(starts[nonempty], lens[nonempty])], _cumulative(lens)
+
+    def relabel(self, labels) -> tuple[TypeTable, np.ndarray]:
+        """The table with type ``types[i]`` replaced by ``labels[i]`` and
+        the types labelled '' dropped, and the mask of the documents
+        holding a type it changes, labelled '' or another string. The new
+        types are the distinct non-empty labels in first-seen order."""
+        labels = list(labels)
+        # '' takes id 0, so one less is -1 for it and first-seen ids for the rest
+        new_ids = _TypeIds({"": 0})
+        id_of_type = np.fromiter(map(new_ids.__getitem__, labels), np.int32, len(labels)) - 1
+        changed_type = np.fromiter(map(str.__ne__, labels, self.types), bool, len(labels))
+        changed_type |= id_of_type < 0
+        ids = id_of_type[self.ids]
+        kept = ids >= 0
+        changed = np.diff(_cumulative(changed_type[self.ids])[self.indptr]) > 0
+        table = TypeTable(list(new_ids)[1:], ids[kept], _cumulative(kept)[self.indptr])
+        return table, changed
+
+
+def _build_table(token_lists, type_id, type_ids: _TypeIds) -> TypeTable:
+    """The table of documents given as token sequences: ``type_id`` maps
+    a token to its id in ``type_ids``, or to -1 to drop it."""
+    flat: list[int] = []
+    ends = [0]
+    for tokens in token_lists:
+        flat += map(type_id, tokens)
+        ends.append(len(flat))
+    ids = np.array(flat, np.int32)
+    kept = ids >= 0
+    return TypeTable(list(type_ids), ids[kept], _cumulative(kept)[ends])
+
+
+def type_table(texts, config: TokenizerConfig = TokenizerConfig()) -> TypeTable:
+    """:func:`tokenize` of every text as one :class:`TypeTable`, each
+    distinct raw token tokenized once."""
+    raw = _RawTypeIds(config)
+    return _build_table(map(str.split, texts), raw.__getitem__, raw.type_ids)
+
+
+def table_of(token_lists) -> TypeTable:
+    """The table of already tokenized documents, each given as its
+    tokens; every token is a type, the empty one too."""
+    type_ids = _TypeIds()
+    return _build_table(token_lists, type_ids.__getitem__, type_ids)
 
 
 def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
     """Split on Unicode whitespace, then optionally strip edge punctuation
     and lowercase. Deterministic; empty text yields an empty list."""
-    return list(filter(None, map(_TokenMemo(config).__getitem__, text.split())))
+    table = type_table([text], config)
+    return list(map(table.types.__getitem__, table.ids.tolist()))
 
 
 def tokenize_corpus(
     corpus: Corpus, config: TokenizerConfig = TokenizerConfig()
 ) -> list[TokenizedDocument]:
-    """:func:`tokenize` of every document, with one memo for the corpus."""
-    memo = _TokenMemo(config).__getitem__
-    return [
-        TokenizedDocument(doc_id=doc.id, tokens=tuple(filter(None, map(memo, doc.text.split()))))
-        for doc in corpus.documents
-    ]
+    """:func:`tokenize` of every document, through one :func:`type_table`."""
+    table = type_table((doc.text for doc in corpus.documents), config)
+    return table.documents([doc.id for doc in corpus.documents])
 
 
 def count_occurrences(docs: list[TokenizedDocument]) -> Counter[str]:
     """How often each token occurs in ``docs``, in first-seen order."""
-    counts: Counter[str] = Counter()
-    for doc in docs:
-        counts.update(doc.tokens)
-    return counts
+    return table_of(doc.tokens for doc in docs).occurrence_counts()
 
 
 def make_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:

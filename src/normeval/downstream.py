@@ -12,14 +12,12 @@ McNemar test over pooled out-of-fold predictions).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 from scipy import sparse, special
 
-from .corpus import FoldPlan, TokenizedDocument
+from .corpus import FoldPlan, TokenizedDocument, TypeTable, table_of
 from .errors import EvaluationError
 
 ALPHA = 0.05
@@ -83,18 +81,21 @@ class MpdResult:
     significant: bool
 
 
-def _count_distinct(docs: list[TokenizedDocument]):
-    """Every (document, distinct token) entry of ``docs``, each document's
-    tokens in first-occurrence order: ``(vocabulary, ids, tf, doc)`` with
-    the token's id in ``vocabulary``, which numbers the sorted distinct
-    tokens of ``docs``, its count and the document's index."""
-    counts = [Counter(doc.tokens) for doc in docs]
-    vocabulary = {token: i for i, token in enumerate(sorted(set().union(*counts)))}
-    lengths = [len(c) for c in counts]
-    nnz = sum(lengths)
-    ids = np.fromiter(map(vocabulary.__getitem__, chain.from_iterable(counts)), np.intp, nnz)
-    tf = np.fromiter(chain.from_iterable(c.values() for c in counts), np.float64, nnz)
-    return vocabulary, ids, tf, np.repeat(np.arange(len(docs)), lengths)
+def _count_distinct(table: TypeTable):
+    """Every (document, distinct type) entry of ``table``, each document's
+    types in first-occurrence order: ``(ids, tf, doc)`` with the type's
+    id in the sorted types, its count and the document's index."""
+    n_types = len(table.types)
+    doc = np.repeat(np.arange(len(table)), np.diff(table.indptr))
+    # np.unique sorts stably, so ``first`` is each entry's first occurrence
+    keys, first, tf = np.unique(
+        doc * n_types + table.ids, return_index=True, return_counts=True
+    )
+    order = first.argsort()
+    keys = keys[order]
+    sorted_id = np.empty(n_types, np.intp)
+    sorted_id[sorted(range(n_types), key=table.types.__getitem__)] = np.arange(n_types)
+    return sorted_id[keys % n_types], tf[order].astype(np.float64), keys // n_types
 
 
 def _smoothed_idf(n: int, df: np.ndarray) -> np.ndarray:
@@ -135,22 +136,29 @@ def _csr_rows(values, cols, doc, keep, rows, n_cols) -> sparse.csr_matrix:
 def fold_tfidf(
     docs: list[TokenizedDocument], fold_of: np.ndarray, k: int
 ) -> list[tuple[sparse.csr_matrix, sparse.csr_matrix]]:
+    """:func:`table_tfidf` of tokenized documents."""
+    return table_tfidf(table_of(doc.tokens for doc in docs), fold_of, k)
+
+
+def table_tfidf(
+    table: TypeTable, fold_of: np.ndarray, k: int
+) -> list[tuple[sparse.csr_matrix, sparse.csr_matrix]]:
     """The (training, test) TF-IDF matrices of each of the k folds, where
     ``fold_of`` holds each document's fold, from one count of the
-    documents: raw token counts times the smoothed idf
+    table's documents: raw token counts times the smoothed idf
     ln((1 + N) / (1 + df)) + 1 of the N documents outside the fold, each
     row L2-normalized (all-zero without a token of the fold's features).
 
     Token ids follow the sorted distinct tokens of all folds, so a
     fold's columns, its present ids renumbered in order, keep that order.
     A fold's document frequencies are the total minus the fold's own."""
-    vocabulary, ids, tf, doc = _count_distinct(docs)
-    n_types = len(vocabulary)
+    ids, tf, doc = _count_distinct(table)
+    n_types = len(table.types)
     held_out = np.bincount(fold_of[doc] * n_types + ids, minlength=k * n_types)
     held_out = held_out.reshape(k, n_types)
     df = held_out.sum(axis=0) - held_out
     present = df > 0
-    n_train = len(docs) - np.bincount(fold_of, minlength=k)
+    n_train = len(table) - np.bincount(fold_of, minlength=k)
     idf = np.zeros(df.shape)
     for fold in range(k):
         if not n_train[fold]:
@@ -161,7 +169,7 @@ def fold_tfidf(
             )
         idf[fold, present[fold]] = _smoothed_idf(int(n_train[fold]), df[fold, present[fold]])
     order = np.lexsort((ids, doc))
-    values = _unit_weights(ids, tf, doc, len(docs), idf)[:, order]
+    values = _unit_weights(ids, tf, doc, len(table), idf)[:, order]
     ids, doc = ids[order], doc[order]
     tested = fold_of[doc]
     matrices = []
@@ -523,20 +531,19 @@ class FoldSplit:
     train_labels: list[list[str]]
 
 
-def fold_split(docs: list[TokenizedDocument], gold: dict[str, str], folds: FoldPlan) -> FoldSplit:
-    """The split of ``docs`` under ``folds``; ``gold`` maps each doc id
-    to its label."""
-    missing = [doc.doc_id for doc in docs if doc.doc_id not in folds.assignments]
+def fold_split(doc_ids: list[str], gold: dict[str, str], folds: FoldPlan) -> FoldSplit:
+    """The split of the documents ``doc_ids`` under ``folds``; ``gold``
+    maps each doc id to its label."""
+    missing = [doc_id for doc_id in doc_ids if doc_id not in folds.assignments]
     if missing:
         raise EvaluationError(f"fold plan does not cover document ids {missing[:5]}")
-    fold_of = [folds.assignments[doc.doc_id] for doc in docs]
+    fold_of = [folds.assignments[doc_id] for doc_id in doc_ids]
     if not set(fold_of) <= set(range(folds.k)):
         raise EvaluationError(f"fold plan assigns a fold outside 0..{folds.k - 1}")
-    doc_ids = [doc.doc_id for doc in docs]
     tested = [[i for i, f in zip(doc_ids, fold_of) if f == fold] for fold in range(folds.k)]
     return FoldSplit(
         fold_of=np.array(fold_of, dtype=np.intp),
-        doc_ids=doc_ids,
+        doc_ids=list(doc_ids),
         tested=tested,
         gold_tested=[[gold[i] for i in ids] for ids in tested],
         train_labels=[
@@ -545,12 +552,13 @@ def fold_split(docs: list[TokenizedDocument], gold: dict[str, str], folds: FoldP
     )
 
 
-def fold_features(docs: list[TokenizedDocument], split: FoldSplit) -> list:
+def fold_features(table: TypeTable, split: FoldSplit) -> list:
     """The (training, test) TF-IDF matrices of each fold of ``split``
-    (:func:`fold_tfidf`); ``docs`` are in the split's corpus order. A
-    fold without features fails first, then one that trains on a
-    single class, so the features of a corpus are known to train."""
-    features = fold_tfidf(docs, split.fold_of, len(split.tested))
+    (:func:`table_tfidf`); the table's documents are in the split's
+    corpus order. A fold without features fails first, then one that
+    trains on a single class, so the features of a corpus are known to
+    train."""
+    features = table_tfidf(table, split.fold_of, len(split.tested))
     for labels in split.train_labels:
         _encode_labels(labels)
     return features
@@ -608,8 +616,9 @@ def cross_validate_docs(
     matrices come from one pass (:func:`fold_tfidf`). ``gold`` maps each
     doc id to its label. Returns one run per spec, in spec order.
     """
-    split = fold_split(docs, gold, folds)
-    return cross_validate_features(split, [fold_features(docs, split)], specs, [condition])[0]
+    split = fold_split([doc.doc_id for doc in docs], gold, folds)
+    features = fold_features(table_of(doc.tokens for doc in docs), split)
+    return cross_validate_features(split, [features], specs, [condition])[0]
 
 
 def paired_t_pvalue(differences: list[float]) -> float:

@@ -1,7 +1,9 @@
 """Document embedding providers and the information retention score.
 
 Three provider kinds embed a list of documents into one C-contiguous
-float64 matrix, a row per document:
+float64 matrix, a row per document, either from token lists
+(``embed_documents``) or from type ids into a vocabulary
+(``id_embedder``, which the run path uses):
 
 * hashed character n-grams: deterministic, language-agnostic, no model
   or download required; the built-in default.
@@ -11,7 +13,7 @@ float64 matrix, a row per document:
 
 The information retention score of a normalizer is the mean cosine
 similarity between each document's embedding and the embedding of its
-normalized form.
+normalized form (:func:`retention`, from a run's type tables).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TokenizedDocument
+from .corpus import TokenizedDocument, TypeTable, _ranges, table_of
 from .errors import EmbeddingError
 
 
@@ -76,12 +78,31 @@ def cosine_with_flag(u: np.ndarray, v: np.ndarray) -> tuple[float, bool]:
 
 class EmbeddingProvider:
     """Base class: subclasses embed token lists into a C-contiguous
-    float64 array of shape ``(len(token_lists), dim)``."""
+    float64 array of shape ``(len(token_lists), dim)``.
+
+    ``id_embedder`` takes a vocabulary once and returns a function that
+    embeds documents given as ids into it: ``embed(ids, indptr)`` embeds
+    the documents ``ids[indptr[i] : indptr[i + 1]]``, a row each. Here it
+    calls ``embed_documents`` with their tokens, once per call of the
+    function; providers that can work from ids override it."""
 
     name: str = "provider"
 
     def embed_documents(self, token_lists: list[list[str]]) -> np.ndarray:
         raise NotImplementedError
+
+    def id_embedder(self, vocabulary: list[str]):
+        def embed(ids: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+            tokens = list(map(vocabulary.__getitem__, ids.tolist()))
+            bounds = indptr.tolist()
+            return self.embed_documents([tokens[a:b] for a, b in zip(bounds, bounds[1:])])
+
+        return embed
+
+
+def embed_table(provider: EmbeddingProvider, table: TypeTable) -> np.ndarray:
+    """The provider's matrix of every document of ``table``."""
+    return provider.id_embedder(table.types)(table.ids, table.indptr)
 
 
 class _GramBins(dict):
@@ -187,15 +208,6 @@ def _token_bins(
     return np.bincount(token_of, minlength=len(tokens)), bins
 
 
-def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The ranges ``starts[i] : starts[i] + lens[i]``, concatenated, by
-    one cumulative sum of steps; every length must be >= 1."""
-    steps = np.ones(lens.sum(), np.intp)
-    steps[:1] = starts[:1]
-    steps[(np.cumsum(lens) - lens)[1:]] = starts[1:] - (starts[:-1] + lens[:-1] - 1)
-    return np.cumsum(steps, out=steps)
-
-
 def _append(table: np.ndarray, used: int, extra: np.ndarray) -> np.ndarray:
     """``table[:used]`` followed by ``extra``: in ``table`` itself when it
     has room, else in a new array at least twice as long, so a table
@@ -234,13 +246,17 @@ class HashedNgramProvider(EmbeddingProvider):
     as the bins of its distinct grams, the sign folded into the bin (see
     :class:`_GramBins`): a row of one CSR table, ``_bins[_indptr[row]:
     _indptr[row + 1]]``, where ``_token_cache`` maps the token to its
-    row; both arrays keep room to grow (see :func:`_append`). The rows of the new tokens of a call are built in numpy (see
-    :func:`_token_bins`). A block of documents is pooled by one integer
-    histogram over the bins of all its tokens, offset by document; a
-    document vector is then (positive - negative counts) / token count.
-    The counts are exact integers and the division is one float64
-    operation, so the vector equals the float64 mean of the token
-    vectors whatever the summation order.
+    row; both arrays keep room to grow (see :func:`_append`).
+    ``id_embedder`` builds the rows of a vocabulary's new tokens in one
+    numpy pass per ``_BUILD_CHUNK`` of them (see :func:`_token_bins`) and
+    keeps the row of each vocabulary id, so that documents given as ids
+    are pooled from rows; ``embed_documents`` numbers its tokens in a
+    :class:`TypeTable` and goes the same way. A block of documents is
+    pooled by one integer histogram over the bins of all its tokens,
+    offset by document; a document vector is then (positive - negative
+    counts) / token count. The counts are exact integers and the
+    division is one float64 operation, so the vector equals the float64
+    mean of the token vectors whatever the summation order.
     """
 
     def __init__(self, dim: int = 256, n_range: tuple[int, int] = (3, 5), seed: int = 0):
@@ -261,11 +277,11 @@ class HashedNgramProvider(EmbeddingProvider):
         # a bin plus a pooling block's largest offset must fit the type
         self._bins = np.zeros(0, np.int32 if 2 * dim * _EMBED_BLOCK < 2**31 else np.int64)
 
-    def _add_tokens(self, token_lists: list[list[str]]) -> None:
-        """Give every token not yet in the table its row."""
+    def _add_tokens(self, tokens: list[str]) -> None:
+        """Give every one of the distinct ``tokens`` not yet in the table
+        its row, building their bins ``_BUILD_CHUNK`` tokens at a time."""
         cache = self._token_cache
-        tokens = itertools.chain.from_iterable(token_lists)
-        new = list(dict.fromkeys(itertools.filterfalse(cache.__contains__, tokens)))
+        new = list(itertools.filterfalse(cache.__contains__, tokens))
         if not new:
             return
         counts, bins = [], []
@@ -283,38 +299,49 @@ class HashedNgramProvider(EmbeddingProvider):
 
     def _token_vector(self, token: str) -> np.ndarray:
         """The token's vector: the sum of its grams' +/-1, as int32."""
-        self._add_tokens([[token]])
+        self._add_tokens([token])
         row = self._token_cache[token]
         bins = self._bins[self._indptr[row] : self._indptr[row + 1]]
         counts = np.bincount(bins, minlength=2 * self.dim)
         return (counts[: self.dim] - counts[self.dim :]).astype(np.int32)
 
     def embed_documents(self, token_lists: list[list[str]]) -> np.ndarray:
-        self._add_tokens(token_lists)
-        out = np.empty((len(token_lists), self.dim))
-        for start in range(0, len(token_lists), _EMBED_BLOCK):
-            stop = start + _EMBED_BLOCK
-            self._pool(token_lists[start:stop], out[start:stop])
+        return embed_table(self, table_of(token_lists))
+
+    def id_embedder(self, vocabulary: list[str]):
+        """Every new token of ``vocabulary`` gets its row here, in one
+        pass; the function pools the rows of the ids."""
+        self._add_tokens(vocabulary)
+        row_of = np.fromiter(
+            map(self._token_cache.__getitem__, vocabulary), np.intp, len(vocabulary)
+        )
+        return lambda ids, indptr: self._embed_rows(row_of[ids], indptr)
+
+    def _embed_rows(self, rows: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+        """The mean token vectors of the documents ``rows[indptr[i] :
+        indptr[i + 1]]`` (table rows), pooled ``_EMBED_BLOCK`` at a time."""
+        n_docs = len(indptr) - 1
+        out = np.empty((n_docs, self.dim))
+        for start in range(0, n_docs, _EMBED_BLOCK):
+            stop = min(start + _EMBED_BLOCK, n_docs)
+            block = rows[indptr[start] : indptr[stop]]
+            self._pool(block, np.diff(indptr[start : stop + 1]), out[start:stop])
         return out
 
-    def _pool(self, block: list[list[str]], out: np.ndarray) -> None:
-        """Write the mean token vectors of a block of documents into the
-        rows of ``out``."""
+    def _pool(self, rows: np.ndarray, doc_lens: np.ndarray, out: np.ndarray) -> None:
+        """Write the mean token vectors of a block of documents, whose
+        tokens are the table ``rows``, ``doc_lens[i]`` of them for
+        document ``i``, into the rows of ``out``."""
         dim, width = self.dim, 2 * self.dim
-        doc_lens = np.fromiter(map(len, block), np.intp, len(block))
-        rows = np.fromiter(
-            map(self._token_cache.__getitem__, itertools.chain.from_iterable(block)),
-            np.intp,
-            doc_lens.sum(),
-        )
+        n_docs = len(doc_lens)
         starts = self._indptr[rows]
         token_lens = self._indptr[rows + 1] - starts
         flat = self._bins[_ranges(starts, token_lens)]
         # offset every bin by its document's first count
         bin_ends = np.concatenate([[0], np.cumsum(token_lens)])[np.cumsum(doc_lens)]
-        offsets = np.arange(0, len(block) * width, width, dtype=flat.dtype)
+        offsets = np.arange(0, n_docs * width, width, dtype=flat.dtype)
         flat += np.repeat(offsets, np.diff(bin_ends, prepend=0))
-        counts = np.bincount(flat, minlength=len(block) * width).reshape(len(block), width)
+        counts = np.bincount(flat, minlength=n_docs * width).reshape(n_docs, width)
         np.subtract(counts[:, :dim], counts[:, dim:], out=out, dtype=np.float64)
         # an empty document divides its zero row by 1: +0.0
         out /= np.maximum(doc_lens, 1)[:, None]
@@ -520,34 +547,49 @@ def irs(
     ``original_docs``, so that several normalizers can share it; a
     C-contiguous float64 matrix is read, never copied. Only the documents
     whose tokens the normalizer changed are embedded again; the others
-    reuse their original row.
-
-    The changed documents are embedded and scored a block of
-    ``_EMBED_BLOCK`` at a time, so the run holds the original matrix and
-    one block of normalized rows, never a matrix of all of them. Every
-    score is the one :func:`cosine_with_flag` gives, bit for bit: the
-    cosines come from batched row dots, and a document with a norm
-    outside ``(_NORM_LO, _NORM_HI)`` on either side is scored by
-    :func:`cosine_with_flag` itself.
+    reuse their original row (see :func:`retention`).
     """
-    ids_a = [d.doc_id for d in original_docs]
-    ids_b = [d.doc_id for d in normalized_docs]
-    if ids_a != ids_b:
+    doc_ids = [d.doc_id for d in original_docs]
+    if doc_ids != [d.doc_id for d in normalized_docs]:
         raise EmbeddingError("original and normalized corpora have different document sequences")
-    if not original_docs:
-        raise EmbeddingError("cannot compute retention score over an empty corpus")
-    if original_embeddings is None:
-        original_embeddings = provider.embed_documents([list(d.tokens) for d in original_docs])
-    elif len(original_embeddings) != len(original_docs):
-        raise EmbeddingError(
-            f"{len(original_embeddings)} original embeddings for {len(original_docs)} documents"
-        )
-    original = np.ascontiguousarray(original_embeddings, np.float64)
+    if original_embeddings is None and original_docs:
+        original_embeddings = embed_table(provider, table_of(d.tokens for d in original_docs))
     changed = [
         i
         for i, (a, b) in enumerate(zip(original_docs, normalized_docs))
         if a is not b and a.tokens != b.tokens
     ]
+    normalized = table_of(d.tokens for d in normalized_docs)
+    return retention(provider, doc_ids, original_embeddings, normalized, np.array(changed, np.intp))
+
+
+def retention(
+    provider: EmbeddingProvider,
+    doc_ids: list[str],
+    original_embeddings: np.ndarray,
+    normalized: TypeTable,
+    changed: np.ndarray,
+) -> IrsResult:
+    """The retention score of the documents ``doc_ids``: their original
+    rows, ``original_embeddings``, against the ``normalized`` table,
+    whose documents at the rows ``changed`` differ from the originals.
+
+    The changed documents are embedded (through ``provider.id_embedder``
+    of the normalized types) and scored a block of ``_EMBED_BLOCK`` at a
+    time, so the run holds the original matrix and one block of
+    normalized rows, never a matrix of all of them. Every score is the
+    one :func:`cosine_with_flag` gives, bit for bit: the cosines come
+    from batched row dots, and a document with a norm outside
+    ``(_NORM_LO, _NORM_HI)`` on either side is scored by
+    :func:`cosine_with_flag` itself.
+    """
+    if not doc_ids:
+        raise EmbeddingError("cannot compute retention score over an empty corpus")
+    if len(original_embeddings) != len(doc_ids):
+        raise EmbeddingError(
+            f"{len(original_embeddings)} original embeddings for {len(doc_ids)} documents"
+        )
+    original = np.ascontiguousarray(original_embeddings, np.float64)
     values = np.ones(len(original))  # an unchanged document scores 1
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(_row_dots(original, original))
@@ -555,9 +597,10 @@ def irs(
     unchanged_out = ~in_range
     unchanged_out[changed] = False
     zero_docs = 0
+    embed = provider.id_embedder(normalized.types) if len(changed) else None
     for start in range(0, len(changed), _EMBED_BLOCK):
         rows = changed[start : start + _EMBED_BLOCK]
-        b = provider.embed_documents([list(normalized_docs[i].tokens) for i in rows])
+        b = embed(*normalized.select(rows))
         if b.shape != (len(rows), original.shape[1]):
             raise EmbeddingError(
                 f"{provider.name}: embeddings of shape {b.shape} for {len(rows)} changed "
@@ -578,7 +621,7 @@ def irs(
     for i in np.flatnonzero(unchanged_out).tolist():
         values[i], zero_flag = cosine_with_flag(original[i], original[i])
         zero_docs += zero_flag
-    per_doc = tuple(zip(ids_a, values.tolist()))
+    per_doc = tuple(zip(doc_ids, values.tolist()))
     total = 0.0
     for value in values.tolist():  # sum() compensates from Python 3.12 on
         total += value

@@ -7,9 +7,10 @@ external adapter speaks a line protocol over the tool's stdin/stdout
 (request ``NORM<TAB>token``, reply ``OK<TAB>stem`` or ``ERR<TAB>message``),
 with up to ``EXT_CHUNK_SIZE`` requests in flight.
 
-``normalize_corpus`` counts the original tokens, normalizes each distinct
-type once through ``Normalizer.normalize_tokens`` and records every
-(original, stem) pair with occurrence counts in a :class:`TokenMapping`.
+``type_mapping`` normalizes each distinct type of a corpus once, through
+one ``Normalizer.normalize_tokens`` call, and records every (original,
+stem) pair with occurrence counts in a :class:`TokenMapping`;
+``normalize_corpus`` applies it to tokenized documents.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NoReturn
 
-from .corpus import TokenizedDocument, count_occurrences
+from .corpus import TokenizedDocument, table_of
 from .errors import NormalizerError
 from .snowball import stem as snowball_stem
 
@@ -320,6 +321,16 @@ class ExternalNormalizer(Normalizer):
         self.close()
 
 
+def type_mapping(
+    normalizer: Normalizer, types: list[str], occurrence_counts: dict[str, int]
+) -> TokenMapping:
+    """The mapping of the distinct ``types``, in their order, from one
+    ``normalizer.normalize_tokens`` call, with ``occurrence_counts`` as
+    its counts."""
+    pairs = dict(zip(types, normalizer.normalize_tokens(types), strict=True))
+    return TokenMapping(pairs=pairs, occurrence_counts=occurrence_counts)
+
+
 def normalize_corpus(
     normalizer: Normalizer,
     docs: list[TokenizedDocument],
@@ -339,16 +350,14 @@ def normalize_corpus(
     ``occurrence_counts``, when given, is ``count_occurrences(docs)``, so
     that several normalizers can share one count; the mapping holds it
     as its ``occurrence_counts``, and nothing changes it.
+
+    The documents are numbered in one type table (``corpus.table_of``)
+    and relabelled by the stems, as a run relabels its corpus's table.
     """
+    table = table_of(doc.tokens for doc in docs)
     if occurrence_counts is None:
-        occurrence_counts = count_occurrences(docs)
-    tokens = list(occurrence_counts)
-    pairs = dict(zip(tokens, normalizer.normalize_tokens(tokens), strict=True))
-    stem_of = pairs.__getitem__
-    changed = {token for token, stem in pairs.items() if not stem or stem != token}
-    normalized = [
-        doc if changed.isdisjoint(doc.tokens)
-        else TokenizedDocument(doc.doc_id, tuple(filter(None, map(stem_of, doc.tokens))))
-        for doc in docs
-    ]
-    return normalized, TokenMapping(pairs=pairs, occurrence_counts=occurrence_counts)
+        occurrence_counts = table.occurrence_counts()
+    mapping = type_mapping(normalizer, table.types, occurrence_counts)
+    normalized, changed = table.relabel(mapping.pairs.values())
+    rebuilt = normalized.documents([doc.doc_id for doc in docs])
+    return [new if c else doc for doc, new, c in zip(docs, rebuilt, changed.tolist())], mapping

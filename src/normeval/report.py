@@ -4,7 +4,7 @@ run_evaluation ties the pieces together: normalize, score the intrinsic
 metrics, compute semantic retention, apply the safety gate, and measure
 downstream classifier deltas against a shared un-normalized baseline.
 run_intrinsic scores the intrinsic metrics only. Both load the corpus
-and run each normalizer through the same loop.
+into one type table and run each normalizer through the same loop.
 Reports serialize to JSON (machine, full precision) and Markdown
 (human, rounded), one row group per normalizer.
 """
@@ -14,22 +14,13 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import shlex
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .corpus import (
-    Corpus,
-    TokenizedDocument,
-    TokenizerConfig,
-    count_occurrences,
-    load_corpus,
-    make_folds,
-    tokenize_corpus,
-)
+from .corpus import Corpus, TokenizerConfig, TypeTable, load_corpus, make_folds, type_table
 from .downstream import (
     ClassifierSpec,
     EvalRun,
@@ -47,7 +38,8 @@ from .embeddings import (
     HttpServiceProvider,
     IrsResult,
     VectorFileProvider,
-    irs,
+    embed_table,
+    retention,
 )
 from .errors import EvaluationError, NormEvalError, NormalizerError
 from .metrics import AnldResult, CompressionResult, anld, anld_with_alternate, compression_ratio
@@ -59,7 +51,7 @@ from .normalizers import (
     SnowballEnglishNormalizer,
     TokenMapping,
     TruncateNormalizer,
-    normalize_corpus,
+    type_mapping,
 )
 from .ses import DEFAULT_ANLD_THRESHOLD, SesResult, safety_gate
 
@@ -214,8 +206,8 @@ def build_embedder(spec: str) -> EmbeddingProvider:
     )
 
 
-def _load_documents(config: RunConfig) -> tuple[Corpus, list[TokenizedDocument]]:
-    """Load the configured corpus and tokenize it."""
+def _load_table(config: RunConfig) -> tuple[Corpus, TypeTable]:
+    """Load the configured corpus and tokenize it into its type table."""
     corpus = load_corpus(
         config.corpus_path,
         text_col=config.text_col,
@@ -224,34 +216,33 @@ def _load_documents(config: RunConfig) -> tuple[Corpus, list[TokenizedDocument]]
         has_header=config.has_header,
     )
     tokenizer = TokenizerConfig(lowercase=config.lowercase, strip_punct=config.strip_punct)
-    return corpus, tokenize_corpus(corpus, tokenizer)
+    return corpus, type_table((doc.text for doc in corpus.documents), tokenizer)
 
 
 def _compression(mapping: TokenMapping) -> CompressionResult:
     """CR of one normalization: distinct originals over distinct non-empty
     stems. These are the vocabularies of the token streams before and
-    after, since ``normalize_corpus`` drops empty stems from the streams."""
+    after, since ``TypeTable.relabel`` drops empty stems from the streams."""
     return compression_ratio(len(mapping.pairs), len(set(filter(None, mapping.pairs.values()))))
 
 
 def _run_normalizers(
     specs: tuple[str, ...],
-    docs: list[TokenizedDocument],
-    score: Callable[[str, list[TokenizedDocument], TokenMapping], NormalizerReport],
+    table: TypeTable,
+    score: Callable[[str, TokenMapping], NormalizerReport],
 ) -> list[NormalizerReport]:
-    """Build each normalizer, normalize ``docs`` with it, pass its name,
-    the normalized documents and the token mapping to ``score``, and
-    close it. The original tokens are counted once, for every mapping.
-    A NormEvalError on the way becomes that spec's failure entry; the
-    other normalizers still run."""
+    """Build each normalizer, map the table's types with it, pass its
+    name and the token mapping to ``score``, and close it. The types
+    are counted once, for every mapping. A NormEvalError on the way
+    becomes that spec's failure entry; the other normalizers still run."""
     reports: list[NormalizerReport] = []
-    occurrence_counts = count_occurrences(docs)
+    occurrence_counts = table.occurrence_counts()
     for spec in specs:
         normalizer = None
         try:
             normalizer = build_normalizer(spec)
-            normalized_docs, mapping = normalize_corpus(normalizer, docs, occurrence_counts)
-            reports.append(score(normalizer.name, normalized_docs, mapping))
+            mapping = type_mapping(normalizer, table.types, occurrence_counts)
+            reports.append(score(normalizer.name, mapping))
         except NormEvalError as exc:
             reports.append(NormalizerReport(normalizer=spec, error=str(exc)))
         finally:
@@ -263,45 +254,48 @@ def _run_normalizers(
 def run_intrinsic(config: RunConfig) -> list[NormalizerReport]:
     """CR and ANLD (under the configured weighting, with the configured
     number of worst pairs) of every configured normalizer: no
-    embeddings and no classifiers. Failures are isolated as in
-    :func:`run_evaluation`."""
-    docs = _load_documents(config)[1]  # the Corpus is not needed here, so it is freed
+    embeddings, no classifiers and no normalized corpus. Failures are
+    isolated as in :func:`run_evaluation`."""
+    table = _load_table(config)[1]  # the Corpus is not needed here, so it is freed
 
-    def score(name: str, normalized_docs, mapping: TokenMapping) -> NormalizerReport:
+    def score(name: str, mapping: TokenMapping) -> NormalizerReport:
         return NormalizerReport(
             normalizer=name,
             compression=_compression(mapping),
             anld_primary=anld(mapping, weighting=config.anld_weighting, worst_n=config.worst_n),
         )
 
-    return _run_normalizers(config.normalizers, docs, score)
+    return _run_normalizers(config.normalizers, table, score)
 
 
 def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     """Evaluate every configured normalizer over the configured corpus.
 
-    The embeddings of the original documents are shared: they are made
-    when the first normalizer needs them and kept once they succeed. The
-    run has two phases. The first runs each normalizer's intrinsic
-    metrics, IRS and safety gate, and featurizes the folds of each
-    corpus a normalizer changed. The second trains every classifier on
-    the folds of the un-normalized baseline and of all those corpora
-    together, then scores each normalizer's deltas against the shared
-    baseline; a normalizer that changes no document takes the baseline
-    runs as its normalized runs. A failure inside one normalizer's first
-    phase, embedding the originals included, becomes a failure entry in
-    its report; the others still complete (and retry that embedding).
+    The corpus is tokenized into one type table, and each normalizer's
+    corpus is that table relabelled by its stems. The embeddings of the
+    original documents are shared: they are made when the first
+    normalizer needs them and kept once they succeed. The run has two
+    phases. The first runs each normalizer's intrinsic metrics, IRS and
+    safety gate, and featurizes the folds of each corpus a normalizer
+    changed. The second trains every classifier on the folds of the
+    un-normalized baseline and of all those corpora together, then
+    scores each normalizer's deltas against the shared baseline; a
+    normalizer that changes no document takes the baseline runs as its
+    normalized runs. A failure inside one normalizer's first phase,
+    embedding the originals included, becomes a failure entry in its
+    report; the others still complete (and retry that embedding).
     Corpus loading or baseline failures abort the whole run before any
     normalizer runs.
     """
-    corpus, original_docs = _load_documents(config)
+    corpus, table = _load_table(config)
+    doc_ids = [doc.id for doc in corpus.documents]
     provider = build_embedder(config.embedder)
 
     # functools.cache keeps only a returned value, so a failed embedding
     # is retried by the next normalizer
     @functools.cache
     def original_embeddings() -> np.ndarray:
-        return provider.embed_documents([list(d.tokens) for d in original_docs])
+        return embed_table(provider, table)
 
     specs: list[ClassifierSpec] = []
     split = None
@@ -315,27 +309,30 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
             make_classifier_spec(CLASSIFIER_ALIASES[alias], config.seed)
             for alias in config.classifiers
         ]
-        split = fold_split(original_docs, gold, make_folds(corpus, config.k, config.seed))
-        baseline_features = fold_features(original_docs, split)
+        split = fold_split(doc_ids, gold, make_folds(corpus, config.k, config.seed))
+        baseline_features = fold_features(table, split)
 
     # each successful report of the first phase with its corpus's fold
     # features, None for a corpus the normalizer left unchanged
     pending: list[tuple[NormalizerReport, list | None]] = []
 
-    def score(name: str, normalized_docs, mapping: TokenMapping) -> NormalizerReport:
+    def score(name: str, mapping: TokenMapping) -> NormalizerReport:
         compression = _compression(mapping)
         primary, alternate = anld_with_alternate(
             mapping, weighting=config.anld_weighting, worst_n=config.worst_n
         )
-        irs_result = irs(provider, original_docs, normalized_docs, original_embeddings())
+        normalized, changed = table.relabel(mapping.pairs.values())
+        irs_result = retention(
+            provider, doc_ids, original_embeddings(), normalized, np.flatnonzero(changed)
+        )
         gated = safety_gate(
             irs_result.irs, compression.cr, primary.anld, config.safety_threshold
         )
         features = None
         # training is deterministic, so cross-validating unchanged
         # documents again would reproduce the baseline's runs
-        if specs and not all(map(operator.is_, normalized_docs, original_docs)):
-            features = fold_features(normalized_docs, split)
+        if specs and changed.any():
+            features = fold_features(normalized, split)
         report = NormalizerReport(
             normalizer=name,
             compression=compression,
@@ -348,7 +345,7 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
         pending.append((report, features))
         return report
 
-    reports = _run_normalizers(config.normalizers, original_docs, score)
+    reports = _run_normalizers(config.normalizers, table, score)
     if not specs:
         return reports
     changed = [features for _, features in pending if features is not None]

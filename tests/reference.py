@@ -1,19 +1,93 @@
 """Reference implementations that the tests compare normeval against.
 
-TF-IDF fitted and applied one training set at a time through dicts,
-logistic regression and the SVM trained one set at a time, the softmax
-objective with its gradient, and the English Snowball stemmer step by
-step. They share no helper with the package, so a change inside one of
-its helpers cannot hide from the comparisons made against them.
+Tokenization and normalization one document at a time, hashed n-gram
+vectors one gram at a time, TF-IDF fitted and applied one training set
+at a time through dicts, logistic regression and the SVM trained one
+set at a time, the softmax objective with its gradient, and the English
+Snowball stemmer step by step. They share no helper with the package,
+so a change inside one of its helpers cannot hide from the comparisons
+made against them.
 """
 
+import hashlib
 import math
+import unicodedata
+from collections import Counter
 
 import numpy as np
 from scipy import sparse
 
-from normeval import EvaluationError
+from normeval import EvaluationError, TokenizedDocument, TokenMapping
 from normeval.downstream import LinearClassifier
+
+
+def reference_tokenize_corpus(corpus, config):
+    """Each document's tokens, one document at a time: whitespace split,
+    edge Unicode punctuation stripped, lowercased, empty tokens dropped
+    (as ``config`` says)."""
+    out = []
+    for doc in corpus.documents:
+        tokens = []
+        for token in doc.text.split():
+            if config.strip_punct:
+                while token and unicodedata.category(token[0]).startswith("P"):
+                    token = token[1:]
+                while token and unicodedata.category(token[-1]).startswith("P"):
+                    token = token[:-1]
+            if config.lowercase:
+                token = token.lower()
+            if token:
+                tokens.append(token)
+        out.append(TokenizedDocument(doc.id, tuple(tokens)))
+    return out
+
+
+def reference_normalize_corpus(normalizer, docs):
+    """``normalize_corpus`` one token at a time: each distinct token in
+    first-seen order through ``normalize_token``, then every document
+    rebuilt unless none of its tokens changed (an empty stem is a
+    change, and is dropped from the stream)."""
+    occurrence = Counter()
+    for doc in docs:
+        occurrence.update(doc.tokens)
+    pairs = {token: normalizer.normalize_token(token) for token in occurrence}
+    normalized = []
+    for doc in docs:
+        if all(pairs[token] and pairs[token] == token for token in doc.tokens):
+            normalized.append(doc)
+        else:
+            stems = tuple(pairs[token] for token in doc.tokens if pairs[token])
+            normalized.append(TokenizedDocument(doc.doc_id, stems))
+    return normalized, TokenMapping(pairs=pairs, occurrence_counts=dict(occurrence))
+
+
+def reference_token_vector(provider, token):
+    """Token vector by the uncached per-gram loop: every gram of the
+    token hashed afresh and added to a float64 vector."""
+    lo, hi = provider.n_range
+    wrapped = f"<{token}>"
+    grams = {wrapped}
+    for n in range(lo, hi + 1):
+        for i in range(len(wrapped) - n + 1):
+            grams.add(wrapped[i : i + n])
+    key = provider.seed.to_bytes(8, "little", signed=True)
+    vec = np.zeros(provider.dim, dtype=np.float64)
+    for gram in sorted(grams):
+        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9, key=key).digest()
+        idx = int.from_bytes(digest[:8], "little") % provider.dim
+        sign = 1.0 if digest[8] & 1 else -1.0
+        vec[idx] += sign
+    return vec
+
+
+def reference_document_vector(provider, tokens):
+    """Document vector pooled one token at a time with numpy ``+=``."""
+    if not tokens:
+        return np.zeros(provider.dim)
+    acc = np.zeros(provider.dim, dtype=np.float64)
+    for token in tokens:
+        acc += reference_token_vector(provider, token)
+    return acc / len(tokens)
 
 
 def reference_tfidf_fit(train_docs):

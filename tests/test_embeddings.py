@@ -1,6 +1,5 @@
 """Embedding providers, cosine similarity, and the retention score."""
 
-import hashlib
 import json
 import random
 import string
@@ -27,6 +26,7 @@ from normeval import (
 )
 from normeval import embeddings
 from normeval.embeddings import _EMBED_BLOCK
+from reference import reference_document_vector, reference_token_vector
 
 
 class TestCosine:
@@ -246,35 +246,6 @@ class TestHashedNgramProvider:
         first = provider.embed_documents([["token"]])
         second = provider.embed_documents([["token"]])
         assert np.array_equal(first, second)
-
-
-def reference_token_vector(provider, token):
-    """Token vector by the uncached per-gram loop: every gram of the
-    token hashed afresh and added to a float64 vector."""
-    lo, hi = provider.n_range
-    wrapped = f"<{token}>"
-    grams = {wrapped}
-    for n in range(lo, hi + 1):
-        for i in range(len(wrapped) - n + 1):
-            grams.add(wrapped[i : i + n])
-    key = provider.seed.to_bytes(8, "little", signed=True)
-    vec = np.zeros(provider.dim, dtype=np.float64)
-    for gram in sorted(grams):
-        digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=9, key=key).digest()
-        idx = int.from_bytes(digest[:8], "little") % provider.dim
-        sign = 1.0 if digest[8] & 1 else -1.0
-        vec[idx] += sign
-    return vec
-
-
-def reference_document_vector(provider, tokens):
-    """Document vector pooled one token at a time with numpy ``+=``."""
-    if not tokens:
-        return np.zeros(provider.dim)
-    acc = np.zeros(provider.dim, dtype=np.float64)
-    for token in tokens:
-        acc += reference_token_vector(provider, token)
-    return acc / len(tokens)
 
 
 # 20,000 random lowercase letters: at dim 8 one coordinate of its vector
@@ -812,17 +783,25 @@ class TestBatchedIrs:
 
 class CountingProvider(HashedNgramProvider):
     """Hashed provider that records every document it is asked to embed,
-    and counts its calls."""
+    and counts its calls: the calls of the functions its ``id_embedder``
+    returns, which its ``embed_documents`` goes through too."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.embedded = []
         self.calls = 0
 
-    def embed_documents(self, token_lists):
-        self.embedded.extend(tuple(tokens) for tokens in token_lists)
-        self.calls += 1
-        return super().embed_documents(token_lists)
+    def id_embedder(self, vocabulary):
+        embed = super().id_embedder(vocabulary)
+
+        def counted(ids, indptr):
+            bounds = indptr.tolist()
+            tokens = [vocabulary[i] for i in ids.tolist()]
+            self.embedded.extend(tuple(tokens[a:b]) for a, b in zip(bounds, bounds[1:]))
+            self.calls += 1
+            return embed(ids, indptr)
+
+        return counted
 
 
 def irs_embedding_everything(provider, original, normalized):

@@ -39,7 +39,9 @@ from normeval import (
 )
 from normeval import downstream
 from normeval.cli import main
+from normeval.corpus import TypeTable
 from normeval.data import mini_corpus_path
+from normeval.normalizers import type_mapping
 
 DATA = Path(__file__).parent / "data"
 
@@ -283,19 +285,24 @@ class TestRunEvaluation:
 
 
 class CountingProvider(HashedNgramProvider):
-    """Hashed embedder that records each ``embed_documents`` call and
-    can fail the first ``failures`` of them."""
+    """Hashed embedder that records each call of the functions its
+    ``id_embedder`` returns and can fail the first ``failures`` of them."""
 
     def __init__(self, failures=0):
         super().__init__(dim=64, seed=0)
         self.calls = 0
         self.failures = failures
 
-    def embed_documents(self, token_lists):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise EmbeddingError("embedding service unavailable")
-        return super().embed_documents(token_lists)
+    def id_embedder(self, vocabulary):
+        embed = super().id_embedder(vocabulary)
+
+        def counted(ids, indptr):
+            self.calls += 1
+            if self.calls <= self.failures:
+                raise EmbeddingError("embedding service unavailable")
+            return embed(ids, indptr)
+
+        return counted
 
 
 class TestOriginalEmbeddingsShared:
@@ -425,30 +432,29 @@ class TestFeaturelessTrainingFold:
 class TestOccurrencesCountedOnce:
     def test_one_count_shared_by_every_mapping(self, corpus_path, monkeypatch):
         counted = []
-        real = count_occurrences
+        real = TypeTable.occurrence_counts
 
-        def counting(docs):
-            counted.append(len(docs))
-            return real(docs)
+        def counting(table):
+            counted.append(len(table))
+            return real(table)
 
         mappings = []
-        real_normalize = normalize_corpus
+        real_mapping = type_mapping
 
         def recording(*args):
-            normalized, mapping = real_normalize(*args)
+            mapping = real_mapping(*args)
             mappings.append(mapping)
-            return normalized, mapping
+            return mapping
 
-        monkeypatch.setattr("normeval.report.count_occurrences", counting)
-        monkeypatch.setattr("normeval.normalizers.count_occurrences", counting)
-        monkeypatch.setattr("normeval.report.normalize_corpus", recording)
+        monkeypatch.setattr(TypeTable, "occurrence_counts", counting)
+        monkeypatch.setattr("normeval.report.type_mapping", recording)
         specs = ("identity", "truncate:2", "snowball-en")
         reports = run_evaluation(toy_config(corpus_path, normalizers=specs, classifiers=()))
         assert not any(r.failed for r in reports)
         assert len(counted) == 1 and len(mappings) == len(specs)
         docs = tokenize_corpus(load_corpus(corpus_path))
         for spec, mapping in zip(specs, mappings):
-            assert mapping == real_normalize(build_normalizer(spec), docs)[1]
+            assert mapping == normalize_corpus(build_normalizer(spec), docs)[1]
             assert mapping.occurrence_counts is mappings[0].occurrence_counts
 
 
