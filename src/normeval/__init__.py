@@ -27,13 +27,12 @@ try:
         Corpus,
         Document,
         FoldPlan,
-        TokenizedDocument,
         TokenizerConfig,
-        count_occurrences,
+        TypeTable,
         load_corpus,
         make_folds,
         tokenize,
-        tokenize_corpus,
+        type_table,
     )
     from .downstream import (
         ALPHA,
@@ -41,13 +40,15 @@ try:
         EvalRun,
         MpdResult,
         accuracy,
-        cross_validate_docs,
+        cross_validate_features,
+        fold_features,
+        fold_split,
         macro_f1,
         make_classifier_spec,
         mcnemar,
         mpd,
         paired_t_pvalue,
-        train,
+        train_folds,
     )
     from .embeddings import (
         EmbeddingProvider,
@@ -83,7 +84,7 @@ try:
         TokenMapping,
         TruncateNormalizer,
         load_mapping,
-        normalize_corpus,
+        type_mapping,
     )
     from .report import (
         ClassifierDelta,
@@ -113,13 +114,12 @@ __all__ = [
     "Corpus",
     "Document",
     "FoldPlan",
-    "TokenizedDocument",
     "TokenizerConfig",
-    "count_occurrences",
+    "TypeTable",
     "load_corpus",
     "make_folds",
     "tokenize",
-    "tokenize_corpus",
+    "type_table",
     "NormEvalError",
     "CorpusError",
     "NormalizerError",
@@ -134,7 +134,7 @@ __all__ = [
     "ExternalNormalizer",
     "TokenMapping",
     "load_mapping",
-    "normalize_corpus",
+    "type_mapping",
     "AnldResult",
     "CompressionResult",
     "anld",
@@ -161,11 +161,13 @@ __all__ = [
     "accuracy",
     "macro_f1",
     "make_classifier_spec",
-    "cross_validate_docs",
+    "fold_split",
+    "fold_features",
+    "cross_validate_features",
     "mcnemar",
     "mpd",
     "paired_t_pvalue",
-    "train",
+    "train_folds",
     "ClassifierDelta",
     "NormalizerReport",
     "RunConfig",

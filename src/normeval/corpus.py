@@ -3,8 +3,7 @@ and fold planning.
 
 A run tokenizes its corpus once, into a :class:`TypeTable`: the distinct
 tokens and every document as an array of their ids. Normalization,
-CR, ANLD, IRS and the fold TF-IDF all read that table;
-:class:`TokenizedDocument` is built from it only on demand.
+CR, ANLD, IRS and the fold TF-IDF all read that table.
 
 All structures produced here are immutable after construction and safe to
 share across threads.
@@ -40,12 +39,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.documents)
-
-
-@dataclass(frozen=True)
-class TokenizedDocument:
-    doc_id: str
-    tokens: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -219,15 +212,6 @@ class TypeTable:
         counts = np.bincount(self.ids, minlength=len(self.types)).tolist()
         return Counter(dict(zip(self.types, counts)))
 
-    def documents(self, doc_ids: list[str]) -> list[TokenizedDocument]:
-        """The documents as :class:`TokenizedDocument`, with ``doc_ids``."""
-        tokens = list(map(self.types.__getitem__, self.ids.tolist()))
-        bounds = self.indptr.tolist()
-        return [
-            TokenizedDocument(doc_id, tuple(tokens[start:end]))
-            for doc_id, start, end in zip(doc_ids, bounds, bounds[1:])
-        ]
-
     def select(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ids and indptr of the documents at ``rows``, in that order."""
         starts = self.indptr[rows]
@@ -285,19 +269,6 @@ def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str
     and lowercase. Deterministic; empty text yields an empty list."""
     table = type_table([text], config)
     return list(map(table.types.__getitem__, table.ids.tolist()))
-
-
-def tokenize_corpus(
-    corpus: Corpus, config: TokenizerConfig = TokenizerConfig()
-) -> list[TokenizedDocument]:
-    """:func:`tokenize` of every document, through one :func:`type_table`."""
-    table = type_table((doc.text for doc in corpus.documents), config)
-    return table.documents([doc.id for doc in corpus.documents])
-
-
-def count_occurrences(docs: list[TokenizedDocument]) -> Counter[str]:
-    """How often each token occurs in ``docs``, in first-seen order."""
-    return table_of(doc.tokens for doc in docs).occurrence_counts()
 
 
 def make_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:

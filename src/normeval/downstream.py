@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse, special
 
-from .corpus import FoldPlan, TokenizedDocument, TypeTable, table_of
+from .corpus import FoldPlan, TypeTable
 from .errors import EvaluationError
 
 ALPHA = 0.05
@@ -133,13 +133,6 @@ def _csr_rows(values, cols, doc, keep, rows, n_cols) -> sparse.csr_matrix:
     return sparse.csr_matrix((values[keep], cols[keep], indptr), shape=(len(per_row), n_cols))
 
 
-def fold_tfidf(
-    docs: list[TokenizedDocument], fold_of: np.ndarray, k: int
-) -> list[tuple[sparse.csr_matrix, sparse.csr_matrix]]:
-    """:func:`table_tfidf` of tokenized documents."""
-    return table_tfidf(table_of(doc.tokens for doc in docs), fold_of, k)
-
-
 def table_tfidf(
     table: TypeTable, fold_of: np.ndarray, k: int
 ) -> list[tuple[sparse.csr_matrix, sparse.csr_matrix]]:
@@ -202,11 +195,6 @@ class MultinomialNBClassifier:
         scores = self.decision_scores(X)
         return [self.classes[i] for i in np.argmax(scores, axis=1)]
 
-    def predict_proba(self, X) -> np.ndarray:
-        scores = self.decision_scores(X)
-        scores -= scores.max(axis=1, keepdims=True)
-        expd = np.exp(scores)
-        return expd / expd.sum(axis=1, keepdims=True)
 
 
 def _train_multinomial_nb(spec: ClassifierSpec, blocks: list, labels: list, classes: list[str]):
@@ -466,12 +454,6 @@ def _encode_labels(labels: list[str]) -> tuple[list[str], np.ndarray]:
     return classes, np.array([index[lab] for lab in labels], dtype=np.intp)
 
 
-def train(spec: ClassifierSpec, X, labels: list[str]):
-    """Train the classifier named by spec on feature rows X. Training is
-    deterministic for fixed inputs and seed. Requires >= 2 classes."""
-    return train_folds(spec, [(X, labels)])[0]
-
-
 def train_folds(spec: ClassifierSpec, training_sets: list[tuple[object, list[str]]]) -> list:
     """One model per (X, labels) training set, each as if trained alone.
     Sets with the same classes go to the classifier's trainer together:
@@ -599,26 +581,6 @@ def cross_validate_features(
                 )
             )
     return runs
-
-
-def cross_validate_docs(
-    docs: list[TokenizedDocument],
-    gold: dict[str, str],
-    folds: FoldPlan,
-    specs: list[ClassifierSpec],
-    condition: str = "original",
-) -> list[EvalRun]:
-    """Out-of-fold evaluation of every spec on already tokenized docs.
-
-    For each fold, TF-IDF is fitted on the other folds only, so no
-    test-fold token ever enters the feature space (leakage guard), and
-    that one feature matrix is shared by every classifier; all folds'
-    matrices come from one pass (:func:`fold_tfidf`). ``gold`` maps each
-    doc id to its label. Returns one run per spec, in spec order.
-    """
-    split = fold_split([doc.doc_id for doc in docs], gold, folds)
-    features = fold_features(table_of(doc.tokens for doc in docs), split)
-    return cross_validate_features(split, [features], specs, [condition])[0]
 
 
 def paired_t_pvalue(differences: list[float]) -> float:

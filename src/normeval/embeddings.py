@@ -1,4 +1,5 @@
-"""Document embedding providers and the information retention score.
+"""Document embedding providers and IRS, the score of what a
+normalization keeps of each document's embedding.
 
 Three provider kinds embed a list of documents into one C-contiguous
 float64 matrix, a row per document, either from token lists
@@ -11,9 +12,9 @@ float64 matrix, a row per document, either from token lists
 * HTTP service: delegates embedding (and pooling) of whole documents to
   an external model server via a small JSON protocol.
 
-The information retention score of a normalizer is the mean cosine
-similarity between each document's embedding and the embedding of its
-normalized form (:func:`retention`, from a run's type tables).
+The IRS of a normalizer is the mean cosine similarity between each
+document's embedding and the embedding of its normalized form
+(:func:`irs`, from a run's type tables).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TokenizedDocument, TypeTable, _ranges, table_of
+from .corpus import TypeTable, _ranges, table_of
 from .errors import EmbeddingError
 
 
@@ -297,14 +298,6 @@ class HashedNgramProvider(EmbeddingProvider):
         self._bins = _append(self._bins, used, np.concatenate(bins))
         cache.update(zip(new, range(rows, rows + len(new))))
 
-    def _token_vector(self, token: str) -> np.ndarray:
-        """The token's vector: the sum of its grams' +/-1, as int32."""
-        self._add_tokens([token])
-        row = self._token_cache[token]
-        bins = self._bins[self._indptr[row] : self._indptr[row + 1]]
-        counts = np.bincount(bins, minlength=2 * self.dim)
-        return (counts[: self.dim] - counts[self.dim :]).astype(np.int32)
-
     def embed_documents(self, token_lists: list[list[str]]) -> np.ndarray:
         return embed_table(self, table_of(token_lists))
 
@@ -535,42 +528,12 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def irs(
     provider: EmbeddingProvider,
-    original_docs: list[TokenizedDocument],
-    normalized_docs: list[TokenizedDocument],
-    original_embeddings: np.ndarray | None = None,
-) -> IrsResult:
-    """Mean per-document cosine between original and normalized embeddings.
-
-    Documents where either side embeds to the zero vector score 0 under
-    the zero-vector convention and are counted in ``zero_vector_docs``.
-    ``original_embeddings``, when given, is the provider's matrix for
-    ``original_docs``, so that several normalizers can share it; a
-    C-contiguous float64 matrix is read, never copied. Only the documents
-    whose tokens the normalizer changed are embedded again; the others
-    reuse their original row (see :func:`retention`).
-    """
-    doc_ids = [d.doc_id for d in original_docs]
-    if doc_ids != [d.doc_id for d in normalized_docs]:
-        raise EmbeddingError("original and normalized corpora have different document sequences")
-    if original_embeddings is None and original_docs:
-        original_embeddings = embed_table(provider, table_of(d.tokens for d in original_docs))
-    changed = [
-        i
-        for i, (a, b) in enumerate(zip(original_docs, normalized_docs))
-        if a is not b and a.tokens != b.tokens
-    ]
-    normalized = table_of(d.tokens for d in normalized_docs)
-    return retention(provider, doc_ids, original_embeddings, normalized, np.array(changed, np.intp))
-
-
-def retention(
-    provider: EmbeddingProvider,
     doc_ids: list[str],
     original_embeddings: np.ndarray,
     normalized: TypeTable,
     changed: np.ndarray,
 ) -> IrsResult:
-    """The retention score of the documents ``doc_ids``: their original
+    """The IRS of the documents ``doc_ids``: their original
     rows, ``original_embeddings``, against the ``normalized`` table,
     whose documents at the rows ``changed`` differ from the originals.
 
@@ -584,7 +547,7 @@ def retention(
     :func:`cosine_with_flag` itself.
     """
     if not doc_ids:
-        raise EmbeddingError("cannot compute retention score over an empty corpus")
+        raise EmbeddingError("cannot compute IRS over an empty corpus")
     if len(original_embeddings) != len(doc_ids):
         raise EmbeddingError(
             f"{len(original_embeddings)} original embeddings for {len(doc_ids)} documents"

@@ -128,25 +128,22 @@ def _check_weighting(weighting: str) -> None:
         raise MetricError(f"unknown weighting {weighting!r}")
 
 
-def _pair_distances(mapping: TokenMapping) -> list[tuple[str, str, float]]:
-    """(original, stem, normalized distance) for every pair, in mapping order."""
+def _pair_distances(mapping: TokenMapping) -> list[float]:
+    """The normalized distance of every pair, in mapping order."""
     if not mapping.pairs:
         raise MetricError("cannot compute distance average over an empty token mapping")
-    scored = []
-    for original, stem in mapping.pairs.items():
-        if not original:
-            raise MetricError("token mapping contains an empty original token")
-        scored.append((original, stem, levenshtein(original, stem) / len(original)))
-    return scored
+    if "" in mapping.pairs:
+        raise MetricError("token mapping contains an empty original token")
+    return [levenshtein(original, stem) / len(original) for original, stem in mapping.pairs.items()]
 
 
 def _weighted_anld(
-    mapping: TokenMapping, scored: list[tuple[str, str, float]], weighting: str, worst_n: int
+    mapping: TokenMapping, distances: list[float], weighting: str, worst_n: int
 ) -> AnldResult:
     total = 0.0
     weight_sum = 0.0
     over_unit = 0
-    for original, _, d in scored:
+    for original, d in zip(mapping.pairs, distances):
         w = mapping.occurrence_counts.get(original, 0) if weighting == "by_occurrence" else 1.0
         total += d * w
         weight_sum += w
@@ -154,10 +151,17 @@ def _weighted_anld(
             over_unit += 1
     if weight_sum == 0:
         raise MetricError("token mapping has zero total occurrence weight")
+    # tuples for the worst pairs only: a tuple per pair, kept alive at once,
+    # sets off the cyclic garbage collector at corpus scale
+    originals = list(mapping.pairs)
+    stems = list(mapping.pairs.values())
+    worst = heapq.nsmallest(
+        worst_n, range(len(distances)), key=lambda i: (-distances[i], originals[i])
+    )
     return AnldResult(
         anld=total / weight_sum,
         pair_count=len(mapping.pairs),
         over_unit_pairs=over_unit,
-        worst_pairs=tuple(heapq.nsmallest(worst_n, scored, key=lambda item: (-item[2], item[0]))),
+        worst_pairs=tuple((originals[i], stems[i], distances[i]) for i in worst),
         weighting=weighting,
     )

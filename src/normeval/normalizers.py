@@ -10,7 +10,7 @@ with up to ``EXT_CHUNK_SIZE`` requests in flight.
 ``type_mapping`` normalizes each distinct type of a corpus once, through
 one ``Normalizer.normalize_tokens`` call, and records every (original,
 stem) pair with occurrence counts in a :class:`TokenMapping`;
-``normalize_corpus`` applies it to tokenized documents.
+``corpus.TypeTable.relabel`` applies it to the corpus's type table.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ import logging
 import queue
 import subprocess
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from typing import NoReturn
 
-from .corpus import TokenizedDocument, table_of
 from .errors import NormalizerError
 from .snowball import stem as snowball_stem
 
@@ -49,7 +47,7 @@ class Normalizer:
     """Base class: subclasses implement ``normalize_token``.
 
     ``normalize_tokens`` maps a list of tokens to their stems, in order;
-    ``normalize_corpus`` calls it once with every distinct type. Here it
+    :func:`type_mapping` calls it once with every distinct type. Here it
     calls ``normalize_token`` per token; adapters that pay per call, like
     :class:`ExternalNormalizer`, override it to batch.
     """
@@ -330,34 +328,3 @@ def type_mapping(
     pairs = dict(zip(types, normalizer.normalize_tokens(types), strict=True))
     return TokenMapping(pairs=pairs, occurrence_counts=occurrence_counts)
 
-
-def normalize_corpus(
-    normalizer: Normalizer,
-    docs: list[TokenizedDocument],
-    occurrence_counts: Counter[str] | None = None,
-) -> tuple[list[TokenizedDocument], TokenMapping]:
-    """Normalize every token, each distinct token once.
-
-    The distinct tokens, in first-seen order, go to one
-    ``normalizer.normalize_tokens`` call; ``TokenMapping.pairs`` keeps that
-    order. Token order and document boundaries are preserved. Empty stems
-    are kept in the mapping (they count as defects and as full-length
-    edits in distance metrics) but dropped from the normalized token
-    streams, which must not contain empty tokens. A document none of
-    whose tokens the normalizer changes is returned as the very object
-    given, so callers can tell it is unchanged with an ``is`` test.
-
-    ``occurrence_counts``, when given, is ``count_occurrences(docs)``, so
-    that several normalizers can share one count; the mapping holds it
-    as its ``occurrence_counts``, and nothing changes it.
-
-    The documents are numbered in one type table (``corpus.table_of``)
-    and relabelled by the stems, as a run relabels its corpus's table.
-    """
-    table = table_of(doc.tokens for doc in docs)
-    if occurrence_counts is None:
-        occurrence_counts = table.occurrence_counts()
-    mapping = type_mapping(normalizer, table.types, occurrence_counts)
-    normalized, changed = table.relabel(mapping.pairs.values())
-    rebuilt = normalized.documents([doc.doc_id for doc in docs])
-    return [new if c else doc for doc, new, c in zip(docs, rebuilt, changed.tolist())], mapping

@@ -1,7 +1,7 @@
 """Evaluation orchestration and report emission.
 
 run_evaluation ties the pieces together: normalize, score the intrinsic
-metrics, compute semantic retention, apply the safety gate, and measure
+metrics, compute IRS, apply the safety gate, and measure
 downstream classifier deltas against a shared un-normalized baseline.
 run_intrinsic scores the intrinsic metrics only. Both load the corpus
 into one type table and run each normalizer through the same loop.
@@ -39,7 +39,7 @@ from .embeddings import (
     IrsResult,
     VectorFileProvider,
     embed_table,
-    retention,
+    irs,
 )
 from .errors import EvaluationError, NormEvalError, NormalizerError
 from .metrics import AnldResult, CompressionResult, anld, anld_with_alternate, compression_ratio
@@ -322,7 +322,7 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
             mapping, weighting=config.anld_weighting, worst_n=config.worst_n
         )
         normalized, changed = table.relabel(mapping.pairs.values())
-        irs_result = retention(
+        irs_result = irs(
             provider, doc_ids, original_embeddings(), normalized, np.flatnonzero(changed)
         )
         gated = safety_gate(
@@ -530,7 +530,7 @@ def emit_markdown(reports: list[NormalizerReport], path: str, config: RunConfig 
         if r.irs_result.zero_vector_docs:
             notes.append(
                 f"`{r.normalizer}`: {r.irs_result.zero_vector_docs} document(s) embedded to a zero "
-                f"vector and scored 0 retention."
+                f"vector and scored 0 in IRS."
             )
         if r.anld_primary.over_unit_pairs:
             notes.append(

@@ -1,6 +1,6 @@
 """Stemming effectiveness score and the distortion safety gate.
 
-SES multiplies vocabulary compression by semantic retention, rewarding
+SES multiplies vocabulary compression by IRS, the meaning kept, rewarding
 normalizers that shrink the vocabulary without losing meaning. A high
 SES can still hide destructive rewriting, so reports pair it with a
 safety verdict driven by average normalized edit distance: compression
@@ -40,7 +40,7 @@ def ses(irs: float, cr: float) -> float:
     if not (math.isfinite(irs) and math.isfinite(cr)):
         raise MetricError(f"ses requires finite inputs, got irs={irs}, cr={cr}")
     if not -1.0 <= irs <= 1.0:
-        raise MetricError(f"retention score must lie in [-1, 1], got {irs}")
+        raise MetricError(f"irs must lie in [-1, 1], got {irs}")
     if cr <= 0.0:
         raise MetricError(f"compression ratio must be > 0, got {cr}")
     return irs * cr

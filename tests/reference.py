@@ -13,12 +13,28 @@ import hashlib
 import math
 import unicodedata
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
-from normeval import EvaluationError, TokenizedDocument, TokenMapping
+from normeval import EvaluationError, TokenMapping
 from normeval.downstream import LinearClassifier
+
+
+@dataclass(frozen=True)
+class Doc:
+    """One document of the per-document references: its id and tokens."""
+
+    doc_id: str
+    tokens: tuple[str, ...]
+
+
+def table_tokens(table):
+    """The tokens of each document of a type table, as tuples, read one
+    id at a time."""
+    ids, bounds = table.ids.tolist(), table.indptr.tolist()
+    return [tuple(table.types[i] for i in ids[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 def reference_tokenize_corpus(corpus, config):
@@ -38,12 +54,12 @@ def reference_tokenize_corpus(corpus, config):
                 token = token.lower()
             if token:
                 tokens.append(token)
-        out.append(TokenizedDocument(doc.id, tuple(tokens)))
+        out.append(Doc(doc.id, tuple(tokens)))
     return out
 
 
 def reference_normalize_corpus(normalizer, docs):
-    """``normalize_corpus`` one token at a time: each distinct token in
+    """Normalization one token at a time: each distinct token in
     first-seen order through ``normalize_token``, then every document
     rebuilt unless none of its tokens changed (an empty stem is a
     change, and is dropped from the stream)."""
@@ -57,7 +73,7 @@ def reference_normalize_corpus(normalizer, docs):
             normalized.append(doc)
         else:
             stems = tuple(pairs[token] for token in doc.tokens if pairs[token])
-            normalized.append(TokenizedDocument(doc.doc_id, stems))
+            normalized.append(Doc(doc.doc_id, stems))
     return normalized, TokenMapping(pairs=pairs, occurrence_counts=dict(occurrence))
 
 

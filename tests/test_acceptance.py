@@ -26,7 +26,9 @@ from normeval import (
     VectorFileProvider,
     anld,
     compression_ratio,
-    cross_validate_docs,
+    cross_validate_features,
+    fold_features,
+    fold_split,
     irs,
     levenshtein,
     load_corpus,
@@ -34,15 +36,18 @@ from normeval import (
     make_folds,
     mcnemar,
     mpd,
-    normalize_corpus,
     paired_t_pvalue,
     ses,
     ses_consistency_ok,
-    tokenize_corpus,
-    train,
+    train_folds,
+    type_mapping,
+    type_table,
 )
+from normeval.corpus import table_of
 from normeval.data import mini_corpus_path
+from normeval.embeddings import embed_table
 from reference import (
+    Doc,
     reference_softmax_loss_and_grad,
     reference_tfidf_fit,
     reference_tfidf_transform_all,
@@ -125,13 +130,14 @@ def test_criterion_05_anld_identity_and_overstemming_order():
     started = time.monotonic()
     corpus = load_corpus(mini_corpus_path())
     assert len(corpus) >= 200
-    docs = tokenize_corpus(corpus)
+    table = type_table(doc.text for doc in corpus.documents)
+    counts = table.occurrence_counts()
 
-    _, ident_map = normalize_corpus(IdentityNormalizer(), docs)
+    ident_map = type_mapping(IdentityNormalizer(), table.types, counts)
     assert anld(ident_map).anld == 0.0
 
-    _, snow_map = normalize_corpus(SnowballEnglishNormalizer(), docs)
-    _, trunc_map = normalize_corpus(TruncateNormalizer(3), docs)
+    snow_map = type_mapping(SnowballEnglishNormalizer(), table.types, counts)
+    trunc_map = type_mapping(TruncateNormalizer(3), table.types, counts)
     anld_snowball = anld(snow_map).anld
     anld_truncate = anld(trunc_map).anld
     # blunt truncation distorts more than a rule-based stemmer, which
@@ -145,12 +151,15 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     import threading
     from http.server import ThreadingHTTPServer
 
-    from normeval import HttpServiceProvider, TokenizedDocument
+    from normeval import HttpServiceProvider
 
     # identity on the bundled corpus scores exactly 1.0
     corpus = load_corpus(mini_corpus_path())
-    docs = tokenize_corpus(corpus)
-    result = irs(HashedNgramProvider(dim=256, seed=0), docs, docs)
+    table = type_table(doc.text for doc in corpus.documents)
+    normalized, changed = table.relabel(table.types)
+    provider = HashedNgramProvider(dim=256, seed=0)
+    doc_ids = [doc.id for doc in corpus.documents]
+    result = irs(provider, doc_ids, embed_table(provider, table), normalized, np.flatnonzero(changed))
     assert result.irs == 1.0
 
     # two-doc vector-file case: doc1 untouched, doc2 fully replaced by a
@@ -158,15 +167,11 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     vec_path = tmp_path / "orth.txt"
     vec_path.write_text("3 2\nkeep 1 0\nnorth 0 1\neast 1 0\n", encoding="utf-8")
     provider = VectorFileProvider(str(vec_path))
-    original = [
-        TokenizedDocument(doc_id="d1", tokens=("keep",)),
-        TokenizedDocument(doc_id="d2", tokens=("north",)),
-    ]
-    normalized = [
-        TokenizedDocument(doc_id="d1", tokens=("keep",)),
-        TokenizedDocument(doc_id="d2", tokens=("east",)),
-    ]
-    assert abs(irs(provider, original, normalized).irs - 0.5) < 1e-9
+    original = table_of([["keep"], ["north"]])
+    normalized, changed = original.relabel(["keep", "east"])
+    rows = np.flatnonzero(changed)
+    result = irs(provider, ["d1", "d2"], embed_table(provider, original), normalized, rows)
+    assert abs(result.irs - 0.5) < 1e-9
 
     # same construction through the HTTP provider with fixed vectors
     table = {"keep": [1.0, 1.0], "north": [3.0, 0.0], "east": [0.0, 5.0]}
@@ -181,7 +186,8 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     thread.start()
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}/embed"
-        http_result = irs(HttpServiceProvider(url), original, normalized)
+        http = HttpServiceProvider(url)
+        http_result = irs(http, ["d1", "d2"], embed_table(http, original), normalized, rows)
         assert abs(http_result.irs - 0.5) < 1e-9
     finally:
         server.shutdown()
@@ -192,13 +198,17 @@ def test_criterion_07_mpd_null_and_delta_arithmetic():
     from test_downstream import run_with_scores  # one-fold runs: a mean is its score
     corpus = load_corpus(mini_corpus_path())
     folds = make_folds(corpus, k=5, seed=42)
-    docs = tokenize_corpus(corpus)
+    table = type_table(doc.text for doc in corpus.documents)
     gold = {doc.id: doc.label for doc in corpus.documents}
+    split = fold_split([doc.id for doc in corpus.documents], gold, folds)
     for kind in ("multinomial_nb", "logistic_regression", "linear_svm"):
         spec = make_classifier_spec(kind, seed=42)
-        [baseline] = cross_validate_docs(docs, gold, folds, [spec])
-        identity_docs, _ = normalize_corpus(IdentityNormalizer(), docs)
-        [identity] = cross_validate_docs(identity_docs, gold, folds, [spec], "normalized")
+        [[baseline]] = cross_validate_features(split, [fold_features(table, split)], [spec], ["original"])
+        identity_map = type_mapping(IdentityNormalizer(), table.types, table.occurrence_counts())
+        identity_table, _ = table.relabel(identity_map.pairs.values())
+        [[identity]] = cross_validate_features(
+            split, [fold_features(identity_table, split)], [spec], ["normalized"]
+        )
         for metric in ("accuracy", "macro_f1"):
             result = mpd(identity, baseline, metric)
             assert result.mpd == 0.0, kind
@@ -232,18 +242,16 @@ def test_criterion_09_classifier_sanity():
     docs, labels = [], []
     vocab = {"ruby": "gems", "opal": "gems", "pine": "trees", "oak": "trees",
              "heron": "birds", "crane": "birds"}
-    from normeval import TokenizedDocument
-
     i = 0
     for word, label in vocab.items():
         for _ in range(5):
-            docs.append(TokenizedDocument(doc_id=f"t{i}", tokens=(word, f"pad{i % 3}")))
+            docs.append(Doc(doc_id=f"t{i}", tokens=(word, f"pad{i % 3}")))
             labels.append(label)
             i += 1
     model = reference_tfidf_fit(docs)
     X = reference_tfidf_transform_all(model, docs)
     for kind in ("multinomial_nb", "logistic_regression", "linear_svm"):
-        clf = train(make_classifier_spec(kind, seed=0), X, labels)
+        clf = train_folds(make_classifier_spec(kind, seed=0), [(X, labels)])[0]
         assert clf.predict(X) == labels, kind
 
     # label-shuffled bundled corpus: 5-fold mean accuracy within 3
@@ -262,12 +270,15 @@ def test_criterion_09_classifier_sanity():
     folds = make_folds(shuffled_corpus, k=5, seed=42)
     chance = 1.0 / 3.0
     se = math.sqrt(chance * (1 - chance) / len(shuffled_corpus))
+    split = fold_split(
+        [d.id for d in shuffled_corpus.documents],
+        {d.id: d.label for d in shuffled_corpus.documents},
+        folds,
+    )
+    features = fold_features(type_table(d.text for d in shuffled_corpus.documents), split)
     for kind in ("multinomial_nb", "logistic_regression", "linear_svm"):
-        [run] = cross_validate_docs(
-            tokenize_corpus(shuffled_corpus),
-            {d.id: d.label for d in shuffled_corpus.documents},
-            folds,
-            [make_classifier_spec(kind, seed=42)],
+        [[run]] = cross_validate_features(
+            split, [features], [make_classifier_spec(kind, seed=42)], ["original"]
         )
         assert abs(run.mean_accuracy - chance) <= 3 * se, (kind, run.mean_accuracy)
 

@@ -12,11 +12,10 @@ from normeval import (
     CorpusError,
     Document,
     TokenizerConfig,
-    count_occurrences,
     load_corpus,
     make_folds,
     tokenize,
-    tokenize_corpus,
+    type_table,
 )
 
 
@@ -184,14 +183,9 @@ class TestTokenize:
         assert tokenize("") == []
 
     def test_no_empty_tokens(self):
-        docs = tokenize_corpus(
-            Corpus(
-                documents=(Document(id="1", text="... ! ok", label="A"),),
-                labels=frozenset({"A"}),
-            )
-        )
-        assert docs[0].tokens == ("ok",)
-        assert all(docs[0].tokens)
+        table = type_table(["... ! ok"])
+        assert table.types == ["ok"]
+        assert table.ids.tolist() == [0] and table.indptr.tolist() == [0, 1]
 
 
 class TestCountOccurrences:
@@ -203,7 +197,7 @@ class TestCountOccurrences:
             ),
             labels=frozenset({"x"}),
         )
-        counts = count_occurrences(tokenize_corpus(corpus))
+        counts = type_table(doc.text for doc in corpus.documents).occurrence_counts()
         assert counts == {"a": 2, "b": 2, "c": 1}
         assert list(counts) == ["b", "a", "c"]
         assert len(counts) == 3

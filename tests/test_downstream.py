@@ -26,24 +26,27 @@ from normeval import (
     FoldPlan,
     IdentityNormalizer,
     SnowballEnglishNormalizer,
-    TokenizedDocument,
     TruncateNormalizer,
     accuracy,
-    cross_validate_docs,
+    cross_validate_features,
+    fold_features,
+    fold_split,
     macro_f1,
     make_classifier_spec,
     load_corpus,
     make_folds,
     mcnemar,
     mpd,
-    normalize_corpus,
     paired_t_pvalue,
-    tokenize_corpus,
-    train,
+    train_folds,
+    type_mapping,
+    type_table,
 )
+from normeval.corpus import table_of
 from normeval.data import mini_corpus_path
-from normeval.downstream import LinearClassifier, fold_tfidf, train_folds
+from normeval.downstream import LinearClassifier, table_tfidf
 from reference import (
+    Doc,
     reference_softmax_loss_and_grad,
     reference_tfidf_fit,
     reference_tfidf_transform_all,
@@ -53,14 +56,14 @@ from reference import (
 
 
 def tdoc(doc_id, *tokens):
-    return TokenizedDocument(doc_id=doc_id, tokens=tokens)
+    return Doc(doc_id=doc_id, tokens=tokens)
 
 
 def fold0_tfidf(train_docs, test_docs):
-    """fold_tfidf's fold-0 (training, test) matrices, with ``train_docs``
+    """table_tfidf's fold-0 (training, test) matrices, with ``train_docs``
     in fold 1 and ``test_docs`` in fold 0."""
-    fold_of = np.array([1] * len(train_docs) + [0] * len(test_docs))
-    return fold_tfidf(list(train_docs) + list(test_docs), fold_of, 2)[0]
+    table = table_of(doc.tokens for doc in [*train_docs, *test_docs])
+    return table_tfidf(table, np.array([1] * len(train_docs) + [0] * len(test_docs)), 2)[0]
 
 
 def columns(train_docs):
@@ -158,14 +161,14 @@ class TestTrainGuards:
     def test_single_class_rejected(self):
         model, X, labels, _ = separable_data()
         with pytest.raises(EvaluationError, match="single class"):
-            train(make_classifier_spec("multinomial_nb"), X, ["same"] * X.shape[0])
+            train_folds(make_classifier_spec("multinomial_nb"), [(X, ["same"] * X.shape[0])])
 
 
 @pytest.mark.parametrize("kind", ["multinomial_nb", "logistic_regression", "linear_svm"])
 class TestAllClassifiers:
     def test_separates_disjoint_vocabulary(self, kind):
         model, X, labels, _ = separable_data()
-        clf = train(make_classifier_spec(kind), X, labels)
+        clf = train_folds(make_classifier_spec(kind), [(X, labels)])[0]
         assert clf.predict(X) == labels
         held_out = reference_tfidf_transform_all(
             model, [tdoc("h1", "crimson", "filler0"), tdoc("h2", "azure", "filler1")]
@@ -174,8 +177,8 @@ class TestAllClassifiers:
 
     def test_deterministic_across_trainings(self, kind):
         _, X, labels, _ = separable_data()
-        a = train(make_classifier_spec(kind, seed=3), X, labels)
-        b = train(make_classifier_spec(kind, seed=3), X, labels)
+        a = train_folds(make_classifier_spec(kind, seed=3), [(X, labels)])[0]
+        b = train_folds(make_classifier_spec(kind, seed=3), [(X, labels)])[0]
         Xq = X[:3]
         assert np.array_equal(a.decision_scores(Xq), b.decision_scores(Xq))
 
@@ -184,7 +187,7 @@ class TestLinearClassifier:
     @pytest.mark.parametrize("kind", ["logistic_regression", "linear_svm"])
     def test_lr_and_svm_train_one_linear_type(self, kind):
         _, X, labels, _ = separable_data()
-        clf = train(make_classifier_spec(kind), X, labels)
+        clf = train_folds(make_classifier_spec(kind), [(X, labels)])[0]
         assert type(clf) is LinearClassifier
         assert clf.classes == sorted(set(labels))
         assert clf.W.shape == (len(clf.classes), X.shape[1])
@@ -198,22 +201,14 @@ class TestLinearClassifier:
 class TestMultinomialNB:
     def test_tie_breaks_to_lowest_sorted_class(self):
         X = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        clf = train(make_classifier_spec("multinomial_nb"), X, ["zebra", "aardvark"])
+        clf = train_folds(make_classifier_spec("multinomial_nb"), [(X, ["zebra", "aardvark"])])[0]
         # a zero row scores equal class priors; argmax takes "aardvark"
         zero_row = sparse.csr_matrix((1, 2))
         assert clf.predict(zero_row) == ["aardvark"]
 
-    def test_posterior_rows_sum_to_one(self):
-        _, X, labels, _ = separable_data()
-        clf = train(make_classifier_spec("multinomial_nb"), X, labels)
-        probs = clf.predict_proba(X)
-        assert probs.shape == (X.shape[0], 2)
-        assert np.all(probs >= 0.0)
-        assert probs.sum(axis=1) == pytest.approx(np.ones(X.shape[0]), abs=1e-9)
-
     def test_smoothing_keeps_unseen_features_finite(self):
         X = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        clf = train(make_classifier_spec("multinomial_nb"), X, ["a", "b"])
+        clf = train_folds(make_classifier_spec("multinomial_nb"), [(X, ["a", "b"])])[0]
         assert np.all(np.isfinite(clf.log_likelihood))
 
 
@@ -239,7 +234,7 @@ class TestSoftmaxGradient:
 
     def test_training_reduces_loss(self):
         _, X, labels, _ = separable_data()
-        clf = train(make_classifier_spec("logistic_regression"), X, labels)
+        clf = train_folds(make_classifier_spec("logistic_regression"), [(X, labels)])[0]
         classes = sorted(set(labels))
         y_idx = np.array([classes.index(lab) for lab in labels])
         zero_loss, _ = reference_softmax_loss_and_grad(np.zeros_like(clf.W), X, y_idx, 1e-4)
@@ -249,7 +244,7 @@ class TestSoftmaxGradient:
     def test_training_takes_the_reference_gradient_steps(self):
         _, X, labels, _ = separable_data()
         spec = make_classifier_spec("logistic_regression")
-        clf = train(spec, X, labels)
+        clf = train_folds(spec, [(X, labels)])[0]
         y_idx = np.array([sorted(set(labels)).index(lab) for lab in labels])
         W = np.zeros_like(clf.W)
         for _ in range(spec.epochs):
@@ -274,7 +269,7 @@ class TestSoftmaxGradient:
         y_idx[:2] = [0, 1]
         _, y_idx = np.unique(y_idx, return_inverse=True)
         spec = make_classifier_spec("logistic_regression")
-        clf = train(spec, X, [f"c{i}" for i in y_idx])
+        clf = train_folds(spec, [(X, [f"c{i}" for i in y_idx])])[0]
         W = np.zeros(clf.W.shape)
         for _ in range(spec.epochs):
             _, grad = reference_softmax_loss_and_grad(W, X, y_idx, spec.l2_lambda)
@@ -294,7 +289,7 @@ class TestLinearSvm:
         # each row's first dual step sets alpha = 1 (C = 1/(n * l2) is far
         # above it), so w_a = x_a - x_b with both margins exactly 1
         spec = ClassifierSpec(kind="linear_svm", epochs=epochs)
-        clf = train(spec, sparse.csr_matrix(np.array(rows)), labels)
+        clf = train_folds(spec, [(sparse.csr_matrix(np.array(rows)), labels)])[0]
         assert np.array_equal(clf.W, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_unregularized_nonseparable_stops_at_epoch_cap(self):
@@ -303,7 +298,7 @@ class TestLinearSvm:
         _, X, labels, _ = separable_data()
         shuffled = [labels[j] for j in np.random.default_rng(5).permutation(len(labels))]
         capped = [
-            train(ClassifierSpec(kind="linear_svm", l2_lambda=0.0, epochs=e), X, shuffled).W
+            train_folds(ClassifierSpec(kind="linear_svm", l2_lambda=0.0, epochs=e), [(X, shuffled)])[0].W
             for e in (20, 21)
         ]
         assert all(np.all(np.isfinite(W)) for W in capped)
@@ -311,7 +306,7 @@ class TestLinearSvm:
 
     def test_weights_finite(self):
         _, X, labels, _ = separable_data()
-        clf = train(make_classifier_spec("linear_svm"), X, labels)
+        clf = train_folds(make_classifier_spec("linear_svm"), [(X, labels)])[0]
         assert np.all(np.isfinite(clf.W))
 
 
@@ -335,7 +330,7 @@ class TestFoldTfidfAgainstPerFoldReference:
         fold_of = data.draw(st.lists(st.integers(0, k - 1), min_size=len(docs), max_size=len(docs)))
         # every fold trains on at least one token (featureless folds are tested apart)
         assume(all(any(t for t, f in zip(tokens, fold_of) if f != fold) for fold in range(k)))
-        matrices = fold_tfidf(docs, np.array(fold_of, dtype=np.intp), k)
+        matrices = table_tfidf(table_of(tokens), np.array(fold_of, dtype=np.intp), k)
         assert len(matrices) == k
         for fold, (Xtr, Xte) in enumerate(matrices):
             train_docs = [d for d, f in zip(docs, fold_of) if f != fold]
@@ -345,19 +340,18 @@ class TestFoldTfidfAgainstPerFoldReference:
             assert csr_bytes(Xte) == csr_bytes(reference_tfidf_transform_all(model, test_docs))
 
     def test_test_document_without_training_tokens_is_a_zero_row(self):
-        docs = [tdoc("a", "x", "y"), tdoc("b", "x"), tdoc("c", "only-here", "only-here")]
-        (_, _), (_, _), (Xtr, Xte) = fold_tfidf(docs, np.array([0, 1, 2]), 3)
+        table = table_of([["x", "y"], ["x"], ["only-here", "only-here"]])
+        (_, _), (_, _), (Xtr, Xte) = table_tfidf(table, np.array([0, 1, 2]), 3)
         assert Xte.shape == (1, 2) and Xte.nnz == 0
         assert Xtr.shape == (2, 2)
 
     def test_featureless_training_fold_names_the_fold(self):
-        docs = [tdoc("a"), tdoc("b", "x"), tdoc("c")]
         with pytest.raises(EvaluationError, match="^fold 1: the training documents have no tokens"):
-            fold_tfidf(docs, np.array([0, 1, 0]), 2)
+            table_tfidf(table_of([[], ["x"], []]), np.array([0, 1, 0]), 2)
 
     def test_empty_training_fold_names_the_fold(self):
         with pytest.raises(EvaluationError, match="^fold 0: cannot fit TF-IDF on an empty"):
-            fold_tfidf([tdoc("a", "x"), tdoc("b", "y")], np.array([0, 0]), 2)
+            table_tfidf(table_of([["x"], ["y"]]), np.array([0, 0]), 2)
 
 
 def random_training_set(rng, n_classes):
@@ -376,16 +370,9 @@ def mini_corpus_fold_sets(normalizer=None):
     """The five fold training sets of the bundled corpus (k=5, seed 42),
     normalized by ``normalizer`` if one is given."""
     corpus = load_corpus(mini_corpus_path())
-    folds = make_folds(corpus, k=5, seed=42)
-    docs = tokenize_corpus(corpus)
-    if normalizer is not None:
-        docs, _ = normalize_corpus(normalizer, docs)
-    gold = [doc.label for doc in corpus.documents]
-    fold_of = np.array([folds.assignments[d.doc_id] for d in docs])
-    return [
-        (Xtr, [lab for lab, f in zip(gold, fold_of) if f != fold])
-        for fold, (Xtr, _) in enumerate(fold_tfidf(docs, fold_of, folds.k))
-    ]
+    split = corpus_split(corpus, k=5, seed=42)
+    features = fold_features(corpus_table(corpus, normalizer), split)
+    return [(Xtr, labels) for (Xtr, _), labels in zip(features, split.train_labels)]
 
 
 class TestTrainFoldsAgainstPerSetReference:
@@ -436,7 +423,7 @@ class TestTrainFoldsAgainstPerSetReference:
         models = train_folds(spec, sets)
         assert [m.classes for m in models] == [["a", "b"], ["a", "c"], ["a", "b"]]
         for (X, labels), model in zip(sets, models):
-            assert model.W.tobytes() == train(spec, X, labels).W.tobytes()
+            assert model.W.tobytes() == train_folds(spec, [(X, labels)])[0].W.tobytes()
 
 
 @st.composite
@@ -509,19 +496,19 @@ class TestLinearSvmLockstep:
 # the weights of the mini corpus's five fold SVMs as hex; run in this
 # process and in fresh ones under other OpenBLAS kernels
 FOLD_SVM_WEIGHTS = """
-from normeval import load_corpus, make_folds, tokenize_corpus
+from normeval import (
+    fold_features, fold_split, load_corpus, make_classifier_spec, make_folds, train_folds, type_table
+)
 from normeval.data import mini_corpus_path
-from normeval.downstream import fold_tfidf, make_classifier_spec, train_folds
-import numpy as np
 
 corpus = load_corpus(mini_corpus_path())
-folds = make_folds(corpus, k=5, seed=42)
-docs = tokenize_corpus(corpus)
-fold_of = np.array([folds.assignments[d.doc_id] for d in docs])
-sets = [
-    (Xtr, [d.label for d, f in zip(corpus.documents, fold_of) if f != fold])
-    for fold, (Xtr, _) in enumerate(fold_tfidf(docs, fold_of, folds.k))
-]
+split = fold_split(
+    [d.id for d in corpus.documents],
+    {d.id: d.label for d in corpus.documents},
+    make_folds(corpus, k=5, seed=42),
+)
+features = fold_features(type_table(d.text for d in corpus.documents), split)
+sets = [(Xtr, labels) for (Xtr, _), labels in zip(features, split.train_labels)]
 models = train_folds(make_classifier_spec("linear_svm", seed=42), sets)
 weights = b"".join(model.W.tobytes() for model in models).hex()
 """
@@ -615,25 +602,38 @@ def gold_of(corpus):
     return {doc.id: doc.label for doc in corpus.documents}
 
 
-def cross_validate_one(docs, corpus, folds, spec, condition="original"):
-    return cross_validate_docs(docs, gold_of(corpus), folds, [spec], condition)[0]
+def corpus_table(corpus, normalizer=None):
+    """The corpus's type table, relabelled by ``normalizer`` if one is given."""
+    table = type_table(doc.text for doc in corpus.documents)
+    if normalizer is None:
+        return table
+    mapping = type_mapping(normalizer, table.types, table.occurrence_counts())
+    return table.relabel(mapping.pairs.values())[0]
+
+
+def corpus_split(corpus, k, seed):
+    return fold_split([doc.id for doc in corpus.documents], gold_of(corpus), make_folds(corpus, k, seed))
+
+
+KINDS = ("multinomial_nb", "logistic_regression", "linear_svm")
 
 
 class TestCrossValidate:
     def test_separable_corpus_scores_perfectly(self):
         corpus = toy_corpus()
-        folds = make_folds(corpus, k=3, seed=0)
-        docs = tokenize_corpus(corpus)
-        for kind in ("multinomial_nb", "logistic_regression", "linear_svm"):
-            run = cross_validate_one(docs, corpus, folds, make_classifier_spec(kind))
+        split = corpus_split(corpus, k=3, seed=0)
+        specs = [make_classifier_spec(kind) for kind in KINDS]
+        [runs] = cross_validate_features(split, [fold_features(corpus_table(corpus), split)], specs, ["original"])
+        for kind, run in zip(KINDS, runs):
             assert run.mean_accuracy == 1.0, kind
             assert run.mean_macro_f1 == 1.0, kind
 
     def test_out_of_fold_predictions_cover_corpus_in_order(self):
         corpus = toy_corpus()
-        folds = make_folds(corpus, k=4, seed=1)
-        run = cross_validate_one(
-            tokenize_corpus(corpus), corpus, folds, make_classifier_spec("multinomial_nb")
+        split = corpus_split(corpus, k=4, seed=1)
+        [[run]] = cross_validate_features(
+            split, [fold_features(corpus_table(corpus), split)],
+            [make_classifier_spec("multinomial_nb")], ["original"],
         )
         assert list(run.per_doc_predictions) == [doc.id for doc in corpus.documents]
         assert len(run.fold_scores) == 4
@@ -641,22 +641,25 @@ class TestCrossValidate:
 
     def test_condition_field(self):
         corpus = toy_corpus()
-        folds = make_folds(corpus, k=3, seed=0)
+        split = corpus_split(corpus, k=3, seed=0)
+        corpora = [
+            fold_features(corpus_table(corpus), split),
+            fold_features(corpus_table(corpus, IdentityNormalizer()), split),
+        ]
         spec = make_classifier_spec("multinomial_nb")
-        docs = tokenize_corpus(corpus)
-        assert cross_validate_one(docs, corpus, folds, spec).condition == "original"
-        normalized, _ = normalize_corpus(IdentityNormalizer(), docs)
-        run = cross_validate_one(normalized, corpus, folds, spec, "normalized")
-        assert run.condition == "normalized"
+        [[bare], [ident]] = cross_validate_features(split, corpora, [spec], ["original", "normalized"])
+        assert bare.condition == "original"
+        assert ident.condition == "normalized"
 
     def test_identity_normalizer_measures_identically_to_none(self):
         corpus = toy_corpus()
-        folds = make_folds(corpus, k=3, seed=0)
+        split = corpus_split(corpus, k=3, seed=0)
+        corpora = [
+            fold_features(corpus_table(corpus), split),
+            fold_features(corpus_table(corpus, IdentityNormalizer()), split),
+        ]
         spec = make_classifier_spec("logistic_regression")
-        docs = tokenize_corpus(corpus)
-        bare = cross_validate_one(docs, corpus, folds, spec)
-        normalized, _ = normalize_corpus(IdentityNormalizer(), docs)
-        ident = cross_validate_one(normalized, corpus, folds, spec, "normalized")
+        [[bare], [ident]] = cross_validate_features(split, corpora, [spec], ["original", "normalized"])
         assert ident.fold_scores == bare.fold_scores
         assert ident.mean_accuracy == bare.mean_accuracy
         assert ident.mean_macro_f1 == bare.mean_macro_f1
@@ -664,54 +667,50 @@ class TestCrossValidate:
 
     def test_normalizer_applied_before_featurization(self):
         corpus = toy_corpus()
-        folds = make_folds(corpus, k=3, seed=0)
+        split = corpus_split(corpus, k=3, seed=0)
         # truncation to 1 char collapses red/blue vocabularies far less
         # cleanly; the run must still complete and stay in [0, 1]
-        normalized, _ = normalize_corpus(TruncateNormalizer(1), tokenize_corpus(corpus))
-        run = cross_validate_one(
-            normalized, corpus, folds, make_classifier_spec("multinomial_nb"), "normalized"
+        features = fold_features(corpus_table(corpus, TruncateNormalizer(1)), split)
+        [[run]] = cross_validate_features(
+            split, [features], [make_classifier_spec("multinomial_nb")], ["normalized"]
         )
         assert 0.0 <= run.mean_accuracy <= 1.0
 
     def test_deterministic(self):
         corpus = toy_corpus()
-        folds = make_folds(corpus, k=3, seed=0)
+        split = corpus_split(corpus, k=3, seed=0)
         spec = make_classifier_spec("linear_svm", seed=7)
-        a = cross_validate_one(tokenize_corpus(corpus), corpus, folds, spec)
-        b = cross_validate_one(tokenize_corpus(corpus), corpus, folds, spec)
+        a, b = (
+            cross_validate_features(split, [fold_features(corpus_table(corpus), split)], [spec], ["original"])
+            for _ in range(2)
+        )
         assert a == b
 
 
-class TestCrossValidateDocs:
-    KINDS = ("multinomial_nb", "logistic_regression", "linear_svm")
-
+class TestCrossValidateFeatures:
     def test_shared_features_match_one_run_per_classifier(self):
         corpus = toy_corpus()
-        folds = make_folds(corpus, k=3, seed=0)
-        specs = [make_classifier_spec(kind, seed=5) for kind in self.KINDS]
-        docs = tokenize_corpus(corpus)
-        runs = cross_validate_docs(docs, gold_of(corpus), folds, specs)
-        assert runs == [cross_validate_one(docs, corpus, folds, spec) for spec in specs]
+        split = corpus_split(corpus, k=3, seed=0)
+        features = [fold_features(corpus_table(corpus), split)]
+        specs = [make_classifier_spec(kind, seed=5) for kind in KINDS]
+        [runs] = cross_validate_features(split, features, specs, ["original"])
+        assert runs == [cross_validate_features(split, features, [spec], ["original"])[0][0] for spec in specs]
 
     def test_incomplete_fold_plan_rejected(self):
         corpus = toy_corpus()
         plan = FoldPlan(k=2, seed=0, assignments={"r0": 0})
-        gold = {doc.id: doc.label for doc in corpus.documents}
         with pytest.raises(EvaluationError, match="does not cover"):
-            cross_validate_docs(
-                tokenize_corpus(corpus), gold, plan, [make_classifier_spec("multinomial_nb")]
-            )
+            fold_split([doc.id for doc in corpus.documents], gold_of(corpus), plan)
 
     @pytest.mark.parametrize("bad_fold", [-1, 2])
     def test_fold_outside_the_plan_rejected(self, bad_fold):
         corpus = toy_corpus()
         assignments = dict(make_folds(corpus, k=2, seed=0).assignments)
         assignments["r0"] = bad_fold
-        gold = {doc.id: doc.label for doc in corpus.documents}
         with pytest.raises(EvaluationError, match="outside 0..1"):
-            cross_validate_docs(
-                tokenize_corpus(corpus), gold, FoldPlan(k=2, seed=0, assignments=assignments),
-                [make_classifier_spec("multinomial_nb")],
+            fold_split(
+                [doc.id for doc in corpus.documents], gold_of(corpus),
+                FoldPlan(k=2, seed=0, assignments=assignments),
             )
 
 

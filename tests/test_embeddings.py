@@ -1,4 +1,4 @@
-"""Embedding providers, cosine similarity, and the retention score."""
+"""Embedding providers, cosine similarity, and IRS."""
 
 import json
 import random
@@ -18,14 +18,14 @@ from normeval import (
     EmbeddingProvider,
     HashedNgramProvider,
     HttpServiceProvider,
-    TokenizedDocument,
     VectorFileProvider,
     cosine_with_flag,
     irs,
     load_word2vec_text,
 )
 from normeval import embeddings
-from normeval.embeddings import _EMBED_BLOCK
+from normeval.corpus import table_of
+from normeval.embeddings import _EMBED_BLOCK, embed_table
 from reference import reference_document_vector, reference_token_vector
 
 
@@ -265,7 +265,7 @@ class TestHashedNgramAgainstReference:
         provider = HashedNgramProvider(dim=dim, seed=seed)
         for word in MIXED_WORDS:
             expected = reference_token_vector(provider, word)
-            assert np.array_equal(provider._token_vector(word), expected), word
+            assert np.array_equal(provider.embed_documents([[word]])[0], expected), word
 
     @pytest.mark.parametrize("dim,seed", [(8, 0), (64, 3), (256, 0)])
     def test_document_vectors_equal(self, dim, seed):
@@ -290,7 +290,7 @@ class TestHashedNgramAgainstReference:
         provider = HashedNgramProvider(dim=8)
         expected = reference_token_vector(provider, LONG_TOKEN)
         assert np.abs(expected).max() > 127
-        assert np.array_equal(provider._token_vector(LONG_TOKEN), expected)
+        assert np.array_equal(provider.embed_documents([[LONG_TOKEN]])[0], expected)
         document = [LONG_TOKEN, "gan", LONG_TOKEN]
         assert np.array_equal(
             provider.embed_documents([document])[0], reference_document_vector(provider, document)
@@ -347,7 +347,7 @@ class TestBatchedTokenBins:
                     assert np.array_equal(row, reference_document_vector(provider, tokens))
             for token in seen:
                 expected = reference_token_vector(provider, token)
-                assert np.array_equal(provider._token_vector(token), expected), token
+                assert np.array_equal(provider.embed_documents([[token]])[0], expected), token
         # only the n-grams of the range are cached, not the whole wrapped
         # tokens outside it
         assert all(n_range[0] <= len(gram) <= n_range[1] for gram in provider._gram_bins)
@@ -363,7 +363,7 @@ class TestBatchedTokenBins:
         assert len(lengths) <= 2 * 16
         for i in (0, 511, 999):
             token = f"token{i}"
-            assert np.array_equal(provider._token_vector(token), reference_token_vector(provider, token))
+            assert np.array_equal(provider.embed_documents([[token]])[0], reference_token_vector(provider, token))
 
     @pytest.mark.parametrize("n_range", [(1, 2), (3, 5), (4, 8)])
     def test_many_new_tokens_in_one_call(self, n_range):
@@ -441,12 +441,6 @@ class TestHashedNgramBlocks:
         for row in (embedded[1], provider.embed_documents([[]])[0]):
             assert row.dtype == np.float64 and row.shape == (dim,)
             assert not row.any() and not np.signbit(row).any()
-
-    def test_token_vector_is_int32(self):
-        provider = HashedNgramProvider(dim=8)
-        vec = provider._token_vector(LONG_TOKEN)
-        assert vec.dtype == np.int32 and vec.shape == (8,)
-        assert len(provider._token_cache) == 1
 
 
 def write_vectors(path, lines):
@@ -580,54 +574,53 @@ class FixedProvider(EmbeddingProvider):
         return out
 
 
-def docs(*pairs):
-    return [TokenizedDocument(doc_id=i, tokens=tuple(t)) for i, t in pairs]
+def rows(*indices):
+    """Document rows, as irs takes them."""
+    return np.array(indices, dtype=np.intp)
 
 
 class TestIrs:
     def test_identity_corpus_scores_exactly_one(self):
         provider = HashedNgramProvider(dim=32)
-        corpus = docs(("d1", ["the", "runner"]), ("d2", ["ran", "fast"]))
-        result = irs(provider, corpus, corpus)
+        table = table_of([["the", "runner"], ["ran", "fast"]])
+        normalized, changed = table.relabel(table.types)
+        assert not changed.any()
+        result = irs(provider, ["d1", "d2"], embed_table(provider, table), normalized, rows())
         assert result.irs == 1.0
         assert result.zero_vector_docs == 0
         assert [doc_id for doc_id, _ in result.per_doc] == ["d1", "d2"]
 
     def test_half_identical_half_orthogonal(self):
         provider = FixedProvider({("x",): [1, 0], ("y",): [0, 1], ("z",): [1, 0]})
-        original = docs(("d1", ["x"]), ("d2", ["y"]))
-        normalized = docs(("d1", ["z"]), ("d2", ["x"]))
-        result = irs(provider, original, normalized)
+        table = table_of([["x"], ["y"]])
+        normalized, changed = table.relabel(["z", "x"])
+        original = embed_table(provider, table)
+        result = irs(provider, ["d1", "d2"], original, normalized, np.flatnonzero(changed))
         assert result.irs == pytest.approx(0.5)
         assert dict(result.per_doc) == {"d1": 1.0, "d2": 0.0}
 
     def test_zero_vector_documents_counted(self):
         provider = HashedNgramProvider(dim=16)
-        original = docs(("d1", ["word"]), ("d2", ["word"]))
-        normalized = docs(("d1", ["word"]), ("d2", []))
-        result = irs(provider, original, normalized)
+        original = provider.embed_documents([["word"], ["word"]])
+        result = irs(provider, ["d1", "d2"], original, table_of([["word"], []]), rows(1))
         assert result.zero_vector_docs == 1
         assert result.irs == pytest.approx(0.5)
 
-    def test_misaligned_document_ids_rejected(self):
-        provider = HashedNgramProvider(dim=16)
-        original = docs(("d1", ["a"]), ("d2", ["b"]))
-        normalized = docs(("d2", ["b"]), ("d1", ["a"]))
-        with pytest.raises(EmbeddingError, match="different document sequences"):
-            irs(provider, original, normalized)
-
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmbeddingError, match="empty"):
-            irs(HashedNgramProvider(dim=16), [], [])
+            irs(HashedNgramProvider(dim=16), [], np.zeros((0, 16)), table_of([]), rows())
 
     def test_precomputed_original_embeddings(self):
         provider = HashedNgramProvider(dim=16)
-        original = docs(("d1", ["running", "fast"]), ("d2", ["গানগুলো"]), ("d3", []))
-        normalized = docs(("d1", ["run", "fast"]), ("d2", ["গান"]), ("d3", []))
-        embedded = provider.embed_documents([list(d.tokens) for d in original])
-        assert irs(provider, original, normalized, embedded) == irs(provider, original, normalized)
+        table = table_of([["running", "fast"], ["গানগুলো"], []])
+        normalized = table_of([["run", "fast"], ["গান"], []])
+        embedded = provider.embed_documents([["running", "fast"], ["গানগুলো"], []])
+        ids = ["d1", "d2", "d3"]
+        assert irs(provider, ids, embedded, normalized, rows(0, 1)) == irs(
+            provider, ids, embed_table(provider, table), normalized, rows(0, 1)
+        )
         with pytest.raises(EmbeddingError, match="2 original embeddings for 3 documents"):
-            irs(provider, original, normalized, embedded[:2])
+            irs(provider, ids, embedded[:2], normalized, rows(0, 1))
 
     @pytest.mark.parametrize(
         "returned", [np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((1, 3))], ids=["rows+1", "rows-1", "width+1"]
@@ -638,23 +631,22 @@ class TestIrs:
                 return returned
 
         provider = WrongShapeProvider({("x",): [1, 0]})
-        original = docs(("d1", ["x"]), ("d2", ["x"]))
-        normalized = docs(("d1", ["x"]), ("d2", ["y"]))
         embedded = np.array([[1.0, 0.0], [1.0, 0.0]])
         with pytest.raises(EmbeddingError, match=r"for 1 changed documents of width 2"):
-            irs(provider, original, normalized, embedded)
+            irs(provider, ["d1", "d2"], embedded, table_of([["x"], ["y"]]), rows(1))
 
     def test_original_matrix_is_not_copied(self):
         # 4,000 documents at dim 256: an 8 MB matrix, while the scores and
         # the ids take well under 2 MB
         provider = HashedNgramProvider(dim=256)
-        original = [TokenizedDocument(f"d{i}", (f"w{i % 50}",)) for i in range(4000)]
-        normalized = original[:-1] + [TokenizedDocument("d3999", ("changed",))]
-        embedded = provider.embed_documents([list(d.tokens) for d in original])
+        original = [[f"w{i % 50}"] for i in range(4000)]
+        normalized = table_of(original[:-1] + [["changed"]])
+        embedded = provider.embed_documents(original)
         snapshot = embedded.copy()
+        ids = [f"d{i}" for i in range(4000)]
         tracemalloc.start()
         try:
-            result = irs(provider, original, normalized, embedded)
+            result = irs(provider, ids, embedded, normalized, rows(3999))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -663,21 +655,37 @@ class TestIrs:
         assert result.per_doc[-1][1] < 1.0 and result.irs > 0.99
 
 
-def irs_by_pairs(original, normalized, original_matrix, provider):
-    """The retention score by one cosine_with_flag call per document and
-    a sequential sum."""
-    changed = [i for i, (a, b) in enumerate(zip(original, normalized)) if a.tokens != b.tokens]
-    rows = dict(zip(changed, provider.embed_documents([list(normalized[i].tokens) for i in changed])))
+def irs_by_pairs(doc_ids, original_matrix, normalized, changed, provider):
+    """IRS by one cosine_with_flag call per document and a sequential
+    sum; the documents at the rows ``changed`` are embedded from their
+    ``normalized`` token lists, the others reuse their original row."""
+    changed = changed.tolist()
+    rows = dict(zip(changed, provider.embed_documents([normalized[i] for i in changed])))
     per_doc, total, zero_docs = [], 0.0, 0
-    for i, (doc, row) in enumerate(zip(original, original_matrix)):
+    for i, (doc_id, row) in enumerate(zip(doc_ids, original_matrix)):
         value, flag = cosine_with_flag(row, rows.get(i, row))
-        per_doc.append((doc.doc_id, value))
+        per_doc.append((doc_id, value))
         total += value
         zero_docs += flag
     return total / len(per_doc), tuple(per_doc), zero_docs
 
 
 _IRS_RELATIONS = ["unchanged", "free", "copy", "opposite", "scaled", "zero"]
+
+
+def corpus_of(matrix, changed, vectors):
+    """The arguments of check_against_pairs for documents whose original
+    rows are ``matrix`` and whose rows at ``changed`` embed to
+    ``vectors[i]``: document ``i`` is ``[f"n{i}"]`` when changed, else
+    ``[f"o{i}"]``, and a FixedProvider holds every document's vector."""
+    changed = sorted(changed)
+    normalized = [[f"n{i}"] if i in changed else [f"o{i}"] for i in range(len(matrix))]
+    table = {
+        tuple(tokens): vectors[i] if i in changed else matrix[i]
+        for i, tokens in enumerate(normalized)
+    }
+    doc_ids = [f"d{i}" for i in range(len(matrix))]
+    return doc_ids, np.asarray(matrix), normalized, rows(*changed), FixedProvider(table)
 
 
 @st.composite
@@ -687,7 +695,7 @@ def irs_corpora(draw):
     free."""
     dim = draw(st.integers(1, 5))
     components = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
-    table, original, normalized, matrix = {}, [], [], []
+    matrix, changed, vectors = [], [], {}
     for i in range(draw(st.integers(1, 10))):
         a = np.array(draw(components)) * draw(_SCALES)
         relation = draw(st.sampled_from(_IRS_RELATIONS))
@@ -698,19 +706,18 @@ def irs_corpora(draw):
         else:
             b = {"unchanged": a, "copy": a, "opposite": -a, "zero": 0.0 * a}[relation]
         matrix.append(a)
-        original.append(TokenizedDocument(f"d{i}", (f"o{i}",)))
-        tokens = (f"o{i}",) if relation == "unchanged" else (f"n{i}",)
-        normalized.append(TokenizedDocument(f"d{i}", tokens))
-        table[tokens] = b
-    return original, normalized, np.array(matrix), FixedProvider(table)
+        if relation != "unchanged":
+            changed.append(i)
+            vectors[i] = b
+    return corpus_of(matrix, changed, vectors)
 
 
-def check_against_pairs(original, normalized, matrix, provider):
+def check_against_pairs(doc_ids, matrix, normalized, changed, provider):
     """irs equals irs_by_pairs bit for bit, and warns of nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = irs(provider, original, normalized, matrix)
-        expected = irs_by_pairs(original, normalized, matrix, provider)
+        result = irs(provider, doc_ids, matrix, table_of(normalized), changed)
+        expected = irs_by_pairs(doc_ids, matrix, normalized, changed, provider)
     assert result.irs.hex() == expected[0].hex()
     assert [(d, v.hex()) for d, v in result.per_doc] == [(d, v.hex()) for d, v in expected[1]]
     assert result.zero_vector_docs == expected[2]
@@ -729,17 +736,17 @@ class TestBatchedIrs:
     @settings(max_examples=100, deadline=None)
     @given(irs_corpora(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
     def test_non_finite_row_still_raises(self, corpus, bad, data):
-        original, normalized, matrix, provider = corpus
-        i = data.draw(st.integers(0, len(original) - 1))
-        if data.draw(st.booleans()) or original[i].tokens == normalized[i].tokens:
+        doc_ids, matrix, normalized, changed, provider = corpus
+        i = data.draw(st.integers(0, len(doc_ids) - 1))
+        if data.draw(st.booleans()) or i not in changed.tolist():
             matrix[i, data.draw(st.integers(0, matrix.shape[1] - 1))] = bad
         else:
-            row = provider.table[normalized[i].tokens]
+            row = provider.table[tuple(normalized[i])]
             row[data.draw(st.integers(0, len(row) - 1))] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EmbeddingError, match="NaN or infinite"):
-                irs(provider, original, normalized, matrix)
+                irs(provider, doc_ids, matrix, table_of(normalized), changed)
 
     def test_rows_across_block_edges(self):
         n, dim = 2 * _EMBED_BLOCK + 5, 7
@@ -755,30 +762,28 @@ class TestBatchedIrs:
         matrix[n - 1] *= 1e160
         changed[n - 1] = matrix[n - 1]
         unchanged = {2, _EMBED_BLOCK + 2, 2 * _EMBED_BLOCK}
-        original = [TokenizedDocument(f"d{i}", (f"o{i}",)) for i in range(n)]
-        normalized = [
-            TokenizedDocument(f"d{i}", (f"o{i}",) if i in unchanged else (f"n{i}",))
-            for i in range(n)
-        ]
-        table = {d.tokens: row for d, row in zip(normalized, changed)}
-        check_against_pairs(original, normalized, matrix, FixedProvider(table))
+        check_against_pairs(*corpus_of(matrix, set(range(n)) - unchanged, changed))
 
     def test_no_matrix_of_all_normalized_documents(self):
         # eight blocks of changed documents at dim 256: one float64 matrix
         # of them, or of the whole corpus, would take 8 MiB
         provider = HashedNgramProvider(dim=256)
         n = 8 * _EMBED_BLOCK
-        original = [TokenizedDocument(f"d{i}", (f"w{i % 50}", f"v{i % 7}")) for i in range(n)]
-        normalized = [TokenizedDocument(d.doc_id, d.tokens[:1]) for d in original]
-        matrix = provider.embed_documents([list(d.tokens) for d in original])
+        table = table_of([f"w{i % 50}", f"v{i % 7}"] for i in range(n))
+        # every document keeps its first token only
+        normalized, changed = table.relabel(t if t[0] == "w" else "" for t in table.types)
+        ids = [f"d{i}" for i in range(n)]
+        matrix = embed_table(provider, table)
         tracemalloc.start()
         try:
-            result = irs(provider, original, normalized, matrix)
+            result = irs(provider, ids, matrix, normalized, np.flatnonzero(changed))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert changed.all()
         assert peak < matrix.nbytes
-        assert result == irs(HashedNgramProvider(dim=256), original, normalized)
+        fresh = HashedNgramProvider(dim=256)
+        assert result == irs(fresh, ids, embed_table(fresh, table), normalized, np.flatnonzero(changed))
 
 
 class CountingProvider(HashedNgramProvider):
@@ -804,36 +809,36 @@ class CountingProvider(HashedNgramProvider):
         return counted
 
 
-def irs_embedding_everything(provider, original, normalized):
-    """The retention score with both sides of every document embedded."""
-    emb_a = provider.embed_documents([list(d.tokens) for d in original])
-    emb_b = provider.embed_documents([list(d.tokens) for d in normalized])
+def irs_embedding_everything(provider, doc_ids, original, normalized):
+    """IRS with both sides of every document embedded from its tokens."""
+    emb_a = provider.embed_documents(original)
+    emb_b = provider.embed_documents(normalized)
     pairs = [cosine_with_flag(a, b) for a, b in zip(emb_a, emb_b)]
     return (
         sum(value for value, _ in pairs) / len(pairs),
-        tuple((d.doc_id, value) for d, (value, _) in zip(original, pairs)),
+        tuple((doc_id, value) for doc_id, (value, _) in zip(doc_ids, pairs)),
         sum(flag for _, flag in pairs),
     )
 
 
 class TestIrsSkipsUnchangedDocuments:
-    ORIGINAL = docs(
-        ("d1", ["running", "fast"]), ("d2", []), ("d3", ["গানগুলো"]),
-        ("d4", ["the", "runners"]), ("d5", ["x"]), ("d6", []),
-    )
+    IDS = ["d1", "d2", "d3", "d4", "d5", "d6"]
+    ORIGINAL = [["running", "fast"], [], ["গানগুলো"], ["the", "runners"], ["x"], []]
 
     def result_tuple(self, result):
         return (result.irs, result.per_doc, result.zero_vector_docs)
 
     def test_identity_embeds_no_normalized_document(self):
         provider = CountingProvider(dim=16)
-        original = provider.embed_documents([list(d.tokens) for d in self.ORIGINAL])
+        table = table_of(self.ORIGINAL)
+        original = embed_table(provider, table)
         provider.embedded.clear()
         provider.calls = 0
-        result = irs(provider, self.ORIGINAL, list(self.ORIGINAL), original)
+        normalized, changed = table.relabel(table.types)
+        result = irs(provider, self.IDS, original, normalized, np.flatnonzero(changed))
         assert provider.embedded == [] and provider.calls == 0
         assert self.result_tuple(result) == irs_embedding_everything(
-            HashedNgramProvider(dim=16), self.ORIGINAL, self.ORIGINAL
+            HashedNgramProvider(dim=16), self.IDS, self.ORIGINAL, self.ORIGINAL
         )
         # the two empty originals are reused and still count as zero vectors
         assert result.zero_vector_docs == 2
@@ -843,24 +848,25 @@ class TestIrsSkipsUnchangedDocuments:
         stems = {"d1": ["run", "fast"], "d2": ["new"], "d3": ["গান"], "d4": ["the", "runner"],
                  "d5": [], "d6": ["x"]}
         normalized = [
-            TokenizedDocument(d.doc_id, tuple(stems[d.doc_id]) if d.doc_id in changed else d.tokens)
-            for d in self.ORIGINAL
+            stems[doc_id] if doc_id in changed else tokens
+            for doc_id, tokens in zip(self.IDS, self.ORIGINAL)
         ]
         provider = CountingProvider(dim=16)
-        original = provider.embed_documents([list(d.tokens) for d in self.ORIGINAL])
+        original = provider.embed_documents(self.ORIGINAL)
         provider.embedded.clear()
-        result = irs(provider, self.ORIGINAL, normalized, original)
+        changed_rows = rows(*(self.IDS.index(doc_id) for doc_id in changed))
+        result = irs(provider, self.IDS, original, table_of(normalized), changed_rows)
         assert provider.embedded == [tuple(stems[doc_id]) for doc_id in changed]
         assert self.result_tuple(result) == irs_embedding_everything(
-            HashedNgramProvider(dim=16), self.ORIGINAL, normalized
+            HashedNgramProvider(dim=16), self.IDS, self.ORIGINAL, normalized
         )
 
     def test_reused_all_zero_original_counts_as_zero_vector(self, tmp_path):
         # "zz" is not in the table, so d1 embeds to zero on both sides
         provider = VectorFileProvider(write_vectors(tmp_path / "v.txt", ["1 2", "a 1 0"]))
-        original = docs(("d1", ["zz"]), ("d2", ["a"]), ("d3", ["a"]))
-        normalized = docs(("d1", ["zz"]), ("d2", ["a"]), ("d3", ["zz"]))
-        result = irs(provider, original, normalized)
+        original = provider.embed_documents([["zz"], ["a"], ["a"]])
+        normalized = table_of([["zz"], ["a"], ["zz"]])
+        result = irs(provider, ["d1", "d2", "d3"], original, normalized, rows(2))
         assert self.result_tuple(result) == (1 / 3, (("d1", 0.0), ("d2", 1.0), ("d3", 0.0)), 2)
         # the originals and the one changed document were looked up
         assert provider.missing_tokens == 2
@@ -892,13 +898,7 @@ class TestIrsInSmallBlocks:
         changed[5] = 0.0
         matrix[8] *= 1e-310
         changed[10] *= 1e200
-        original = [TokenizedDocument(f"d{i}", (f"o{i}",)) for i in range(n)]
-        normalized = [
-            TokenizedDocument(f"d{i}", (f"o{i}",) if i in unchanged else (f"n{i}",))
-            for i in range(n)
-        ]
-        table = {d.tokens: row for d, row in zip(normalized, changed)}
-        result = check_against_pairs(original, normalized, matrix, FixedProvider(table))
+        result = check_against_pairs(*corpus_of(matrix, set(range(n)) - unchanged, changed))
         assert result.zero_vector_docs == 2
 
     def test_wrong_shape_in_second_block_rejected(self):
@@ -911,22 +911,20 @@ class TestIrsInSmallBlocks:
                 return out[:-1] if self.calls == 2 else out
 
         provider = SecondBlockTooShort({("x",): [1, 0], ("y",): [0, 1]})
-        original = docs(*((f"d{i}", ["x"]) for i in range(5)))
-        normalized = docs(*((f"d{i}", ["y"]) for i in range(5)))
         embedded = np.array([[1.0, 0.0]] * 5)
+        ids = [f"d{i}" for i in range(5)]
         with pytest.raises(EmbeddingError, match=r"shape \(1, 2\) for 2 changed documents"):
-            irs(provider, original, normalized, embedded)
+            irs(provider, ids, embedded, table_of([["y"]] * 5), rows(0, 1, 2, 3, 4))
 
     @pytest.mark.parametrize("n_changed, calls", [(0, 0), (1, 1), (3, 1), (4, 2), (7, 3)])
     def test_one_call_per_block_of_changed_documents(self, n_changed, calls):
         provider = CountingProvider(dim=16)
-        original = docs(*((f"d{i}", [f"w{i}"]) for i in range(8)))
-        normalized = original[:8 - n_changed] + docs(
-            *((f"d{i}", [f"s{i}"]) for i in range(8 - n_changed, 8))
-        )
-        matrix = provider.embed_documents([list(d.tokens) for d in original])
+        original = [[f"w{i}"] for i in range(8)]
+        normalized = original[: 8 - n_changed] + [[f"s{i}"] for i in range(8 - n_changed, 8)]
+        matrix = provider.embed_documents(original)
         provider.calls = 0
-        irs(provider, original, normalized, matrix)
+        ids = [f"d{i}" for i in range(8)]
+        irs(provider, ids, matrix, table_of(normalized), rows(*range(8 - n_changed, 8)))
         assert provider.calls == calls
 
 

@@ -20,17 +20,16 @@ from hypothesis import strategies as st
 from normeval import metrics
 from normeval import (
     MetricError,
-    TokenizedDocument,
     TokenMapping,
     TruncateNormalizer,
     anld,
     compression_ratio,
-    count_occurrences,
     levenshtein,
     load_corpus,
-    normalize_corpus,
-    tokenize_corpus,
+    type_mapping,
+    type_table,
 )
+from normeval.corpus import table_of
 from normeval.data import mini_corpus_path
 
 
@@ -216,7 +215,7 @@ class TestCompressionRatio:
 
     def test_invariant_under_token_renaming(self):
         def size(*tokens):
-            return len(count_occurrences([TokenizedDocument(doc_id="d", tokens=tokens)]))
+            return len(table_of([tokens]).types)
 
         before = size("x", "x", "x", "x", "x", "y", "y", "z")
         renamed = size("q1", "q1", "q1", "q1", "q1", "q2", "q2", "q3")
@@ -313,6 +312,30 @@ class TestAnld:
         assert metrics.anld_with_alternate(m, weighting, worst_n=2) == expected
         assert len(calls) == len(m.pairs)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.dictionaries(
+            st.text("abé", min_size=1, max_size=5), st.text("abé", max_size=7), min_size=1, max_size=30
+        ),
+        data=st.data(),
+        weighting=st.sampled_from(["by_occurrence", "by_type"]),
+        worst_n=st.integers(0, 35),
+    )
+    def test_equals_one_tuple_per_pair(self, pairs, data, weighting, worst_n):
+        counts = {orig: data.draw(st.integers(1, 9)) for orig in pairs}
+        result = anld(mapping(pairs, counts), weighting, worst_n)
+        # every pair scored as an (original, stem, distance) tuple, summed
+        # in mapping order and sorted whole
+        scored = [(orig, stem, levenshtein(orig, stem) / len(orig)) for orig, stem in pairs.items()]
+        total = weight_sum = 0.0
+        for orig, _, d in scored:
+            w = counts[orig] if weighting == "by_occurrence" else 1.0
+            total += d * w
+            weight_sum += w
+        assert result.anld.hex() == (total / weight_sum).hex()
+        assert result.over_unit_pairs == sum(d > 1.0 for _, _, d in scored)
+        assert result.worst_pairs == tuple(sorted(scored, key=lambda p: (-p[2], p[0]))[:worst_n])
+
     def test_truncation_distance_non_increasing_in_prefix_length(self):
         words = ["normalization", "running", "cat", "jumped", "ab"]
         values = []
@@ -327,12 +350,13 @@ class TestTruncationLadder:
     CR and ANLD must not increase from truncate:2 to truncate:8."""
 
     def test_cr_and_anld_non_increasing_in_prefix_length(self):
-        docs = tokenize_corpus(load_corpus(mini_corpus_path()))
-        n_types = len(count_occurrences(docs))
+        table = type_table(doc.text for doc in load_corpus(mini_corpus_path()).documents)
+        counts = table.occurrence_counts()
         crs, by_occurrence, by_type = [], [], []
         for k in range(2, 9):
-            normalized, m = normalize_corpus(TruncateNormalizer(k), docs)
-            crs.append(compression_ratio(n_types, len(count_occurrences(normalized))).cr)
+            m = type_mapping(TruncateNormalizer(k), table.types, counts)
+            normalized, _ = table.relabel(m.pairs.values())
+            crs.append(compression_ratio(len(table.types), len(normalized.types)).cr)
             by_occurrence.append(anld(m, "by_occurrence").anld)
             by_type.append(anld(m, "by_type").anld)
         for values in (crs, by_occurrence, by_type):

@@ -1,4 +1,4 @@
-"""Normalizer adapters and corpus normalization."""
+"""Normalizer adapters and corpus normalization through a type table."""
 
 import sys
 import threading
@@ -16,14 +16,14 @@ from normeval import (
     Normalizer,
     NormalizerError,
     SnowballEnglishNormalizer,
-    TokenizedDocument,
     TokenMapping,
     TruncateNormalizer,
-    count_occurrences,
     load_mapping,
-    normalize_corpus,
+    type_mapping,
 )
+from normeval.corpus import table_of
 from normeval.normalizers import EXT_CHUNK_SIZE, EXT_MAX_REPLY_CHARS
+from reference import table_tokens
 
 # Line-protocol test double: OK replies truncate to 4 chars, the token
 # "boom" draws an ERR reply, the token "hang" draws no reply at all.
@@ -89,14 +89,15 @@ def multibyte_tokens(count):
     return [f"{MULTIBYTE[i % len(MULTIBYTE)]}{i}" for i in range(count)]
 
 
-def old_normalize_corpus(normalizer, docs):
-    """The per-token loop ``normalize_corpus`` ran before it batched types."""
+def old_normalize_corpus(normalizer, token_lists):
+    """The per-token loop corpus normalization ran before it batched
+    types: the stems of each document, and the mapping."""
     cache = {}
     occurrence = Counter()
     normalized = []
-    for doc in docs:
+    for tokens in token_lists:
         out = []
-        for token in doc.tokens:
+        for token in tokens:
             if token in cache:
                 stem = cache[token]
             else:
@@ -105,15 +106,8 @@ def old_normalize_corpus(normalizer, docs):
             occurrence[token] += 1
             if stem:
                 out.append(stem)
-        normalized.append(TokenizedDocument(doc_id=doc.doc_id, tokens=tuple(out)))
+        normalized.append(tuple(out))
     return normalized, TokenMapping(pairs=cache, occurrence_counts=dict(occurrence))
-
-
-def docs(*token_lists):
-    return [
-        TokenizedDocument(doc_id=str(i), tokens=tuple(tokens))
-        for i, tokens in enumerate(token_lists)
-    ]
 
 
 class TestBuiltinNormalizers:
@@ -172,25 +166,23 @@ class TestMapping:
 
 class TestNormalizeCorpus:
     def test_order_and_boundaries_preserved(self):
-        normalized, mapping = normalize_corpus(
-            TruncateNormalizer(2), docs(["alpha", "beta"], ["gamma"])
-        )
-        assert [d.tokens for d in normalized] == [("al", "be"), ("ga",)]
-        assert [d.doc_id for d in normalized] == ["0", "1"]
+        table = table_of([["alpha", "beta"], ["gamma"]])
+        mapping = type_mapping(TruncateNormalizer(2), table.types, table.occurrence_counts())
+        normalized, _ = table.relabel(mapping.pairs.values())
+        assert table_tokens(normalized) == [("al", "be"), ("ga",)]
         assert mapping.pairs == {"alpha": "al", "beta": "be", "gamma": "ga"}
 
     def test_occurrence_counts(self):
-        _, mapping = normalize_corpus(
-            IdentityNormalizer(), docs(["a", "b", "a"], ["a"])
-        )
+        table = table_of([["a", "b", "a"], ["a"]])
+        mapping = type_mapping(IdentityNormalizer(), table.types, table.occurrence_counts())
         assert mapping.occurrence_counts == {"a": 3, "b": 1}
 
     def test_shared_occurrence_counts_give_the_same_mapping(self):
-        corpus = docs(["b", "a", "b"], [], ["c", "a"])
-        counts = count_occurrences(corpus)
+        table = table_of([["b", "a", "b"], [], ["c", "a"]])
+        counts = table.occurrence_counts()
         for normalizer in (IdentityNormalizer(), TruncateNormalizer(1)):
-            normalized, mapping = normalize_corpus(normalizer, corpus, counts)
-            assert (normalized, mapping) == normalize_corpus(normalizer, corpus)
+            mapping = type_mapping(normalizer, table.types, counts)
+            assert mapping == type_mapping(normalizer, table.types, table.occurrence_counts())
             assert list(mapping.pairs) == ["b", "a", "c"]
             assert mapping.occurrence_counts is counts
         assert counts == {"b": 2, "a": 2, "c": 1}
@@ -205,28 +197,31 @@ class TestNormalizeCorpus:
                 calls.append(token)
                 return token
 
-        normalize_corpus(Spy(), docs(["x", "y", "x"], ["y", "x"]))
+        table = table_of([["x", "y", "x"], ["y", "x"]])
+        type_mapping(Spy(), table.types, table.occurrence_counts())
         assert sorted(calls) == ["x", "y"]
 
     def test_empty_stems_dropped_from_stream_kept_in_mapping(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("junk\t\n", encoding="utf-8")
-        normalized, mapping = normalize_corpus(
-            MappingNormalizer(str(path)), docs(["keep", "junk", "also"])
-        )
-        assert normalized[0].tokens == ("keep", "also")
+        table = table_of([["keep", "junk", "also"]])
+        mapping = type_mapping(MappingNormalizer(str(path)), table.types, table.occurrence_counts())
+        normalized, _ = table.relabel(mapping.pairs.values())
+        assert table_tokens(normalized) == [("keep", "also")]
         assert mapping.pairs["junk"] == ""
         assert mapping.empty_stem_count == 1
 
-    def test_unchanged_documents_are_the_given_objects(self, tmp_path):
+    def test_changed_documents_are_flagged(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("junk\t\nsame\tsame\nrun\tru\n", encoding="utf-8")
-        corpus = docs(["keep", "same"], ["keep", "junk"], [], ["run"], ["same"], ["", "keep"])
-        normalized, _ = normalize_corpus(MappingNormalizer(str(path)), corpus)
-        assert [n is d for n, d in zip(normalized, corpus)] == [True, False, True, False, True, False]
+        table = table_of([["keep", "same"], ["keep", "junk"], [], ["run"], ["same"], ["", "keep"]])
+        mapping = type_mapping(MappingNormalizer(str(path)), table.types, table.occurrence_counts())
+        normalized, changed = table.relabel(mapping.pairs.values())
+        assert changed.tolist() == [False, True, False, True, False, True]
         # an empty stem is a change, even that of an empty token
-        assert normalized[1].tokens == normalized[5].tokens == ("keep",)
-        assert normalized[3].tokens == ("ru",)
+        stems = table_tokens(normalized)
+        assert stems[1] == stems[5] == ("keep",)
+        assert stems[3] == ("ru",)
 
 
 class TestExternalNormalizer:
@@ -270,10 +265,12 @@ class TestExternalNormalizer:
         n.close()
         n.close()
 
-    def test_works_through_normalize_corpus(self):
+    def test_works_through_type_mapping(self):
+        table = table_of([["stemming", "stems"]])
         with ExternalNormalizer(self.command()) as n:
-            normalized, mapping = normalize_corpus(n, docs(["stemming", "stems"]))
-        assert normalized[0].tokens == ("stem", "stem")
+            mapping = type_mapping(n, table.types, table.occurrence_counts())
+        normalized, _ = table.relabel(mapping.pairs.values())
+        assert table_tokens(normalized) == [("stem", "stem")]
         assert mapping.pairs == {"stemming": "stem", "stems": "stem"}
 
 
@@ -303,11 +300,12 @@ class TestNormalizeCorpusBatched:
         )
     )
     def test_equals_the_per_token_loop(self, token_lists):
-        corpus = docs(*token_lists)
+        table = table_of(token_lists)
         normalizer = RecordingCollapser()
-        normalized, mapping = normalize_corpus(normalizer, corpus)
-        expected_docs, expected = old_normalize_corpus(RecordingCollapser(), corpus)
-        assert normalized == expected_docs
+        mapping = type_mapping(normalizer, table.types, table.occurrence_counts())
+        normalized, _ = table.relabel(mapping.pairs.values())
+        expected_docs, expected = old_normalize_corpus(RecordingCollapser(), token_lists)
+        assert table_tokens(normalized) == expected_docs
         assert list(mapping.pairs.items()) == list(expected.pairs.items())
         assert list(mapping.occurrence_counts.items()) == list(expected.occurrence_counts.items())
         first_seen = list(dict.fromkeys(t for tokens in token_lists for t in tokens))

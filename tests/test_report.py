@@ -2,8 +2,10 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from normeval import (
@@ -26,22 +28,20 @@ from normeval import (
     build_normalizer,
     build_embedder,
     compression_ratio,
-    count_occurrences,
     emit_json,
     emit_markdown,
     irs,
     load_corpus,
     make_folds,
-    normalize_corpus,
     run_evaluation,
     safety_gate,
-    tokenize_corpus,
+    type_mapping,
 )
 from normeval import downstream
 from normeval.cli import main
-from normeval.corpus import TypeTable
+from normeval.corpus import TypeTable, table_of
 from normeval.data import mini_corpus_path
-from normeval.normalizers import type_mapping
+from reference import reference_normalize_corpus, reference_tokenize_corpus
 
 DATA = Path(__file__).parent / "data"
 
@@ -265,11 +265,11 @@ class TestRunEvaluation:
         mapping.write_text("red\t\ncrimson\tred\nscarlet\tred\nblue\tazure\n", encoding="utf-8")
         specs = ("identity", f"map:{mapping}", "truncate:2", "snowball-en")
         reports = run_evaluation(toy_config(corpus_path, normalizers=specs, classifiers=()))
-        docs = tokenize_corpus(load_corpus(corpus_path))
+        docs = reference_tokenize_corpus(load_corpus(corpus_path), TokenizerConfig())
         for spec, report in zip(specs, reports):
-            normalized, _ = normalize_corpus(build_normalizer(spec), docs)
+            normalized, _ = reference_normalize_corpus(build_normalizer(spec), docs)
             expected = compression_ratio(
-                len(count_occurrences(docs)), len(count_occurrences(normalized))
+                len({t for d in docs for t in d.tokens}), len({t for d in normalized for t in d.tokens})
             )
             assert report.compression == expected
         assert reports[1].empty_stems == 1
@@ -309,10 +309,19 @@ class TestOriginalEmbeddingsShared:
     NORMALIZERS = ("identity", "truncate:2", "snowball-en")
 
     def plain_irs(self, corpus_path, spec):
-        """IRS of one normalizer through ``irs`` alone, with a fresh provider."""
-        original = tokenize_corpus(load_corpus(corpus_path), TokenizerConfig())
-        normalized, _ = normalize_corpus(build_normalizer(spec), original)
-        return irs(HashedNgramProvider(dim=64, seed=0), original, normalized)
+        """IRS of one normalizer through ``irs`` alone, with a fresh provider,
+        from the per-document reference normalization."""
+        original = reference_tokenize_corpus(load_corpus(corpus_path), TokenizerConfig())
+        normalized, _ = reference_normalize_corpus(build_normalizer(spec), original)
+        changed = [i for i, (a, b) in enumerate(zip(original, normalized)) if a is not b]
+        provider = HashedNgramProvider(dim=64, seed=0)
+        return irs(
+            provider,
+            [doc.doc_id for doc in original],
+            provider.embed_documents([list(doc.tokens) for doc in original]),
+            table_of(doc.tokens for doc in normalized),
+            np.array(changed, dtype=np.intp),
+        )
 
     def run(self, corpus_path, monkeypatch, provider):
         monkeypatch.setattr("normeval.report.build_embedder", lambda spec: provider)
@@ -416,7 +425,7 @@ class TestFeaturelessTrainingFold:
         )
         # drop every token of fold 1, so that fold 0 trains on empty documents
         folds = make_folds(load_corpus(str(corpus)), k=2, seed=0)
-        docs = tokenize_corpus(load_corpus(str(corpus)), TokenizerConfig())
+        docs = reference_tokenize_corpus(load_corpus(str(corpus)), TokenizerConfig())
         mapping = tmp_path / "drop.tsv"
         mapping.write_text(
             "".join(f"{doc.tokens[0]}\t\n" for doc in docs if folds.assignments[doc.doc_id] == 1),
@@ -452,9 +461,9 @@ class TestOccurrencesCountedOnce:
         reports = run_evaluation(toy_config(corpus_path, normalizers=specs, classifiers=()))
         assert not any(r.failed for r in reports)
         assert len(counted) == 1 and len(mappings) == len(specs)
-        docs = tokenize_corpus(load_corpus(corpus_path))
+        docs = reference_tokenize_corpus(load_corpus(corpus_path), TokenizerConfig())
         for spec, mapping in zip(specs, mappings):
-            assert mapping == normalize_corpus(build_normalizer(spec), docs)[1]
+            assert mapping == reference_normalize_corpus(build_normalizer(spec), docs)[1]
             assert mapping.occurrence_counts is mappings[0].occurrence_counts
 
 
@@ -632,6 +641,15 @@ class TestEmitMarkdown:
         assert "## Failed normalizers" in text
         assert "map:/nonexistent/f.tsv" in text
         assert "seed: 0" in text
+
+    def test_zero_vector_documents_noted(self, tmp_path):
+        irs_result = IrsResult(irs=0.91, per_doc=(), zero_vector_docs=2)
+        path = tmp_path / "out.md"
+        emit_markdown([replace(hand_built_report(), irs_result=irs_result)], str(path))
+        notes = path.read_text(encoding="utf-8").split("## Notes\n\n")[1].splitlines()
+        assert notes[0] == (
+            "- `external-table`: 2 document(s) embedded to a zero vector and scored 0 in IRS."
+        )
 
     def test_empty_stem_rendered_as_placeholder(self, corpus_path, tmp_path):
         mapping = tmp_path / "drop.tsv"

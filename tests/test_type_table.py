@@ -16,30 +16,26 @@ from normeval import (
     EvaluationError,
     HashedNgramProvider,
     RunConfig,
-    TokenizedDocument,
     TokenizerConfig,
     build_normalizer,
     cosine_with_flag,
-    count_occurrences,
     irs,
     load_corpus,
-    normalize_corpus,
     run_evaluation,
-    run_intrinsic,
-    tokenize_corpus,
+    type_mapping,
+    type_table,
 )
 from normeval import embeddings
-from normeval.corpus import type_table
 from normeval.data import mini_corpus_path
-from normeval.downstream import fold_tfidf, table_tfidf
-from normeval.embeddings import embed_table, retention
-from normeval.normalizers import type_mapping
+from normeval.downstream import table_tfidf
+from normeval.embeddings import embed_table
 from reference import (
     reference_document_vector,
     reference_normalize_corpus,
     reference_tfidf_fit,
     reference_tfidf_transform_all,
     reference_tokenize_corpus,
+    table_tokens,
 )
 
 # pure punctuation, case variants of one type, edge punctuation and
@@ -101,20 +97,13 @@ class TestTableAgainstPerDocumentPath:
 
         # the run path: one table, relabelled by the stems
         table = type_table((doc.text for doc in corpus.documents), config)
-        assert table.documents(doc_ids) == docs
+        assert table_tokens(table) == [doc.tokens for doc in docs]
         mapping = type_mapping(normalizer, table.types, table.occurrence_counts())
         assert list(mapping.pairs.items()) == list(ref_mapping.pairs.items())
         assert list(mapping.occurrence_counts.items()) == list(ref_mapping.occurrence_counts.items())
         normalized, changed = table.relabel(mapping.pairs.values())
-        assert normalized.documents(doc_ids) == ref_docs
+        assert table_tokens(normalized) == [doc.tokens for doc in ref_docs]
         assert np.flatnonzero(changed).tolist() == ref_changed
-
-        # the public adapters
-        assert tokenize_corpus(corpus, config) == docs
-        assert list(count_occurrences(docs).items()) == list(ref_mapping.occurrence_counts.items())
-        public_docs, public_mapping = normalize_corpus(normalizer, docs)
-        assert public_docs == ref_docs and public_mapping == mapping
-        assert [a is b for a, b in zip(public_docs, docs)] == [a is b for a, b in zip(ref_docs, docs)]
 
         # IRS, each score bit for bit
         provider = HashedNgramProvider(dim=16, seed=1)
@@ -124,10 +113,13 @@ class TestTableAgainstPerDocumentPath:
             vb = va if a is b else reference_document_vector(provider, b.tokens)
             expected.append((a.doc_id, cosine_with_flag(va, vb)[0].hex()))
         original = embed_table(provider, table)
-        result = retention(provider, doc_ids, original, normalized, np.flatnonzero(changed))
+        result = irs(provider, doc_ids, original, normalized, np.flatnonzero(changed))
         assert [(d, v.hex()) for d, v in result.per_doc] == expected
-        public = irs(HashedNgramProvider(dim=16, seed=1), docs, public_docs)
-        assert [(d, v.hex()) for d, v in public.per_doc] == expected
+        # a fresh provider, the originals embedded from their token lists
+        fresh = HashedNgramProvider(dim=16, seed=1)
+        original = fresh.embed_documents([list(doc.tokens) for doc in docs])
+        result = irs(fresh, doc_ids, original, normalized, np.flatnonzero(changed))
+        assert [(d, v.hex()) for d, v in result.per_doc] == expected
 
         # the fold TF-IDF, entry for entry
         k = data.draw(st.integers(2, 3))
@@ -136,17 +128,14 @@ class TestTableAgainstPerDocumentPath:
         )
         train_sets = [[d for d, f in zip(ref_docs, fold_of) if f != fold] for fold in range(k)]
         if not all(any(d.tokens for d in train) for train in train_sets):
-            for run in (lambda: table_tfidf(normalized, fold_of, k),
-                        lambda: fold_tfidf(public_docs, fold_of, k)):
-                with pytest.raises(EvaluationError):
-                    run()
+            with pytest.raises(EvaluationError):
+                table_tfidf(normalized, fold_of, k)
             return
-        for matrices in (table_tfidf(normalized, fold_of, k), fold_tfidf(public_docs, fold_of, k)):
-            for fold, (Xtr, Xte) in enumerate(matrices):
-                model = reference_tfidf_fit(train_sets[fold])
-                tested = [d for d, f in zip(ref_docs, fold_of) if f == fold]
-                assert csr_bytes(Xtr) == csr_bytes(reference_tfidf_transform_all(model, train_sets[fold]))
-                assert csr_bytes(Xte) == csr_bytes(reference_tfidf_transform_all(model, tested))
+        for fold, (Xtr, Xte) in enumerate(table_tfidf(normalized, fold_of, k)):
+            model = reference_tfidf_fit(train_sets[fold])
+            tested = [d for d, f in zip(ref_docs, fold_of) if f == fold]
+            assert csr_bytes(Xtr) == csr_bytes(reference_tfidf_transform_all(model, train_sets[fold]))
+            assert csr_bytes(Xte) == csr_bytes(reference_tfidf_transform_all(model, tested))
 
     def test_empty_documents_at_every_position(self):
         texts = ["--", "run ran", "!", "!", "ran", "..."]
@@ -156,7 +145,8 @@ class TestTableAgainstPerDocumentPath:
         assert table.indptr.tolist() == [0, 0, 2, 2, 2, 3, 3]
         ids, indptr = table.select(np.array([0, 4, 2, 1, 5]))
         assert ids.tolist() == [1, 0, 1] and indptr.tolist() == [0, 0, 1, 1, 3, 3]
-        assert table.documents([d.id for d in corpus.documents]) == tokenize_corpus(corpus)
+        expected = reference_tokenize_corpus(corpus, TokenizerConfig())
+        assert table_tokens(table) == [doc.tokens for doc in expected]
 
 
 MINI_SPECS = ("identity", "snowball-en", "truncate:3")
@@ -167,23 +157,6 @@ def mini_config(**overrides):
 
 
 class TestRunPathStructure:
-    def test_no_tokenized_document_is_built(self, monkeypatch):
-        built = []
-        real_init = TokenizedDocument.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(1)
-            real_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(TokenizedDocument, "__init__", counting)
-        reports = run_evaluation(mini_config(classifiers=("nb", "lr", "svm")))
-        reports += run_intrinsic(mini_config())
-        assert not any(report.failed for report in reports)
-        assert built == []
-        # the count sees a document that is built
-        tokenize_corpus(load_corpus(mini_corpus_path()))
-        assert built
-
     def test_each_normalizers_new_stems_built_in_chunks(self, monkeypatch):
         sizes = []
         real_token_bins = embeddings._token_bins
@@ -198,11 +171,12 @@ class TestRunPathStructure:
         reports = run_evaluation(mini_config(classifiers=()))
         assert not any(report.failed for report in reports)
         # the original types, then each normalizer's stems not built before
-        docs = tokenize_corpus(load_corpus(mini_corpus_path()))
+        table = type_table(doc.text for doc in load_corpus(mini_corpus_path()).documents)
+        counts = table.occurrence_counts()
         built = set()
         expected = []
-        for stems in [list(count_occurrences(docs))] + [
-            list(count_occurrences(normalize_corpus(build_normalizer(spec), docs)[0]))
+        for stems in [table.types] + [
+            table.relabel(type_mapping(build_normalizer(spec), table.types, counts).pairs.values())[0].types
             for spec in MINI_SPECS
         ]:
             new = [stem for stem in stems if stem not in built]
