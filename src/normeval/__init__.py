@@ -57,6 +57,7 @@ try:
         IrsResult,
         VectorFileProvider,
         cosine_with_flag,
+        embed_table,
         irs,
         load_word2vec_text,
     )
@@ -146,6 +147,7 @@ __all__ = [
     "HttpServiceProvider",
     "IrsResult",
     "cosine_with_flag",
+    "embed_table",
     "irs",
     "load_word2vec_text",
     "DEFAULT_ANLD_THRESHOLD",

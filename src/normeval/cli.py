@@ -17,6 +17,7 @@ import argparse
 import sys
 
 from .errors import NormEvalError
+from .metrics import WEIGHTINGS
 from .report import (
     RunConfig,
     emit_json,
@@ -27,7 +28,7 @@ from .report import (
 )
 
 _DELIMITERS = {"tab": "\t", "comma": ","}
-_WEIGHTINGS = {"occurrence": "by_occurrence", "type": "by_type"}
+_WEIGHTINGS = {name.removeprefix("by_"): name for name in WEIGHTINGS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,84 +39,72 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_corpus_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--corpus", required=True, help="path to the delimited corpus file")
-    parser.add_argument("--text-col", default="text", help="text column name or 0-based index")
-    parser.add_argument("--label-col", default="label", help="label column name or 0-based index")
-    parser.add_argument("--delimiter", choices=sorted(_DELIMITERS), default="tab")
-    parser.add_argument("--no-header", action="store_true", help="corpus file has no header row")
-    parser.add_argument("--no-lowercase", action="store_true", help="keep token case")
-    parser.add_argument("--no-strip-punct", action="store_true", help="keep edge punctuation")
-    parser.add_argument(
+def _build_parser() -> _Parser:
+    # An option's dest is the RunConfig field it sets, and an option not
+    # given is left out of the parsed namespace, so RunConfig's own
+    # default applies.
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument(
+        "--corpus", dest="corpus_path", required=True, metavar="CORPUS",
+        help="path to the delimited corpus file",
+    )
+    shared.add_argument("--text-col", help="text column name or 0-based index")
+    shared.add_argument("--label-col", help="label column name or 0-based index")
+    shared.add_argument("--delimiter", choices=sorted(_DELIMITERS))
+    shared.add_argument(
+        "--no-header", dest="has_header", action="store_false", help="corpus file has no header row"
+    )
+    shared.add_argument(
+        "--no-lowercase", dest="lowercase", action="store_false", help="keep token case"
+    )
+    shared.add_argument(
+        "--no-strip-punct", dest="strip_punct", action="store_false", help="keep edge punctuation"
+    )
+    shared.add_argument(
         "--normalizer",
+        dest="normalizers",
         action="append",
         required=True,
         metavar="SPEC",
         help="identity | snowball-en | truncate:<n> | map:<path> | ext:<command>; repeatable",
     )
+    shared.add_argument("--anld-weighting", choices=sorted(_WEIGHTINGS))
+    shared.add_argument("--worst-n", type=int, help="over-stemming pairs to keep")
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--out-json", help="JSON report path (default: stdout)")
 
-
-def _build_parser() -> _Parser:
     parser = _Parser(prog="normeval", description="Evaluate text normalizers.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    ev = sub.add_parser("evaluate", help="full evaluation with downstream classifiers")
-    _add_corpus_args(ev)
-    ev.add_argument(
-        "--embedder",
-        default="hash:256:0",
-        help="hash:<dim>:<seed> | vecfile:<path> | http:<url>",
+    ev = sub.add_parser(
+        "evaluate", parents=[shared, json_out], argument_default=argparse.SUPPRESS,
+        help="full evaluation with downstream classifiers",
     )
+    ev.add_argument("--embedder", help="hash:<dim>:<seed> | vecfile:<path> | http:<url>")
     ev.add_argument(
         "--classifiers",
+        type=lambda names: tuple(filter(None, names.split(","))),
         default="nb,lr,svm",
         help="comma-separated subset of nb,lr,svm (empty string skips downstream evaluation)",
     )
-    ev.add_argument("--k", type=int, default=5, help="cross-validation fold count")
-    ev.add_argument("--seed", type=int, default=42, help="fold and classifier seed")
-    ev.add_argument("--anld-weighting", choices=sorted(_WEIGHTINGS), default="occurrence")
-    ev.add_argument("--safety-threshold", type=float, default=0.20)
-    ev.add_argument("--worst-n", type=int, default=20, help="over-stemming pairs to keep")
-    ev.add_argument("--out-json", help="JSON report path (default: stdout)")
-    ev.add_argument("--out-md", help="Markdown report path (optional)")
-
-    me = sub.add_parser("metrics", help="intrinsic metrics only (CR, ANLD)")
-    _add_corpus_args(me)
-    me.add_argument("--anld-weighting", choices=sorted(_WEIGHTINGS), default="occurrence")
-    me.add_argument("--worst-n", type=int, default=20)
-    me.add_argument("--out-json", help="JSON output path (default: stdout)")
-
-    ap = sub.add_parser("anld-pairs", help="dump worst (original, stem, distance) pairs as TSV")
-    _add_corpus_args(ap)
-    ap.add_argument("--anld-weighting", choices=sorted(_WEIGHTINGS), default="occurrence")
-    ap.add_argument("--worst-n", type=int, default=20)
-
+    ev.add_argument("--k", type=int, help="cross-validation fold count")
+    ev.add_argument("--seed", type=int, help="fold and classifier seed")
+    ev.add_argument("--safety-threshold", type=float)
+    ev.add_argument("--out-md", default=None, help="Markdown report path (optional)")
+    sub.add_parser("metrics", parents=[shared, json_out], help="intrinsic metrics only (CR, ANLD)")
+    sub.add_parser(
+        "anld-pairs", parents=[shared], help="dump worst (original, stem, distance) pairs as TSV"
+    )
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    evaluate_only = {}
-    if args.command == "evaluate":
-        evaluate_only = dict(
-            embedder=args.embedder,
-            classifiers=tuple(c for c in args.classifiers.split(",") if c),
-            k=args.k,
-            seed=args.seed,
-            safety_threshold=args.safety_threshold,
-        )
-    return RunConfig(
-        corpus_path=args.corpus,
-        normalizers=tuple(args.normalizer),
-        text_col=args.text_col,
-        label_col=args.label_col,
-        delimiter=_DELIMITERS[args.delimiter],
-        has_header=not args.no_header,
-        lowercase=not args.no_lowercase,
-        strip_punct=not args.no_strip_punct,
-        anld_weighting=_WEIGHTINGS[args.anld_weighting],
-        worst_n=args.worst_n,
-        **evaluate_only,
-    )
+    given = {name: getattr(args, name) for name in RunConfig.__dataclass_fields__ if name in args}
+    given["normalizers"] = tuple(given["normalizers"])
+    if "delimiter" in given:
+        given["delimiter"] = _DELIMITERS[given["delimiter"]]
+    if "anld_weighting" in given:
+        given["anld_weighting"] = _WEIGHTINGS[given["anld_weighting"]]
+    return RunConfig(**given)
 
 
 def _print_failures(reports) -> int:
@@ -163,7 +152,7 @@ def _cmd_anld_pairs(args, config: RunConfig) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.worst_n < 0:
+    if getattr(args, "worst_n", 0) < 0:
         parser.error(f"--worst-n must be >= 0, got {args.worst_n}")
     try:
         config = _config_from_args(args)

@@ -178,27 +178,29 @@ def table_tfidf(
     return matrices
 
 
-class MultinomialNBClassifier:
-    """Multinomial naive Bayes over non-negative feature values with
-    Laplace smoothing. Ties resolve to the lowest class in sort order
-    (argmax over classes sorted ascending returns the first maximum)."""
+class LinearClassifier:
+    """Scores X @ W.T, one weight row per class, plus the intercepts
+    ``b`` when given; every classifier kind trains one. Ties resolve to
+    the lowest class in sort order."""
 
-    def __init__(self, classes: list[str], log_prior: np.ndarray, log_likelihood: np.ndarray):
+    def __init__(self, classes: list[str], W: np.ndarray, b: np.ndarray | None = None):
         self.classes = classes
-        self.log_prior = log_prior
-        self.log_likelihood = log_likelihood
+        self.W = W
+        self.b = b
 
     def decision_scores(self, X) -> np.ndarray:
-        return np.asarray(X @ self.log_likelihood.T) + self.log_prior
+        scores = np.asarray(X @ self.W.T)
+        return scores if self.b is None else scores + self.b
 
     def predict(self, X) -> list[str]:
         scores = self.decision_scores(X)
         return [self.classes[i] for i in np.argmax(scores, axis=1)]
 
 
-
 def _train_multinomial_nb(spec: ClassifierSpec, blocks: list, labels: list, classes: list[str]):
-    """One model per training set, each trained on its own."""
+    """One multinomial naive Bayes model per training set, each trained
+    on its own with Laplace smoothing: its weights are the log
+    likelihoods of the features, its intercepts the log priors."""
     models = []
     for X, y_idx in zip(blocks, labels):
         log_prior = np.empty(len(classes))
@@ -209,7 +211,7 @@ def _train_multinomial_nb(spec: ClassifierSpec, blocks: list, labels: list, clas
             feature_sums = np.asarray(X[np.where(mask)[0]].sum(axis=0)).ravel()
             smoothed = feature_sums + spec.alpha
             log_likelihood[c] = np.log(smoothed) - math.log(smoothed.sum())
-        models.append(MultinomialNBClassifier(classes, log_prior, log_likelihood))
+        models.append(LinearClassifier(classes, log_likelihood, log_prior))
     return models
 
 
@@ -247,23 +249,6 @@ def _softmax_grad_t(
     grad /= n
     grad += l2_lambda * Wt
     return grad
-
-
-class LinearClassifier:
-    """Scores X @ W.T, one weight row per class; logistic regression and
-    the linear SVM both train one. Ties resolve to the lowest class in
-    sort order."""
-
-    def __init__(self, classes: list[str], W: np.ndarray):
-        self.classes = classes
-        self.W = W
-
-    def decision_scores(self, X) -> np.ndarray:
-        return np.asarray(X @ self.W.T)
-
-    def predict(self, X) -> list[str]:
-        scores = self.decision_scores(X)
-        return [self.classes[i] for i in np.argmax(scores, axis=1)]
 
 
 def _train_logistic_regression(

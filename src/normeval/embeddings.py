@@ -157,11 +157,11 @@ def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # every code point is below 2**21, so an id below 2**42 and a code pack
 # into one int64 key
 _CODE_BITS = 21
+# the lengths of the character n-grams a token is hashed by
+_NGRAM_RANGE = (3, 5)
 
 
-def _token_bins(
-    tokens: list[str], n_range: tuple[int, int], gram_bins: _GramBins
-) -> tuple[np.ndarray, np.ndarray]:
+def _token_bins(tokens: list[str], gram_bins: _GramBins) -> tuple[np.ndarray, np.ndarray]:
     """The bins of the distinct grams of each token: their number per
     token, and the bins themselves, token by token.
 
@@ -171,7 +171,7 @@ def _token_bins(
     Grams that cross a token's end are dropped, a gram repeated in a
     token counts once, and each distinct gram string is looked up once.
     """
-    lo, hi = n_range
+    lo, hi = _NGRAM_RANGE
     wrapped = [f"<{token}>" for token in tokens]
     text = "".join(wrapped)
     lens = np.fromiter(map(len, wrapped), np.intp, len(wrapped))
@@ -185,6 +185,7 @@ def _token_bins(
         if n > 1:
             keep = room[pos] >= n
             pos, ids = pos[keep], ids[keep]
+            # an int64 while lo <= 3: an unranked key packs at most 3 codes
             ids = ids << _CODE_BITS | codes[pos + n - 1]
         if not len(pos):
             break
@@ -195,9 +196,6 @@ def _token_bins(
             found = gram_bins.bins([text[p : p + n] for p in pos[first].tolist()])
             token_parts.append(pairs // len(first))
             bin_parts.append(found[pairs % len(first)])
-        elif ids.max() >> (63 - _CODE_BITS):
-            # the next level's key would overflow
-            ids = _rank(ids)[0]
     # the whole wrapped token is a gram of its own; outside [lo, hi] it
     # is no other token's n-gram, and its token is built once, so it is
     # hashed without being cached
@@ -235,13 +233,13 @@ _BUILD_CHUNK = 2048
 class HashedNgramProvider(EmbeddingProvider):
     """Character n-gram hashing embeddings.
 
-    Tokens are wrapped in boundary markers ('<' token '>'); every n-gram
-    for n in [lo, hi] contributes +/-1 on a hashed coordinate, and the
-    whole wrapped token always contributes one gram so no non-empty
-    token embeds to zero. Token vectors are summed over grams, document
-    vectors are the mean of token vectors. Hashing is keyed blake2b, so
-    vectors are identical across runs and platforms for a fixed
-    (dim, n_range, seed).
+    Tokens are wrapped in boundary markers ('<' token '>'); every
+    character n-gram for n in ``_NGRAM_RANGE``, 3 to 5, contributes +/-1
+    on a hashed coordinate, and the whole wrapped token always
+    contributes one gram so no non-empty token embeds to zero. Token
+    vectors are summed over grams, document vectors are the mean of
+    token vectors. Hashing is keyed blake2b, so vectors are identical
+    across runs and platforms for a fixed (dim, seed).
 
     Each gram is hashed once per provider, and each token is stored once
     as the bins of its distinct grams, the sign folded into the bin (see
@@ -260,16 +258,12 @@ class HashedNgramProvider(EmbeddingProvider):
     mean of the token vectors whatever the summation order.
     """
 
-    def __init__(self, dim: int = 256, n_range: tuple[int, int] = (3, 5), seed: int = 0):
+    def __init__(self, dim: int = 256, seed: int = 0):
         if dim < 8:
             raise EmbeddingError(f"hashed n-gram dimension must be >= 8, got {dim}")
-        lo, hi = n_range
-        if lo < 1 or lo > hi:
-            raise EmbeddingError(f"invalid n-gram range {n_range}")
         if not -(2**63) <= seed < 2**63:
             raise EmbeddingError(f"hashed n-gram seed must be in [-2**63, 2**63), got {seed}")
         self.dim = dim
-        self.n_range = (lo, hi)
         self.seed = seed
         self.name = f"hash-{dim}"
         self._gram_bins = _GramBins(dim, seed.to_bytes(8, "little", signed=True))
@@ -288,7 +282,7 @@ class HashedNgramProvider(EmbeddingProvider):
         counts, bins = [], []
         for start in range(0, len(new), _BUILD_CHUNK):
             chunk = new[start : start + _BUILD_CHUNK]
-            chunk_counts, chunk_bins = _token_bins(chunk, self.n_range, self._gram_bins)
+            chunk_counts, chunk_bins = _token_bins(chunk, self._gram_bins)
             counts.append(chunk_counts)
             bins.append(chunk_bins)
         rows = len(cache)

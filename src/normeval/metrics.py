@@ -9,10 +9,12 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from typing import Literal
 
 from .errors import MetricError
 from .normalizers import TokenMapping
+
+# ANLD's pair weightings; the first is the default
+WEIGHTINGS = ("by_occurrence", "by_type")
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ def compression_ratio(before: int, after: int) -> CompressionResult:
 
 def anld(
     mapping: TokenMapping,
-    weighting: Literal["by_occurrence", "by_type"] = "by_occurrence",
+    weighting: str = WEIGHTINGS[0],
     worst_n: int = 20,
 ) -> AnldResult:
     """Average of levenshtein(original, stem) / len(original) over pairs.
@@ -108,15 +110,13 @@ def anld(
 
 
 def anld_with_alternate(
-    mapping: TokenMapping,
-    weighting: Literal["by_occurrence", "by_type"] = "by_occurrence",
-    worst_n: int = 20,
+    mapping: TokenMapping, weighting: str, worst_n: int
 ) -> tuple[AnldResult, AnldResult]:
     """:func:`anld` under ``weighting`` and under the other weighting
     (without worst pairs), from one Levenshtein pass over the pairs."""
     _check_weighting(weighting)
     scored = _pair_distances(mapping)
-    alternate = "by_type" if weighting == "by_occurrence" else "by_occurrence"
+    alternate = next(w for w in WEIGHTINGS if w != weighting)
     return (
         _weighted_anld(mapping, scored, weighting, worst_n),
         _weighted_anld(mapping, scored, alternate, 0),
@@ -124,7 +124,7 @@ def anld_with_alternate(
 
 
 def _check_weighting(weighting: str) -> None:
-    if weighting not in ("by_occurrence", "by_type"):
+    if weighting not in WEIGHTINGS:
         raise MetricError(f"unknown weighting {weighting!r}")
 
 
@@ -140,11 +140,12 @@ def _pair_distances(mapping: TokenMapping) -> list[float]:
 def _weighted_anld(
     mapping: TokenMapping, distances: list[float], weighting: str, worst_n: int
 ) -> AnldResult:
+    by_occurrence = weighting == WEIGHTINGS[0]
     total = 0.0
     weight_sum = 0.0
     over_unit = 0
     for original, d in zip(mapping.pairs, distances):
-        w = mapping.occurrence_counts.get(original, 0) if weighting == "by_occurrence" else 1.0
+        w = mapping.occurrence_counts.get(original, 0) if by_occurrence else 1.0
         total += d * w
         weight_sum += w
         if d > 1.0:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .corpus import Corpus, TokenizerConfig, TypeTable, load_corpus, make_folds, type_table
 from .downstream import (
+    CLASSIFIER_KINDS,
     ClassifierSpec,
     EvalRun,
     MpdResult,
@@ -42,7 +43,14 @@ from .embeddings import (
     irs,
 )
 from .errors import EvaluationError, NormEvalError, NormalizerError
-from .metrics import AnldResult, CompressionResult, anld, anld_with_alternate, compression_ratio
+from .metrics import (
+    WEIGHTINGS,
+    AnldResult,
+    CompressionResult,
+    anld,
+    anld_with_alternate,
+    compression_ratio,
+)
 from .normalizers import (
     ExternalNormalizer,
     IdentityNormalizer,
@@ -55,14 +63,8 @@ from .normalizers import (
 )
 from .ses import DEFAULT_ANLD_THRESHOLD, SesResult, safety_gate
 
-CLASSIFIER_ALIASES = {
-    "nb": "multinomial_nb",
-    "lr": "logistic_regression",
-    "svm": "linear_svm",
-    "multinomial_nb": "multinomial_nb",
-    "logistic_regression": "logistic_regression",
-    "linear_svm": "linear_svm",
-}
+# the short names of the classifier kinds; a kind's own name names it too
+CLASSIFIER_ALIASES = {"nb": "multinomial_nb", "lr": "logistic_regression", "svm": "linear_svm"}
 
 
 @dataclass(frozen=True)
@@ -78,17 +80,17 @@ class RunConfig:
     lowercase: bool = True
     strip_punct: bool = True
     embedder: str = "hash:256:0"
-    classifiers: tuple[str, ...] = ("multinomial_nb", "logistic_regression", "linear_svm")
+    classifiers: tuple[str, ...] = tuple(CLASSIFIER_KINDS)
     k: int = 5
     seed: int = 42
-    anld_weighting: str = "by_occurrence"
+    anld_weighting: str = WEIGHTINGS[0]
     safety_threshold: float = DEFAULT_ANLD_THRESHOLD
     worst_n: int = 20
 
     def __post_init__(self):
         if not self.normalizers:
             raise EvaluationError("config needs at least one normalizer")
-        if self.anld_weighting not in ("by_occurrence", "by_type"):
+        if self.anld_weighting not in WEIGHTINGS:
             raise EvaluationError(f"unknown anld weighting {self.anld_weighting!r}")
         if self.worst_n < 0:
             raise EvaluationError(f"worst_n must be >= 0, got {self.worst_n}")
@@ -100,10 +102,10 @@ class RunConfig:
             raise EvaluationError(
                 f"safety_threshold must be finite and > 0, got {self.safety_threshold}"
             )
-        unknown = [c for c in self.classifiers if c not in CLASSIFIER_ALIASES]
+        kinds = [CLASSIFIER_ALIASES.get(c, c) for c in self.classifiers]
+        unknown = [c for c, kind in zip(self.classifiers, kinds) if kind not in CLASSIFIER_KINDS]
         if unknown:
             raise EvaluationError(f"unknown classifier name(s) {unknown}")
-        kinds = [CLASSIFIER_ALIASES[c] for c in self.classifiers]
         repeated = sorted({kind for kind in kinds if kinds.count(kind) > 1})
         if repeated:
             raise EvaluationError(
@@ -112,13 +114,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
-        data["normalizers"] = tuple(data["normalizers"])
-        data["classifiers"] = tuple(data["classifiers"])
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -188,15 +183,14 @@ def build_embedder(spec: str) -> EmbeddingProvider:
     Grammar: hash[:<dim>[:<seed>]] | vecfile:<path> | http:<url>.
     """
     if spec == "hash" or spec.startswith("hash:"):
-        parts = spec.split(":")
+        parts = spec.split(":")[1:]
         try:
-            dim = int(parts[1]) if len(parts) > 1 else 256
-            seed = int(parts[2]) if len(parts) > 2 else 0
+            values = [int(part) for part in parts]
         except ValueError:
             raise EvaluationError(f"bad hash embedder spec {spec!r}") from None
-        if len(parts) > 3:
+        if len(values) > 2:
             raise EvaluationError(f"bad hash embedder spec {spec!r}")
-        return HashedNgramProvider(dim=dim, seed=seed)
+        return HashedNgramProvider(*values)
     if spec.startswith("vecfile:"):
         return VectorFileProvider(spec[len("vecfile:") :])
     if spec.startswith("http:") or spec.startswith("https:"):
@@ -306,8 +300,8 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
             raise EvaluationError("downstream evaluation requires at least 2 labels")
         gold = {doc.id: doc.label for doc in corpus.documents}
         specs = [
-            make_classifier_spec(CLASSIFIER_ALIASES[alias], config.seed)
-            for alias in config.classifiers
+            make_classifier_spec(CLASSIFIER_ALIASES.get(name, name), config.seed)
+            for name in config.classifiers
         ]
         split = fold_split(doc_ids, gold, make_folds(corpus, config.k, config.seed))
         baseline_features = fold_features(table, split)

@@ -20,6 +20,7 @@ from scipy import sparse
 
 from normeval import EvaluationError, TokenMapping
 from normeval.downstream import LinearClassifier
+from normeval.embeddings import _NGRAM_RANGE
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ def reference_normalize_corpus(normalizer, docs):
 def reference_token_vector(provider, token):
     """Token vector by the uncached per-gram loop: every gram of the
     token hashed afresh and added to a float64 vector."""
-    lo, hi = provider.n_range
+    lo, hi = _NGRAM_RANGE
     wrapped = f"<{token}>"
     grams = {wrapped}
     for n in range(lo, hi + 1):

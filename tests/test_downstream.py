@@ -191,7 +191,18 @@ class TestLinearClassifier:
         assert type(clf) is LinearClassifier
         assert clf.classes == sorted(set(labels))
         assert clf.W.shape == (len(clf.classes), X.shape[1])
+        assert clf.b is None
         assert np.array_equal(clf.decision_scores(X), np.asarray(X @ clf.W.T))
+
+    def test_nb_trains_one_with_log_prior_intercepts(self):
+        _, X, labels, _ = separable_data()
+        clf = train_folds(make_classifier_spec("multinomial_nb"), [(X, labels)])[0]
+        assert type(clf) is LinearClassifier
+        priors = [labels.count(c) / len(labels) for c in clf.classes]
+        assert np.allclose(np.exp(clf.b), priors)
+        # each class's weights are the log likelihoods of the features
+        assert np.allclose(np.exp(clf.W).sum(axis=1), 1.0)
+        assert np.array_equal(clf.decision_scores(X), np.asarray(X @ clf.W.T) + clf.b)
 
     def test_tie_breaks_to_lowest_sorted_class(self):
         clf = LinearClassifier(["a", "b"], np.zeros((2, 3)))
@@ -209,7 +220,7 @@ class TestMultinomialNB:
     def test_smoothing_keeps_unseen_features_finite(self):
         X = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
         clf = train_folds(make_classifier_spec("multinomial_nb"), [(X, ["a", "b"])])[0]
-        assert np.all(np.isfinite(clf.log_likelihood))
+        assert np.all(np.isfinite(clf.W))
 
 
 class TestSoftmaxGradient:

@@ -25,7 +25,7 @@ from normeval import (
 )
 from normeval import embeddings
 from normeval.corpus import table_of
-from normeval.embeddings import _EMBED_BLOCK, embed_table
+from normeval.embeddings import _EMBED_BLOCK, _NGRAM_RANGE, embed_table
 from reference import reference_document_vector, reference_token_vector
 
 
@@ -193,12 +193,6 @@ class TestHashedNgramProvider:
         with pytest.raises(EmbeddingError, match=">= 8"):
             HashedNgramProvider(dim=4)
 
-    def test_rejects_bad_ngram_range(self):
-        with pytest.raises(EmbeddingError, match="range"):
-            HashedNgramProvider(n_range=(5, 3))
-        with pytest.raises(EmbeddingError, match="range"):
-            HashedNgramProvider(n_range=(0, 2))
-
     @pytest.mark.parametrize("seed", [2**63, -(2**63) - 1, 99999999999999999999])
     def test_rejects_seed_outside_64_bits(self, seed):
         with pytest.raises(EmbeddingError, match="seed"):
@@ -328,13 +322,12 @@ class TestBatchedTokenBins:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 5), (4, 6), (5, 9)]),
         st.integers(-2, 2),
         st.lists(st.lists(st.lists(_TOKENS, max_size=5), max_size=4), min_size=1, max_size=3),
     )
-    @example(n_range=(3, 5), seed=0, calls=[[["", "a", "abc", "abcd"], [LONG_TOKEN[:300]]]])
-    def test_token_vectors_equal_reference(self, n_range, seed, calls):
-        provider = HashedNgramProvider(dim=8, n_range=n_range, seed=seed)
+    @example(seed=0, calls=[[["", "a", "abc", "abcd"], [LONG_TOKEN[:300]]]])
+    def test_token_vectors_equal_reference(self, seed, calls):
+        provider = HashedNgramProvider(dim=8, seed=seed)
         seen = set()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -350,11 +343,13 @@ class TestBatchedTokenBins:
                 assert np.array_equal(provider.embed_documents([[token]])[0], expected), token
         # only the n-grams of the range are cached, not the whole wrapped
         # tokens outside it
-        assert all(n_range[0] <= len(gram) <= n_range[1] for gram in provider._gram_bins)
+        lo, hi = _NGRAM_RANGE
+        assert all(lo <= len(gram) <= hi for gram in provider._gram_bins)
 
     def test_table_grows_by_doubling(self):
-        # irs adds a block's new tokens per call; the table must not be
-        # copied whole on each of them
+        # a caller may embed in many small embed_documents calls, each
+        # adding a few new tokens; the table must not be copied whole on
+        # each of them
         provider = HashedNgramProvider(dim=8)
         lengths = set()
         for i in range(1000):
@@ -365,14 +360,13 @@ class TestBatchedTokenBins:
             token = f"token{i}"
             assert np.array_equal(provider.embed_documents([[token]])[0], reference_token_vector(provider, token))
 
-    @pytest.mark.parametrize("n_range", [(1, 2), (3, 5), (4, 8)])
-    def test_many_new_tokens_in_one_call(self, n_range):
+    def test_many_new_tokens_in_one_call(self):
         # more new tokens than one build pass takes, some of them repeated
         rng = random.Random(1)
         words = ["".join(rng.choice(_TOKEN_CHARS) for _ in range(rng.randint(0, 12)))
                  for _ in range(5000)]
         documents = [words[i : i + 7] + words[i // 2 : i // 2 + 3] for i in range(0, 5000, 5)]
-        provider = HashedNgramProvider(dim=16, n_range=n_range, seed=3)
+        provider = HashedNgramProvider(dim=16, seed=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = provider.embed_documents(documents)

@@ -292,7 +292,7 @@ class TestAnld:
         with pytest.raises(MetricError, match="unknown weighting"):
             anld(mapping({"a": "a"}), weighting="by_magic")
         with pytest.raises(MetricError, match="unknown weighting"):
-            metrics.anld_with_alternate(mapping({"a": "a"}), weighting="by_magic")
+            metrics.anld_with_alternate(mapping({"a": "a"}), "by_magic", worst_n=20)
 
     @pytest.mark.parametrize("weighting", ["by_occurrence", "by_type"])
     def test_alternate_matches_separate_calls_from_one_pass(self, weighting, monkeypatch):

@@ -2,7 +2,7 @@
 
 import json
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -41,21 +41,38 @@ from normeval import downstream
 from normeval.cli import main
 from normeval.corpus import TypeTable, table_of
 from normeval.data import mini_corpus_path
+from normeval.report import report_json
 from reference import reference_normalize_corpus, reference_tokenize_corpus
 
 DATA = Path(__file__).parent / "data"
 
 
 class TestRunConfig:
-    def test_round_trip(self):
+    def test_report_echoes_the_whole_config(self):
         config = RunConfig(
             corpus_path="x.tsv",
             normalizers=("identity", "truncate:3"),
+            text_col="body",
+            label_col="tag",
+            delimiter=",",
+            has_header=False,
+            lowercase=False,
+            strip_punct=False,
+            embedder="hash:64:1",
             classifiers=("nb", "svm"),
             k=3,
             seed=9,
+            anld_weighting="by_type",
+            safety_threshold=0.3,
+            worst_n=4,
         )
-        assert RunConfig.from_dict(config.to_dict()) == config
+        echoed = json.loads(report_json([], config))["config"]
+        expected = {
+            name: list(value) if isinstance(value, tuple) else value
+            for name, value in config.to_dict().items()
+        }
+        assert echoed == expected
+        assert list(echoed) == [field.name for field in fields(RunConfig)]
 
     def test_requires_a_normalizer(self):
         with pytest.raises(EvaluationError, match="at least one normalizer"):
@@ -148,6 +165,8 @@ class TestBuildEmbedder:
         provider = build_embedder("hash")
         assert isinstance(provider, HashedNgramProvider)
         assert provider.dim == 256 and provider.seed == 0
+        provider = build_embedder("hash:64")
+        assert provider.dim == 64 and provider.seed == 0
 
     def test_hash_with_dim_and_seed(self):
         provider = build_embedder("hash:64:7")
@@ -957,3 +976,99 @@ class TestCli:
             assert name == "truncate-3"
             assert original.startswith(stem)
             assert float(distance) >= 0.0
+
+
+# the options the README's CLI section lists for each subcommand
+SHARED_OPTIONS = [
+    "--corpus", "--text-col", "--label-col", "--delimiter", "--no-header", "--no-lowercase",
+    "--no-strip-punct", "--normalizer", "--anld-weighting", "--worst-n",
+]
+README_OPTIONS = {
+    "evaluate": SHARED_OPTIONS + [
+        "--out-json", "--embedder", "--classifiers", "--k", "--seed", "--safety-threshold",
+        "--out-md",
+    ],
+    "metrics": SHARED_OPTIONS + ["--out-json"],
+    "anld-pairs": SHARED_OPTIONS,
+}
+
+
+class TestCliConfig:
+    """Each option sets the RunConfig field of its name, and an option
+    left out takes RunConfig's default."""
+
+    def parsed_config(self, monkeypatch, capsys, argv):
+        seen = []
+        runner = "run_evaluation" if argv[0] == "evaluate" else "run_intrinsic"
+        monkeypatch.setattr(f"normeval.cli.{runner}", lambda config: seen.append(config) or [])
+        main(argv)
+        capsys.readouterr()
+        (config,) = seen
+        return config
+
+    @pytest.mark.parametrize("command", ["evaluate", "metrics", "anld-pairs"])
+    def test_options_left_out_take_the_run_configs_defaults(self, command, monkeypatch, capsys):
+        config = self.parsed_config(
+            monkeypatch, capsys, [command, "--corpus", "c.tsv", "--normalizer", "identity"]
+        )
+        expected = RunConfig(corpus_path="c.tsv", normalizers=("identity",))
+        if command == "evaluate":
+            # the CLI's default names the classifiers by their short names
+            expected = replace(expected, classifiers=("nb", "lr", "svm"))
+        for field in fields(RunConfig):
+            assert getattr(config, field.name) == getattr(expected, field.name), field.name
+            assert type(getattr(config, field.name)) is type(getattr(expected, field.name))
+
+    def test_every_option_sets_its_field(self, monkeypatch, capsys):
+        config = self.parsed_config(
+            monkeypatch,
+            capsys,
+            [
+                "evaluate",
+                "--corpus", "c.tsv",
+                "--normalizer", "identity",
+                "--normalizer", "truncate:3",
+                "--text-col", "body",
+                "--label-col", "tag",
+                "--delimiter", "comma",
+                "--no-header",
+                "--no-lowercase",
+                "--no-strip-punct",
+                "--embedder", "hash:64:1",
+                "--classifiers", "nb,,svm",
+                "--k", "3",
+                "--seed", "9",
+                "--anld-weighting", "type",
+                "--safety-threshold", "0.3",
+                "--worst-n", "4",
+            ],
+        )
+        assert config == RunConfig(
+            corpus_path="c.tsv",
+            normalizers=("identity", "truncate:3"),
+            text_col="body",
+            label_col="tag",
+            delimiter=",",
+            has_header=False,
+            lowercase=False,
+            strip_punct=False,
+            embedder="hash:64:1",
+            classifiers=("nb", "svm"),
+            k=3,
+            seed=9,
+            anld_weighting="by_type",
+            safety_threshold=0.3,
+            worst_n=4,
+        )
+
+    @pytest.mark.parametrize("command", sorted(README_OPTIONS))
+    def test_help_names_every_option_the_readme_lists(self, command, capsys):
+        cli_section = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        cli_section = cli_section.split("\n## CLI\n")[1].split("\n## ")[0]
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--help"])
+        assert exc_info.value.code == 0
+        out = capsys.readouterr().out
+        for option in README_OPTIONS[command]:
+            assert f"`{option}" in cli_section, option
+            assert re.search(rf"{option}\b", out), option
