@@ -57,7 +57,6 @@ try:
         IrsResult,
         VectorFileProvider,
         cosine_with_flag,
-        embed_table,
         irs,
         load_word2vec_text,
     )
@@ -147,7 +146,6 @@ __all__ = [
     "HttpServiceProvider",
     "IrsResult",
     "cosine_with_flag",
-    "embed_table",
     "irs",
     "load_word2vec_text",
     "DEFAULT_ANLD_THRESHOLD",

@@ -13,8 +13,11 @@ float64 matrix, a row per document, either from token lists
   an external model server via a small JSON protocol.
 
 The IRS of a normalizer is the mean cosine similarity between each
-document's embedding and the embedding of its normalized form
-(:func:`irs`, from a run's type tables).
+document's embedding and the embedding of its normalized form.
+:func:`irs` scores every normalization of a run in one pass over the
+documents, from the run's type tables: it embeds each block of
+originals once and holds that block and at most one block of rows per
+normalization, never a matrix of the corpus.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import itertools
 import json
 import math
 import urllib.parse
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,11 +103,6 @@ class EmbeddingProvider:
             return self.embed_documents([tokens[a:b] for a, b in zip(bounds, bounds[1:])])
 
         return embed
-
-
-def embed_table(provider: EmbeddingProvider, table: TypeTable) -> np.ndarray:
-    """The provider's matrix of every document of ``table``."""
-    return provider.id_embedder(table.types)(table.ids, table.indptr)
 
 
 class _GramBins(dict):
@@ -222,9 +221,11 @@ def _append(table: np.ndarray, used: int, extra: np.ndarray) -> np.ndarray:
     return table
 
 
-# documents pooled by one np.bincount, and changed documents embedded
-# and scored at a time by irs; bounds the count matrix at
-# _EMBED_BLOCK x 2 dim and irs's normalized rows at _EMBED_BLOCK x dim
+# documents pooled by one np.bincount, and original documents embedded,
+# and changed documents of one normalization embedded and scored, at a
+# time by irs; bounds the count matrix at _EMBED_BLOCK x 2 dim, and irs's
+# original rows, and the held rows of each normalization, at
+# _EMBED_BLOCK x dim each
 _EMBED_BLOCK = 512
 # new tokens whose bins are built in one pass; bounds its temporaries
 _BUILD_CHUNK = 2048
@@ -293,7 +294,8 @@ class HashedNgramProvider(EmbeddingProvider):
         cache.update(zip(new, range(rows, rows + len(new))))
 
     def embed_documents(self, token_lists: list[list[str]]) -> np.ndarray:
-        return embed_table(self, table_of(token_lists))
+        table = table_of(token_lists)
+        return self.id_embedder(table.types)(table.ids, table.indptr)
 
     def id_embedder(self, vocabulary: list[str]):
         """Every new token of ``vocabulary`` gets its row here, in one
@@ -523,63 +525,162 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def irs(
     provider: EmbeddingProvider,
     doc_ids: list[str],
-    original_embeddings: np.ndarray,
-    normalized: TypeTable,
-    changed: np.ndarray,
-) -> IrsResult:
-    """The IRS of the documents ``doc_ids``: their original
-    rows, ``original_embeddings``, against the ``normalized`` table,
-    whose documents at the rows ``changed`` differ from the originals.
+    original: TypeTable,
+    normalized: Sequence[tuple[TypeTable, np.ndarray]],
+) -> list[IrsResult | EmbeddingError]:
+    """The IRS of every normalization of the documents ``doc_ids``, whose
+    tokens are the ``original`` table: each normalization is a table and
+    the strictly ascending rows at which its documents differ from the
+    originals.
+    One outcome per normalization, in order: its IrsResult, or the
+    EmbeddingError that ended it.
 
-    The changed documents are embedded (through ``provider.id_embedder``
-    of the normalized types) and scored a block of ``_EMBED_BLOCK`` at a
-    time, so the run holds the original matrix and one block of
-    normalized rows, never a matrix of all of them. Every score is the
-    one :func:`cosine_with_flag` gives, bit for bit: the cosines come
-    from batched row dots, and a document with a norm outside
-    ``(_NORM_LO, _NORM_HI)`` on either side is scored by
+    One pass walks the documents ``_EMBED_BLOCK`` at a time and embeds
+    each block of originals once (through ``provider.id_embedder`` of the
+    original types). Each normalization keeps the original rows of its
+    changed documents until it has ``_EMBED_BLOCK`` of them, or the pass
+    ends, then embeds those documents (through the id embedder of its
+    types) in one call and scores them. So the pass holds one block of
+    originals and at most one block of rows per normalization, never a
+    matrix of all the documents, and a normalization's calls are those of
+    embedding its changed documents ``_EMBED_BLOCK`` at a time. A failure
+    to embed a normalization's documents, or to score them, ends that
+    normalization only. A failure to embed a block of originals ends the
+    earliest normalization still in the pass, and the block is embedded
+    again for the others.
+
+    Every score is the one :func:`cosine_with_flag` gives, bit for bit:
+    the cosines come from batched row dots, and a document with a norm
+    outside ``(_NORM_LO, _NORM_HI)`` on either side is scored by
     :func:`cosine_with_flag` itself.
     """
     if not doc_ids:
         raise EmbeddingError("cannot compute IRS over an empty corpus")
-    if len(original_embeddings) != len(doc_ids):
-        raise EmbeddingError(
-            f"{len(original_embeddings)} original embeddings for {len(doc_ids)} documents"
-        )
-    original = np.ascontiguousarray(original_embeddings, np.float64)
-    values = np.ones(len(original))  # an unchanged document scores 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(_row_dots(original, original))
-    in_range = (_NORM_LO < norms) & (norms < _NORM_HI)
-    unchanged_out = ~in_range
-    unchanged_out[changed] = False
-    zero_docs = 0
-    embed = provider.id_embedder(normalized.types) if len(changed) else None
-    for start in range(0, len(changed), _EMBED_BLOCK):
-        rows = changed[start : start + _EMBED_BLOCK]
-        b = embed(*normalized.select(rows))
-        if b.shape != (len(rows), original.shape[1]):
+    if len(doc_ids) != len(original):
+        raise EmbeddingError(f"{len(doc_ids)} document ids for {len(original)} documents")
+    outcomes: list[IrsResult | EmbeddingError | None] = [None] * len(normalized)
+    embed = provider.id_embedder(original.types) if normalized else None
+    live = [_Scores(j, provider, table, changed) for j, (table, changed) in enumerate(normalized)]
+    for start in range(0, len(original), _EMBED_BLOCK):
+        stop = min(start + _EMBED_BLOCK, len(original))
+        a = None
+        while live and a is None:
+            try:
+                a = embed(*original.select(np.arange(start, stop)))
+                if np.ndim(a) != 2 or len(a) != stop - start:
+                    raise EmbeddingError(
+                        f"{provider.name}: embeddings of shape {np.shape(a)} for "
+                        f"{stop - start} original documents"
+                    )
+            except EmbeddingError as exc:
+                a = None
+                outcomes[live.pop(0).index] = exc
+        if a is None:
+            break
+        a = np.ascontiguousarray(a, np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.sqrt(_row_dots(a, a))
+        in_range = (_NORM_LO < norms) & (norms < _NORM_HI)
+        for scores in list(live):
+            try:
+                scores.add(start, a, norms, in_range)
+            except EmbeddingError as exc:
+                outcomes[scores.index] = exc
+                live.remove(scores)
+    for scores in live:
+        try:
+            scores.flush()
+            outcomes[scores.index] = scores.result(doc_ids)
+        except EmbeddingError as exc:
+            outcomes[scores.index] = exc
+    return outcomes
+
+
+class _Scores:
+    """One normalization in :func:`irs`'s pass: its table, its changed
+    rows, the original rows (with their norms) of the changed documents
+    not yet scored, and the score of every document so far."""
+
+    def __init__(
+        self, index: int, provider: EmbeddingProvider, table: TypeTable, changed: np.ndarray
+    ):
+        if len(changed) and not (
+            changed[0] >= 0 and changed[-1] < len(table) and (np.diff(changed) > 0).all()
+        ):
             raise EmbeddingError(
-                f"{provider.name}: embeddings of shape {b.shape} for {len(rows)} changed "
-                f"documents of width {original.shape[1]}"
+                f"changed rows must ascend within the {len(table)} documents of their table"
             )
-        a, b = original[rows], np.ascontiguousarray(b, np.float64)
+        self.index = index
+        self.name = provider.name
+        self.table = table
+        self.changed = changed
+        self.embed = provider.id_embedder(table.types) if len(changed) else None
+        self.values = np.ones(len(table))  # an unchanged document scores 1
+        self.zero_docs = 0
+        self.scored = 0  # changed documents scored so far
+        self.pending = 0  # the changed documents after those, held in a
+        # the original rows, norms and in-range flags of the held
+        # documents; made when the first changed document is held
+        self.a = self.norms = self.in_range = None
+
+    def add(self, start: int, a: np.ndarray, norms: np.ndarray, in_range: np.ndarray) -> None:
+        """Take the block of documents from ``start`` on, whose original
+        rows are ``a``, of norms ``norms``, ``in_range`` where a norm is
+        inside ``(_NORM_LO, _NORM_HI)``: score its unchanged documents,
+        and hold its changed ones, scoring every ``_EMBED_BLOCK`` held."""
+        lo, hi = np.searchsorted(self.changed, [start, start + len(a)])
+        local = self.changed[lo:hi] - start
+        unchanged_out = ~in_range
+        unchanged_out[local] = False
+        for i in np.flatnonzero(unchanged_out).tolist():
+            self.values[start + i], zero_flag = cosine_with_flag(a[i], a[i])
+            self.zero_docs += zero_flag
+        if len(local) and self.a is None:
+            self.a = np.empty((_EMBED_BLOCK, a.shape[1]))
+            self.norms = np.empty(_EMBED_BLOCK)
+            self.in_range = np.empty(_EMBED_BLOCK, bool)
+        while len(local):
+            take, local = np.split(local, [_EMBED_BLOCK - self.pending])
+            held = slice(self.pending, self.pending + len(take))
+            self.a[held] = a[take]
+            self.norms[held] = norms[take]
+            self.in_range[held] = in_range[take]
+            self.pending += len(take)
+            if self.pending == _EMBED_BLOCK:
+                self.flush()
+
+    def flush(self) -> None:
+        """Embed and score the changed documents held."""
+        n = self.pending
+        if not n:
+            return
+        rows = self.changed[self.scored : self.scored + n]
+        a, norms, in_range = self.a[:n], self.norms[:n], self.in_range[:n]
+        b = self.embed(*self.table.select(rows))
+        if b.shape != (n, a.shape[1]):
+            raise EmbeddingError(
+                f"{self.name}: embeddings of shape {b.shape} for {n} changed "
+                f"documents of width {a.shape[1]}"
+            )
+        b = np.ascontiguousarray(b, np.float64)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             norms_b = np.sqrt(_row_dots(b, b))
-            cosines = np.clip(_row_dots(a, b) / (norms[rows] * norms_b), -1.0, 1.0)
+            cosines = np.clip(_row_dots(a, b) / (norms * norms_b), -1.0, 1.0)
         cosines[(a == b).all(axis=1)] = 1.0
         # a norm out of range: the zero-vector convention, a rescaling,
         # or an error for a non-finite component
-        out = ~(in_range[rows] & (_NORM_LO < norms_b) & (norms_b < _NORM_HI))
+        out = ~(in_range & (_NORM_LO < norms_b) & (norms_b < _NORM_HI))
         for j in np.flatnonzero(out).tolist():
             cosines[j], zero_flag = cosine_with_flag(a[j], b[j])
-            zero_docs += zero_flag
-        values[rows] = cosines
-    for i in np.flatnonzero(unchanged_out).tolist():
-        values[i], zero_flag = cosine_with_flag(original[i], original[i])
-        zero_docs += zero_flag
-    per_doc = tuple(zip(doc_ids, values.tolist()))
-    total = 0.0
-    for value in values.tolist():  # sum() compensates from Python 3.12 on
-        total += value
-    return IrsResult(irs=total / len(per_doc), per_doc=per_doc, zero_vector_docs=zero_docs)
+            self.zero_docs += zero_flag
+        self.values[rows] = cosines
+        self.scored += n
+        self.pending = 0
+
+    def result(self, doc_ids: list[str]) -> IrsResult:
+        values = self.values.tolist()
+        total = 0.0
+        for value in values:  # sum() compensates from Python 3.12 on
+            total += value
+        per_doc = tuple(zip(doc_ids, values))
+        return IrsResult(irs=total / len(per_doc), per_doc=per_doc, zero_vector_docs=self.zero_docs)

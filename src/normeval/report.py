@@ -11,7 +11,6 @@ Reports serialize to JSON (machine, full precision) and Markdown
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import shlex
@@ -39,10 +38,9 @@ from .embeddings import (
     HttpServiceProvider,
     IrsResult,
     VectorFileProvider,
-    embed_table,
     irs,
 )
-from .errors import EvaluationError, NormEvalError, NormalizerError
+from .errors import EmbeddingError, EvaluationError, NormEvalError, NormalizerError
 from .metrics import (
     WEIGHTINGS,
     AnldResult,
@@ -266,31 +264,26 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     """Evaluate every configured normalizer over the configured corpus.
 
     The corpus is tokenized into one type table, and each normalizer's
-    corpus is that table relabelled by its stems. The embeddings of the
-    original documents are shared: they are made when the first
-    normalizer needs them and kept once they succeed. The run has two
-    phases. The first runs each normalizer's intrinsic metrics, IRS and
-    safety gate, and featurizes the folds of each corpus a normalizer
-    changed. The second trains every classifier on the folds of the
+    corpus is that table relabelled by its stems. The run has three
+    phases. The first runs each normalizer's intrinsic metrics and
+    relabels the table by its stems. The second is one IRS pass over
+    every relabelled table (:func:`irs`), which embeds each block of
+    original documents once; each surviving normalizer then takes its
+    safety gate, and the folds of each corpus a normalizer changed are
+    featurized. The third trains every classifier on the folds of the
     un-normalized baseline and of all those corpora together, then
     scores each normalizer's deltas against the shared baseline; a
     normalizer that changes no document takes the baseline runs as its
-    normalized runs. A failure inside one normalizer's first phase,
-    embedding the originals included, becomes a failure entry in its
-    report; the others still complete (and retry that embedding).
-    Corpus loading or baseline failures abort the whole run before any
-    normalizer runs.
+    normalized runs. A failure inside one normalizer's first or second
+    phase becomes a failure entry in its report, and the others still
+    complete; a failure to embed a block of originals is the failure of
+    the first normalizer still in the IRS pass, and the others embed the
+    block again. Corpus loading or baseline failures abort the whole run
+    before any normalizer runs.
     """
     corpus, table = _load_table(config)
     doc_ids = [doc.id for doc in corpus.documents]
     provider = build_embedder(config.embedder)
-
-    # functools.cache keeps only a returned value, so a failed embedding
-    # is retried by the next normalizer
-    @functools.cache
-    def original_embeddings() -> np.ndarray:
-        return embed_table(provider, table)
-
     specs: list[ClassifierSpec] = []
     split = None
     baseline_features = None
@@ -305,10 +298,11 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
         ]
         split = fold_split(doc_ids, gold, make_folds(corpus, config.k, config.seed))
         baseline_features = fold_features(table, split)
+    del corpus  # the run needs only the ids, the labels and the folds taken from it
 
-    # each successful report of the first phase with its corpus's fold
-    # features, None for a corpus the normalizer left unchanged
-    pending: list[tuple[NormalizerReport, list | None]] = []
+    # the relabelled table and the changed rows of each normalizer that
+    # got through the first phase
+    normalizations: list[tuple[TypeTable, np.ndarray]] = []
 
     def score(name: str, mapping: TokenMapping) -> NormalizerReport:
         compression = _compression(mapping)
@@ -316,30 +310,41 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
             mapping, weighting=config.anld_weighting, worst_n=config.worst_n
         )
         normalized, changed = table.relabel(mapping.pairs.values())
-        irs_result = irs(
-            provider, doc_ids, original_embeddings(), normalized, np.flatnonzero(changed)
-        )
-        gated = safety_gate(
-            irs_result.irs, compression.cr, primary.anld, config.safety_threshold
-        )
-        features = None
-        # training is deterministic, so cross-validating unchanged
-        # documents again would reproduce the baseline's runs
-        if specs and changed.any():
-            features = fold_features(normalized, split)
-        report = NormalizerReport(
+        normalizations.append((normalized, np.flatnonzero(changed)))
+        return NormalizerReport(
             normalizer=name,
             compression=compression,
-            irs_result=irs_result,
-            ses_result=gated,
             anld_primary=primary,
             anld_alternate=alternate,
             empty_stems=mapping.empty_stem_count,
         )
-        pending.append((report, features))
-        return report
 
     reports = _run_normalizers(config.normalizers, table, score)
+    outcomes = irs(provider, doc_ids, table, normalizations)
+    # each report that got through the second phase with its corpus's
+    # fold features, None for a corpus the normalizer left unchanged
+    pending: list[tuple[NormalizerReport, list | None]] = []
+    for i, (spec, report) in enumerate(zip(config.normalizers, reports)):
+        if report.failed:
+            continue
+        # popped, so that each table is freed once featurized
+        normalized, changed = normalizations.pop(0)
+        irs_result = outcomes.pop(0)
+        try:
+            if isinstance(irs_result, EmbeddingError):
+                raise irs_result
+            gated = safety_gate(
+                irs_result.irs, report.compression.cr, report.anld_primary.anld,
+                config.safety_threshold,
+            )
+            # training is deterministic, so cross-validating unchanged
+            # documents again would reproduce the baseline's runs
+            features = fold_features(normalized, split) if specs and len(changed) else None
+        except NormEvalError as exc:
+            reports[i] = NormalizerReport(normalizer=spec, error=str(exc))
+            continue
+        reports[i] = replace(report, irs_result=irs_result, ses_result=gated)
+        pending.append((reports[i], features))
     if not specs:
         return reports
     changed = [features for _, features in pending if features is not None]

@@ -1,7 +1,8 @@
 """Reference implementations that the tests compare normeval against.
 
 Tokenization and normalization one document at a time, hashed n-gram
-vectors one gram at a time, TF-IDF fitted and applied one training set
+vectors one gram at a time, the cosine of two vectors with norms from
+np.linalg.norm and IRS one document at a time, TF-IDF fitted and applied one training set
 at a time through dicts, logistic regression and the SVM trained one
 set at a time, the softmax objective with its gradient, and the English
 Snowball stemmer step by step. They share no helper with the package,
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from normeval import EvaluationError, TokenMapping
+from normeval import EmbeddingError, EvaluationError, IrsResult, TokenMapping
 from normeval.downstream import LinearClassifier
 from normeval.embeddings import _NGRAM_RANGE
 
@@ -105,6 +106,52 @@ def reference_document_vector(provider, tokens):
     for token in tokens:
         acc += reference_token_vector(provider, token)
     return acc / len(tokens)
+
+
+def reference_cosine_with_flag(u, v):
+    """Cosine in [-1, 1] and whether the zero-vector convention fired,
+    with every norm taken by np.linalg.norm."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if u.shape != v.shape:
+        raise EmbeddingError(f"cosine dimension mismatch: {u.shape} vs {v.shape}")
+    with np.errstate(over="ignore"):
+        # a norm that overflows to inf is rescaled below
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+    if not (1e-150 < nu < 1e150 and 1e-150 < nv < 1e150):
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise EmbeddingError("cosine of a vector with a NaN or infinite component")
+        # dividing each vector by its largest magnitude keeps the angle
+        # and brings both norms into [1, sqrt(dim)]
+        if not (u.any() and v.any()):
+            return 0.0, True
+        u = u / np.abs(u).max()
+        v = v / np.abs(v).max()
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+    if np.array_equal(u, v):
+        return 1.0, False
+    value = float(np.dot(u, v) / (nu * nv))
+    return max(-1.0, min(1.0, value)), False
+
+
+def reference_irs(doc_ids, original_matrix, normalized, changed, provider):
+    """The IRS of one normalization over a full matrix of the original
+    rows: the documents at the rows ``changed`` are embedded from their
+    ``normalized`` token lists in one ``embed_documents`` call, the others
+    reuse their original row, each document is scored by one
+    reference_cosine_with_flag call on its rows as they lie in those
+    matrices, and the scores are summed in order."""
+    changed = np.asarray(changed).tolist()
+    rows = dict(zip(changed, provider.embed_documents([normalized[i] for i in changed])))
+    per_doc, total, zero_docs = [], 0.0, 0
+    for i, (doc_id, row) in enumerate(zip(doc_ids, original_matrix)):
+        value, flag = reference_cosine_with_flag(row, rows.get(i, row))
+        per_doc.append((doc_id, value))
+        total += value
+        zero_docs += flag
+    return IrsResult(irs=total / len(per_doc), per_doc=tuple(per_doc), zero_vector_docs=zero_docs)
 
 
 def reference_tfidf_fit(train_docs):

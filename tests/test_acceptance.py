@@ -45,7 +45,6 @@ from normeval import (
 )
 from normeval.corpus import table_of
 from normeval.data import mini_corpus_path
-from normeval.embeddings import embed_table
 from reference import (
     Doc,
     reference_softmax_loss_and_grad,
@@ -159,7 +158,7 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     normalized, changed = table.relabel(table.types)
     provider = HashedNgramProvider(dim=256, seed=0)
     doc_ids = [doc.id for doc in corpus.documents]
-    result = irs(provider, doc_ids, embed_table(provider, table), normalized, np.flatnonzero(changed))
+    [result] = irs(provider, doc_ids, table, [(normalized, np.flatnonzero(changed))])
     assert result.irs == 1.0
 
     # two-doc vector-file case: doc1 untouched, doc2 fully replaced by a
@@ -170,7 +169,7 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     original = table_of([["keep"], ["north"]])
     normalized, changed = original.relabel(["keep", "east"])
     rows = np.flatnonzero(changed)
-    result = irs(provider, ["d1", "d2"], embed_table(provider, original), normalized, rows)
+    [result] = irs(provider, ["d1", "d2"], original, [(normalized, rows)])
     assert abs(result.irs - 0.5) < 1e-9
 
     # same construction through the HTTP provider with fixed vectors
@@ -187,7 +186,7 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}/embed"
         http = HttpServiceProvider(url)
-        http_result = irs(http, ["d1", "d2"], embed_table(http, original), normalized, rows)
+        [http_result] = irs(http, ["d1", "d2"], original, [(normalized, rows)])
         assert abs(http_result.irs - 0.5) < 1e-9
     finally:
         server.shutdown()

@@ -1,11 +1,13 @@
 """Embedding providers, cosine similarity, and IRS."""
 
+import contextlib
 import json
 import random
 import string
 import threading
 import tracemalloc
 import warnings
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -18,15 +20,27 @@ from normeval import (
     EmbeddingProvider,
     HashedNgramProvider,
     HttpServiceProvider,
+    RunConfig,
+    TokenizerConfig,
     VectorFileProvider,
+    build_normalizer,
     cosine_with_flag,
     irs,
+    load_corpus,
     load_word2vec_text,
+    run_evaluation,
 )
 from normeval import embeddings
 from normeval.corpus import table_of
-from normeval.embeddings import _EMBED_BLOCK, _NGRAM_RANGE, embed_table
-from reference import reference_document_vector, reference_token_vector
+from normeval.embeddings import _EMBED_BLOCK, _NGRAM_RANGE
+from reference import (
+    reference_cosine_with_flag,
+    reference_document_vector,
+    reference_irs,
+    reference_normalize_corpus,
+    reference_token_vector,
+    reference_tokenize_corpus,
+)
 
 
 class TestCosine:
@@ -96,33 +110,6 @@ class TestCosine:
         u, v = np.array(a), np.array(b)
         assert cosine_with_flag(u, v) == cosine_with_flag(v, u)
         assert -1.0 <= cosine_with_flag(u, v)[0] <= 1.0
-
-
-def reference_cosine_with_flag(u, v):
-    """cosine_with_flag with every norm taken by np.linalg.norm."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise EmbeddingError(f"cosine dimension mismatch: {u.shape} vs {v.shape}")
-    with np.errstate(over="ignore"):
-        # a norm that overflows to inf is rescaled below
-        nu = float(np.linalg.norm(u))
-        nv = float(np.linalg.norm(v))
-    if not (1e-150 < nu < 1e150 and 1e-150 < nv < 1e150):
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            raise EmbeddingError("cosine of a vector with a NaN or infinite component")
-        # dividing each vector by its largest magnitude keeps the angle
-        # and brings both norms into [1, sqrt(dim)]
-        if not (u.any() and v.any()):
-            return 0.0, True
-        u = u / np.abs(u).max()
-        v = v / np.abs(v).max()
-        nu = float(np.linalg.norm(u))
-        nv = float(np.linalg.norm(v))
-    if np.array_equal(u, v):
-        return 1.0, False
-    value = float(np.dot(u, v) / (nu * nv))
-    return max(-1.0, min(1.0, value)), False
 
 
 # components spanning 1e-310 (subnormal) to 1e300, with the scales at
@@ -573,13 +560,31 @@ def rows(*indices):
     return np.array(indices, dtype=np.intp)
 
 
+def irs_of(provider, doc_ids, original, normalized, changed):
+    """The IrsResult of one normalization through irs; its EmbeddingError
+    is raised."""
+    [outcome] = irs(provider, doc_ids, original, [(normalized, changed)])
+    if isinstance(outcome, EmbeddingError):
+        raise outcome
+    return outcome
+
+
+def hexed(result):
+    """An IrsResult with every float as its hex string."""
+    return (
+        result.irs.hex(),
+        [(doc_id, value.hex()) for doc_id, value in result.per_doc],
+        result.zero_vector_docs,
+    )
+
+
 class TestIrs:
     def test_identity_corpus_scores_exactly_one(self):
         provider = HashedNgramProvider(dim=32)
         table = table_of([["the", "runner"], ["ran", "fast"]])
         normalized, changed = table.relabel(table.types)
         assert not changed.any()
-        result = irs(provider, ["d1", "d2"], embed_table(provider, table), normalized, rows())
+        result = irs_of(provider, ["d1", "d2"], table, normalized, rows())
         assert result.irs == 1.0
         assert result.zero_vector_docs == 0
         assert [doc_id for doc_id, _ in result.per_doc] == ["d1", "d2"]
@@ -588,33 +593,32 @@ class TestIrs:
         provider = FixedProvider({("x",): [1, 0], ("y",): [0, 1], ("z",): [1, 0]})
         table = table_of([["x"], ["y"]])
         normalized, changed = table.relabel(["z", "x"])
-        original = embed_table(provider, table)
-        result = irs(provider, ["d1", "d2"], original, normalized, np.flatnonzero(changed))
+        result = irs_of(provider, ["d1", "d2"], table, normalized, np.flatnonzero(changed))
         assert result.irs == pytest.approx(0.5)
         assert dict(result.per_doc) == {"d1": 1.0, "d2": 0.0}
 
     def test_zero_vector_documents_counted(self):
         provider = HashedNgramProvider(dim=16)
-        original = provider.embed_documents([["word"], ["word"]])
-        result = irs(provider, ["d1", "d2"], original, table_of([["word"], []]), rows(1))
+        original = table_of([["word"], ["word"]])
+        result = irs_of(provider, ["d1", "d2"], original, table_of([["word"], []]), rows(1))
         assert result.zero_vector_docs == 1
         assert result.irs == pytest.approx(0.5)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmbeddingError, match="empty"):
-            irs(HashedNgramProvider(dim=16), [], np.zeros((0, 16)), table_of([]), rows())
+            irs_of(HashedNgramProvider(dim=16), [], table_of([]), table_of([]), rows())
 
-    def test_precomputed_original_embeddings(self):
+    def test_originals_embedded_from_their_table(self):
         provider = HashedNgramProvider(dim=16)
-        table = table_of([["running", "fast"], ["গানগুলো"], []])
-        normalized = table_of([["run", "fast"], ["গান"], []])
-        embedded = provider.embed_documents([["running", "fast"], ["গানগুলো"], []])
+        original = [["running", "fast"], ["গানগুলো"], []]
+        normalized = [["run", "fast"], ["গান"], []]
         ids = ["d1", "d2", "d3"]
-        assert irs(provider, ids, embedded, normalized, rows(0, 1)) == irs(
-            provider, ids, embed_table(provider, table), normalized, rows(0, 1)
-        )
-        with pytest.raises(EmbeddingError, match="2 original embeddings for 3 documents"):
-            irs(provider, ids, embedded[:2], normalized, rows(0, 1))
+        result = irs_of(provider, ids, table_of(original), table_of(normalized), rows(0, 1))
+        matrix = provider.embed_documents(original)
+        expected = reference_irs(ids, matrix, normalized, rows(0, 1), provider)
+        assert hexed(result) == hexed(expected)
+        with pytest.raises(EmbeddingError, match="2 document ids for 3 documents"):
+            irs_of(provider, ids[:2], table_of(original), table_of(normalized), rows(0, 1))
 
     @pytest.mark.parametrize(
         "returned", [np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((1, 3))], ids=["rows+1", "rows-1", "width+1"]
@@ -622,76 +626,81 @@ class TestIrs:
     def test_provider_returning_wrong_shape_rejected(self, returned):
         class WrongShapeProvider(FixedProvider):
             def embed_documents(self, token_lists):
+                # the originals are all "x"
+                return returned if token_lists == [["y"]] else super().embed_documents(token_lists)
+
+        provider = WrongShapeProvider({("x",): [1, 0]})
+        with pytest.raises(EmbeddingError, match=r"for 1 changed documents of width 2"):
+            irs_of(provider, ["d1", "d2"], table_of([["x"], ["x"]]), table_of([["x"], ["y"]]), rows(1))
+
+    @pytest.mark.parametrize(
+        "returned", [np.zeros((3, 2)), np.zeros((1, 2)), np.zeros(2)], ids=["rows+1", "rows-1", "1-d"]
+    )
+    def test_provider_returning_wrong_shape_for_originals_rejected(self, returned):
+        class WrongShapeProvider(FixedProvider):
+            def embed_documents(self, token_lists):
                 return returned
 
         provider = WrongShapeProvider({("x",): [1, 0]})
-        embedded = np.array([[1.0, 0.0], [1.0, 0.0]])
-        with pytest.raises(EmbeddingError, match=r"for 1 changed documents of width 2"):
-            irs(provider, ["d1", "d2"], embedded, table_of([["x"], ["y"]]), rows(1))
+        normalized = table_of([["x"], ["y"]])
+        [outcome] = irs(provider, ["d1", "d2"], table_of([["x"], ["x"]]), [(normalized, rows(1))])
+        assert isinstance(outcome, EmbeddingError)
+        assert f"shape {returned.shape} for 2 original documents" in str(outcome)
 
-    def test_original_matrix_is_not_copied(self):
-        # 4,000 documents at dim 256: an 8 MB matrix, while the scores and
-        # the ids take well under 2 MB
-        provider = HashedNgramProvider(dim=256)
-        original = [[f"w{i % 50}"] for i in range(4000)]
-        normalized = table_of(original[:-1] + [["changed"]])
-        embedded = provider.embed_documents(original)
-        snapshot = embedded.copy()
-        ids = [f"d{i}" for i in range(4000)]
-        tracemalloc.start()
-        try:
-            result = irs(provider, ids, embedded, normalized, rows(3999))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < embedded.nbytes / 4
-        assert np.array_equal(embedded, snapshot)
-        assert result.per_doc[-1][1] < 1.0 and result.irs > 0.99
+    def test_no_normalization_embeds_nothing(self):
+        provider = CountingProvider(dim=16)
+        assert irs(provider, ["d1"], table_of([["word"]]), []) == []
+        assert provider.embedded == [] and provider.calls == 0
 
-
-def irs_by_pairs(doc_ids, original_matrix, normalized, changed, provider):
-    """IRS by one cosine_with_flag call per document and a sequential
-    sum; the documents at the rows ``changed`` are embedded from their
-    ``normalized`` token lists, the others reuse their original row."""
-    changed = changed.tolist()
-    rows = dict(zip(changed, provider.embed_documents([normalized[i] for i in changed])))
-    per_doc, total, zero_docs = [], 0.0, 0
-    for i, (doc_id, row) in enumerate(zip(doc_ids, original_matrix)):
-        value, flag = cosine_with_flag(row, rows.get(i, row))
-        per_doc.append((doc_id, value))
-        total += value
-        zero_docs += flag
-    return total / len(per_doc), tuple(per_doc), zero_docs
+    @pytest.mark.parametrize(
+        "changed", [(1, 0), (0, 0), (-1,), (3,)], ids=["descending", "repeated", "negative", "past-end"]
+    )
+    def test_changed_rows_that_do_not_ascend_within_the_table_rejected(self, changed):
+        provider = CountingProvider(dim=16)
+        table = table_of([["a"], ["b"], ["c"]])
+        with pytest.raises(EmbeddingError, match="changed rows must ascend within the 3 documents"):
+            irs(provider, ["d1", "d2", "d3"], table, [(table_of([["x"], ["y"], ["c"]]), rows(*changed))])
+        assert provider.calls == 0
 
 
 _IRS_RELATIONS = ["unchanged", "free", "copy", "opposite", "scaled", "zero"]
 
 
+def pass_of(matrix, normalizations):
+    """The arguments of irs, with the original token lists, for documents
+    whose original rows are ``matrix`` under normalizations given as
+    ``(changed, vectors)``: document ``i`` is ``[f"o{i}"]``, and under
+    normalization ``j`` it is ``[f"n{j}.{i}"]``, embedding to
+    ``vectors[i]``, when ``i`` is in ``changed``. A FixedProvider holds
+    every document's vector, one token per document."""
+    n = len(matrix)
+    original = [[f"o{i}"] for i in range(n)]
+    table = {(f"o{i}",): row for i, row in enumerate(matrix)}
+    normalized, changed_rows = [], []
+    for j, (changed, vectors) in enumerate(normalizations):
+        changed = sorted(changed)
+        normalized.append([[f"n{j}.{i}"] if i in changed else [f"o{i}"] for i in range(n)])
+        table.update({(f"n{j}.{i}",): vectors[i] for i in changed})
+        changed_rows.append(rows(*changed))
+    doc_ids = [f"d{i}" for i in range(n)]
+    return doc_ids, original, normalized, changed_rows, FixedProvider(table)
+
+
 def corpus_of(matrix, changed, vectors):
-    """The arguments of check_against_pairs for documents whose original
-    rows are ``matrix`` and whose rows at ``changed`` embed to
-    ``vectors[i]``: document ``i`` is ``[f"n{i}"]`` when changed, else
-    ``[f"o{i}"]``, and a FixedProvider holds every document's vector."""
-    changed = sorted(changed)
-    normalized = [[f"n{i}"] if i in changed else [f"o{i}"] for i in range(len(matrix))]
-    table = {
-        tuple(tokens): vectors[i] if i in changed else matrix[i]
-        for i, tokens in enumerate(normalized)
-    }
-    doc_ids = [f"d{i}" for i in range(len(matrix))]
-    return doc_ids, np.asarray(matrix), normalized, rows(*changed), FixedProvider(table)
+    """The arguments of check_against_reference for one normalization
+    (see pass_of)."""
+    doc_ids, original, [normalized], [changed], provider = pass_of(matrix, [(changed, vectors)])
+    return doc_ids, original, normalized, changed, provider
 
 
 @st.composite
-def irs_corpora(draw):
-    """Original rows spanning zero, subnormal and huge norms, and a
-    normalized side that is unchanged, equal, opposite, scaled, zero or
+def normalizations_of(draw, matrix):
+    """A normalized side of the original rows ``matrix``, as ``(changed,
+    vectors)``: each document unchanged, equal, opposite, scaled, zero or
     free."""
-    dim = draw(st.integers(1, 5))
-    components = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
-    matrix, changed, vectors = [], [], {}
-    for i in range(draw(st.integers(1, 10))):
-        a = np.array(draw(components)) * draw(_SCALES)
+    components = st.lists(st.floats(-1.0, 1.0), min_size=len(matrix[0]), max_size=len(matrix[0]))
+    changed, vectors = [], {}
+    for i, a in enumerate(matrix):
         relation = draw(st.sampled_from(_IRS_RELATIONS))
         if relation == "free":
             b = np.array(draw(components)) * draw(_SCALES)
@@ -699,22 +708,44 @@ def irs_corpora(draw):
             b = a * min(draw(_SCALES), 1e300 / max(np.abs(a).max(), 1.0))
         else:
             b = {"unchanged": a, "copy": a, "opposite": -a, "zero": 0.0 * a}[relation]
-        matrix.append(a)
         if relation != "unchanged":
             changed.append(i)
             vectors[i] = b
-    return corpus_of(matrix, changed, vectors)
+    return changed, vectors
 
 
-def check_against_pairs(doc_ids, matrix, normalized, changed, provider):
-    """irs equals irs_by_pairs bit for bit, and warns of nothing."""
+@st.composite
+def original_matrices(draw):
+    """Original rows spanning zero, subnormal and huge norms."""
+    dim = draw(st.integers(1, 5))
+    components = st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim)
+    return [np.array(draw(components)) * draw(_SCALES) for _ in range(draw(st.integers(1, 10)))]
+
+
+@st.composite
+def irs_corpora(draw):
+    """Original rows and one normalized side (see normalizations_of)."""
+    matrix = draw(original_matrices())
+    return corpus_of(matrix, *draw(normalizations_of(matrix)))
+
+
+@st.composite
+def irs_passes(draw):
+    """Original rows and one to four normalized sides."""
+    matrix = draw(original_matrices())
+    return pass_of(matrix, draw(st.lists(normalizations_of(matrix), min_size=1, max_size=4)))
+
+
+def check_against_reference(doc_ids, original, normalized, changed, provider):
+    """irs equals reference_irs bit for bit, and warns of nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = irs(provider, doc_ids, matrix, table_of(normalized), changed)
-        expected = irs_by_pairs(doc_ids, matrix, normalized, changed, provider)
-    assert result.irs.hex() == expected[0].hex()
-    assert [(d, v.hex()) for d, v in result.per_doc] == [(d, v.hex()) for d, v in expected[1]]
-    assert result.zero_vector_docs == expected[2]
+        result = irs_of(provider, doc_ids, table_of(original), table_of(normalized), changed)
+        matrix = provider.embed_documents(original)
+        expected = reference_irs(doc_ids, matrix, normalized, changed, provider)
+    assert result.irs.hex() == expected.irs.hex()
+    assert [(d, v.hex()) for d, v in result.per_doc] == [(d, v.hex()) for d, v in expected.per_doc]
+    assert result.zero_vector_docs == expected.zero_vector_docs
     return result
 
 
@@ -725,22 +756,22 @@ class TestBatchedIrs:
     @settings(max_examples=300, deadline=None)
     @given(irs_corpora())
     def test_equal_to_per_pair_loop(self, corpus):
-        check_against_pairs(*corpus)
+        check_against_reference(*corpus)
 
     @settings(max_examples=100, deadline=None)
     @given(irs_corpora(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
     def test_non_finite_row_still_raises(self, corpus, bad, data):
-        doc_ids, matrix, normalized, changed, provider = corpus
+        doc_ids, original, normalized, changed, provider = corpus
         i = data.draw(st.integers(0, len(doc_ids) - 1))
         if data.draw(st.booleans()) or i not in changed.tolist():
-            matrix[i, data.draw(st.integers(0, matrix.shape[1] - 1))] = bad
+            row = provider.table[tuple(original[i])]
         else:
             row = provider.table[tuple(normalized[i])]
-            row[data.draw(st.integers(0, len(row) - 1))] = bad
+        row[data.draw(st.integers(0, len(row) - 1))] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EmbeddingError, match="NaN or infinite"):
-                irs(provider, doc_ids, matrix, table_of(normalized), changed)
+                irs_of(provider, doc_ids, table_of(original), table_of(normalized), changed)
 
     def test_rows_across_block_edges(self):
         n, dim = 2 * _EMBED_BLOCK + 5, 7
@@ -756,28 +787,28 @@ class TestBatchedIrs:
         matrix[n - 1] *= 1e160
         changed[n - 1] = matrix[n - 1]
         unchanged = {2, _EMBED_BLOCK + 2, 2 * _EMBED_BLOCK}
-        check_against_pairs(*corpus_of(matrix, set(range(n)) - unchanged, changed))
+        check_against_reference(*corpus_of(matrix, set(range(n)) - unchanged, changed))
 
     def test_no_matrix_of_all_normalized_documents(self):
-        # eight blocks of changed documents at dim 256: one float64 matrix
-        # of them, or of the whole corpus, would take 8 MiB
+        # eight blocks of documents, every one changed, at dim 256: one
+        # float64 matrix of the originals, or of the normalized documents,
+        # would take 8 MiB
         provider = HashedNgramProvider(dim=256)
         n = 8 * _EMBED_BLOCK
         table = table_of([f"w{i % 50}", f"v{i % 7}"] for i in range(n))
         # every document keeps its first token only
         normalized, changed = table.relabel(t if t[0] == "w" else "" for t in table.types)
         ids = [f"d{i}" for i in range(n)]
-        matrix = embed_table(provider, table)
         tracemalloc.start()
         try:
-            result = irs(provider, ids, matrix, normalized, np.flatnonzero(changed))
+            result = irs_of(provider, ids, table, normalized, np.flatnonzero(changed))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert changed.all()
-        assert peak < matrix.nbytes
+        assert peak < n * 256 * 8
         fresh = HashedNgramProvider(dim=256)
-        assert result == irs(fresh, ids, embed_table(fresh, table), normalized, np.flatnonzero(changed))
+        assert result == irs_of(fresh, ids, table, normalized, np.flatnonzero(changed))
 
 
 class CountingProvider(HashedNgramProvider):
@@ -825,12 +856,11 @@ class TestIrsSkipsUnchangedDocuments:
     def test_identity_embeds_no_normalized_document(self):
         provider = CountingProvider(dim=16)
         table = table_of(self.ORIGINAL)
-        original = embed_table(provider, table)
-        provider.embedded.clear()
-        provider.calls = 0
         normalized, changed = table.relabel(table.types)
-        result = irs(provider, self.IDS, original, normalized, np.flatnonzero(changed))
-        assert provider.embedded == [] and provider.calls == 0
+        result = irs_of(provider, self.IDS, table, normalized, np.flatnonzero(changed))
+        # the originals, in one block, and nothing else
+        assert provider.embedded == [tuple(tokens) for tokens in self.ORIGINAL]
+        assert provider.calls == 1
         assert self.result_tuple(result) == irs_embedding_everything(
             HashedNgramProvider(dim=16), self.IDS, self.ORIGINAL, self.ORIGINAL
         )
@@ -846,11 +876,11 @@ class TestIrsSkipsUnchangedDocuments:
             for doc_id, tokens in zip(self.IDS, self.ORIGINAL)
         ]
         provider = CountingProvider(dim=16)
-        original = provider.embed_documents(self.ORIGINAL)
-        provider.embedded.clear()
         changed_rows = rows(*(self.IDS.index(doc_id) for doc_id in changed))
-        result = irs(provider, self.IDS, original, table_of(normalized), changed_rows)
-        assert provider.embedded == [tuple(stems[doc_id]) for doc_id in changed]
+        result = irs_of(provider, self.IDS, table_of(self.ORIGINAL), table_of(normalized), changed_rows)
+        assert provider.embedded == [tuple(tokens) for tokens in self.ORIGINAL] + [
+            tuple(stems[doc_id]) for doc_id in changed
+        ]
         assert self.result_tuple(result) == irs_embedding_everything(
             HashedNgramProvider(dim=16), self.IDS, self.ORIGINAL, normalized
         )
@@ -858,17 +888,25 @@ class TestIrsSkipsUnchangedDocuments:
     def test_reused_all_zero_original_counts_as_zero_vector(self, tmp_path):
         # "zz" is not in the table, so d1 embeds to zero on both sides
         provider = VectorFileProvider(write_vectors(tmp_path / "v.txt", ["1 2", "a 1 0"]))
-        original = provider.embed_documents([["zz"], ["a"], ["a"]])
+        original = table_of([["zz"], ["a"], ["a"]])
         normalized = table_of([["zz"], ["a"], ["zz"]])
-        result = irs(provider, ["d1", "d2", "d3"], original, normalized, rows(2))
+        result = irs_of(provider, ["d1", "d2", "d3"], original, normalized, rows(2))
         assert self.result_tuple(result) == (1 / 3, (("d1", 0.0), ("d2", 1.0), ("d3", 0.0)), 2)
         # the originals and the one changed document were looked up
         assert provider.missing_tokens == 2
 
 
+@contextlib.contextmanager
+def blocks_of(size):
+    """irs with _EMBED_BLOCK = ``size`` inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embeddings, "_EMBED_BLOCK", size)
+        yield
+
+
 class TestIrsInSmallBlocks:
-    """irs embeds and scores the changed documents _EMBED_BLOCK at a
-    time; with blocks of 3, a few documents span several blocks."""
+    """irs embeds and scores the documents _EMBED_BLOCK at a time; with
+    blocks of 3, a few documents span several blocks."""
 
     @pytest.fixture(autouse=True, scope="class")
     def small_blocks(self):
@@ -876,23 +914,47 @@ class TestIrsInSmallBlocks:
             patch.setattr(embeddings, "_EMBED_BLOCK", 3)
             yield
 
+    # The bit-for-bit comparisons against reference_irs run in blocks of
+    # 2. Under a BLAS kernel whose dot sums in an order set by its second
+    # operand's 16-byte alignment (OpenBLAS's Prescott), blocks of 3 move
+    # every other odd-width row 8 bytes from its place in the reference's
+    # matrices, and its dots with it; an even block, like the 512 of a
+    # run, moves none.
     @settings(max_examples=100, deadline=None)
     @given(irs_corpora())
     def test_equal_to_per_pair_loop(self, corpus):
-        check_against_pairs(*corpus)
+        with blocks_of(2):
+            check_against_reference(*corpus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(irs_passes())
+    def test_several_normalizations_in_one_pass(self, corpus):
+        doc_ids, original, normalized, changed, provider = corpus
+        with blocks_of(2), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcomes = irs(
+                provider, doc_ids, table_of(original),
+                [(table_of(docs), rows) for docs, rows in zip(normalized, changed)],
+            )
+            matrix = provider.embed_documents(original)
+            expected = [
+                reference_irs(doc_ids, matrix, docs, rows, provider)
+                for docs, rows in zip(normalized, changed)
+            ]
+        assert [hexed(outcome) for outcome in outcomes] == [hexed(result) for result in expected]
 
     def test_zero_and_out_of_range_rows_in_later_blocks(self):
         n, dim = 11, 4
         rng = np.random.default_rng(1)
         matrix = rng.standard_normal((n, dim))
         changed = matrix + 0.3 * rng.standard_normal((n, dim))
-        # the changed documents 0 2 3 | 4 5 7 | 8 9 10 make three blocks
+        # the documents 0 1 2 | 3 4 5 | 6 7 8 | 9 10 make four blocks
         unchanged = {1, 6}
         matrix[6] = 0.0
         changed[5] = 0.0
         matrix[8] *= 1e-310
         changed[10] *= 1e200
-        result = check_against_pairs(*corpus_of(matrix, set(range(n)) - unchanged, changed))
+        result = check_against_reference(*corpus_of(matrix, set(range(n)) - unchanged, changed))
         assert result.zero_vector_docs == 2
 
     def test_wrong_shape_in_second_block_rejected(self):
@@ -900,26 +962,26 @@ class TestIrsInSmallBlocks:
             calls = 0
 
             def embed_documents(self, token_lists):
-                self.calls += 1
                 out = super().embed_documents(token_lists)
+                if token_lists[0] == ["x"]:  # the originals
+                    return out
+                self.calls += 1
                 return out[:-1] if self.calls == 2 else out
 
         provider = SecondBlockTooShort({("x",): [1, 0], ("y",): [0, 1]})
-        embedded = np.array([[1.0, 0.0]] * 5)
         ids = [f"d{i}" for i in range(5)]
         with pytest.raises(EmbeddingError, match=r"shape \(1, 2\) for 2 changed documents"):
-            irs(provider, ids, embedded, table_of([["y"]] * 5), rows(0, 1, 2, 3, 4))
+            irs_of(provider, ids, table_of([["x"]] * 5), table_of([["y"]] * 5), rows(0, 1, 2, 3, 4))
 
     @pytest.mark.parametrize("n_changed, calls", [(0, 0), (1, 1), (3, 1), (4, 2), (7, 3)])
     def test_one_call_per_block_of_changed_documents(self, n_changed, calls):
         provider = CountingProvider(dim=16)
         original = [[f"w{i}"] for i in range(8)]
         normalized = original[: 8 - n_changed] + [[f"s{i}"] for i in range(8 - n_changed, 8)]
-        matrix = provider.embed_documents(original)
-        provider.calls = 0
         ids = [f"d{i}" for i in range(8)]
-        irs(provider, ids, matrix, table_of(normalized), rows(*range(8 - n_changed, 8)))
-        assert provider.calls == calls
+        irs_of(provider, ids, table_of(original), table_of(normalized), rows(*range(8 - n_changed, 8)))
+        # the three blocks of originals, then the changed documents' calls
+        assert provider.calls - 3 == calls
 
 
 class EmbeddingHandler(BaseHTTPRequestHandler):
@@ -1153,3 +1215,145 @@ class TestHttpFaults:
     def test_malformed_url(self, url):
         with pytest.raises(EmbeddingError, match="bad embedding service URL"):
             HttpServiceProvider(url).embed_documents([["word"]])
+
+
+def write_corpus(path, texts):
+    """A two-label corpus file of ``texts``; returns its path."""
+    rows = "".join(f"{text}\t{'ab'[i % 2]}\n" for i, text in enumerate(texts))
+    path.write_text("text\tlabel\n" + rows, encoding="utf-8")
+    return str(path)
+
+
+# documents that no normalizer changes, that truncate:2 and snowball-en
+# both change, that only truncate:2 changes, and that both change again
+RUN_TEXTS = [
+    ("a is be", "running dogs", f"cat a w{i}", f"jumps w{i}")[i % 4] for i in range(22)
+]
+
+
+class TestIrsPassInARun:
+    """evaluate makes one IRS pass: each block of originals is embedded
+    once and every normalizer is scored against it."""
+
+    SPECS = ("identity", "truncate:2", "snowball-en")
+
+    def expected(self, corpus_path, specs):
+        """Each spec's normalized token lists and changed rows, from the
+        per-document reference normalization, and the originals."""
+        docs = reference_tokenize_corpus(load_corpus(corpus_path), TokenizerConfig())
+        sides = {}
+        for spec in specs:
+            normalized, _ = reference_normalize_corpus(build_normalizer(spec), docs)
+            changed = rows(*(i for i, (a, b) in enumerate(zip(docs, normalized)) if a is not b))
+            sides[spec] = ([list(doc.tokens) for doc in normalized], changed)
+        return [list(doc.tokens) for doc in docs], sides
+
+    def reference(self, corpus_path, spec):
+        """The IRS of ``spec`` by reference_irs over a full originals matrix."""
+        original, sides = self.expected(corpus_path, [spec])
+        provider = HashedNgramProvider(dim=16)
+        matrix = provider.embed_documents(original)
+        doc_ids = [doc.id for doc in load_corpus(corpus_path).documents]
+        return reference_irs(doc_ids, matrix, *sides[spec], provider)
+
+    def test_each_document_embedded_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_EMBED_BLOCK", 4)
+        corpus = write_corpus(tmp_path / "run.tsv", RUN_TEXTS)
+        provider = CountingProvider(dim=16)
+        monkeypatch.setattr("normeval.report.build_embedder", lambda spec: provider)
+        reports = run_evaluation(RunConfig(corpus_path=corpus, normalizers=self.SPECS, classifiers=()))
+        original, sides = self.expected(corpus, self.SPECS)
+        expected = [tuple(tokens) for tokens in original]
+        for normalized, changed in sides.values():
+            expected += [tuple(normalized[i]) for i in changed.tolist()]
+        # every original once, and every changed document once per normalizer
+        assert Counter(provider.embedded) == Counter(expected)
+        # one call per block of 4 originals, and per 4 changed documents
+        # of each normalizer
+        assert provider.calls == 6 + sum(-(-len(changed) // 4) for _, changed in sides.values())
+        for spec, report in zip(self.SPECS, reports):
+            assert hexed(report.irs_result) == hexed(self.reference(corpus, spec))
+
+    def test_originals_failing_in_the_second_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "_EMBED_BLOCK", 4)
+        corpus = write_corpus(tmp_path / "run.tsv", RUN_TEXTS)
+
+        class SecondOriginalsBlockFails(HashedNgramProvider):
+            vocabularies = 0
+            original_calls = 0
+
+            def id_embedder(self, vocabulary):
+                embed = super().id_embedder(vocabulary)
+                self.vocabularies += 1
+                if self.vocabularies > 1:
+                    return embed
+
+                # the first vocabulary is the originals'
+                def originals(ids, indptr):
+                    self.original_calls += 1
+                    if self.original_calls == 2:
+                        raise EmbeddingError("embedding service unavailable")
+                    return embed(ids, indptr)
+
+                return originals
+
+        provider = SecondOriginalsBlockFails(dim=16)
+        monkeypatch.setattr("normeval.report.build_embedder", lambda spec: provider)
+        # the map: normalizer fails before the pass, so truncate:2 is the
+        # first normalizer in it
+        specs = ("map:/nonexistent/stems.tsv", "truncate:2", "identity", "snowball-en")
+        reports = run_evaluation(RunConfig(corpus_path=corpus, normalizers=specs, classifiers=()))
+        assert [r.failed for r in reports] == [True, True, False, False]
+        assert reports[1].normalizer == "truncate:2"
+        assert reports[1].error == "embedding service unavailable"
+        for spec, report in zip(specs[2:], reports[2:]):
+            assert hexed(report.irs_result) == hexed(self.reference(corpus, spec))
+        # six blocks, the second embedded again
+        assert provider.original_calls == 6 + 1
+
+    def test_no_matrix_of_the_originals(self, tmp_path):
+        # eight blocks of documents at dim 256: one float64 matrix of the
+        # originals would take 8 MiB
+        n = 8 * _EMBED_BLOCK
+        corpus = write_corpus(tmp_path / "big.tsv", [f"w{i % 50} v{i % 7}" for i in range(n)])
+        config = RunConfig(
+            corpus_path=corpus, normalizers=("identity", "truncate:2"), classifiers=(),
+            embedder="hash:256:0",
+        )
+        tracemalloc.start()
+        try:
+            reports = run_evaluation(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not any(report.failed for report in reports)
+        assert peak < n * 256 * 8
+
+    @pytest.mark.parametrize("every", [1, 7], ids=["dense", "sparse"])
+    def test_http_posts_each_document_once(self, embedding_service, tmp_path, monkeypatch, every):
+        # blocks of 64 documents, two batches of 32 each
+        monkeypatch.setattr(embeddings, "_EMBED_BLOCK", 64)
+        server, url = embedding_service
+        server.respond = lambda texts: (
+            200, {"vectors": [[float(len(t)), float(ord(t[0])), 1.0] for t in texts]}
+        )
+        # 150 documents over three blocks; truncate:2 changes every
+        # every-th one, which are spread over all three blocks
+        texts = [f"doc{i} text" if i % every == 0 else "ab cd" for i in range(150)]
+        corpus = write_corpus(tmp_path / "http.tsv", texts)
+        specs = ("identity", "truncate:2")
+        config = RunConfig(corpus_path=corpus, normalizers=specs, classifiers=(), embedder=url)
+        reports = run_evaluation(config)
+        assert not any(report.failed for report in reports)
+        original, sides = self.expected(corpus, specs)
+        expected = [" ".join(tokens) for tokens in original]
+        for normalized, changed in sides.values():
+            expected += [" ".join(normalized[i]) for i in changed.tolist()]
+        posted = [text for batch in server.batches for text in batch]
+        assert Counter(posted) == Counter(expected)
+        # as many batches as when the originals were embedded in one call
+        # and the changed documents 64 at a time: 5 of originals, then
+        # 5 (dense) or 1 (sparse, 22 documents) of truncate:2's
+        n_changed = len(sides["truncate:2"][1])
+        assert n_changed == -(-150 // every)
+        assert len(server.batches) == 5 + -(-n_changed // 32)

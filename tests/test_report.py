@@ -333,14 +333,13 @@ class TestOriginalEmbeddingsShared:
         original = reference_tokenize_corpus(load_corpus(corpus_path), TokenizerConfig())
         normalized, _ = reference_normalize_corpus(build_normalizer(spec), original)
         changed = [i for i, (a, b) in enumerate(zip(original, normalized)) if a is not b]
-        provider = HashedNgramProvider(dim=64, seed=0)
-        return irs(
-            provider,
+        [result] = irs(
+            HashedNgramProvider(dim=64, seed=0),
             [doc.doc_id for doc in original],
-            provider.embed_documents([list(doc.tokens) for doc in original]),
-            table_of(doc.tokens for doc in normalized),
-            np.array(changed, dtype=np.intp),
+            table_of(doc.tokens for doc in original),
+            [(table_of(doc.tokens for doc in normalized), np.array(changed, dtype=np.intp))],
         )
+        return result
 
     def run(self, corpus_path, monkeypatch, provider):
         monkeypatch.setattr("normeval.report.build_embedder", lambda spec: provider)

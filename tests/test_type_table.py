@@ -26,9 +26,9 @@ from normeval import (
     type_table,
 )
 from normeval import embeddings
+from normeval.corpus import table_of
 from normeval.data import mini_corpus_path
 from normeval.downstream import table_tfidf
-from normeval.embeddings import embed_table
 from reference import (
     reference_document_vector,
     reference_normalize_corpus,
@@ -112,13 +112,12 @@ class TestTableAgainstPerDocumentPath:
             va = reference_document_vector(provider, a.tokens)
             vb = va if a is b else reference_document_vector(provider, b.tokens)
             expected.append((a.doc_id, cosine_with_flag(va, vb)[0].hex()))
-        original = embed_table(provider, table)
-        result = irs(provider, doc_ids, original, normalized, np.flatnonzero(changed))
+        [result] = irs(provider, doc_ids, table, [(normalized, np.flatnonzero(changed))])
         assert [(d, v.hex()) for d, v in result.per_doc] == expected
-        # a fresh provider, the originals embedded from their token lists
+        # a fresh provider, the originals numbered from their token lists
         fresh = HashedNgramProvider(dim=16, seed=1)
-        original = fresh.embed_documents([list(doc.tokens) for doc in docs])
-        result = irs(fresh, doc_ids, original, normalized, np.flatnonzero(changed))
+        original = table_of(doc.tokens for doc in docs)
+        [result] = irs(fresh, doc_ids, original, [(normalized, np.flatnonzero(changed))])
         assert [(d, v.hex()) for d, v in result.per_doc] == expected
 
         # the fold TF-IDF, entry for entry
