@@ -225,6 +225,8 @@ class TypeTable:
         holding a type it changes, labelled '' or another string. The new
         types are the distinct non-empty labels in first-seen order."""
         labels = list(labels)
+        if len(labels) != len(self.types):
+            raise CorpusError(f"{len(labels)} labels for {len(self.types)} types")
         # '' takes id 0, so one less is -1 for it and first-seen ids for the rest
         new_ids = _TypeIds({"": 0})
         id_of_type = np.fromiter(map(new_ids.__getitem__, labels), np.int32, len(labels)) - 1

@@ -105,19 +105,40 @@ class EmbeddingProvider:
         return embed
 
 
-class _GramBins(dict):
-    """gram -> the bin it adds to: a +1 gram at coordinate ``i`` adds to
-    bin ``i``, a -1 gram to bin ``dim + i``; a gram is hashed on its
-    first lookup."""
+# every code point is below 2**21, so an id below 2**42 and a code pack
+# into one int64 key
+_CODE_BITS = 21
+# the lengths of the character n-grams a token is hashed by
+_NGRAM_RANGE = (3, 5)
 
-    def __init__(self, dim: int, key: bytes):
-        super().__init__()
+
+class _GramIndex:
+    """Each gram of a length in ``_NGRAM_RANGE`` hashed so far, found by an
+    exact integer key, and the bin it adds to: a +1 gram at coordinate
+    ``i`` adds to bin ``i``, a -1 gram to bin ``dim + i``.
+
+    A 3-gram's key is its three code points packed ``_CODE_BITS`` each;
+    a longer gram's key is the id of its prefix gram (one code point
+    shorter) shifted left ``_CODE_BITS``, plus its last code point. The
+    ids of each length number its grams in the order they were added.
+    Each length keeps its keys sorted, with their ids and bins beside
+    them, so a batch of keys is found by one ``np.searchsorted``."""
+
+    def __init__(self, dim: int, key: bytes, dtype):
         self.dim = dim
+        self.dtype = dtype
         # a copy of this keyed state hashes as a freshly keyed blake2b
         self.state = hashlib.blake2b(digest_size=9, key=key)
+        lo, hi = _NGRAM_RANGE
+        self.keys = {n: np.zeros(0, np.int64) for n in range(lo, hi + 1)}
+        self.ids = {n: np.zeros(0, np.int32) for n in range(lo, hi + 1)}
+        self.bins = {n: np.zeros(0, dtype) for n in range(lo, hi + 1)}
+
+    def __len__(self) -> int:
+        return sum(map(len, self.keys.values()))
 
     def hash(self, grams: list[str]) -> np.ndarray:
-        """The bins of ``grams``, as int32, hashed without caching."""
+        """The bins of ``grams``, hashed without indexing them."""
         digests = bytearray()
         for gram in grams:
             hasher = self.state.copy()
@@ -126,14 +147,30 @@ class _GramBins(dict):
         raw = np.frombuffer(digests, np.uint8).reshape(-1, 9)
         # the first 8 bytes, little-endian, pick the coordinate
         index = raw[:, :8].copy().view("<u8")[:, 0] % self.dim
-        return np.where(raw[:, 8] & 1, index, index + self.dim).astype(np.int32)
+        return np.where(raw[:, 8] & 1, index, index + self.dim).astype(self.dtype)
 
-    def bins(self, grams: list[str]) -> np.ndarray:
-        """The bins of the distinct ``grams``, as int32."""
-        new = [gram for gram in grams if gram not in self]
-        if new:
-            self.update(zip(new, self.hash(new).tolist()))
-        return np.fromiter(map(self.__getitem__, grams), np.int32, len(grams))
+    def find(self, n: int, keys: np.ndarray, grams) -> tuple[np.ndarray, np.ndarray]:
+        """The ids, as int64, and the bins of the distinct ascending
+        ``keys`` of n-grams; ``grams(new)`` are the strings of the keys
+        at the indices ``new``, asked for only for keys not yet in the
+        index."""
+        known = self.keys[n]
+        at = np.searchsorted(known, keys)
+        hit = at < len(known)
+        hit[hit] = known[at[hit]] == keys[hit]
+        ids = np.empty(len(keys), np.int64)
+        bins = np.empty(len(keys), self.dtype)
+        ids[hit] = self.ids[n][at[hit]]
+        bins[hit] = self.bins[n][at[hit]]
+        new = np.flatnonzero(~hit)
+        if len(new):
+            ids[new] = np.arange(len(known), len(known) + len(new))
+            bins[new] = self.hash(grams(new))
+            at = at[new]
+            self.keys[n] = np.insert(known, at, keys[new])
+            self.ids[n] = np.insert(self.ids[n], at, ids[new])
+            self.bins[n] = np.insert(self.bins[n], at, bins[new])
+        return ids, bins
 
 
 def _firsts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -144,8 +181,8 @@ def _firsts(sorted_keys: np.ndarray) -> np.ndarray:
 
 
 def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids of ``keys``, equal keys sharing an id, and the index
-    of one key of each id."""
+    """Dense ids of ``keys`` in key order, equal keys sharing an id, and
+    the index of one key of each id, in id order."""
     order = keys.argsort()
     first = _firsts(keys[order])
     ids = np.empty_like(order)
@@ -153,22 +190,16 @@ def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, order[first]
 
 
-# every code point is below 2**21, so an id below 2**42 and a code pack
-# into one int64 key
-_CODE_BITS = 21
-# the lengths of the character n-grams a token is hashed by
-_NGRAM_RANGE = (3, 5)
-
-
-def _token_bins(tokens: list[str], gram_bins: _GramBins) -> tuple[np.ndarray, np.ndarray]:
+def _token_bins(tokens: list[str], index: _GramIndex) -> tuple[np.ndarray, np.ndarray]:
     """The bins of the distinct grams of each token: their number per
     token, and the bins themselves, token by token.
 
     The wrapped tokens are joined into one array of code points, and
-    each n-gram at position ``p`` gets an exact id, level by level, from
-    the pair (id of the (n-1)-gram at ``p``, code at ``p + n - 1``).
+    each n-gram at position ``p`` gets its key in ``index`` level by
+    level, from the (n-1)-gram at ``p`` and the code at ``p + n - 1``.
     Grams that cross a token's end are dropped, a gram repeated in a
-    token counts once, and each distinct gram string is looked up once.
+    token counts once, and the distinct keys of each level are found in
+    the index by one call.
     """
     lo, hi = _NGRAM_RANGE
     wrapped = [f"<{token}>" for token in tokens]
@@ -178,29 +209,34 @@ def _token_bins(tokens: list[str], gram_bins: _GramBins) -> tuple[np.ndarray, np
     token_at = np.repeat(np.arange(len(tokens)), lens)
     # the codes from each position to the end of its token
     room = np.repeat(np.cumsum(lens), lens) - np.arange(len(codes))
-    pos, ids = np.arange(len(codes)), codes
+    pos, keys = np.arange(len(codes)), codes
     token_parts, bin_parts = [], []
     for n in range(1, hi + 1):
         if n > 1:
             keep = room[pos] >= n
-            pos, ids = pos[keep], ids[keep]
-            # an int64 while lo <= 3: an unranked key packs at most 3 codes
-            ids = ids << _CODE_BITS | codes[pos + n - 1]
+            pos, keys = pos[keep], keys[keep]
+            # an int64 while lo <= 3: a key packs at most 3 codes, or an
+            # id and a code
+            keys = keys << _CODE_BITS | codes[pos + n - 1]
         if not len(pos):
             break
         if n >= lo:
-            ids, first = _rank(ids)
-            pairs = np.sort(token_at[pos] * len(first) + ids)
+            rank, first = _rank(keys)
+            starts = pos[first]
+            ids, found = index.find(
+                n, keys[first], lambda new: [text[p : p + n] for p in starts[new].tolist()]
+            )
+            pairs = np.sort(token_at[pos] * len(first) + rank)
             pairs = pairs[_firsts(pairs)]
-            found = gram_bins.bins([text[p : p + n] for p in pos[first].tolist()])
             token_parts.append(pairs // len(first))
             bin_parts.append(found[pairs % len(first)])
+            keys = ids[rank]
     # the whole wrapped token is a gram of its own; outside [lo, hi] it
     # is no other token's n-gram, and its token is built once, so it is
-    # hashed without being cached
+    # hashed without being indexed
     whole = np.flatnonzero((lens < lo) | (lens > hi))
     token_parts.append(whole)
-    bin_parts.append(gram_bins.hash([wrapped[i] for i in whole.tolist()]))
+    bin_parts.append(index.hash([wrapped[i] for i in whole.tolist()]))
     token_of = np.concatenate(token_parts)
     bins = np.concatenate(bin_parts)[token_of.argsort()]
     return np.bincount(token_of, minlength=len(tokens)), bins
@@ -242,11 +278,12 @@ class HashedNgramProvider(EmbeddingProvider):
     token vectors. Hashing is keyed blake2b, so vectors are identical
     across runs and platforms for a fixed (dim, seed).
 
-    Each gram is hashed once per provider, and each token is stored once
-    as the bins of its distinct grams, the sign folded into the bin (see
-    :class:`_GramBins`): a row of one CSR table, ``_bins[_indptr[row]:
-    _indptr[row + 1]]``, where ``_token_cache`` maps the token to its
-    row; both arrays keep room to grow (see :func:`_append`).
+    Each gram is hashed once per provider (see :class:`_GramIndex`), and
+    each token is stored once as the bins of its distinct grams, the
+    sign folded into the bin: a row of one CSR table, ``_bins[_indptr[row]
+    : _indptr[row + 1]]``, where ``_token_cache`` maps the token to its
+    row; both arrays keep room to grow (see :func:`_append`). A bin takes
+    two bytes while ``2 dim <= 2**16``.
     ``id_embedder`` builds the rows of a vocabulary's new tokens in one
     numpy pass per ``_BUILD_CHUNK`` of them (see :func:`_token_bins`) and
     keeps the row of each vocabulary id, so that documents given as ids
@@ -267,11 +304,13 @@ class HashedNgramProvider(EmbeddingProvider):
         self.dim = dim
         self.seed = seed
         self.name = f"hash-{dim}"
-        self._gram_bins = _GramBins(dim, seed.to_bytes(8, "little", signed=True))
+        # a bin plus a pooling block's largest offset must fit the type
+        self._offset_type = np.int32 if 2 * dim * _EMBED_BLOCK < 2**31 else np.int64
+        bin_type = np.uint16 if 2 * dim <= 2**16 else self._offset_type
+        self._grams = _GramIndex(dim, seed.to_bytes(8, "little", signed=True), bin_type)
         self._token_cache: dict[str, int] = {}
         self._indptr = np.zeros(1, np.int64)
-        # a bin plus a pooling block's largest offset must fit the type
-        self._bins = np.zeros(0, np.int32 if 2 * dim * _EMBED_BLOCK < 2**31 else np.int64)
+        self._bins = np.zeros(0, bin_type)
 
     def _add_tokens(self, tokens: list[str]) -> None:
         """Give every one of the distinct ``tokens`` not yet in the table
@@ -283,7 +322,7 @@ class HashedNgramProvider(EmbeddingProvider):
         counts, bins = [], []
         for start in range(0, len(new), _BUILD_CHUNK):
             chunk = new[start : start + _BUILD_CHUNK]
-            chunk_counts, chunk_bins = _token_bins(chunk, self._gram_bins)
+            chunk_counts, chunk_bins = _token_bins(chunk, self._grams)
             counts.append(chunk_counts)
             bins.append(chunk_bins)
         rows = len(cache)
@@ -325,11 +364,12 @@ class HashedNgramProvider(EmbeddingProvider):
         n_docs = len(doc_lens)
         starts = self._indptr[rows]
         token_lens = self._indptr[rows + 1] - starts
-        flat = self._bins[_ranges(starts, token_lens)]
-        # offset every bin by its document's first count
+        # offset every bin by its document's first count, in a type wide
+        # enough for the sum
         bin_ends = np.concatenate([[0], np.cumsum(token_lens)])[np.cumsum(doc_lens)]
-        offsets = np.arange(0, n_docs * width, width, dtype=flat.dtype)
-        flat += np.repeat(offsets, np.diff(bin_ends, prepend=0))
+        offsets = np.arange(0, n_docs * width, width, dtype=self._offset_type)
+        flat = np.repeat(offsets, np.diff(bin_ends, prepend=0))
+        flat += self._bins[_ranges(starts, token_lens)]
         counts = np.bincount(flat, minlength=n_docs * width).reshape(n_docs, width)
         np.subtract(counts[:, :dim], counts[:, dim:], out=out, dtype=np.float64)
         # an empty document divides its zero row by 1: +0.0
@@ -529,9 +569,9 @@ def irs(
     normalized: Sequence[tuple[TypeTable, np.ndarray]],
 ) -> list[IrsResult | EmbeddingError]:
     """The IRS of every normalization of the documents ``doc_ids``, whose
-    tokens are the ``original`` table: each normalization is a table and
-    the strictly ascending rows at which its documents differ from the
-    originals.
+    tokens are the ``original`` table: each normalization is a table of
+    as many documents and the strictly ascending rows at which its
+    documents differ from the originals.
     One outcome per normalization, in order: its IrsResult, or the
     EmbeddingError that ended it.
 
@@ -560,7 +600,10 @@ def irs(
         raise EmbeddingError(f"{len(doc_ids)} document ids for {len(original)} documents")
     outcomes: list[IrsResult | EmbeddingError | None] = [None] * len(normalized)
     embed = provider.id_embedder(original.types) if normalized else None
-    live = [_Scores(j, provider, table, changed) for j, (table, changed) in enumerate(normalized)]
+    live = [
+        _Scores(j, provider, len(original), table, changed)
+        for j, (table, changed) in enumerate(normalized)
+    ]
     for start in range(0, len(original), _EMBED_BLOCK):
         stop = min(start + _EMBED_BLOCK, len(original))
         a = None
@@ -602,8 +645,17 @@ class _Scores:
     not yet scored, and the score of every document so far."""
 
     def __init__(
-        self, index: int, provider: EmbeddingProvider, table: TypeTable, changed: np.ndarray
+        self,
+        index: int,
+        provider: EmbeddingProvider,
+        n_docs: int,
+        table: TypeTable,
+        changed: np.ndarray,
     ):
+        if len(table) != n_docs:
+            raise EmbeddingError(
+                f"a normalized table of {len(table)} documents for {n_docs} original documents"
+            )
         if len(changed) and not (
             changed[0] >= 0 and changed[-1] < len(table) and (np.diff(changed) > 0).all()
         ):

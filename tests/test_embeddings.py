@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -303,6 +304,11 @@ _TOKENS = st.one_of(
 )
 
 
+def distinct_grams(tokens, n):
+    """The distinct n-grams of the wrapped ``tokens``."""
+    return {f"<{t}>"[i : i + n] for t in tokens for i in range(len(t) + 3 - n)}
+
+
 class TestBatchedTokenBins:
     """The bins of every new token of a call are built in one numpy pass;
     each token's vector must be the one its grams give one by one."""
@@ -328,10 +334,90 @@ class TestBatchedTokenBins:
             for token in seen:
                 expected = reference_token_vector(provider, token)
                 assert np.array_equal(provider.embed_documents([[token]])[0], expected), token
-        # only the n-grams of the range are cached, not the whole wrapped
-        # tokens outside it
+        # only the n-grams of the range are indexed, each under its
+        # length, not the whole wrapped tokens outside it
         lo, hi = _NGRAM_RANGE
-        assert all(lo <= len(gram) <= hi for gram in provider._gram_bins)
+        for n in range(lo, hi + 1):
+            assert len(provider._grams.keys[n]) == len(distinct_grams(seen, n))
+        assert len(provider._grams) == sum(len(distinct_grams(seen, n)) for n in range(lo, hi + 1))
+
+    @pytest.mark.parametrize("dim", [256, 40_000])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(
+                    st.text(
+                        st.one_of(
+                            st.sampled_from("ab<>"),
+                            st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+                            st.sampled_from(["\U0010ffff", "\U0010fffe", "\U00010000"]),
+                            # a surrogate cannot be read from a UTF-8 corpus
+                            st.characters(max_codepoint=0xFFFF, codec="utf-8"),
+                        ),
+                        max_size=9,
+                    ),
+                    max_size=6,
+                ),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_gram_index_is_exact(self, dim, chunk, calls):
+        # each call is an id_embedder (True) or embed_documents call of
+        # one-token documents, built a few tokens at a time
+        provider = HashedNgramProvider(dim=dim, seed=2)
+        hashed = Counter()
+        real_hash = provider._grams.hash
+
+        def recording(grams):
+            hashed.update(grams)
+            return real_hash(grams)
+
+        provider._grams.hash = recording
+        seen = set()
+        with mock.patch.object(embeddings, "_BUILD_CHUNK", chunk):
+            for by_ids, tokens in calls:
+                if by_ids:
+                    tokens = list(dict.fromkeys(tokens))
+                    embed = provider.id_embedder(tokens)
+                    out = embed(np.arange(len(tokens)), np.arange(len(tokens) + 1))
+                else:
+                    out = provider.embed_documents([[token] for token in tokens])
+                seen.update(tokens)
+                for token, row in zip(tokens, out):
+                    assert np.array_equal(row, reference_token_vector(provider, token)), token
+        assert provider._bins.dtype == (np.uint16 if dim <= 2**15 else np.int32)
+        # every gram of the range reached the hash once, whatever the
+        # calls and chunks it was built in
+        lo, hi = _NGRAM_RANGE
+        in_range = {gram: count for gram, count in hashed.items() if lo <= len(gram) <= hi}
+        grams = set().union(*(distinct_grams(seen, n) for n in range(lo, hi + 1)))
+        assert in_range == dict.fromkeys(grams, 1)
+
+    def test_kept_memory_per_gram_and_bin(self):
+        # the index keeps an int64 key, an int32 id and a two-byte bin per
+        # gram, and a stored bin takes two bytes; a string-keyed dict of
+        # the grams, about 90 bytes a gram, and int32 bins fail the bound
+        rng = random.Random(0)
+        vocabulary = list(dict.fromkeys(
+            "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(3, 12)))
+            for _ in range(3000)
+        ))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            provider = HashedNgramProvider(dim=256)
+            provider.id_embedder(vocabulary)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        bins = int(provider._indptr[len(vocabulary)])
+        assert bins > len(vocabulary) and len(provider._grams) > len(vocabulary)
+        assert kept < 24 * len(provider._grams) + 4 * bins
 
     def test_table_grows_by_doubling(self):
         # a caller may embed in many small embed_documents calls, each
@@ -660,6 +746,19 @@ class TestIrs:
         table = table_of([["a"], ["b"], ["c"]])
         with pytest.raises(EmbeddingError, match="changed rows must ascend within the 3 documents"):
             irs(provider, ["d1", "d2", "d3"], table, [(table_of([["x"], ["y"], ["c"]]), rows(*changed))])
+        assert provider.calls == 0
+
+    @pytest.mark.parametrize("n_normalized", [4, 2])
+    def test_normalized_table_of_another_length_rejected(self, n_normalized):
+        # scored, a longer table gives an IRS above 1, and a shorter one
+        # fewer per-document values than document ids
+        provider = CountingProvider(dim=16)
+        table = table_of([["a"], ["b"], ["c"]])
+        normalized = table_of([["a"], ["x"], ["c"], ["y"]][:n_normalized])
+        with pytest.raises(
+            EmbeddingError, match=f"table of {n_normalized} documents for 3 original documents"
+        ):
+            irs(provider, ["d1", "d2", "d3"], table, [(normalized, rows(1))])
         assert provider.calls == 0
 
 

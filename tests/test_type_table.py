@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from normeval import (
     Corpus,
+    CorpusError,
     Document,
     EvaluationError,
     HashedNgramProvider,
@@ -146,6 +147,12 @@ class TestTableAgainstPerDocumentPath:
         assert ids.tolist() == [1, 0, 1] and indptr.tolist() == [0, 0, 1, 1, 3, 3]
         expected = reference_tokenize_corpus(corpus, TokenizerConfig())
         assert table_tokens(table) == [doc.tokens for doc in expected]
+
+    @pytest.mark.parametrize("n_labels", [2, 4])
+    def test_relabel_with_another_label_count_rejected(self, n_labels):
+        table = type_table(["run ran", "runs"])
+        with pytest.raises(CorpusError, match=f"^{n_labels} labels for 3 types$"):
+            table.relabel(["x", "y", "z", "w"][:n_labels])
 
 
 MINI_SPECS = ("identity", "snowball-en", "truncate:3")
