@@ -3,7 +3,10 @@ and fold planning.
 
 A run tokenizes its corpus once, into a :class:`TypeTable`: the distinct
 tokens and every document as an array of their ids. Normalization,
-CR, ANLD, IRS and the fold TF-IDF all read that table.
+CR, ANLD, IRS and the fold TF-IDF all read that table. Each whitespace
+token is stripped of edge punctuation by one ``str.strip`` over the
+punctuation characters of the whole corpus, so tokenization keeps no
+state per raw token, only the types and their ids.
 
 All structures produced here are immutable after construction and safe to
 share across threads.
@@ -14,8 +17,10 @@ from __future__ import annotations
 import csv
 import logging
 import unicodedata
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -142,39 +147,12 @@ def load_corpus(
     return Corpus(documents=tuple(documents), labels=frozenset(labels), skipped_rows=skipped)
 
 
-def _strip_punct(token: str) -> str:
-    start, end = 0, len(token)
-    while start < end and unicodedata.category(token[start]).startswith("P"):
-        start += 1
-    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
-        end -= 1
-    return token[start:end]
-
-
 class _TypeIds(dict):
     """Token -> type id; a token not seen before takes the next id, so
     ids follow first-seen order."""
 
     def __missing__(self, token: str) -> int:
         self[token] = type_id = len(self)
-        return type_id
-
-
-class _RawTypeIds(dict):
-    """Raw whitespace token -> the type id of its tokenized form in
-    ``type_ids``, -1 when nothing is left; each raw token is tokenized
-    once, on its first lookup."""
-
-    def __init__(self, config: TokenizerConfig):
-        super().__init__()
-        self.config = config
-        self.type_ids = _TypeIds()
-
-    def __missing__(self, raw: str) -> int:
-        token = _strip_punct(raw) if self.config.strip_punct else raw
-        if self.config.lowercase:
-            token = token.lower()
-        self[raw] = type_id = self.type_ids[token] if token else -1
         return type_id
 
 
@@ -239,31 +217,54 @@ class TypeTable:
         return table, changed
 
 
-def _build_table(token_lists, type_id, type_ids: _TypeIds) -> TypeTable:
-    """The table of documents given as token sequences: ``type_id`` maps
-    a token to its id in ``type_ids``, or to -1 to drop it."""
-    flat: list[int] = []
-    ends = [0]
+def _punctuation(texts: list[str]) -> str:
+    """The distinct punctuation characters (Unicode category P*) of
+    ``texts``, in code point order."""
+    chars = sorted(set().union(*texts))
+    return "".join(c for c in chars if unicodedata.category(c).startswith("P"))
+
+
+def _number(token_lists, type_ids: _TypeIds) -> tuple[np.ndarray, np.ndarray]:
+    """The int32 ids in ``type_ids`` of the tokens of documents given as
+    token sequences, and the int64 indptr of the documents over them."""
+    ids = array("i")
+    ends = array("q", [0])
     for tokens in token_lists:
-        flat += map(type_id, tokens)
-        ends.append(len(flat))
-    ids = np.array(flat, np.int32)
-    kept = ids >= 0
-    return TypeTable(list(type_ids), ids[kept], _cumulative(kept)[ends])
+        ids.extend(map(type_ids.__getitem__, tokens))
+        ends.append(len(ids))
+    return np.asarray(ids, np.int32), np.frombuffer(ends, np.int64)
 
 
 def type_table(texts, config: TokenizerConfig = TokenizerConfig()) -> TypeTable:
-    """:func:`tokenize` of every text as one :class:`TypeTable`, each
-    distinct raw token tokenized once."""
-    raw = _RawTypeIds(config)
-    return _build_table(map(str.split, texts), raw.__getitem__, raw.type_ids)
+    """:func:`tokenize` of every text as one :class:`TypeTable`.
+
+    Edge punctuation is stripped by one ``str.strip`` per token over the
+    punctuation characters of all the texts: every edge character of a
+    token occurs in the texts, so this strips exactly the token's edge
+    runs of punctuation. No state is kept per raw token."""
+    texts = list(texts)  # read twice when stripping
+    token_lists = map(str.split, texts)
+    punct = _punctuation(texts) if config.strip_punct else ""
+    if punct:
+        token_lists = (map(str.strip, tokens, repeat(punct)) for tokens in token_lists)
+    if config.lowercase:
+        token_lists = (map(str.lower, tokens) for tokens in token_lists)
+    # '' takes id 0 and is dropped; one less is each other type's id
+    type_ids = _TypeIds({"": 0})
+    ids, indptr = _number(token_lists, type_ids)
+    dropped = np.flatnonzero(ids == 0)
+    ids = np.delete(ids, dropped)
+    ids -= 1
+    indptr -= np.searchsorted(dropped, indptr)
+    return TypeTable(list(type_ids)[1:], ids, indptr)
 
 
 def table_of(token_lists) -> TypeTable:
     """The table of already tokenized documents, each given as its
     tokens; every token is a type, the empty one too."""
     type_ids = _TypeIds()
-    return _build_table(token_lists, type_ids.__getitem__, type_ids)
+    ids, indptr = _number(token_lists, type_ids)
+    return TypeTable(list(type_ids), ids, indptr)
 
 
 def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:

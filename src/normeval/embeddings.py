@@ -22,6 +22,7 @@ normalization, never a matrix of the corpus.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -319,6 +320,15 @@ class HashedNgramProvider(EmbeddingProvider):
         new = list(itertools.filterfalse(cache.__contains__, tokens))
         if not new:
             return
+        # grams are hashed as UTF-8, which a lone surrogate has no form
+        # in; checked before any state changes, so the provider stays usable
+        try:
+            "".join(new).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            token = new[bisect.bisect_right(list(itertools.accumulate(map(len, new))), exc.start)]
+            raise EmbeddingError(
+                f"token {token!r} holds a lone surrogate, which cannot be encoded as UTF-8"
+            ) from None
         counts, bins = [], []
         for start in range(0, len(new), _BUILD_CHUNK):
             chunk = new[start : start + _BUILD_CHUNK]

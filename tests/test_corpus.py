@@ -1,8 +1,12 @@
 """Corpus loading, tokenization, vocabulary, and fold planning."""
 
 import collections
+import random
 import re
+import string
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +21,7 @@ from normeval import (
     tokenize,
     type_table,
 )
+from reference import reference_tokenize_corpus, table_tokens
 
 
 def write(tmp_path, name, content):
@@ -186,6 +191,75 @@ class TestTokenize:
         table = type_table(["... ! ok"])
         assert table.types == ["ok"]
         assert table.ids.tolist() == [0] and table.indptr.tolist() == [0, 1]
+
+
+# punctuation of every P subcategory, astral ones among them; whitespace
+# beyond ASCII; letters whose lowercase changes length (İ) or depends
+# on context (a final Σ)
+TOKENIZER_ALPHABET = (
+    "_‿-—(［)］«“»”.,!¿।\U0001e95e\U00010100"
+    " \t\n\xa0\u1680\u2028\u3000\x1c"
+    "İẞΣσaA9"
+)
+CONFIGS = [TokenizerConfig(lowercase, strip) for lowercase in (True, False) for strip in (True, False)]
+
+
+class TestTokenizeAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(
+        st.text(st.one_of(
+            st.sampled_from(TOKENIZER_ALPHABET),
+            st.characters(exclude_categories=()),  # surrogates too
+        ), max_size=30),
+        min_size=1, max_size=6,
+    ))
+    def test_equal_to_per_character_reference(self, texts):
+        corpus = Corpus(
+            documents=tuple(Document(str(i), text, "x") for i, text in enumerate(texts)),
+            labels=frozenset("x"),
+        )
+        for config in CONFIGS:
+            expected = [doc.tokens for doc in reference_tokenize_corpus(corpus, config)]
+            table = type_table((text for text in texts), config)
+            assert table_tokens(table) == expected, config
+            assert table.types == list(dict.fromkeys(t for tokens in expected for t in tokens))
+            assert table.ids.dtype == np.int32
+
+
+EDGE_FORMS = ["{}", "{},", "({})", "{}.", "“{}”", "[{}]!", "¿{}?", "{};"]
+
+
+def edge_form_texts(all_forms):
+    """10,000 words, each occurring eight times, as 4,000 texts of 20
+    tokens: each word in one of ``EDGE_FORMS`` throughout, or, with
+    ``all_forms``, in all eight in turn. Either way every form is used."""
+    rng = random.Random(0)
+    words = ["".join(rng.choice(string.ascii_lowercase) for _ in range(8)) for _ in range(10000)]
+    tokens = [
+        EDGE_FORMS[(j + copy * all_forms) % 8].format(word)
+        for copy in range(8)
+        for j, word in enumerate(words)
+    ]
+    return [" ".join(tokens[i : i + 20]) for i in range(0, len(tokens), 20)]
+
+
+class TestTokenizeMemory:
+    def test_peak_does_not_grow_with_raw_forms(self):
+        # the same tokens and types, with 10,000 or 80,000 distinct raw
+        # whitespace tokens; state kept per raw token fails the bound
+        peaks = []
+        for all_forms in (False, True):
+            texts = edge_form_texts(all_forms)
+            assert len(set(" ".join(texts).split())) == (80000 if all_forms else 10000)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                table = type_table(texts)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert len(table.types) == 10000 and len(table.ids) == 80000
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestCountOccurrences:

@@ -229,6 +229,24 @@ class TestHashedNgramProvider:
         second = provider.embed_documents([["token"]])
         assert np.array_equal(first, second)
 
+    @pytest.mark.parametrize("call", ["embed_documents", "id_embedder"])
+    def test_lone_surrogate_rejected_before_any_state_changes(self, call):
+        provider = HashedNgramProvider(dim=16)
+        provider.embed_documents([["before"]])
+        state = (dict(provider._token_cache), len(provider._grams),
+                 provider._indptr.tobytes(), provider._bins.tobytes())
+        tokens = ["fresh", "a\ud800b", "later"]
+        with pytest.raises(EmbeddingError, match=r"token 'a\\ud800b' holds a lone surrogate"):
+            if call == "embed_documents":
+                provider.embed_documents([tokens])
+            else:
+                provider.id_embedder(tokens)
+        assert state == (dict(provider._token_cache), len(provider._grams),
+                         provider._indptr.tobytes(), provider._bins.tobytes())
+        documents = [["fresh", "later"], ["before", "fresh"]]
+        for tokens, row in zip(documents, provider.embed_documents(documents)):
+            assert np.array_equal(row, reference_document_vector(provider, tokens))
+
 
 # 20,000 random lowercase letters: at dim 8 one coordinate of its vector
 # reaches 205, beyond the range of int8
