@@ -28,6 +28,7 @@ try:
         Document,
         FoldPlan,
         TokenizerConfig,
+        TokenMapping,
         TypeTable,
         load_corpus,
         make_folds,
@@ -81,7 +82,6 @@ try:
         MappingNormalizer,
         Normalizer,
         SnowballEnglishNormalizer,
-        TokenMapping,
         TruncateNormalizer,
         load_mapping,
         type_mapping,
@@ -115,6 +115,7 @@ __all__ = [
     "Document",
     "FoldPlan",
     "TokenizerConfig",
+    "TokenMapping",
     "TypeTable",
     "load_corpus",
     "make_folds",
@@ -132,7 +133,6 @@ __all__ = [
     "TruncateNormalizer",
     "MappingNormalizer",
     "ExternalNormalizer",
-    "TokenMapping",
     "load_mapping",
     "type_mapping",
     "AnldResult",

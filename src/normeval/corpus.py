@@ -3,10 +3,11 @@ and fold planning.
 
 A run tokenizes its corpus once, into a :class:`TypeTable`: the distinct
 tokens and every document as an array of their ids. Normalization,
-CR, ANLD, IRS and the fold TF-IDF all read that table. Each whitespace
-token is stripped of edge punctuation by one ``str.strip`` over the
-punctuation characters of the whole corpus, so tokenization keeps no
-state per raw token, only the types and their ids.
+CR, ANLD, IRS and the fold TF-IDF all read that table, and a
+normalizer's stems of its types are one :class:`TokenMapping` of stem
+ids. Each whitespace token is stripped of edge punctuation by one
+``str.strip`` over the punctuation characters of the whole corpus, so
+tokenization keeps no state per raw token, only the types and their ids.
 
 All structures produced here are immutable after construction and safe to
 share across threads.
@@ -18,13 +19,12 @@ import csv
 import logging
 import unicodedata
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
 
-from .errors import CorpusError
+from .errors import CorpusError, NormalizerError
 
 log = logging.getLogger(__name__)
 
@@ -185,10 +185,9 @@ class TypeTable:
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
-    def occurrence_counts(self) -> Counter[str]:
-        """How often each type occurs, in first-seen order."""
-        counts = np.bincount(self.ids, minlength=len(self.types)).tolist()
-        return Counter(dict(zip(self.types, counts)))
+    def occurrence_counts(self) -> np.ndarray:
+        """How often each type occurs, as int64 in type order."""
+        return np.bincount(self.ids, minlength=len(self.types))
 
     def select(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The ids and indptr of the documents at ``rows``, in that order."""
@@ -197,24 +196,49 @@ class TypeTable:
         nonempty = lens > 0  # _ranges takes no empty range
         return self.ids[_ranges(starts[nonempty], lens[nonempty])], _cumulative(lens)
 
-    def relabel(self, labels) -> tuple[TypeTable, np.ndarray]:
-        """The table with type ``types[i]`` replaced by ``labels[i]`` and
-        the types labelled '' dropped, and the mask of the documents
-        holding a type it changes, labelled '' or another string. The new
-        types are the distinct non-empty labels in first-seen order."""
-        labels = list(labels)
-        if len(labels) != len(self.types):
-            raise CorpusError(f"{len(labels)} labels for {len(self.types)} types")
-        # '' takes id 0, so one less is -1 for it and first-seen ids for the rest
-        new_ids = _TypeIds({"": 0})
-        id_of_type = np.fromiter(map(new_ids.__getitem__, labels), np.int32, len(labels)) - 1
-        changed_type = np.fromiter(map(str.__ne__, labels, self.types), bool, len(labels))
-        changed_type |= id_of_type < 0
-        ids = id_of_type[self.ids]
+    def relabel(self, mapping: TokenMapping) -> tuple[TypeTable, np.ndarray]:
+        """The table with each type replaced by its stem in ``mapping``
+        and the types of empty stem dropped, and the mask of the
+        documents holding a type it changes, to an empty or another
+        stem. The new types are ``mapping.stems``."""
+        if mapping.types != self.types:
+            raise CorpusError(f"mapping of {len(mapping.types)} other types for {len(self.types)} types")
+        stems = mapping.type_stems()
+        changed_type = np.fromiter(map(str.__ne__, stems, self.types), bool, len(stems))
+        changed_type |= mapping.labels < 0
+        ids = mapping.labels[self.ids]
         kept = ids >= 0
         changed = np.diff(_cumulative(changed_type[self.ids])[self.indptr]) > 0
-        table = TypeTable(list(new_ids)[1:], ids[kept], _cumulative(kept)[self.indptr])
-        return table, changed
+        return TypeTable(mapping.stems, ids[kept], _cumulative(kept)[self.indptr]), changed
+
+
+@dataclass(frozen=True, eq=False)
+class TokenMapping:
+    """A normalizer's stems of the distinct ``types``: ``stems`` are the
+    distinct non-empty stems in first-seen order, ``labels`` the int32
+    stem id of each type (-1 for an empty stem), and ``counts`` the
+    int64 occurrences of each type."""
+
+    types: list[str]
+    stems: list[str]
+    labels: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of(cls, types: list[str], stems: list[str], counts) -> TokenMapping:
+        """The mapping of ``types[i]`` to ``stems[i]``, occurring
+        ``counts[i]`` times; the stems are numbered here, once."""
+        counts = np.asarray(counts, np.int64)
+        if not len(stems) == len(counts) == len(types):
+            raise NormalizerError(f"{len(stems)} stems and {len(counts)} counts for {len(types)} types")
+        # '' takes id 0, so one less is -1 for it and first-seen ids for the rest
+        stem_ids = _TypeIds({"": 0})
+        labels = np.fromiter(map(stem_ids.__getitem__, stems), np.int32, len(stems)) - 1
+        return cls(types, list(stem_ids)[1:], labels, counts)
+
+    def type_stems(self) -> list[str]:
+        """The stem of each type, in type order; '' for an empty stem."""
+        return list(map([*self.stems, ""].__getitem__, self.labels.tolist()))
 
 
 def _punctuation(texts: list[str]) -> str:

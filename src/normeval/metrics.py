@@ -9,9 +9,10 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 
+from .corpus import TokenMapping
 from .errors import MetricError
-from .normalizers import TokenMapping
 
 # ANLD's pair weightings; the first is the default
 WEIGHTINGS = ("by_occurrence", "by_type")
@@ -129,23 +130,23 @@ def _check_weighting(weighting: str) -> None:
 
 
 def _pair_distances(mapping: TokenMapping) -> list[float]:
-    """The normalized distance of every pair, in mapping order."""
-    if not mapping.pairs:
+    """The normalized distance of every pair, in type order."""
+    if not mapping.types:
         raise MetricError("cannot compute distance average over an empty token mapping")
-    if "" in mapping.pairs:
+    if "" in mapping.types:
         raise MetricError("token mapping contains an empty original token")
-    return [levenshtein(original, stem) / len(original) for original, stem in mapping.pairs.items()]
+    pairs = zip(mapping.types, mapping.type_stems())
+    return [levenshtein(original, stem) / len(original) for original, stem in pairs]
 
 
 def _weighted_anld(
     mapping: TokenMapping, distances: list[float], weighting: str, worst_n: int
 ) -> AnldResult:
-    by_occurrence = weighting == WEIGHTINGS[0]
+    weights = mapping.counts.tolist() if weighting == WEIGHTINGS[0] else repeat(1.0)
     total = 0.0
     weight_sum = 0.0
     over_unit = 0
-    for original, d in zip(mapping.pairs, distances):
-        w = mapping.occurrence_counts.get(original, 0) if by_occurrence else 1.0
+    for d, w in zip(distances, weights):
         total += d * w
         weight_sum += w
         if d > 1.0:
@@ -154,15 +155,15 @@ def _weighted_anld(
         raise MetricError("token mapping has zero total occurrence weight")
     # tuples for the worst pairs only: a tuple per pair, kept alive at once,
     # sets off the cyclic garbage collector at corpus scale
-    originals = list(mapping.pairs)
-    stems = list(mapping.pairs.values())
+    types = mapping.types
     worst = heapq.nsmallest(
-        worst_n, range(len(distances)), key=lambda i: (-distances[i], originals[i])
+        worst_n, range(len(distances)), key=lambda i: (-distances[i], types[i])
     )
+    stems = [mapping.stems[label] if label >= 0 else "" for label in mapping.labels[worst].tolist()]
     return AnldResult(
         anld=total / weight_sum,
-        pair_count=len(mapping.pairs),
+        pair_count=len(types),
         over_unit_pairs=over_unit,
-        worst_pairs=tuple((originals[i], stems[i], distances[i]) for i in worst),
+        worst_pairs=tuple(zip([types[i] for i in worst], stems, [distances[i] for i in worst])),
         weighting=weighting,
     )

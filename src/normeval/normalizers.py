@@ -8,9 +8,10 @@ external adapter speaks a line protocol over the tool's stdin/stdout
 with up to ``EXT_CHUNK_SIZE`` requests in flight.
 
 ``type_mapping`` normalizes each distinct type of a corpus once, through
-one ``Normalizer.normalize_tokens`` call, and records every (original,
-stem) pair with occurrence counts in a :class:`TokenMapping`;
-``corpus.TypeTable.relabel`` applies it to the corpus's type table.
+one ``Normalizer.normalize_tokens`` call, into a ``corpus.TokenMapping``:
+the distinct stems, numbered once, each type's stem id and each type's
+occurrence count. ``corpus.TypeTable.relabel`` applies it to the
+corpus's type table.
 """
 
 from __future__ import annotations
@@ -21,26 +22,13 @@ import logging
 import queue
 import subprocess
 import threading
-from dataclasses import dataclass
 from typing import NoReturn
 
+from .corpus import TokenMapping
 from .errors import NormalizerError
 from .snowball import stem as snowball_stem
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class TokenMapping:
-    """Observed (original -> stem) pairs plus how often each original occurred."""
-
-    pairs: dict[str, str]
-    occurrence_counts: dict[str, int]
-
-    @property
-    def empty_stem_count(self) -> int:
-        """Distinct originals the normalizer mapped to an empty stem."""
-        return sum(1 for stem in self.pairs.values() if not stem)
 
 
 class Normalizer:
@@ -319,12 +307,8 @@ class ExternalNormalizer(Normalizer):
         self.close()
 
 
-def type_mapping(
-    normalizer: Normalizer, types: list[str], occurrence_counts: dict[str, int]
-) -> TokenMapping:
+def type_mapping(normalizer: Normalizer, types: list[str], counts) -> TokenMapping:
     """The mapping of the distinct ``types``, in their order, from one
-    ``normalizer.normalize_tokens`` call, with ``occurrence_counts`` as
-    its counts."""
-    pairs = dict(zip(types, normalizer.normalize_tokens(types), strict=True))
-    return TokenMapping(pairs=pairs, occurrence_counts=occurrence_counts)
-
+    ``normalizer.normalize_tokens`` call, with ``counts`` as their
+    occurrence counts."""
+    return TokenMapping.of(types, normalizer.normalize_tokens(types), counts)

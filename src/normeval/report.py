@@ -19,7 +19,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .corpus import Corpus, TokenizerConfig, TypeTable, load_corpus, make_folds, type_table
+from .corpus import (
+    Corpus, TokenizerConfig, TokenMapping, TypeTable, load_corpus, make_folds, type_table,
+)
 from .downstream import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
@@ -55,7 +57,6 @@ from .normalizers import (
     MappingNormalizer,
     Normalizer,
     SnowballEnglishNormalizer,
-    TokenMapping,
     TruncateNormalizer,
     type_mapping,
 )
@@ -211,13 +212,6 @@ def _load_table(config: RunConfig) -> tuple[Corpus, TypeTable]:
     return corpus, type_table((doc.text for doc in corpus.documents), tokenizer)
 
 
-def _compression(mapping: TokenMapping) -> CompressionResult:
-    """CR of one normalization: distinct originals over distinct non-empty
-    stems. These are the vocabularies of the token streams before and
-    after, since ``TypeTable.relabel`` drops empty stems from the streams."""
-    return compression_ratio(len(mapping.pairs), len(set(filter(None, mapping.pairs.values()))))
-
-
 def _run_normalizers(
     specs: tuple[str, ...],
     table: TypeTable,
@@ -253,7 +247,7 @@ def run_intrinsic(config: RunConfig) -> list[NormalizerReport]:
     def score(name: str, mapping: TokenMapping) -> NormalizerReport:
         return NormalizerReport(
             normalizer=name,
-            compression=_compression(mapping),
+            compression=compression_ratio(len(mapping.types), len(mapping.stems)),
             anld_primary=anld(mapping, weighting=config.anld_weighting, worst_n=config.worst_n),
         )
 
@@ -305,18 +299,18 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     normalizations: list[tuple[TypeTable, np.ndarray]] = []
 
     def score(name: str, mapping: TokenMapping) -> NormalizerReport:
-        compression = _compression(mapping)
+        compression = compression_ratio(len(mapping.types), len(mapping.stems))
         primary, alternate = anld_with_alternate(
             mapping, weighting=config.anld_weighting, worst_n=config.worst_n
         )
-        normalized, changed = table.relabel(mapping.pairs.values())
+        normalized, changed = table.relabel(mapping)
         normalizations.append((normalized, np.flatnonzero(changed)))
         return NormalizerReport(
             normalizer=name,
             compression=compression,
             anld_primary=primary,
             anld_alternate=alternate,
-            empty_stems=mapping.empty_stem_count,
+            empty_stems=int((mapping.labels < 0).sum()),
         )
 
     reports = _run_normalizers(config.normalizers, table, score)

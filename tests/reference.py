@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from normeval import EmbeddingError, EvaluationError, IrsResult, TokenMapping
+from normeval import EmbeddingError, EvaluationError, IrsResult
 from normeval.downstream import LinearClassifier
 from normeval.embeddings import _NGRAM_RANGE
 
@@ -60,11 +60,20 @@ def reference_tokenize_corpus(corpus, config):
     return out
 
 
+def mapping_items(mapping):
+    """A token mapping's (type, stem) and (type, count) pairs in type
+    order, read one label at a time; label -1 reads as the empty stem."""
+    stems = [mapping.stems[label] if label >= 0 else "" for label in mapping.labels.tolist()]
+    return list(zip(mapping.types, stems)), list(zip(mapping.types, mapping.counts.tolist()))
+
+
 def reference_normalize_corpus(normalizer, docs):
     """Normalization one token at a time: each distinct token in
     first-seen order through ``normalize_token``, then every document
     rebuilt unless none of its tokens changed (an empty stem is a
-    change, and is dropped from the stream)."""
+    change, and is dropped from the stream). Returns the documents and
+    the ``(pairs, counts)`` dicts: each distinct token's stem and how
+    often it occurs, in first-seen order."""
     occurrence = Counter()
     for doc in docs:
         occurrence.update(doc.tokens)
@@ -76,7 +85,7 @@ def reference_normalize_corpus(normalizer, docs):
         else:
             stems = tuple(pairs[token] for token in doc.tokens if pairs[token])
             normalized.append(Doc(doc.doc_id, stems))
-    return normalized, TokenMapping(pairs=pairs, occurrence_counts=dict(occurrence))
+    return normalized, (pairs, dict(occurrence))
 
 
 def reference_token_vector(provider, token):

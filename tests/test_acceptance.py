@@ -22,6 +22,7 @@ from normeval import (
     HashedNgramProvider,
     IdentityNormalizer,
     SnowballEnglishNormalizer,
+    TokenMapping,
     TruncateNormalizer,
     VectorFileProvider,
     anld,
@@ -155,7 +156,8 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     # identity on the bundled corpus scores exactly 1.0
     corpus = load_corpus(mini_corpus_path())
     table = type_table(doc.text for doc in corpus.documents)
-    normalized, changed = table.relabel(table.types)
+    identity_map = type_mapping(IdentityNormalizer(), table.types, table.occurrence_counts())
+    normalized, changed = table.relabel(identity_map)
     provider = HashedNgramProvider(dim=256, seed=0)
     doc_ids = [doc.id for doc in corpus.documents]
     [result] = irs(provider, doc_ids, table, [(normalized, np.flatnonzero(changed))])
@@ -167,7 +169,7 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     vec_path.write_text("3 2\nkeep 1 0\nnorth 0 1\neast 1 0\n", encoding="utf-8")
     provider = VectorFileProvider(str(vec_path))
     original = table_of([["keep"], ["north"]])
-    normalized, changed = original.relabel(["keep", "east"])
+    normalized, changed = original.relabel(TokenMapping.of(original.types, ["keep", "east"], [1, 1]))
     rows = np.flatnonzero(changed)
     [result] = irs(provider, ["d1", "d2"], original, [(normalized, rows)])
     assert abs(result.irs - 0.5) < 1e-9
@@ -204,7 +206,7 @@ def test_criterion_07_mpd_null_and_delta_arithmetic():
         spec = make_classifier_spec(kind, seed=42)
         [[baseline]] = cross_validate_features(split, [fold_features(table, split)], [spec], ["original"])
         identity_map = type_mapping(IdentityNormalizer(), table.types, table.occurrence_counts())
-        identity_table, _ = table.relabel(identity_map.pairs.values())
+        identity_table, _ = table.relabel(identity_map)
         [[identity]] = cross_validate_features(
             split, [fold_features(identity_table, split)], [spec], ["normalized"]
         )

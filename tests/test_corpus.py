@@ -271,10 +271,11 @@ class TestCountOccurrences:
             ),
             labels=frozenset({"x"}),
         )
-        counts = type_table(doc.text for doc in corpus.documents).occurrence_counts()
-        assert counts == {"a": 2, "b": 2, "c": 1}
-        assert list(counts) == ["b", "a", "c"]
-        assert len(counts) == 3
+        table = type_table(doc.text for doc in corpus.documents)
+        counts = table.occurrence_counts()
+        assert dict(zip(table.types, counts.tolist())) == {"a": 2, "b": 2, "c": 1}
+        assert table.types == ["b", "a", "c"]
+        assert counts.tolist() == [2, 2, 1] and counts.dtype == "int64"
 
 
 class TestMakeFolds:

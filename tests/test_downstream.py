@@ -619,7 +619,7 @@ def corpus_table(corpus, normalizer=None):
     if normalizer is None:
         return table
     mapping = type_mapping(normalizer, table.types, table.occurrence_counts())
-    return table.relabel(mapping.pairs.values())[0]
+    return table.relabel(mapping)[0]
 
 
 def corpus_split(corpus, k, seed):

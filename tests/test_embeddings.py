@@ -23,6 +23,7 @@ from normeval import (
     HttpServiceProvider,
     RunConfig,
     TokenizerConfig,
+    TokenMapping,
     VectorFileProvider,
     build_normalizer,
     cosine_with_flag,
@@ -664,6 +665,11 @@ def rows(*indices):
     return np.array(indices, dtype=np.intp)
 
 
+def relabelled(table, stems):
+    """``table`` relabelled by the stem of each of its types, in order."""
+    return table.relabel(TokenMapping.of(table.types, list(stems), table.occurrence_counts()))
+
+
 def irs_of(provider, doc_ids, original, normalized, changed):
     """The IrsResult of one normalization through irs; its EmbeddingError
     is raised."""
@@ -686,7 +692,7 @@ class TestIrs:
     def test_identity_corpus_scores_exactly_one(self):
         provider = HashedNgramProvider(dim=32)
         table = table_of([["the", "runner"], ["ran", "fast"]])
-        normalized, changed = table.relabel(table.types)
+        normalized, changed = relabelled(table, table.types)
         assert not changed.any()
         result = irs_of(provider, ["d1", "d2"], table, normalized, rows())
         assert result.irs == 1.0
@@ -696,7 +702,7 @@ class TestIrs:
     def test_half_identical_half_orthogonal(self):
         provider = FixedProvider({("x",): [1, 0], ("y",): [0, 1], ("z",): [1, 0]})
         table = table_of([["x"], ["y"]])
-        normalized, changed = table.relabel(["z", "x"])
+        normalized, changed = relabelled(table, ["z", "x"])
         result = irs_of(provider, ["d1", "d2"], table, normalized, np.flatnonzero(changed))
         assert result.irs == pytest.approx(0.5)
         assert dict(result.per_doc) == {"d1": 1.0, "d2": 0.0}
@@ -914,7 +920,7 @@ class TestBatchedIrs:
         n = 8 * _EMBED_BLOCK
         table = table_of([f"w{i % 50}", f"v{i % 7}"] for i in range(n))
         # every document keeps its first token only
-        normalized, changed = table.relabel(t if t[0] == "w" else "" for t in table.types)
+        normalized, changed = relabelled(table, (t if t[0] == "w" else "" for t in table.types))
         ids = [f"d{i}" for i in range(n)]
         tracemalloc.start()
         try:
@@ -973,7 +979,7 @@ class TestIrsSkipsUnchangedDocuments:
     def test_identity_embeds_no_normalized_document(self):
         provider = CountingProvider(dim=16)
         table = table_of(self.ORIGINAL)
-        normalized, changed = table.relabel(table.types)
+        normalized, changed = relabelled(table, table.types)
         result = irs_of(provider, self.IDS, table, normalized, np.flatnonzero(changed))
         # the originals, in one block, and nothing else
         assert provider.embedded == [tuple(tokens) for tokens in self.ORIGINAL]

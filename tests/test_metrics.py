@@ -224,10 +224,9 @@ class TestCompressionRatio:
 
 
 def mapping(pairs, counts=None):
-    return TokenMapping(
-        pairs=dict(pairs),
-        occurrence_counts=counts or {orig: 1 for orig in dict(pairs)},
-    )
+    pairs = dict(pairs)
+    counts = counts or {orig: 1 for orig in pairs}
+    return TokenMapping.of(list(pairs), list(pairs.values()), [counts[orig] for orig in pairs])
 
 
 class TestAnld:
@@ -310,7 +309,7 @@ class TestAnld:
 
         monkeypatch.setattr(metrics, "levenshtein", counting)
         assert metrics.anld_with_alternate(m, weighting, worst_n=2) == expected
-        assert len(calls) == len(m.pairs)
+        assert len(calls) == len(m.types)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -355,7 +354,7 @@ class TestTruncationLadder:
         crs, by_occurrence, by_type = [], [], []
         for k in range(2, 9):
             m = type_mapping(TruncateNormalizer(k), table.types, counts)
-            normalized, _ = table.relabel(m.pairs.values())
+            normalized, _ = table.relabel(m)
             crs.append(compression_ratio(len(table.types), len(normalized.types)).cr)
             by_occurrence.append(anld(m, "by_occurrence").anld)
             by_type.append(anld(m, "by_type").anld)

@@ -23,7 +23,7 @@ from normeval import (
 )
 from normeval.corpus import table_of
 from normeval.normalizers import EXT_CHUNK_SIZE, EXT_MAX_REPLY_CHARS
-from reference import table_tokens
+from reference import mapping_items, table_tokens
 
 # Line-protocol test double: OK replies truncate to 4 chars, the token
 # "boom" draws an ERR reply, the token "hang" draws no reply at all.
@@ -91,7 +91,8 @@ def multibyte_tokens(count):
 
 def old_normalize_corpus(normalizer, token_lists):
     """The per-token loop corpus normalization ran before it batched
-    types: the stems of each document, and the mapping."""
+    types: the stems of each document, and the ``(pairs, counts)`` dicts
+    of each distinct token's stem and occurrences."""
     cache = {}
     occurrence = Counter()
     normalized = []
@@ -107,7 +108,7 @@ def old_normalize_corpus(normalizer, token_lists):
             if stem:
                 out.append(stem)
         normalized.append(tuple(out))
-    return normalized, TokenMapping(pairs=cache, occurrence_counts=dict(occurrence))
+    return normalized, (cache, dict(occurrence))
 
 
 class TestBuiltinNormalizers:
@@ -168,24 +169,26 @@ class TestNormalizeCorpus:
     def test_order_and_boundaries_preserved(self):
         table = table_of([["alpha", "beta"], ["gamma"]])
         mapping = type_mapping(TruncateNormalizer(2), table.types, table.occurrence_counts())
-        normalized, _ = table.relabel(mapping.pairs.values())
+        normalized, _ = table.relabel(mapping)
         assert table_tokens(normalized) == [("al", "be"), ("ga",)]
-        assert mapping.pairs == {"alpha": "al", "beta": "be", "gamma": "ga"}
+        assert mapping_items(mapping)[0] == [("alpha", "al"), ("beta", "be"), ("gamma", "ga")]
 
     def test_occurrence_counts(self):
         table = table_of([["a", "b", "a"], ["a"]])
         mapping = type_mapping(IdentityNormalizer(), table.types, table.occurrence_counts())
-        assert mapping.occurrence_counts == {"a": 3, "b": 1}
+        assert mapping_items(mapping)[1] == [("a", 3), ("b", 1)]
+        assert mapping.counts.dtype == "int64"
 
     def test_shared_occurrence_counts_give_the_same_mapping(self):
         table = table_of([["b", "a", "b"], [], ["c", "a"]])
         counts = table.occurrence_counts()
         for normalizer in (IdentityNormalizer(), TruncateNormalizer(1)):
             mapping = type_mapping(normalizer, table.types, counts)
-            assert mapping == type_mapping(normalizer, table.types, table.occurrence_counts())
-            assert list(mapping.pairs) == ["b", "a", "c"]
-            assert mapping.occurrence_counts is counts
-        assert counts == {"b": 2, "a": 2, "c": 1}
+            again = type_mapping(normalizer, table.types, table.occurrence_counts())
+            assert mapping_items(mapping) == mapping_items(again)
+            assert mapping.types == ["b", "a", "c"]
+            assert mapping.counts is counts
+        assert counts.tolist() == [2, 2, 1]
 
     def test_memoizes_per_token_type(self):
         calls = []
@@ -206,22 +209,45 @@ class TestNormalizeCorpus:
         path.write_text("junk\t\n", encoding="utf-8")
         table = table_of([["keep", "junk", "also"]])
         mapping = type_mapping(MappingNormalizer(str(path)), table.types, table.occurrence_counts())
-        normalized, _ = table.relabel(mapping.pairs.values())
+        normalized, _ = table.relabel(mapping)
         assert table_tokens(normalized) == [("keep", "also")]
-        assert mapping.pairs["junk"] == ""
-        assert mapping.empty_stem_count == 1
+        assert mapping_items(mapping)[0] == [("keep", "keep"), ("junk", ""), ("also", "also")]
+        assert mapping.stems == ["keep", "also"]
+        assert mapping.labels.tolist() == [0, -1, 1]
 
     def test_changed_documents_are_flagged(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("junk\t\nsame\tsame\nrun\tru\n", encoding="utf-8")
         table = table_of([["keep", "same"], ["keep", "junk"], [], ["run"], ["same"], ["", "keep"]])
         mapping = type_mapping(MappingNormalizer(str(path)), table.types, table.occurrence_counts())
-        normalized, changed = table.relabel(mapping.pairs.values())
+        normalized, changed = table.relabel(mapping)
         assert changed.tolist() == [False, True, False, True, False, True]
         # an empty stem is a change, even that of an empty token
         stems = table_tokens(normalized)
         assert stems[1] == stems[5] == ("keep",)
         assert stems[3] == ("ru",)
+
+
+class ShortNormalizer(Normalizer):
+    """Returns one stem fewer than it is given tokens."""
+
+    name = "short"
+
+    def normalize_tokens(self, tokens):
+        return tokens[:-1]
+
+
+class TestMappingLengths:
+    def test_wrong_length_normalizer_output_is_a_normalizer_error(self):
+        table = table_of([["a", "b", "a"], ["c"]])
+        with pytest.raises(NormalizerError, match="^2 stems and 3 counts for 3 types$"):
+            type_mapping(ShortNormalizer(), table.types, table.occurrence_counts())
+
+    @pytest.mark.parametrize("counts", [[3], [3, 1, 1]])
+    def test_counts_of_another_length_rejected(self, counts):
+        # a type missing from the counts must not be weighted 0
+        with pytest.raises(NormalizerError, match=f"^2 stems and {len(counts)} counts for 2 types$"):
+            TokenMapping.of(["ab", "cd"], ["a", "cd"], counts)
 
 
 class TestExternalNormalizer:
@@ -269,9 +295,9 @@ class TestExternalNormalizer:
         table = table_of([["stemming", "stems"]])
         with ExternalNormalizer(self.command()) as n:
             mapping = type_mapping(n, table.types, table.occurrence_counts())
-        normalized, _ = table.relabel(mapping.pairs.values())
+        normalized, _ = table.relabel(mapping)
         assert table_tokens(normalized) == [("stem", "stem")]
-        assert mapping.pairs == {"stemming": "stem", "stems": "stem"}
+        assert mapping_items(mapping)[0] == [("stemming", "stem"), ("stems", "stem")]
 
 
 class RecordingCollapser(Normalizer):
@@ -303,13 +329,22 @@ class TestNormalizeCorpusBatched:
         table = table_of(token_lists)
         normalizer = RecordingCollapser()
         mapping = type_mapping(normalizer, table.types, table.occurrence_counts())
-        normalized, _ = table.relabel(mapping.pairs.values())
-        expected_docs, expected = old_normalize_corpus(RecordingCollapser(), token_lists)
+        normalized, _ = table.relabel(mapping)
+        expected_docs, (pairs, counts) = old_normalize_corpus(RecordingCollapser(), token_lists)
         assert table_tokens(normalized) == expected_docs
-        assert list(mapping.pairs.items()) == list(expected.pairs.items())
-        assert list(mapping.occurrence_counts.items()) == list(expected.occurrence_counts.items())
+        assert mapping_items(mapping) == (list(pairs.items()), list(counts.items()))
         first_seen = list(dict.fromkeys(t for tokens in token_lists for t in tokens))
         assert normalizer.calls == [first_seen]
+        # the stems: distinct, non-empty and in first-seen order; every
+        # label a stem id or -1, every stem id used, and each type's stem
+        # read back through its label the normalizer's output
+        stems, labels = mapping.stems, mapping.labels.tolist()
+        assert stems == list(dict.fromkeys(filter(None, pairs.values())))
+        assert mapping.labels.dtype == "int32"
+        assert set(labels) <= set(range(-1, len(stems)))
+        assert set(range(len(stems))) <= set(labels)
+        stem_of = [stems[label] if label >= 0 else "" for label in labels]
+        assert stem_of == [RecordingCollapser().normalize_token(t) for t in first_seen]
 
 
 class TestExternalPipeline:

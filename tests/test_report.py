@@ -34,15 +34,18 @@ from normeval import (
     load_corpus,
     make_folds,
     run_evaluation,
+    run_intrinsic,
     safety_gate,
     type_mapping,
+    type_table,
 )
 from normeval import downstream
 from normeval.cli import main
 from normeval.corpus import TypeTable, table_of
 from normeval.data import mini_corpus_path
 from normeval.report import report_json
-from reference import reference_normalize_corpus, reference_tokenize_corpus
+from reference import mapping_items, reference_normalize_corpus, reference_tokenize_corpus
+from test_normalizers import ShortNormalizer
 
 DATA = Path(__file__).parent / "data"
 
@@ -293,6 +296,17 @@ class TestRunEvaluation:
             assert report.compression == expected
         assert reports[1].empty_stems == 1
 
+    @pytest.mark.parametrize("run", [run_evaluation, run_intrinsic])
+    def test_wrong_length_normalizer_output_is_its_failure_entry(self, run, corpus_path, monkeypatch):
+        monkeypatch.setattr(
+            "normeval.report.build_normalizer",
+            lambda spec: ShortNormalizer() if spec == "short" else build_normalizer(spec),
+        )
+        short, kept = run(toy_config(corpus_path, normalizers=("short", "identity"), classifiers=()))
+        types = len(type_table(row.split("\t")[0] for row in CORPUS_ROWS).types)
+        assert short.error == f"{types - 1} stems and {types} counts for {types} types"
+        assert not kept.failed
+
     def test_no_classifiers_skips_downstream(self, corpus_path):
         reports = run_evaluation(toy_config(corpus_path, classifiers=()))
         assert reports[0].deltas == ()
@@ -481,8 +495,9 @@ class TestOccurrencesCountedOnce:
         assert len(counted) == 1 and len(mappings) == len(specs)
         docs = reference_tokenize_corpus(load_corpus(corpus_path), TokenizerConfig())
         for spec, mapping in zip(specs, mappings):
-            assert mapping == reference_normalize_corpus(build_normalizer(spec), docs)[1]
-            assert mapping.occurrence_counts is mappings[0].occurrence_counts
+            pairs, counts = reference_normalize_corpus(build_normalizer(spec), docs)[1]
+            assert mapping_items(mapping) == (list(pairs.items()), list(counts.items()))
+            assert mapping.counts is mappings[0].counts
 
 
 def hand_built_report(irs=0.91):

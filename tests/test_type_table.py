@@ -16,6 +16,7 @@ from normeval import (
     Document,
     EvaluationError,
     HashedNgramProvider,
+    IdentityNormalizer,
     RunConfig,
     TokenizerConfig,
     build_normalizer,
@@ -31,6 +32,7 @@ from normeval.corpus import table_of
 from normeval.data import mini_corpus_path
 from normeval.downstream import table_tfidf
 from reference import (
+    mapping_items,
     reference_document_vector,
     reference_normalize_corpus,
     reference_tfidf_fit,
@@ -92,7 +94,7 @@ class TestTableAgainstPerDocumentPath:
                     fh.writelines(f"{token}\t{stem}\n" for token, stem in stems.items())
             normalizer = build_normalizer(spec)
         docs = reference_tokenize_corpus(corpus, config)
-        ref_docs, ref_mapping = reference_normalize_corpus(normalizer, docs)
+        ref_docs, (ref_pairs, ref_counts) = reference_normalize_corpus(normalizer, docs)
         ref_changed = [i for i, (a, b) in enumerate(zip(docs, ref_docs)) if a is not b]
         doc_ids = [doc.id for doc in corpus.documents]
 
@@ -100,9 +102,8 @@ class TestTableAgainstPerDocumentPath:
         table = type_table((doc.text for doc in corpus.documents), config)
         assert table_tokens(table) == [doc.tokens for doc in docs]
         mapping = type_mapping(normalizer, table.types, table.occurrence_counts())
-        assert list(mapping.pairs.items()) == list(ref_mapping.pairs.items())
-        assert list(mapping.occurrence_counts.items()) == list(ref_mapping.occurrence_counts.items())
-        normalized, changed = table.relabel(mapping.pairs.values())
+        assert mapping_items(mapping) == (list(ref_pairs.items()), list(ref_counts.items()))
+        normalized, changed = table.relabel(mapping)
         assert table_tokens(normalized) == [doc.tokens for doc in ref_docs]
         assert np.flatnonzero(changed).tolist() == ref_changed
 
@@ -148,11 +149,17 @@ class TestTableAgainstPerDocumentPath:
         expected = reference_tokenize_corpus(corpus, TokenizerConfig())
         assert table_tokens(table) == [doc.tokens for doc in expected]
 
-    @pytest.mark.parametrize("n_labels", [2, 4])
+    @pytest.mark.parametrize("n_labels", [2, 3, 4])
     def test_relabel_with_another_label_count_rejected(self, n_labels):
+        # the mapping of another table, of as many types or not
         table = type_table(["run ran", "runs"])
-        with pytest.raises(CorpusError, match=f"^{n_labels} labels for 3 types$"):
-            table.relabel(["x", "y", "z", "w"][:n_labels])
+        other = table_of([["x", "y", "z", "w"][:n_labels]])
+        mapping = type_mapping(IdentityNormalizer(), other.types, other.occurrence_counts())
+        with pytest.raises(CorpusError, match=f"^mapping of {n_labels} other types for 3 types$"):
+            table.relabel(mapping)
+        # equal types in another list are the table's own
+        mapping = type_mapping(IdentityNormalizer(), list(table.types), table.occurrence_counts())
+        assert table_tokens(table.relabel(mapping)[0]) == table_tokens(table)
 
 
 MINI_SPECS = ("identity", "snowball-en", "truncate:3")
@@ -182,7 +189,7 @@ class TestRunPathStructure:
         built = set()
         expected = []
         for stems in [table.types] + [
-            table.relabel(type_mapping(build_normalizer(spec), table.types, counts).pairs.values())[0].types
+            table.relabel(type_mapping(build_normalizer(spec), table.types, counts))[0].types
             for spec in MINI_SPECS
         ]:
             new = [stem for stem in stems if stem not in built]
