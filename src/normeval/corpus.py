@@ -227,10 +227,14 @@ class TokenMapping:
     @classmethod
     def of(cls, types: list[str], stems: list[str], counts) -> TokenMapping:
         """The mapping of ``types[i]`` to ``stems[i]``, occurring
-        ``counts[i]`` times; the stems are numbered here, once."""
+        ``counts[i]`` times; the stems are numbered here, once. A stem
+        that is not a ``str`` is a NormalizerError naming its token."""
         counts = np.asarray(counts, np.int64)
         if not len(stems) == len(counts) == len(types):
             raise NormalizerError(f"{len(stems)} stems and {len(counts)} counts for {len(types)} types")
+        for token, stem in zip(types, stems):
+            if not isinstance(stem, str):
+                raise NormalizerError(f"the stem of {token!r} is {stem!r}, not a str")
         # '' takes id 0, so one less is -1 for it and first-seen ids for the rest
         stem_ids = _TypeIds({"": 0})
         labels = np.fromiter(map(stem_ids.__getitem__, stems), np.int32, len(stems)) - 1

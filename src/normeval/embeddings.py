@@ -243,28 +243,13 @@ def _token_bins(tokens: list[str], index: _GramIndex) -> tuple[np.ndarray, np.nd
     return np.bincount(token_of, minlength=len(tokens)), bins
 
 
-def _append(table: np.ndarray, used: int, extra: np.ndarray) -> np.ndarray:
-    """``table[:used]`` followed by ``extra``: in ``table`` itself when it
-    has room, else in a new array at least twice as long, so a table
-    grown by many small calls is copied O(log n) times. The room past
-    the end is not written until it is used, so in a large table its
-    pages stay out of the resident set."""
-    end = used + len(extra)
-    if end > len(table):
-        grown = np.empty(max(end, 2 * len(table)), table.dtype)
-        grown[:used] = table[:used]
-        table = grown
-    table[used:end] = extra
-    return table
-
-
 # documents pooled by one np.bincount, and original documents embedded,
 # and changed documents of one normalization embedded and scored, at a
 # time by irs; bounds the count matrix at _EMBED_BLOCK x 2 dim, and irs's
 # original rows, and the held rows of each normalization, at
 # _EMBED_BLOCK x dim each
-_EMBED_BLOCK = 512
-# new tokens whose bins are built in one pass; bounds its temporaries
+_EMBED_BLOCK = 128
+# tokens whose bins are built in one pass; bounds its temporaries
 _BUILD_CHUNK = 2048
 
 
@@ -279,22 +264,20 @@ class HashedNgramProvider(EmbeddingProvider):
     token vectors. Hashing is keyed blake2b, so vectors are identical
     across runs and platforms for a fixed (dim, seed).
 
-    Each gram is hashed once per provider (see :class:`_GramIndex`), and
-    each token is stored once as the bins of its distinct grams, the
-    sign folded into the bin: a row of one CSR table, ``_bins[_indptr[row]
-    : _indptr[row + 1]]``, where ``_token_cache`` maps the token to its
-    row; both arrays keep room to grow (see :func:`_append`). A bin takes
-    two bytes while ``2 dim <= 2**16``.
-    ``id_embedder`` builds the rows of a vocabulary's new tokens in one
-    numpy pass per ``_BUILD_CHUNK`` of them (see :func:`_token_bins`) and
-    keeps the row of each vocabulary id, so that documents given as ids
-    are pooled from rows; ``embed_documents`` numbers its tokens in a
-    :class:`TypeTable` and goes the same way. A block of documents is
-    pooled by one integer histogram over the bins of all its tokens,
-    offset by document; a document vector is then (positive - negative
-    counts) / token count. The counts are exact integers and the
-    division is one float64 operation, so the vector equals the float64
-    mean of the token vectors whatever the summation order.
+    Each gram is hashed once per provider (see :class:`_GramIndex`), the
+    provider's only lasting state. ``id_embedder`` builds a table of its
+    vocabulary in one numpy pass per ``_BUILD_CHUNK`` tokens (see
+    :func:`_token_bins`): each token stored as the bins of its distinct
+    grams, the sign folded into the bin, a row per vocabulary id of one
+    CSR table (an indptr and its bins). A bin takes two bytes while
+    ``2 dim <= 2**16``. Only the function it returns holds the table, so
+    the table is freed with the function; ``embed_documents`` numbers
+    its tokens in a :class:`TypeTable` and goes the same way. A block of
+    documents is pooled by one integer histogram over the bins of all
+    its tokens, offset by document; a document vector is then (positive
+    - negative counts) / token count. The counts are exact integers and
+    the division is one float64 operation, so the vector equals the
+    float64 mean of the token vectors whatever the summation order.
     """
 
     def __init__(self, dim: int = 256, seed: int = 0):
@@ -309,81 +292,59 @@ class HashedNgramProvider(EmbeddingProvider):
         self._offset_type = np.int32 if 2 * dim * _EMBED_BLOCK < 2**31 else np.int64
         bin_type = np.uint16 if 2 * dim <= 2**16 else self._offset_type
         self._grams = _GramIndex(dim, seed.to_bytes(8, "little", signed=True), bin_type)
-        self._token_cache: dict[str, int] = {}
-        self._indptr = np.zeros(1, np.int64)
-        self._bins = np.zeros(0, bin_type)
-
-    def _add_tokens(self, tokens: list[str]) -> None:
-        """Give every one of the distinct ``tokens`` not yet in the table
-        its row, building their bins ``_BUILD_CHUNK`` tokens at a time."""
-        cache = self._token_cache
-        new = list(itertools.filterfalse(cache.__contains__, tokens))
-        if not new:
-            return
-        # grams are hashed as UTF-8, which a lone surrogate has no form
-        # in; checked before any state changes, so the provider stays usable
-        try:
-            "".join(new).encode("utf-8")
-        except UnicodeEncodeError as exc:
-            token = new[bisect.bisect_right(list(itertools.accumulate(map(len, new))), exc.start)]
-            raise EmbeddingError(
-                f"token {token!r} holds a lone surrogate, which cannot be encoded as UTF-8"
-            ) from None
-        counts, bins = [], []
-        for start in range(0, len(new), _BUILD_CHUNK):
-            chunk = new[start : start + _BUILD_CHUNK]
-            chunk_counts, chunk_bins = _token_bins(chunk, self._grams)
-            counts.append(chunk_counts)
-            bins.append(chunk_bins)
-        rows = len(cache)
-        used = int(self._indptr[rows])
-        ends = used + np.cumsum(np.concatenate(counts))
-        self._indptr = _append(self._indptr, rows + 1, ends)
-        self._bins = _append(self._bins, used, np.concatenate(bins))
-        cache.update(zip(new, range(rows, rows + len(new))))
 
     def embed_documents(self, token_lists: list[list[str]]) -> np.ndarray:
         table = table_of(token_lists)
         return self.id_embedder(table.types)(table.ids, table.indptr)
 
     def id_embedder(self, vocabulary: list[str]):
-        """Every new token of ``vocabulary`` gets its row here, in one
-        pass; the function pools the rows of the ids."""
-        self._add_tokens(vocabulary)
-        row_of = np.fromiter(
-            map(self._token_cache.__getitem__, vocabulary), np.intp, len(vocabulary)
-        )
-        return lambda ids, indptr: self._embed_rows(row_of[ids], indptr)
+        """Build the table of ``vocabulary``, ``_BUILD_CHUNK`` tokens at a
+        time; the function pools the table's rows of the ids."""
+        # grams are hashed as UTF-8, which a lone surrogate has no form
+        # in; checked before the index changes, so the provider stays usable
+        try:
+            "".join(vocabulary).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            at = bisect.bisect_right(list(itertools.accumulate(map(len, vocabulary))), exc.start)
+            raise EmbeddingError(
+                f"token {vocabulary[at]!r} holds a lone surrogate, which cannot be encoded as UTF-8"
+            ) from None
+        counts, bins = [np.zeros(1, np.intp)], [np.zeros(0, self._grams.dtype)]
+        for start in range(0, len(vocabulary), _BUILD_CHUNK):
+            chunk_counts, chunk_bins = _token_bins(
+                vocabulary[start : start + _BUILD_CHUNK], self._grams
+            )
+            counts.append(chunk_counts)
+            bins.append(chunk_bins)
+        table = np.concatenate(counts).cumsum(), np.concatenate(bins)
+        return lambda ids, indptr: self._embed_rows(*table, ids, indptr)
 
-    def _embed_rows(self, rows: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    def _embed_rows(
+        self, token_indptr: np.ndarray, bins: np.ndarray, rows: np.ndarray, indptr: np.ndarray
+    ) -> np.ndarray:
         """The mean token vectors of the documents ``rows[indptr[i] :
-        indptr[i + 1]]`` (table rows), pooled ``_EMBED_BLOCK`` at a time."""
+        indptr[i + 1]]``, rows of the table ``token_indptr`` and ``bins``,
+        pooled ``_EMBED_BLOCK`` at a time."""
+        dim, width = self.dim, 2 * self.dim
         n_docs = len(indptr) - 1
-        out = np.empty((n_docs, self.dim))
+        out = np.empty((n_docs, dim))
         for start in range(0, n_docs, _EMBED_BLOCK):
             stop = min(start + _EMBED_BLOCK, n_docs)
             block = rows[indptr[start] : indptr[stop]]
-            self._pool(block, np.diff(indptr[start : stop + 1]), out[start:stop])
+            starts = token_indptr[block]
+            token_lens = token_indptr[block + 1] - starts
+            doc_lens = np.diff(indptr[start : stop + 1])
+            # offset every bin by its document's first count, in a type
+            # wide enough for the sum
+            bin_ends = np.concatenate([[0], np.cumsum(token_lens)])[np.cumsum(doc_lens)]
+            offsets = np.arange(0, (stop - start) * width, width, dtype=self._offset_type)
+            flat = np.repeat(offsets, np.diff(bin_ends, prepend=0))
+            flat += bins[_ranges(starts, token_lens)]
+            counts = np.bincount(flat, minlength=(stop - start) * width).reshape(-1, width)
+            np.subtract(counts[:, :dim], counts[:, dim:], out=out[start:stop], dtype=np.float64)
+            # an empty document divides its zero row by 1: +0.0
+            out[start:stop] /= np.maximum(doc_lens, 1)[:, None]
         return out
-
-    def _pool(self, rows: np.ndarray, doc_lens: np.ndarray, out: np.ndarray) -> None:
-        """Write the mean token vectors of a block of documents, whose
-        tokens are the table ``rows``, ``doc_lens[i]`` of them for
-        document ``i``, into the rows of ``out``."""
-        dim, width = self.dim, 2 * self.dim
-        n_docs = len(doc_lens)
-        starts = self._indptr[rows]
-        token_lens = self._indptr[rows + 1] - starts
-        # offset every bin by its document's first count, in a type wide
-        # enough for the sum
-        bin_ends = np.concatenate([[0], np.cumsum(token_lens)])[np.cumsum(doc_lens)]
-        offsets = np.arange(0, n_docs * width, width, dtype=self._offset_type)
-        flat = np.repeat(offsets, np.diff(bin_ends, prepend=0))
-        flat += self._bins[_ranges(starts, token_lens)]
-        counts = np.bincount(flat, minlength=n_docs * width).reshape(n_docs, width)
-        np.subtract(counts[:, :dim], counts[:, dim:], out=out, dtype=np.float64)
-        # an empty document divides its zero row by 1: +0.0
-        out /= np.maximum(doc_lens, 1)[:, None]
 
 
 def load_word2vec_text(path: str) -> tuple[dict[str, np.ndarray], int]:

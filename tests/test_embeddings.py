@@ -234,16 +234,14 @@ class TestHashedNgramProvider:
     def test_lone_surrogate_rejected_before_any_state_changes(self, call):
         provider = HashedNgramProvider(dim=16)
         provider.embed_documents([["before"]])
-        state = (dict(provider._token_cache), len(provider._grams),
-                 provider._indptr.tobytes(), provider._bins.tobytes())
+        state = gram_index_state(provider)
         tokens = ["fresh", "a\ud800b", "later"]
         with pytest.raises(EmbeddingError, match=r"token 'a\\ud800b' holds a lone surrogate"):
             if call == "embed_documents":
                 provider.embed_documents([tokens])
             else:
                 provider.id_embedder(tokens)
-        assert state == (dict(provider._token_cache), len(provider._grams),
-                         provider._indptr.tobytes(), provider._bins.tobytes())
+        assert gram_index_state(provider) == state
         documents = [["fresh", "later"], ["before", "fresh"]]
         for tokens, row in zip(documents, provider.embed_documents(documents)):
             assert np.array_equal(row, reference_document_vector(provider, tokens))
@@ -284,8 +282,7 @@ class TestHashedNgramAgainstReference:
         assert out.flags.c_contiguous
         for tokens, row in zip(documents, out):
             assert np.array_equal(row, reference_document_vector(provider, tokens)), tokens
-        # one cache entry per distinct token
-        assert len(provider._token_cache) == len({t for d in documents for t in d})
+        assert_keeps_only_grams(provider, {t for d in documents for t in d})
 
     def test_long_token_at_small_dimension(self):
         provider = HashedNgramProvider(dim=8)
@@ -328,6 +325,35 @@ def distinct_grams(tokens, n):
     return {f"<{t}>"[i : i + n] for t in tokens for i in range(len(t) + 3 - n)}
 
 
+def gram_index_state(provider):
+    """The keys, ids and bins of the provider's gram index, as bytes."""
+    grams = provider._grams
+    return [(grams.keys[n].tobytes(), grams.ids[n].tobytes(), grams.bins[n].tobytes())
+            for n in sorted(grams.keys)]
+
+
+def gram_index_bytes(provider):
+    grams = provider._grams
+    return sum(a.nbytes for arrays in (grams.keys, grams.ids, grams.bins) for a in arrays.values())
+
+
+def assert_keeps_only_grams(provider, tokens):
+    """The provider keeps no state but its gram index, which holds the
+    grams of ``tokens`` of each length in _NGRAM_RANGE and no others."""
+    assert set(vars(provider)) == {"dim", "seed", "name", "_offset_type", "_grams"}
+    lo, hi = _NGRAM_RANGE
+    for n in range(lo, hi + 1):
+        assert len(provider._grams.keys[n]) == len(distinct_grams(tokens, n))
+
+
+def token_bin_count(token):
+    """The bins a token's row of a vocabulary table holds: one per
+    distinct gram, and one for a whole wrapped token outside the range."""
+    lo, hi = _NGRAM_RANGE
+    whole = not lo <= len(token) + 2 <= hi
+    return whole + sum(len(distinct_grams([token], n)) for n in range(lo, hi + 1))
+
+
 class TestBatchedTokenBins:
     """The bins of every new token of a call are built in one numpy pass;
     each token's vector must be the one its grams give one by one."""
@@ -347,7 +373,7 @@ class TestBatchedTokenBins:
             for documents in calls:
                 out = provider.embed_documents(documents)
                 seen.update(t for d in documents for t in d)
-                assert len(provider._token_cache) == len(seen)
+                assert_keeps_only_grams(provider, seen)
                 for tokens, row in zip(documents, out):
                     assert np.array_equal(row, reference_document_vector(provider, tokens))
             for token in seen:
@@ -409,7 +435,8 @@ class TestBatchedTokenBins:
                 seen.update(tokens)
                 for token, row in zip(tokens, out):
                     assert np.array_equal(row, reference_token_vector(provider, token)), token
-        assert provider._bins.dtype == (np.uint16 if dim <= 2**15 else np.int32)
+        bin_type = np.uint16 if dim <= 2**15 else np.int32
+        assert all(bins.dtype == bin_type for bins in provider._grams.bins.values())
         # every gram of the range reached the hash once, whatever the
         # calls and chunks it was built in
         lo, hi = _NGRAM_RANGE
@@ -419,35 +446,47 @@ class TestBatchedTokenBins:
 
     def test_kept_memory_per_gram_and_bin(self):
         # the index keeps an int64 key, an int32 id and a two-byte bin per
-        # gram, and a stored bin takes two bytes; a string-keyed dict of
-        # the grams, about 90 bytes a gram, and int32 bins fail the bound
+        # gram, and a vocabulary's table an int64 indptr per token and two
+        # bytes per bin; a string-keyed dict of the grams, about 90 bytes
+        # a gram, and int32 bins fail the bound. The table is the
+        # function's: once the function is gone, only the index is kept
         rng = random.Random(0)
         vocabulary = list(dict.fromkeys(
             "".join(rng.choice(string.ascii_lowercase) for _ in range(rng.randint(3, 12)))
             for _ in range(3000)
         ))
+        bins = sum(map(token_bin_count, vocabulary))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             provider = HashedNgramProvider(dim=256)
-            provider.id_embedder(vocabulary)
+            embed = provider.id_embedder(vocabulary)
+            live = tracemalloc.get_traced_memory()[0] - before
+            del embed
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        bins = int(provider._indptr[len(vocabulary)])
-        assert bins > len(vocabulary) and len(provider._grams) > len(vocabulary)
-        assert kept < 24 * len(provider._grams) + 4 * bins
+        grams = len(provider._grams)
+        assert bins > len(vocabulary) and grams > len(vocabulary)
+        assert live < 24 * grams + 2 * bins + 8 * (len(vocabulary) + 1)
+        assert kept < min(24 * grams, gram_index_bytes(provider) + 64 * 1024)
 
-    def test_table_grows_by_doubling(self):
+    def test_many_small_calls_keep_only_the_gram_index(self):
         # a caller may embed in many small embed_documents calls, each
-        # adding a few new tokens; the table must not be copied whole on
-        # each of them
-        provider = HashedNgramProvider(dim=8)
-        lengths = set()
-        for i in range(1000):
-            provider.embed_documents([[f"token{i}"]])
-            lengths.add((len(provider._indptr), len(provider._bins)))
-        assert len(lengths) <= 2 * 16
+        # adding a few new tokens; the provider must keep no table, and no
+        # entry per token, across them
+        HashedNgramProvider(dim=8).embed_documents([["warm"], ["up"]])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            provider = HashedNgramProvider(dim=8)
+            for i in range(1000):
+                provider.embed_documents([[f"token{i}"]])
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert_keeps_only_grams(provider, [f"token{i}" for i in range(1000)])
+        assert kept < 24 * len(provider._grams)
         for i in (0, 511, 999):
             token = f"token{i}"
             assert np.array_equal(provider.embed_documents([[token]])[0], reference_token_vector(provider, token))
@@ -462,7 +501,7 @@ class TestBatchedTokenBins:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = provider.embed_documents(documents)
-        assert len(provider._token_cache) == len(set(words))
+        assert_keeps_only_grams(provider, words)
         for tokens, row in zip(documents[::37], out[::37]):
             assert np.array_equal(row, reference_document_vector(provider, tokens))
 
@@ -489,7 +528,7 @@ def assert_equal_to_reference(provider, documents):
         if key not in reference:
             reference[key] = reference_document_vector(provider, tokens)
         assert np.array_equal(row, reference[key]), key[:2]
-    assert len(provider._token_cache) == len({t for d in documents for t in d})
+    assert_keeps_only_grams(provider, {t for d in documents for t in d})
 
 
 class TestHashedNgramBlocks:
@@ -915,7 +954,7 @@ class TestBatchedIrs:
     def test_no_matrix_of_all_normalized_documents(self):
         # eight blocks of documents, every one changed, at dim 256: one
         # float64 matrix of the originals, or of the normalized documents,
-        # would take 8 MiB
+        # would take 2 MiB
         provider = HashedNgramProvider(dim=256)
         n = 8 * _EMBED_BLOCK
         table = table_of([f"w{i % 50}", f"v{i % 7}"] for i in range(n))
@@ -932,6 +971,39 @@ class TestBatchedIrs:
         assert peak < n * 256 * 8
         fresh = HashedNgramProvider(dim=256)
         assert result == irs_of(fresh, ids, table, normalized, np.flatnonzero(changed))
+
+    def test_peak_is_a_few_blocks_of_rows_and_the_tables(self):
+        # eight blocks of documents at dim 256 and two normalizations that
+        # change nearly every one. While a normalization's held block is
+        # embedded, the pass holds a block of original rows, a block of
+        # held rows per normalization, the embedded block and the pool's
+        # int64 count matrix of twice its width: six blocks of rows. The
+        # per-document results of eight blocks take under two more. The
+        # tables of the three vocabularies and the gram index come on top
+        dim, n = 256, 8 * _EMBED_BLOCK
+        table = table_of([f"w{i % 500}", f"v{i % 70}"] for i in range(n))
+        sides = [
+            relabelled(table, (t if t[0] == "w" else "" for t in table.types)),
+            relabelled(table, (t[:2] for t in table.types)),
+        ]
+        normalized = [(side, np.flatnonzero(changed)) for side, changed in sides]
+        ids = [f"d{i}" for i in range(n)]
+        provider = HashedNgramProvider(dim=dim)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            outcomes = irs(provider, ids, table, normalized)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert all(len(changed) > 0.95 * n for _, changed in normalized)
+        tables = gram_index_bytes(provider) + sum(
+            8 * (len(t.types) + 1) + 2 * sum(map(token_bin_count, t.types))
+            for t in [table] + [side for side, _ in normalized]
+        )
+        assert peak < 8 * _EMBED_BLOCK * dim * 8 + tables
+        fresh = HashedNgramProvider(dim=dim)
+        assert outcomes == irs(fresh, ids, table, normalized)
 
 
 class CountingProvider(HashedNgramProvider):
@@ -1041,7 +1113,7 @@ class TestIrsInSmallBlocks:
     # 2. Under a BLAS kernel whose dot sums in an order set by its second
     # operand's 16-byte alignment (OpenBLAS's Prescott), blocks of 3 move
     # every other odd-width row 8 bytes from its place in the reference's
-    # matrices, and its dots with it; an even block, like the 512 of a
+    # matrices, and its dots with it; an even block, like the 128 of a
     # run, moves none.
     @settings(max_examples=100, deadline=None)
     @given(irs_corpora())
@@ -1436,7 +1508,7 @@ class TestIrsPassInARun:
 
     def test_no_matrix_of_the_originals(self, tmp_path):
         # eight blocks of documents at dim 256: one float64 matrix of the
-        # originals would take 8 MiB
+        # originals would take 2 MiB
         n = 8 * _EMBED_BLOCK
         corpus = write_corpus(tmp_path / "big.tsv", [f"w{i % 50} v{i % 7}" for i in range(n)])
         config = RunConfig(

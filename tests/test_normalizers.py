@@ -237,11 +237,25 @@ class ShortNormalizer(Normalizer):
         return tokens[:-1]
 
 
+class NoneStemNormalizer(Normalizer):
+    """Stems ``b`` and ``the`` to None, and every other token to itself."""
+
+    name = "none-stem"
+
+    def normalize_tokens(self, tokens):
+        return [None if token in ("b", "the") else token for token in tokens]
+
+
 class TestMappingLengths:
-    def test_wrong_length_normalizer_output_is_a_normalizer_error(self):
-        table = table_of([["a", "b", "a"], ["c"]])
-        with pytest.raises(NormalizerError, match="^2 stems and 3 counts for 3 types$"):
-            type_mapping(ShortNormalizer(), table.types, table.occurrence_counts())
+    @pytest.mark.parametrize("normalizer,error", [
+        (ShortNormalizer(), "^2 stems and 3 counts for 3 types$"),
+        # the first type with a stem that is not a str is named
+        (NoneStemNormalizer(), "^the stem of 'b' is None, not a str$"),
+    ], ids=["short", "none-stem"])
+    def test_wrong_length_normalizer_output_is_a_normalizer_error(self, normalizer, error):
+        table = table_of([["a", "b", "a"], ["the"]])
+        with pytest.raises(NormalizerError, match=error):
+            type_mapping(normalizer, table.types, table.occurrence_counts())
 
     @pytest.mark.parametrize("counts", [[3], [3, 1, 1]])
     def test_counts_of_another_length_rejected(self, counts):

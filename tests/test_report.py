@@ -45,7 +45,7 @@ from normeval.corpus import TypeTable, table_of
 from normeval.data import mini_corpus_path
 from normeval.report import report_json
 from reference import mapping_items, reference_normalize_corpus, reference_tokenize_corpus
-from test_normalizers import ShortNormalizer
+from test_normalizers import NoneStemNormalizer, ShortNormalizer
 
 DATA = Path(__file__).parent / "data"
 
@@ -296,15 +296,21 @@ class TestRunEvaluation:
             assert report.compression == expected
         assert reports[1].empty_stems == 1
 
+    @pytest.mark.parametrize("bad", [ShortNormalizer, NoneStemNormalizer], ids=["short", "none-stem"])
     @pytest.mark.parametrize("run", [run_evaluation, run_intrinsic])
-    def test_wrong_length_normalizer_output_is_its_failure_entry(self, run, corpus_path, monkeypatch):
+    def test_wrong_length_normalizer_output_is_its_failure_entry(
+        self, run, bad, corpus_path, monkeypatch
+    ):
         monkeypatch.setattr(
             "normeval.report.build_normalizer",
-            lambda spec: ShortNormalizer() if spec == "short" else build_normalizer(spec),
+            lambda spec: bad() if spec == "bad" else build_normalizer(spec),
         )
-        short, kept = run(toy_config(corpus_path, normalizers=("short", "identity"), classifiers=()))
+        failed, kept = run(toy_config(corpus_path, normalizers=("bad", "identity"), classifiers=()))
         types = len(type_table(row.split("\t")[0] for row in CORPUS_ROWS).types)
-        assert short.error == f"{types - 1} stems and {types} counts for {types} types"
+        assert failed.error == {
+            ShortNormalizer: f"{types - 1} stems and {types} counts for {types} types",
+            NoneStemNormalizer: "the stem of 'the' is None, not a str",
+        }[bad]
         assert not kept.failed
 
     def test_no_classifiers_skips_downstream(self, corpus_path):
