@@ -1,16 +1,20 @@
 """Corpus loading, tokenization into a type table, occurrence counting,
 and fold planning.
 
-A run tokenizes its corpus once, into a :class:`TypeTable`: the distinct
-tokens and every document as an array of their ids. Normalization,
-CR, ANLD, IRS and the fold TF-IDF all read that table, and a
-normalizer's stems of its types are one :class:`TokenMapping` of stem
-ids. Each whitespace token is stripped of edge punctuation by one
-``str.strip`` over the punctuation characters of the whole corpus, so
-tokenization keeps no state per raw token, only the types and their ids.
+A run reads its corpus file once (:class:`CorpusRows`) and tokenizes
+each row's text as it is read, into one :class:`TypeTable`: the
+distinct tokens and every document as an array of their ids. Only the
+table, the document ids and the labels are kept, never the texts.
+Normalization, CR, ANLD, IRS and the fold TF-IDF all read that table,
+and a normalizer's stems of its types are one :class:`TokenMapping` of
+stem ids. Each whitespace token is stripped of edge punctuation by one
+``str.strip`` over the punctuation characters of the texts read so
+far, its own text among them, so tokenization keeps no state per raw
+token, only the types and their ids.
 
 All structures produced here are immutable after construction and safe to
-share across threads.
+share across threads; a :class:`CorpusRows` reader is not, as it counts
+the rows it skips while it reads.
 """
 
 from __future__ import annotations
@@ -82,6 +86,76 @@ def _resolve_column(spec: str | int, header: list[str] | None, what: str) -> int
         raise CorpusError(f"{what} column {spec!r} not found in header {header}") from None
 
 
+@dataclass
+class CorpusRows:
+    """The usable rows of a delimited UTF-8 corpus file, as
+    ``(id, text, label)`` in file order; a leading byte-order mark is
+    dropped.
+
+    Each iteration reads the file once, one row at a time, so no row is
+    held after it is yielded. A document's id is its 1-based file line
+    number. Rows whose text is empty after trimming are skipped and
+    counted in ``skipped``; a file with no usable row is a CorpusError
+    once it is read to the end. With a header, every row has the
+    header's width; without one, a row needs only the columns read.
+    Tab-separated fields are read verbatim, without quote handling: a
+    ``"`` is an ordinary character there. Other delimiters keep csv
+    quoting. Equal labels are one shared string.
+    """
+
+    path: str
+    text_col: str | int = "text"
+    label_col: str | int = "label"
+    delimiter: str = "\t"
+    has_header: bool = True
+    skipped: int = field(default=0, init=False)
+
+    def __iter__(self):
+        path = self.path
+        try:
+            fh = open(path, encoding="utf-8-sig", newline="")
+        except OSError as exc:
+            raise CorpusError(f"cannot open corpus file {path!r}: {exc}") from exc
+        self.skipped = 0
+        labels: dict[str, str] = {}  # holds a label once a row is yielded
+        with fh:
+            try:
+                quoting = csv.QUOTE_NONE if self.delimiter == "\t" else csv.QUOTE_MINIMAL
+                reader = csv.reader(fh, delimiter=self.delimiter, quoting=quoting)
+                header: list[str] | None = None
+                if self.has_header:
+                    header = next(reader, None)
+                    if header is None:
+                        raise CorpusError(f"corpus file {path!r} is empty")
+                ti = _resolve_column(self.text_col, header, "text")
+                li = _resolve_column(self.label_col, header, "label")
+                if ti == li:
+                    raise CorpusError(
+                        f"text column {self.text_col!r} and label column {self.label_col!r} "
+                        f"are the same column (index {ti})"
+                    )
+                expected = len(header) if header is not None else max(ti, li) + 1
+                for row in reader:
+                    if not row:
+                        continue
+                    if len(row) < expected or header is not None and len(row) > expected:
+                        raise CorpusError(
+                            f"line {reader.line_num}: expected {expected} fields, got {len(row)}"
+                        )
+                    text = row[ti].strip()
+                    if not text:
+                        self.skipped += 1
+                        continue
+                    label = row[li].strip()
+                    yield str(reader.line_num), text, labels.setdefault(label, label)
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"corpus file {path!r} is not valid UTF-8: {exc}") from exc
+        if not labels:
+            raise CorpusError(f"corpus file {path!r} contains no usable rows")
+        if self.skipped:
+            log.warning("skipped %d empty-text row(s) while loading %s", self.skipped, path)
+
+
 def load_corpus(
     path: str,
     text_col: str | int = "text",
@@ -89,62 +163,13 @@ def load_corpus(
     delimiter: str = "\t",
     has_header: bool = True,
 ) -> Corpus:
-    """Load a labeled corpus from a delimited UTF-8 file; a leading
-    byte-order mark is dropped.
-
-    One Document per data row, in file order. Rows whose text is empty
-    after trimming are skipped and counted in ``Corpus.skipped_rows``.
-    Document ids are the 1-based file line numbers. Tab-separated fields
-    are read verbatim, without quote handling: a ``"`` is an ordinary
-    character there. Other delimiters keep csv quoting.
-    """
-    try:
-        fh = open(path, encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise CorpusError(f"cannot open corpus file {path!r}: {exc}") from exc
-
-    documents: list[Document] = []
-    labels: set[str] = set()
-    skipped = 0
-    with fh:
-        try:
-            quoting = csv.QUOTE_NONE if delimiter == "\t" else csv.QUOTE_MINIMAL
-            reader = csv.reader(fh, delimiter=delimiter, quoting=quoting)
-            header: list[str] | None = None
-            if has_header:
-                header = next(reader, None)
-                if header is None:
-                    raise CorpusError(f"corpus file {path!r} is empty")
-            ti = _resolve_column(text_col, header, "text")
-            li = _resolve_column(label_col, header, "label")
-            if ti == li:
-                raise CorpusError(
-                    f"text column {text_col!r} and label column {label_col!r} "
-                    f"are the same column (index {ti})"
-                )
-            expected = len(header) if header is not None else max(ti, li) + 1
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) < expected:
-                    raise CorpusError(
-                        f"line {reader.line_num}: expected {expected} fields, got {len(row)}"
-                    )
-                text = row[ti].strip()
-                label = row[li].strip()
-                if not text:
-                    skipped += 1
-                    continue
-                documents.append(Document(id=str(reader.line_num), text=text, label=label))
-                labels.add(label)
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"corpus file {path!r} is not valid UTF-8: {exc}") from exc
-
-    if not documents:
-        raise CorpusError(f"corpus file {path!r} contains no usable rows")
-    if skipped:
-        log.warning("skipped %d empty-text row(s) while loading %s", skipped, path)
-    return Corpus(documents=tuple(documents), labels=frozenset(labels), skipped_rows=skipped)
+    """Load a labeled corpus: one Document per row of
+    :class:`CorpusRows`, which gives the rules on ids, skipped rows,
+    row width and quoting."""
+    rows = CorpusRows(path, text_col, label_col, delimiter, has_header)
+    documents = tuple(Document(*row) for row in rows)
+    labels = frozenset(doc.label for doc in documents)
+    return Corpus(documents=documents, labels=labels, skipped_rows=rows.skipped)
 
 
 class _TypeIds(dict):
@@ -245,11 +270,24 @@ class TokenMapping:
         return list(map([*self.stems, ""].__getitem__, self.labels.tolist()))
 
 
-def _punctuation(texts: list[str]) -> str:
-    """The distinct punctuation characters (Unicode category P*) of
-    ``texts``, in code point order."""
-    chars = sorted(set().union(*texts))
-    return "".join(c for c in chars if unicodedata.category(c).startswith("P"))
+def _strip_punctuation(texts):
+    """The whitespace tokens of each text, each stripped by one
+    ``str.strip`` over the punctuation characters (Unicode category P*)
+    of that text and the texts before it. A text is scanned for
+    characters not seen before, and each distinct character is
+    classified once, when the first text holding it is read; the
+    punctuation characters are kept in that order, and each text's new
+    ones in code point order."""
+    classified: set[str] = set()
+    punctuation = ""
+    for text in texts:
+        if not classified.issuperset(text):
+            new = set(text) - classified
+            classified |= new
+            punctuation += "".join(
+                sorted(c for c in new if unicodedata.category(c).startswith("P"))
+            )
+        yield map(str.strip, text.split(), repeat(punctuation))
 
 
 def _number(token_lists, type_ids: _TypeIds) -> tuple[np.ndarray, np.ndarray]:
@@ -266,15 +304,14 @@ def _number(token_lists, type_ids: _TypeIds) -> tuple[np.ndarray, np.ndarray]:
 def type_table(texts, config: TokenizerConfig = TokenizerConfig()) -> TypeTable:
     """:func:`tokenize` of every text as one :class:`TypeTable`.
 
-    Edge punctuation is stripped by one ``str.strip`` per token over the
-    punctuation characters of all the texts: every edge character of a
-    token occurs in the texts, so this strips exactly the token's edge
-    runs of punctuation. No state is kept per raw token."""
-    texts = list(texts)  # read twice when stripping
-    token_lists = map(str.split, texts)
-    punct = _punctuation(texts) if config.strip_punct else ""
-    if punct:
-        token_lists = (map(str.strip, tokens, repeat(punct)) for tokens in token_lists)
+    The texts are read once, one at a time, so an iterator of them is
+    never held whole. Edge punctuation is stripped by one ``str.strip``
+    per token over the punctuation characters of the texts read so far,
+    the token's own text among them: every edge character of a token is
+    a character of its text, so this strips exactly the token's edge
+    runs of punctuation. No state is kept per raw token, and none per
+    text once it is numbered."""
+    token_lists = _strip_punctuation(texts) if config.strip_punct else map(str.split, texts)
     if config.lowercase:
         token_lists = (map(str.lower, tokens) for tokens in token_lists)
     # '' takes id 0 and is dropped; one less is each other type's id
@@ -303,7 +340,14 @@ def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str
 
 
 def make_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:
-    """Stratified k-fold assignment, deterministic for fixed (corpus, k, seed).
+    """:func:`plan_folds` of the corpus's documents."""
+    documents = corpus.documents
+    return plan_folds([doc.id for doc in documents], [doc.label for doc in documents], k, seed)
+
+
+def plan_folds(doc_ids: list[str], labels: list[str], k: int, seed: int) -> FoldPlan:
+    """Stratified k-fold assignment of the documents ``doc_ids``, of
+    ``labels``; deterministic for fixed (documents, k, seed).
 
     Within each label the documents are shuffled with a seeded generator and
     dealt round-robin; the dealing offset carries over between labels so both
@@ -312,8 +356,8 @@ def make_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:
     if k < 2:
         raise CorpusError(f"k must be >= 2, got {k}")
     by_label: dict[str, list[str]] = {}
-    for doc in corpus.documents:
-        by_label.setdefault(doc.label, []).append(doc.id)
+    for doc_id, label in zip(doc_ids, labels):
+        by_label.setdefault(label, []).append(doc_id)
     for label in sorted(by_label):
         if len(by_label[label]) < k:
             raise CorpusError(
@@ -329,5 +373,5 @@ def make_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:
             assignments[ids[idx]] = (offset + j) % k
         offset = (offset + len(ids)) % k
     # preserve corpus order in the mapping for deterministic serialization
-    assignments = {doc.id: assignments[doc.id] for doc in corpus.documents}
+    assignments = {doc_id: assignments[doc_id] for doc_id in doc_ids}
     return FoldPlan(k=k, seed=seed, assignments=assignments)

@@ -148,7 +148,11 @@ class ExternalNormalizer(Normalizer):
     at most ``timeout`` seconds for each. The session fails closed: after
     a timeout, an ``ERR``, malformed, over-long or unsolicited reply, or
     the end of the child's output, the child is killed and every later
-    call raises :class:`NormalizerError`.
+    call raises :class:`NormalizerError`. Equal stems of one call are one
+    shared string, so the stems of many tokens hold only one string per
+    distinct stem. A token holding a tab, a newline or a carriage return
+    (which the child's line reading may take for a line end) is refused
+    before it is sent, and the session stays usable.
 
     The session is serial: callers running concurrently must either wrap
     calls in their own lock or open one session per worker.
@@ -225,7 +229,7 @@ class ExternalNormalizer(Normalizer):
         self._fail(f"external normalizer {self.command}: unsolicited reply {reply!r}")
 
     def _request(self, token: str) -> bytes:
-        if "\n" in token or "\t" in token:
+        if "\n" in token or "\t" in token or "\r" in token:
             raise NormalizerError(f"token contains protocol separator characters: {token!r}")
         try:
             return f"NORM\t{token}\n".encode("utf-8")
@@ -234,7 +238,9 @@ class ExternalNormalizer(Normalizer):
                 f"external normalizer {self.command}: cannot send token {token!r}: {exc}"
             ) from exc
 
-    def _round_trip(self, tokens: list[str], requests: list[bytes]) -> list[str]:
+    def _round_trip(
+        self, tokens: list[str], requests: list[bytes], shared: dict[str, str]
+    ) -> list[str]:
         if self._proc.poll() is not None:
             self._fail(f"external normalizer {self.command} exited with code {self._proc.returncode}")
         self._check_no_unsolicited_reply()
@@ -258,13 +264,14 @@ class ExternalNormalizer(Normalizer):
                 self._fail(
                     f"external normalizer {self.command}: malformed reply {reply!r} on token {token!r}"
                 )
-            stems.append(payload)
+            stems.append(shared.setdefault(payload, payload))
         return stems
 
     def normalize_tokens(self, tokens: list[str]) -> list[str]:
         if self._failure is not None:
             raise NormalizerError(f"session stopped after an earlier failure: {self._failure}")
         stems: list[str] = []
+        shared: dict[str, str] = {}  # each distinct stem -> its one string of this call
         for start in range(0, len(tokens), EXT_CHUNK_SIZE):
             chunk = tokens[start : start + EXT_CHUNK_SIZE]
             requests: list[bytes] = []
@@ -278,7 +285,7 @@ class ExternalNormalizer(Normalizer):
             # The tokens before an unsendable one are answered first, so a
             # failure among them takes precedence, as in token order.
             if requests:
-                stems += self._round_trip(chunk[: len(requests)], requests)
+                stems += self._round_trip(chunk[: len(requests)], requests, shared)
             if invalid is not None:
                 raise invalid
         self._check_no_unsolicited_reply()

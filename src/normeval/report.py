@@ -19,9 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .corpus import (
-    Corpus, TokenizerConfig, TokenMapping, TypeTable, load_corpus, make_folds, type_table,
-)
+from .corpus import CorpusRows, TokenizerConfig, TokenMapping, TypeTable, plan_folds, type_table
 from .downstream import (
     CLASSIFIER_KINDS,
     ClassifierSpec,
@@ -199,17 +197,25 @@ def build_embedder(spec: str) -> EmbeddingProvider:
     )
 
 
-def _load_table(config: RunConfig) -> tuple[Corpus, TypeTable]:
-    """Load the configured corpus and tokenize it into its type table."""
-    corpus = load_corpus(
-        config.corpus_path,
-        text_col=config.text_col,
-        label_col=config.label_col,
-        delimiter=config.delimiter,
-        has_header=config.has_header,
+def _load_table(config: RunConfig) -> tuple[list[str], list[str], TypeTable]:
+    """Read the configured corpus once, each row's text going straight
+    into its type table; return the document ids, their labels and the
+    table. No text is held after it is tokenized."""
+    rows = CorpusRows(
+        config.corpus_path, config.text_col, config.label_col, config.delimiter, config.has_header
     )
+    doc_ids: list[str] = []
+    labels: list[str] = []
+
+    def texts():
+        for doc_id, text, label in rows:
+            doc_ids.append(doc_id)
+            labels.append(label)
+            yield text
+
     tokenizer = TokenizerConfig(lowercase=config.lowercase, strip_punct=config.strip_punct)
-    return corpus, type_table((doc.text for doc in corpus.documents), tokenizer)
+    table = type_table(texts(), tokenizer)
+    return doc_ids, labels, table
 
 
 def _run_normalizers(
@@ -242,7 +248,7 @@ def run_intrinsic(config: RunConfig) -> list[NormalizerReport]:
     number of worst pairs) of every configured normalizer: no
     embeddings, no classifiers and no normalized corpus. Failures are
     isolated as in :func:`run_evaluation`."""
-    table = _load_table(config)[1]  # the Corpus is not needed here, so it is freed
+    table = _load_table(config)[2]
 
     def score(name: str, mapping: TokenMapping) -> NormalizerReport:
         return NormalizerReport(
@@ -275,24 +281,22 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     block again. Corpus loading or baseline failures abort the whole run
     before any normalizer runs.
     """
-    corpus, table = _load_table(config)
-    doc_ids = [doc.id for doc in corpus.documents]
+    doc_ids, labels, table = _load_table(config)
     provider = build_embedder(config.embedder)
     specs: list[ClassifierSpec] = []
     split = None
     baseline_features = None
     gold: dict[str, str] = {}
     if config.classifiers:
-        if len(corpus.labels) < 2:
+        if len(set(labels)) < 2:
             raise EvaluationError("downstream evaluation requires at least 2 labels")
-        gold = {doc.id: doc.label for doc in corpus.documents}
+        gold = dict(zip(doc_ids, labels))
         specs = [
             make_classifier_spec(CLASSIFIER_ALIASES.get(name, name), config.seed)
             for name in config.classifiers
         ]
-        split = fold_split(doc_ids, gold, make_folds(corpus, config.k, config.seed))
+        split = fold_split(doc_ids, gold, plan_folds(doc_ids, labels, config.k, config.seed))
         baseline_features = fold_features(table, split)
-    del corpus  # the run needs only the ids, the labels and the folds taken from it
 
     # the relabelled table and the changed rows of each normalizer that
     # got through the first phase

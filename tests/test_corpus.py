@@ -4,11 +4,12 @@ import collections
 import random
 import re
 import string
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normeval import (
@@ -146,6 +147,17 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="line 3"):
             load_corpus(path)
 
+    def test_row_wider_than_header_is_an_error(self, tmp_path):
+        # read by position, its text would be "hello" and its label "world"
+        path = write(tmp_path, "c.tsv", "text\tlabel\nhi\tA\nhello\tworld\tpos\n")
+        with pytest.raises(CorpusError, match=r"^line 3: expected 2 fields, got 3$"):
+            load_corpus(path)
+
+    def test_extra_columns_allowed_without_header(self, tmp_path):
+        path = write(tmp_path, "c.tsv", "hello\tA\textra\nbye\tB\n")
+        corpus = load_corpus(path, text_col=0, label_col=1, has_header=False)
+        assert [(d.text, d.label) for d in corpus.documents] == [("hello", "A"), ("bye", "B")]
+
     def test_empty_text_rows_skipped_and_counted(self, tmp_path):
         path = write(tmp_path, "c.tsv", "text\tlabel\nhello\tA\n   \tB\nbye\tA\n")
         corpus = load_corpus(path)
@@ -226,6 +238,23 @@ class TestTokenizeAgainstReference:
             assert table.ids.dtype == np.int32
 
 
+class TestPunctuationClassifiedOnFirstRead:
+    # each character is classified when the first text holding it is
+    # read; the order of the texts, and so which text holds a character
+    # first, changes no token
+    @settings(max_examples=30, deadline=None)
+    @given(st.permutations(["«first» text", "second, text", "(only) here¡", "none", "¡first!"]))
+    @example(["«first» text", "second text"])  # « and » occur in the first text only
+    def test_equal_to_per_character_reference(self, texts):
+        corpus = Corpus(
+            documents=tuple(Document(str(i), text, "x") for i, text in enumerate(texts)),
+            labels=frozenset("x"),
+        )
+        for config in CONFIGS:
+            expected = [doc.tokens for doc in reference_tokenize_corpus(corpus, config)]
+            assert table_tokens(type_table(iter(texts), config)) == expected, config
+
+
 EDGE_FORMS = ["{}", "{},", "({})", "{}.", "“{}”", "[{}]!", "¿{}?", "{};"]
 
 
@@ -260,6 +289,29 @@ class TestTokenizeMemory:
                 tracemalloc.stop()
             assert len(table.types) == 10000 and len(table.ids) == 80000
         assert peaks[1] <= 1.1 * peaks[0], peaks
+
+    def test_texts_of_an_iterator_are_not_held(self):
+        # about 2,000 texts of about 2 KB from 50 words, read from a
+        # generator: a table that holds every text peaks above their size
+        rng = random.Random(0)
+        words = [
+            "".join(rng.choices(string.ascii_letters, k=rng.randint(16, 24))) + rng.choice(",. ")
+            for _ in range(50)
+        ]
+
+        def text(i):
+            return " ".join(random.Random(i).choices(words, k=90))
+
+        text_bytes = sum(sys.getsizeof(text(i)) for i in range(2000))
+        assert 3.5e6 < text_bytes < 4.5e6
+        tracemalloc.start()
+        try:
+            table = type_table(text(i) for i in range(2000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 2000 and len(table.types) == 50
+        assert peak < text_bytes / 2, (peak, text_bytes)
 
 
 class TestCountOccurrences:

@@ -419,6 +419,27 @@ class TestExternalPipeline:
                 n.normalize_tokens(["ab", "\ud800"])
             assert n.normalize_tokens(["abc", "ক্ষ"]) == ["cba", "ষ্ক"]
 
+    @pytest.mark.parametrize("tokens", [["a\rb"], ["x", "a\rb", "y"]])
+    def test_carriage_return_refused_before_sending(self, tokens):
+        # the child's line reading takes \r for a line end, which would
+        # split the request in two
+        with ExternalNormalizer(self.command()) as n:
+            with pytest.raises(NormalizerError, match="^token contains protocol separator"):
+                n.normalize_tokens(tokens)
+            assert n.normalize_tokens(["abc", "y"]) == ["cba", "y"]
+
+    def test_equal_stems_of_one_call_are_one_string(self):
+        # the stems repeat across chunks; each distinct stem is one object
+        tokens = [f"{word}_{i}" for i in range(300) for word in ("dror", "ক্ষমতা", "ab")]
+        with ExternalNormalizer([sys.executable, "-c", STUB]) as n:
+            state = dict(vars(n))
+            stems = n.normalize_tokens(tokens)
+            assert vars(n) == state  # nothing is kept after the call
+        assert len(tokens) > 3 * EXT_CHUNK_SIZE
+        assert stems == [token[:4] for token in tokens]
+        # "dror", "ক্ষম" and "ab_0" to "ab_9"
+        assert len({id(stem) for stem in stems}) == len(set(stems)) == 12
+
     @pytest.mark.parametrize(
         "token, detail",
         [

@@ -964,6 +964,15 @@ class TestCli:
         assert code == 1
         assert "normeval: error: text column index 7 is out of range" in capsys.readouterr().err
 
+    def test_row_wider_than_header_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "c.tsv"
+        path.write_text("text\tlabel\nhi there\tneg\nhello\tworld\tpos\n", encoding="utf-8")
+        code = main(["metrics", "--corpus", str(path), "--normalizer", "identity"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "normeval: error: line 3: expected 2 fields, got 3\n"
+
     @pytest.mark.parametrize("text_col", ["label", "1"])
     @pytest.mark.parametrize("command", ["evaluate", "metrics", "anld-pairs"])
     def test_text_col_equal_to_label_col_exits_1(self, command, text_col, capsys):

@@ -23,6 +23,7 @@ from normeval import (
     irs,
     load_corpus,
     run_evaluation,
+    run_intrinsic,
     type_mapping,
     type_table,
 )
@@ -169,6 +170,22 @@ def mini_config(**overrides):
 
 
 class TestRunPathStructure:
+    @pytest.mark.parametrize("run", [run_intrinsic, run_evaluation])
+    def test_run_builds_no_document(self, run, tmp_path, monkeypatch):
+        # the rows go from the file into the type table; the run keeps
+        # only the table, the document ids and the labels
+        def no_document(*args, **kwargs):
+            raise AssertionError("a run built a corpus.Document")
+
+        path = tmp_path / "c.tsv"
+        path.write_text("text\tlabel\n" + "".join(
+            f"doc {i} says {'yes' if i % 2 else 'no'}.\t{'ab'[i % 2]}\n" for i in range(40)
+        ), encoding="utf-8")
+        monkeypatch.setattr("normeval.corpus.Document", no_document)
+        config = RunConfig(str(path), ("identity", "truncate:2"), classifiers=("nb",), k=2)
+        reports = run(config)
+        assert [report.failed for report in reports] == [False, False]
+
     def test_each_embedded_vocabulary_built_once_in_chunks(self, monkeypatch):
         sizes = []
         real_token_bins = embeddings._token_bins
