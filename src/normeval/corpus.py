@@ -4,13 +4,16 @@ and fold planning.
 A run reads its corpus file once (:class:`CorpusRows`) and tokenizes
 each row's text as it is read, into one :class:`TypeTable`: the
 distinct tokens and every document as an array of their ids. Only the
-table, the document ids and the labels are kept, never the texts.
+table is kept, with the document ids and the labels where a run reads
+them, never the texts.
 Normalization, CR, ANLD, IRS and the fold TF-IDF all read that table,
 and a normalizer's stems of its types are one :class:`TokenMapping` of
-stem ids. Each whitespace token is stripped of edge punctuation by one
-``str.strip`` over the punctuation characters of the texts read so
-far, its own text among them, so tokenization keeps no state per raw
-token, only the types and their ids.
+stem ids; a normalized corpus is the table's rows mapped through them
+(:meth:`TokenMapping.normalize_rows`). Each whitespace token is
+stripped of edge punctuation by one ``str.strip`` over the punctuation
+characters of the texts read so far, its own text among them, so
+tokenization keeps no state per raw token, only the types and their
+ids.
 
 All structures produced here are immutable after construction and safe to
 share across threads; a :class:`CorpusRows` reader is not, as it counts
@@ -221,20 +224,25 @@ class TypeTable:
         nonempty = lens > 0  # _ranges takes no empty range
         return self.ids[_ranges(starts[nonempty], lens[nonempty])], _cumulative(lens)
 
-    def relabel(self, mapping: TokenMapping) -> tuple[TypeTable, np.ndarray]:
-        """The table with each type replaced by its stem in ``mapping``
-        and the types of empty stem dropped, and the mask of the
-        documents holding a type it changes, to an empty or another
-        stem. The new types are ``mapping.stems``."""
+    def changed(self, mapping: TokenMapping) -> np.ndarray:
+        """The mask of the documents holding a type that ``mapping``, a
+        mapping of this table's types, changes, to an empty or another
+        stem."""
         if mapping.types != self.types:
             raise CorpusError(f"mapping of {len(mapping.types)} other types for {len(self.types)} types")
         stems = mapping.type_stems()
         changed_type = np.fromiter(map(str.__ne__, stems, self.types), bool, len(stems))
         changed_type |= mapping.labels < 0
-        ids = mapping.labels[self.ids]
-        kept = ids >= 0
-        changed = np.diff(_cumulative(changed_type[self.ids])[self.indptr]) > 0
-        return TypeTable(mapping.stems, ids[kept], _cumulative(kept)[self.indptr]), changed
+        return np.diff(_cumulative(changed_type[self.ids])[self.indptr]) > 0
+
+    def relabel(self, mapping: TokenMapping) -> tuple[TypeTable, np.ndarray]:
+        """The normalized corpus as a table of its own, its types
+        ``mapping.stems`` and its documents this table's rows mapped by
+        :meth:`TokenMapping.normalize_rows`, and :meth:`changed`. A run
+        relabels its table only to featurize one normalized corpus's
+        folds; IRS maps the rows it embeds itself, block by block."""
+        changed = self.changed(mapping)
+        return TypeTable(mapping.stems, *mapping.normalize_rows(self.ids, self.indptr)), changed
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,6 +272,16 @@ class TokenMapping:
         stem_ids = _TypeIds({"": 0})
         labels = np.fromiter(map(stem_ids.__getitem__, stems), np.int32, len(stems)) - 1
         return cls(types, list(stem_ids)[1:], labels, counts)
+
+    def normalize_rows(self, ids: np.ndarray, indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The documents ``ids[indptr[i] : indptr[i + 1]]`` of type ids,
+        ``indptr`` starting at 0, normalized: each type replaced by its
+        stem id and the types of empty stem dropped. Returns the stem
+        ids and their indptr; this is the one definition of a normalized
+        corpus."""
+        stem_ids = self.labels[ids]
+        kept = stem_ids >= 0
+        return stem_ids[kept], _cumulative(kept)[indptr]
 
     def type_stems(self) -> list[str]:
         """The stem of each type, in type order; '' for an empty stem."""
@@ -318,9 +336,10 @@ def type_table(texts, config: TokenizerConfig = TokenizerConfig()) -> TypeTable:
     type_ids = _TypeIds({"": 0})
     ids, indptr = _number(token_lists, type_ids)
     dropped = np.flatnonzero(ids == 0)
-    ids = np.delete(ids, dropped)
+    if len(dropped):  # else the ids are not copied
+        ids = np.delete(ids, dropped)
+        indptr -= np.searchsorted(dropped, indptr)
     ids -= 1
-    indptr -= np.searchsorted(dropped, indptr)
     return TypeTable(list(type_ids)[1:], ids, indptr)
 
 

@@ -15,9 +15,12 @@ float64 matrix, a row per document, either from token lists
 The IRS of a normalizer is the mean cosine similarity between each
 document's embedding and the embedding of its normalized form.
 :func:`irs` scores every normalization of a run in one pass over the
-documents, from the run's type tables: it embeds each block of
-originals once and holds that block and at most one block of rows per
-normalization, never a matrix of the corpus.
+documents, from the run's type table and each normalization's token
+mapping: it embeds each block of originals once, maps each block of a
+normalization's changed rows through its stem ids, and holds one block
+of originals and at most one block of rows per normalization, never a
+matrix of the corpus nor a normalized corpus. Each result keeps its
+per-document scores as one float64 array in document order.
 """
 
 from __future__ import annotations
@@ -33,15 +36,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TypeTable, _ranges, table_of
+from .corpus import TokenMapping, TypeTable, _ranges, table_of
 from .errors import EmbeddingError
+from .metrics import left_sum
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IrsResult:
+    """A normalization's IRS: ``scores`` holds each document's score as
+    one read-only float64 array, in the order of ``doc_ids``, which is
+    the list of document ids the scores were computed for, held by
+    reference. Results compare equal by value."""
+
     irs: float
-    per_doc: tuple[tuple[str, float], ...]
+    scores: np.ndarray
+    doc_ids: Sequence[str]
     zero_vector_docs: int
+
+    @property
+    def per_doc(self) -> tuple[tuple[str, float], ...]:
+        """``(doc_id, score)`` of every document, built when read."""
+        return tuple(zip(self.doc_ids, self.scores.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, IrsResult):
+            return NotImplemented
+        return (
+            (self.irs, self.zero_vector_docs) == (other.irs, other.zero_vector_docs)
+            and list(self.doc_ids) == list(other.doc_ids)
+            and np.array_equal(self.scores, other.scores)
+        )
 
 
 # norms in this range keep the dot product clear of underflow and overflow
@@ -537,12 +561,13 @@ def irs(
     provider: EmbeddingProvider,
     doc_ids: list[str],
     original: TypeTable,
-    normalized: Sequence[tuple[TypeTable, np.ndarray]],
+    normalized: Sequence[tuple[TokenMapping, np.ndarray]],
 ) -> list[IrsResult | EmbeddingError]:
     """The IRS of every normalization of the documents ``doc_ids``, whose
-    tokens are the ``original`` table: each normalization is a table of
-    as many documents and the strictly ascending rows at which its
-    documents differ from the originals.
+    tokens are the ``original`` table: each normalization is a mapping of
+    the table's types and the strictly ascending rows at which its
+    documents differ from the originals. A result holds ``doc_ids``
+    itself.
     One outcome per normalization, in order: its IrsResult, or the
     EmbeddingError that ended it.
 
@@ -550,20 +575,24 @@ def irs(
     each block of originals once (through ``provider.id_embedder`` of the
     original types). Each normalization keeps the original rows of its
     changed documents until it has ``_EMBED_BLOCK`` of them, or the pass
-    ends, then embeds those documents (through the id embedder of its
-    types) in one call and scores them. So the pass holds one block of
-    originals and at most one block of rows per normalization, never a
-    matrix of all the documents, and a normalization's calls are those of
-    embedding its changed documents ``_EMBED_BLOCK`` at a time. A failure
-    to embed a normalization's documents, or to score them, ends that
-    normalization only. A failure to embed a block of originals ends the
-    earliest normalization still in the pass, and the block is embedded
-    again for the others.
+    ends, then maps those documents' rows of the table through its
+    mapping (:meth:`TokenMapping.normalize_rows`, as
+    :meth:`TypeTable.relabel` does), embeds them (through the id
+    embedder of its stems) in one call and scores them. So the pass
+    holds one block of originals and at most one block of rows per
+    normalization, never a matrix of all the documents nor a normalized
+    corpus, and a normalization's calls are those of embedding its
+    changed documents ``_EMBED_BLOCK`` at a time. A failure to embed a
+    normalization's documents, or to score them, ends that normalization
+    only. A failure to embed a block of originals ends the earliest
+    normalization still in the pass, and the block is embedded again for
+    the others.
 
     Every score is the one :func:`cosine_with_flag` gives, bit for bit:
     the cosines come from batched row dots, and a document with a norm
     outside ``(_NORM_LO, _NORM_HI)`` on either side is scored by
-    :func:`cosine_with_flag` itself.
+    :func:`cosine_with_flag` itself. The IRS is the mean of the scores
+    added in document order.
     """
     if not doc_ids:
         raise EmbeddingError("cannot compute IRS over an empty corpus")
@@ -572,8 +601,8 @@ def irs(
     outcomes: list[IrsResult | EmbeddingError | None] = [None] * len(normalized)
     embed = provider.id_embedder(original.types) if normalized else None
     live = [
-        _Scores(j, provider, len(original), table, changed)
-        for j, (table, changed) in enumerate(normalized)
+        _Scores(j, provider, original, mapping, changed)
+        for j, (mapping, changed) in enumerate(normalized)
     ]
     for start in range(0, len(original), _EMBED_BLOCK):
         stop = min(start + _EMBED_BLOCK, len(original))
@@ -611,34 +640,37 @@ def irs(
 
 
 class _Scores:
-    """One normalization in :func:`irs`'s pass: its table, its changed
-    rows, the original rows (with their norms) of the changed documents
-    not yet scored, and the score of every document so far."""
+    """One normalization in :func:`irs`'s pass: the original table, its
+    mapping and changed rows, the original rows (with their norms) of the
+    changed documents not yet scored, and the score of every document so
+    far."""
 
     def __init__(
         self,
         index: int,
         provider: EmbeddingProvider,
-        n_docs: int,
-        table: TypeTable,
+        original: TypeTable,
+        mapping: TokenMapping,
         changed: np.ndarray,
     ):
-        if len(table) != n_docs:
+        if mapping.types != original.types:
             raise EmbeddingError(
-                f"a normalized table of {len(table)} documents for {n_docs} original documents"
+                f"a mapping of {len(mapping.types)} other types for {len(original.types)} original types"
             )
+        n_docs = len(original)
         if len(changed) and not (
-            changed[0] >= 0 and changed[-1] < len(table) and (np.diff(changed) > 0).all()
+            changed[0] >= 0 and changed[-1] < n_docs and (np.diff(changed) > 0).all()
         ):
             raise EmbeddingError(
-                f"changed rows must ascend within the {len(table)} documents of their table"
+                f"changed rows must ascend within the {n_docs} documents of their table"
             )
         self.index = index
         self.name = provider.name
-        self.table = table
+        self.original = original
+        self.mapping = mapping
         self.changed = changed
-        self.embed = provider.id_embedder(table.types) if len(changed) else None
-        self.values = np.ones(len(table))  # an unchanged document scores 1
+        self.embed = provider.id_embedder(mapping.stems) if len(changed) else None
+        self.values = np.ones(n_docs)  # an unchanged document scores 1
         self.zero_docs = 0
         self.scored = 0  # changed documents scored so far
         self.pending = 0  # the changed documents after those, held in a
@@ -679,7 +711,7 @@ class _Scores:
             return
         rows = self.changed[self.scored : self.scored + n]
         a, norms, in_range = self.a[:n], self.norms[:n], self.in_range[:n]
-        b = self.embed(*self.table.select(rows))
+        b = self.embed(*self.mapping.normalize_rows(*self.original.select(rows)))
         if b.shape != (n, a.shape[1]):
             raise EmbeddingError(
                 f"{self.name}: embeddings of shape {b.shape} for {n} changed "
@@ -701,9 +733,11 @@ class _Scores:
         self.pending = 0
 
     def result(self, doc_ids: list[str]) -> IrsResult:
-        values = self.values.tolist()
-        total = 0.0
-        for value in values:  # sum() compensates from Python 3.12 on
-            total += value
-        per_doc = tuple(zip(doc_ids, values))
-        return IrsResult(irs=total / len(per_doc), per_doc=per_doc, zero_vector_docs=self.zero_docs)
+        scores = self.values
+        scores.flags.writeable = False
+        return IrsResult(
+            irs=left_sum(scores) / len(scores),
+            scores=scores,
+            doc_ids=doc_ids,
+            zero_vector_docs=self.zero_docs,
+        )

@@ -9,7 +9,8 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+
+import numpy as np
 
 from .corpus import TokenMapping
 from .errors import MetricError
@@ -129,28 +130,39 @@ def _check_weighting(weighting: str) -> None:
         raise MetricError(f"unknown weighting {weighting!r}")
 
 
-def _pair_distances(mapping: TokenMapping) -> list[float]:
-    """The normalized distance of every pair, in type order."""
+def _pair_distances(mapping: TokenMapping) -> np.ndarray:
+    """The normalized distance of every pair, in type order, as float64."""
     if not mapping.types:
         raise MetricError("cannot compute distance average over an empty token mapping")
     if "" in mapping.types:
         raise MetricError("token mapping contains an empty original token")
     pairs = zip(mapping.types, mapping.type_stems())
-    return [levenshtein(original, stem) / len(original) for original, stem in pairs]
+    distances = (levenshtein(original, stem) / len(original) for original, stem in pairs)
+    return np.fromiter(distances, np.float64, len(mapping.types))
+
+
+def left_sum(values: np.ndarray, out: np.ndarray | None = None) -> float:
+    """The float64 sum of ``values`` as a Python loop from 0.0 adds them,
+    one by one from the left: np.add.accumulate never reorders its
+    additions, unlike np.sum. ``out``, if given, takes the running sums;
+    ``0.0 +`` is the loop's start, which turns a -0.0 sum into 0.0."""
+    if not len(values):
+        return 0.0
+    return 0.0 + float(np.add.accumulate(values, dtype=np.float64, out=out)[-1])
 
 
 def _weighted_anld(
-    mapping: TokenMapping, distances: list[float], weighting: str, worst_n: int
+    mapping: TokenMapping, distances: np.ndarray, weighting: str, worst_n: int
 ) -> AnldResult:
-    weights = mapping.counts.tolist() if weighting == WEIGHTINGS[0] else repeat(1.0)
-    total = 0.0
-    weight_sum = 0.0
-    over_unit = 0
-    for d, w in zip(distances, weights):
-        total += d * w
-        weight_sum += w
-        if d > 1.0:
-            over_unit += 1
+    # the one float64 buffer of the running sums
+    running = np.empty_like(distances)
+    if weighting == WEIGHTINGS[0]:
+        total = left_sum(np.multiply(distances, mapping.counts, out=running), out=running)
+        running[:] = mapping.counts
+        weight_sum = left_sum(running, out=running)
+    else:
+        total = left_sum(distances, out=running)
+        weight_sum = float(len(distances))
     if weight_sum == 0:
         raise MetricError("token mapping has zero total occurrence weight")
     # tuples for the worst pairs only: a tuple per pair, kept alive at once,
@@ -163,7 +175,7 @@ def _weighted_anld(
     return AnldResult(
         anld=total / weight_sum,
         pair_count=len(types),
-        over_unit_pairs=over_unit,
-        worst_pairs=tuple(zip([types[i] for i in worst], stems, [distances[i] for i in worst])),
+        over_unit_pairs=int(np.count_nonzero(distances > 1.0)),
+        worst_pairs=tuple(zip([types[i] for i in worst], stems, distances[worst].tolist())),
         weighting=weighting,
     )

@@ -197,25 +197,18 @@ def build_embedder(spec: str) -> EmbeddingProvider:
     )
 
 
-def _load_table(config: RunConfig) -> tuple[list[str], list[str], TypeTable]:
-    """Read the configured corpus once, each row's text going straight
-    into its type table; return the document ids, their labels and the
-    table. No text is held after it is tokenized."""
-    rows = CorpusRows(
+def _corpus_rows(config: RunConfig) -> CorpusRows:
+    """The rows of the configured corpus, read once per iteration."""
+    return CorpusRows(
         config.corpus_path, config.text_col, config.label_col, config.delimiter, config.has_header
     )
-    doc_ids: list[str] = []
-    labels: list[str] = []
 
-    def texts():
-        for doc_id, text, label in rows:
-            doc_ids.append(doc_id)
-            labels.append(label)
-            yield text
 
+def _type_table(config: RunConfig, texts) -> TypeTable:
+    """The type table of ``texts`` under the configured tokenizer; each
+    text goes straight into the table as it is read, so none is held."""
     tokenizer = TokenizerConfig(lowercase=config.lowercase, strip_punct=config.strip_punct)
-    table = type_table(texts(), tokenizer)
-    return doc_ids, labels, table
+    return type_table(texts, tokenizer)
 
 
 def _run_normalizers(
@@ -248,7 +241,7 @@ def run_intrinsic(config: RunConfig) -> list[NormalizerReport]:
     number of worst pairs) of every configured normalizer: no
     embeddings, no classifiers and no normalized corpus. Failures are
     isolated as in :func:`run_evaluation`."""
-    table = _load_table(config)[2]
+    table = _type_table(config, (text for _, text, _ in _corpus_rows(config)))
 
     def score(name: str, mapping: TokenMapping) -> NormalizerReport:
         return NormalizerReport(
@@ -264,24 +257,36 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     """Evaluate every configured normalizer over the configured corpus.
 
     The corpus is tokenized into one type table, and each normalizer's
-    corpus is that table relabelled by its stems. The run has three
-    phases. The first runs each normalizer's intrinsic metrics and
-    relabels the table by its stems. The second is one IRS pass over
-    every relabelled table (:func:`irs`), which embeds each block of
-    original documents once; each surviving normalizer then takes its
-    safety gate, and the folds of each corpus a normalizer changed are
-    featurized. The third trains every classifier on the folds of the
-    un-normalized baseline and of all those corpora together, then
-    scores each normalizer's deltas against the shared baseline; a
-    normalizer that changes no document takes the baseline runs as its
-    normalized runs. A failure inside one normalizer's first or second
-    phase becomes a failure entry in its report, and the others still
-    complete; a failure to embed a block of originals is the failure of
-    the first normalizer still in the IRS pass, and the others embed the
-    block again. Corpus loading or baseline failures abort the whole run
-    before any normalizer runs.
+    corpus is that table mapped through its stem ids. The run has three
+    phases. The first runs each normalizer's intrinsic metrics and finds
+    the documents it changes; a normalizer that gets through it is held
+    as its token mapping and those rows, not as a normalized corpus. The
+    second is one IRS pass over every mapping (:func:`irs`), which
+    embeds each block of original documents once and maps each block of
+    changed rows through a mapping's stem ids; each surviving normalizer
+    then takes its safety gate, and, when classifiers are configured,
+    the table is relabelled by each mapping that changed a document, one
+    at a time, and that corpus's folds are featurized. The third trains
+    every classifier on the folds of the un-normalized baseline and of
+    all those corpora together, then scores each normalizer's deltas
+    against the shared baseline; a normalizer that changes no document
+    takes the baseline runs as its normalized runs. A failure inside one
+    normalizer's first or second phase becomes a failure entry in its
+    report, and the others still complete; a failure to embed a block of
+    originals is the failure of the first normalizer still in the IRS
+    pass, and the others embed the block again. Corpus loading or
+    baseline failures abort the whole run before any normalizer runs.
     """
-    doc_ids, labels, table = _load_table(config)
+    doc_ids: list[str] = []
+    labels: list[str] = []
+
+    def texts():
+        for doc_id, text, label in _corpus_rows(config):
+            doc_ids.append(doc_id)
+            labels.append(label)
+            yield text
+
+    table = _type_table(config, texts())
     provider = build_embedder(config.embedder)
     specs: list[ClassifierSpec] = []
     split = None
@@ -298,17 +303,16 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
         split = fold_split(doc_ids, gold, plan_folds(doc_ids, labels, config.k, config.seed))
         baseline_features = fold_features(table, split)
 
-    # the relabelled table and the changed rows of each normalizer that
-    # got through the first phase
-    normalizations: list[tuple[TypeTable, np.ndarray]] = []
+    # the token mapping and the changed rows of each normalizer that got
+    # through the first phase
+    normalizations: list[tuple[TokenMapping, np.ndarray]] = []
 
     def score(name: str, mapping: TokenMapping) -> NormalizerReport:
         compression = compression_ratio(len(mapping.types), len(mapping.stems))
         primary, alternate = anld_with_alternate(
             mapping, weighting=config.anld_weighting, worst_n=config.worst_n
         )
-        normalized, changed = table.relabel(mapping)
-        normalizations.append((normalized, np.flatnonzero(changed)))
+        normalizations.append((mapping, np.flatnonzero(table.changed(mapping))))
         return NormalizerReport(
             normalizer=name,
             compression=compression,
@@ -325,8 +329,8 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
     for i, (spec, report) in enumerate(zip(config.normalizers, reports)):
         if report.failed:
             continue
-        # popped, so that each table is freed once featurized
-        normalized, changed = normalizations.pop(0)
+        # popped, so that each mapping is freed once featurized
+        mapping, changed = normalizations.pop(0)
         irs_result = outcomes.pop(0)
         try:
             if isinstance(irs_result, EmbeddingError):
@@ -337,7 +341,10 @@ def run_evaluation(config: RunConfig) -> list[NormalizerReport]:
             )
             # training is deterministic, so cross-validating unchanged
             # documents again would reproduce the baseline's runs
-            features = fold_features(normalized, split) if specs and len(changed) else None
+            if specs and len(changed):
+                features = fold_features(table.relabel(mapping)[0], split)
+            else:
+                features = None
         except NormEvalError as exc:
             reports[i] = NormalizerReport(normalizer=spec, error=str(exc))
             continue

@@ -1,8 +1,9 @@
 """Reference implementations that the tests compare normeval against.
 
-Tokenization and normalization one document at a time, hashed n-gram
-vectors one gram at a time, the cosine of two vectors with norms from
-np.linalg.norm and IRS one document at a time, TF-IDF fitted and applied one training set
+Tokenization and normalization one document at a time, ANLD one pair
+at a time, hashed n-gram vectors one gram at a time, the cosine of two
+vectors with norms from np.linalg.norm and IRS one document at a time,
+TF-IDF fitted and applied one training set
 at a time through dicts, logistic regression and the SVM trained one
 set at a time, the softmax objective with its gradient, and the English
 Snowball stemmer step by step. They share no helper with the package,
@@ -88,6 +89,45 @@ def reference_normalize_corpus(normalizer, docs):
     return normalized, (pairs, dict(occurrence))
 
 
+def reference_stem_lists(token_lists, stems):
+    """Each token list with every token replaced by its stem in the dict
+    ``stems``, one token at a time; a token the dict lacks keeps its own
+    form, and an empty stem is dropped."""
+    return [[stems.get(t, t) for t in tokens if stems.get(t, t)] for tokens in token_lists]
+
+
+def reference_levenshtein(a, b):
+    """Edit distance by the full dynamic program, one cell at a time."""
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb)))
+        previous = current
+    return previous[-1]
+
+
+def reference_anld(pairs, counts, weighting, worst_n):
+    """ANLD one pair at a time over the ``(original, stem)`` pairs, each
+    occurring ``counts[i]`` times: every distance divided by its
+    original's length, weighted by its count (``by_occurrence``) or by
+    1.0 (``by_type``), and the products and weights added in two Python
+    floats from 0.0, left to right in pair order. Returns the ANLD, the
+    number of pairs above distance 1 and the ``worst_n`` pairs of
+    greatest distance as ``(original, stem, distance)``, ties by
+    original."""
+    total = weight_sum = 0.0
+    scored = []
+    for (original, stem), count in zip(pairs, counts):
+        d = reference_levenshtein(original, stem) / len(original)
+        w = count if weighting == "by_occurrence" else 1.0
+        total += d * w
+        weight_sum += w
+        scored.append((original, stem, d))
+    worst = sorted(scored, key=lambda pair: (-pair[2], pair[0]))[:worst_n]
+    return total / weight_sum, sum(d > 1.0 for _, _, d in scored), tuple(worst)
+
+
 def reference_token_vector(provider, token):
     """Token vector by the uncached per-gram loop: every gram of the
     token hashed afresh and added to a float64 vector."""
@@ -154,13 +194,16 @@ def reference_irs(doc_ids, original_matrix, normalized, changed, provider):
     matrices, and the scores are summed in order."""
     changed = np.asarray(changed).tolist()
     rows = dict(zip(changed, provider.embed_documents([normalized[i] for i in changed])))
-    per_doc, total, zero_docs = [], 0.0, 0
-    for i, (doc_id, row) in enumerate(zip(doc_ids, original_matrix)):
+    scores, total, zero_docs = [], 0.0, 0
+    for i, row in enumerate(original_matrix):
         value, flag = reference_cosine_with_flag(row, rows.get(i, row))
-        per_doc.append((doc_id, value))
+        scores.append(value)
         total += value
         zero_docs += flag
-    return IrsResult(irs=total / len(per_doc), per_doc=tuple(per_doc), zero_vector_docs=zero_docs)
+    return IrsResult(
+        irs=total / len(scores), scores=np.array(scores), doc_ids=list(doc_ids),
+        zero_vector_docs=zero_docs,
+    )
 
 
 def reference_tfidf_fit(train_docs):

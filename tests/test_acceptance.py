@@ -157,10 +157,10 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     corpus = load_corpus(mini_corpus_path())
     table = type_table(doc.text for doc in corpus.documents)
     identity_map = type_mapping(IdentityNormalizer(), table.types, table.occurrence_counts())
-    normalized, changed = table.relabel(identity_map)
+    changed = table.changed(identity_map)
     provider = HashedNgramProvider(dim=256, seed=0)
     doc_ids = [doc.id for doc in corpus.documents]
-    [result] = irs(provider, doc_ids, table, [(normalized, np.flatnonzero(changed))])
+    [result] = irs(provider, doc_ids, table, [(identity_map, np.flatnonzero(changed))])
     assert result.irs == 1.0
 
     # two-doc vector-file case: doc1 untouched, doc2 fully replaced by a
@@ -169,9 +169,9 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     vec_path.write_text("3 2\nkeep 1 0\nnorth 0 1\neast 1 0\n", encoding="utf-8")
     provider = VectorFileProvider(str(vec_path))
     original = table_of([["keep"], ["north"]])
-    normalized, changed = original.relabel(TokenMapping.of(original.types, ["keep", "east"], [1, 1]))
-    rows = np.flatnonzero(changed)
-    [result] = irs(provider, ["d1", "d2"], original, [(normalized, rows)])
+    mapping = TokenMapping.of(original.types, ["keep", "east"], [1, 1])
+    rows = np.flatnonzero(original.changed(mapping))
+    [result] = irs(provider, ["d1", "d2"], original, [(mapping, rows)])
     assert abs(result.irs - 0.5) < 1e-9
 
     # same construction through the HTTP provider with fixed vectors
@@ -188,7 +188,7 @@ def test_criterion_06_irs_identity_orthogonal_and_http(tmp_path):
     try:
         url = f"http://127.0.0.1:{server.server_address[1]}/embed"
         http = HttpServiceProvider(url)
-        [http_result] = irs(http, ["d1", "d2"], original, [(normalized, rows)])
+        [http_result] = irs(http, ["d1", "d2"], original, [(mapping, rows)])
         assert abs(http_result.irs - 0.5) < 1e-9
     finally:
         server.shutdown()

@@ -313,6 +313,21 @@ class TestTokenizeMemory:
         assert len(table) == 2000 and len(table.types) == 50
         assert peak < text_bytes / 2, (peak, text_bytes)
 
+    def test_ids_not_copied_when_no_token_is_dropped(self):
+        # no token is pure punctuation, so no id is dropped: the peak is
+        # the id buffer as it grows, with no copy of it beside it
+        rng = random.Random(1)
+        words = ["".join(rng.choices(string.ascii_lowercase, k=8)) for _ in range(50)]
+        texts = [" ".join(random.Random(i).choices(words, k=90)) for i in range(2000)]
+        tracemalloc.start()
+        try:
+            table = type_table(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table.ids) == 2000 * 90 and len(table.types) == 50
+        assert peak < 1.6 * table.ids.nbytes, (peak, table.ids.nbytes)
+
 
 class TestCountOccurrences:
     def test_counts_in_first_seen_order(self):

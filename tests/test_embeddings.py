@@ -40,8 +40,10 @@ from reference import (
     reference_document_vector,
     reference_irs,
     reference_normalize_corpus,
+    reference_stem_lists,
     reference_token_vector,
     reference_tokenize_corpus,
+    table_tokens,
 )
 
 
@@ -704,15 +706,25 @@ def rows(*indices):
     return np.array(indices, dtype=np.intp)
 
 
-def relabelled(table, stems):
-    """``table`` relabelled by the stem of each of its types, in order."""
-    return table.relabel(TokenMapping.of(table.types, list(stems), table.occurrence_counts()))
+def stemmed(table, stems):
+    """The mapping of the types of ``table`` to ``stems``: one stem per
+    type, in order, or a dict of type to stem, in which a type it lacks
+    keeps its own form."""
+    if isinstance(stems, dict):
+        stems = [stems.get(t, t) for t in table.types]
+    return TokenMapping.of(table.types, list(stems), table.occurrence_counts())
 
 
-def irs_of(provider, doc_ids, original, normalized, changed):
+def normalization(table, stems):
+    """The :func:`stemmed` mapping of ``table``, and the rows it changes."""
+    mapping = stemmed(table, stems)
+    return mapping, np.flatnonzero(table.changed(mapping))
+
+
+def irs_of(provider, doc_ids, original, mapping, changed):
     """The IrsResult of one normalization through irs; its EmbeddingError
     is raised."""
-    [outcome] = irs(provider, doc_ids, original, [(normalized, changed)])
+    [outcome] = irs(provider, doc_ids, original, [(mapping, changed)])
     if isinstance(outcome, EmbeddingError):
         raise outcome
     return outcome
@@ -731,9 +743,9 @@ class TestIrs:
     def test_identity_corpus_scores_exactly_one(self):
         provider = HashedNgramProvider(dim=32)
         table = table_of([["the", "runner"], ["ran", "fast"]])
-        normalized, changed = relabelled(table, table.types)
-        assert not changed.any()
-        result = irs_of(provider, ["d1", "d2"], table, normalized, rows())
+        mapping, changed = normalization(table, table.types)
+        assert not len(changed)
+        result = irs_of(provider, ["d1", "d2"], table, mapping, rows())
         assert result.irs == 1.0
         assert result.zero_vector_docs == 0
         assert [doc_id for doc_id, _ in result.per_doc] == ["d1", "d2"]
@@ -741,33 +753,48 @@ class TestIrs:
     def test_half_identical_half_orthogonal(self):
         provider = FixedProvider({("x",): [1, 0], ("y",): [0, 1], ("z",): [1, 0]})
         table = table_of([["x"], ["y"]])
-        normalized, changed = relabelled(table, ["z", "x"])
-        result = irs_of(provider, ["d1", "d2"], table, normalized, np.flatnonzero(changed))
+        result = irs_of(provider, ["d1", "d2"], table, *normalization(table, ["z", "x"]))
         assert result.irs == pytest.approx(0.5)
         assert dict(result.per_doc) == {"d1": 1.0, "d2": 0.0}
 
     def test_zero_vector_documents_counted(self):
         provider = HashedNgramProvider(dim=16)
-        original = table_of([["word"], ["word"]])
-        result = irs_of(provider, ["d1", "d2"], original, table_of([["word"], []]), rows(1))
+        original = table_of([["word"], ["gone"]])
+        result = irs_of(provider, ["d1", "d2"], original, stemmed(original, {"gone": ""}), rows(1))
         assert result.zero_vector_docs == 1
         assert result.irs == pytest.approx(0.5)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmbeddingError, match="empty"):
-            irs_of(HashedNgramProvider(dim=16), [], table_of([]), table_of([]), rows())
+            irs_of(HashedNgramProvider(dim=16), [], table_of([]), stemmed(table_of([]), []), rows())
+
+    def test_scores_are_one_read_only_array_in_document_order(self):
+        provider = FixedProvider({("x",): [1, 0], ("y",): [0, 1], ("z",): [1, 0]})
+        table = table_of([["x"], ["y"], ["x"]])
+        ids = ["d1", "d2", "d3"]
+        result = irs_of(provider, ids, table, *normalization(table, {"x": "y"}))
+        assert result.scores.dtype == np.float64 and not result.scores.flags.writeable
+        assert result.scores.tolist() == [0.0, 1.0, 0.0]
+        assert result.doc_ids is ids
+        assert result.per_doc == (("d1", 0.0), ("d2", 1.0), ("d3", 0.0))
+        # equal by value, not by identity
+        copy = embeddings.IrsResult(result.irs, np.array([0.0, 1.0, 0.0]), list(ids), 0)
+        assert result == copy
+        assert result != embeddings.IrsResult(result.irs, np.array([0.0, 1.0, 0.5]), ids, 0)
+        assert result != embeddings.IrsResult(result.irs, result.scores, ["d1", "d2", "d4"], 0)
 
     def test_originals_embedded_from_their_table(self):
         provider = HashedNgramProvider(dim=16)
         original = [["running", "fast"], ["গানগুলো"], []]
-        normalized = [["run", "fast"], ["গান"], []]
+        stems = {"running": "run", "গানগুলো": "গান"}
         ids = ["d1", "d2", "d3"]
-        result = irs_of(provider, ids, table_of(original), table_of(normalized), rows(0, 1))
+        table = table_of(original)
+        result = irs_of(provider, ids, table, stemmed(table, stems), rows(0, 1))
         matrix = provider.embed_documents(original)
-        expected = reference_irs(ids, matrix, normalized, rows(0, 1), provider)
+        expected = reference_irs(ids, matrix, reference_stem_lists(original, stems), rows(0, 1), provider)
         assert hexed(result) == hexed(expected)
         with pytest.raises(EmbeddingError, match="2 document ids for 3 documents"):
-            irs_of(provider, ids[:2], table_of(original), table_of(normalized), rows(0, 1))
+            irs_of(provider, ids[:2], table, stemmed(table, stems), rows(0, 1))
 
     @pytest.mark.parametrize(
         "returned", [np.zeros((2, 2)), np.zeros((0, 2)), np.zeros((1, 3))], ids=["rows+1", "rows-1", "width+1"]
@@ -775,12 +802,13 @@ class TestIrs:
     def test_provider_returning_wrong_shape_rejected(self, returned):
         class WrongShapeProvider(FixedProvider):
             def embed_documents(self, token_lists):
-                # the originals are all "x"
+                # the originals are "x" and "w"
                 return returned if token_lists == [["y"]] else super().embed_documents(token_lists)
 
-        provider = WrongShapeProvider({("x",): [1, 0]})
+        provider = WrongShapeProvider({("x",): [1, 0], ("w",): [0, 1]})
+        table = table_of([["x"], ["w"]])
         with pytest.raises(EmbeddingError, match=r"for 1 changed documents of width 2"):
-            irs_of(provider, ["d1", "d2"], table_of([["x"], ["x"]]), table_of([["x"], ["y"]]), rows(1))
+            irs_of(provider, ["d1", "d2"], table, stemmed(table, {"w": "y"}), rows(1))
 
     @pytest.mark.parametrize(
         "returned", [np.zeros((3, 2)), np.zeros((1, 2)), np.zeros(2)], ids=["rows+1", "rows-1", "1-d"]
@@ -791,8 +819,8 @@ class TestIrs:
                 return returned
 
         provider = WrongShapeProvider({("x",): [1, 0]})
-        normalized = table_of([["x"], ["y"]])
-        [outcome] = irs(provider, ["d1", "d2"], table_of([["x"], ["x"]]), [(normalized, rows(1))])
+        table = table_of([["x"], ["w"]])
+        [outcome] = irs(provider, ["d1", "d2"], table, [(stemmed(table, {"w": "y"}), rows(1))])
         assert isinstance(outcome, EmbeddingError)
         assert f"shape {returned.shape} for 2 original documents" in str(outcome)
 
@@ -808,20 +836,22 @@ class TestIrs:
         provider = CountingProvider(dim=16)
         table = table_of([["a"], ["b"], ["c"]])
         with pytest.raises(EmbeddingError, match="changed rows must ascend within the 3 documents"):
-            irs(provider, ["d1", "d2", "d3"], table, [(table_of([["x"], ["y"], ["c"]]), rows(*changed))])
+            irs(provider, ["d1", "d2", "d3"], table, [(stemmed(table, ["x", "y", "c"]), rows(*changed))])
         assert provider.calls == 0
 
-    @pytest.mark.parametrize("n_normalized", [4, 2])
-    def test_normalized_table_of_another_length_rejected(self, n_normalized):
-        # scored, a longer table gives an IRS above 1, and a shorter one
-        # fewer per-document values than document ids
+    @pytest.mark.parametrize(
+        "other", [["a", "x", "c", "y"], ["a", "x"], ["a", "b", "z"]], ids=["longer", "shorter", "renamed"]
+    )
+    def test_mapping_of_other_types_rejected(self, other):
+        # scored, a mapping of more types would read stem ids past the
+        # table's types, and one of fewer could not map every document
         provider = CountingProvider(dim=16)
         table = table_of([["a"], ["b"], ["c"]])
-        normalized = table_of([["a"], ["x"], ["c"], ["y"]][:n_normalized])
+        mapping = TokenMapping.of(other, other, [1] * len(other))
         with pytest.raises(
-            EmbeddingError, match=f"table of {n_normalized} documents for 3 original documents"
+            EmbeddingError, match=f"^a mapping of {len(other)} other types for 3 original types$"
         ):
-            irs(provider, ["d1", "d2", "d3"], table, [(normalized, rows(1))])
+            irs(provider, ["d1", "d2", "d3"], table, [(mapping, rows(1))])
         assert provider.calls == 0
 
 
@@ -829,30 +859,31 @@ _IRS_RELATIONS = ["unchanged", "free", "copy", "opposite", "scaled", "zero"]
 
 
 def pass_of(matrix, normalizations):
-    """The arguments of irs, with the original token lists, for documents
-    whose original rows are ``matrix`` under normalizations given as
-    ``(changed, vectors)``: document ``i`` is ``[f"o{i}"]``, and under
-    normalization ``j`` it is ``[f"n{j}.{i}"]``, embedding to
-    ``vectors[i]``, when ``i`` is in ``changed``. A FixedProvider holds
-    every document's vector, one token per document."""
+    """The arguments of irs, with the original token lists and each
+    normalization's stems, for documents whose original rows are
+    ``matrix`` under normalizations given as ``(changed, vectors)``:
+    document ``i`` is ``[f"o{i}"]``, and under normalization ``j`` its
+    token is stemmed to ``f"n{j}.{i}"``, embedding to ``vectors[i]``,
+    when ``i`` is in ``changed``. A FixedProvider holds every document's
+    vector, one token per document."""
     n = len(matrix)
     original = [[f"o{i}"] for i in range(n)]
     table = {(f"o{i}",): row for i, row in enumerate(matrix)}
-    normalized, changed_rows = [], []
+    stems, changed_rows = [], []
     for j, (changed, vectors) in enumerate(normalizations):
         changed = sorted(changed)
-        normalized.append([[f"n{j}.{i}"] if i in changed else [f"o{i}"] for i in range(n)])
+        stems.append({f"o{i}": f"n{j}.{i}" for i in changed})
         table.update({(f"n{j}.{i}",): vectors[i] for i in changed})
         changed_rows.append(rows(*changed))
     doc_ids = [f"d{i}" for i in range(n)]
-    return doc_ids, original, normalized, changed_rows, FixedProvider(table)
+    return doc_ids, original, stems, changed_rows, FixedProvider(table)
 
 
 def corpus_of(matrix, changed, vectors):
     """The arguments of check_against_reference for one normalization
     (see pass_of)."""
-    doc_ids, original, [normalized], [changed], provider = pass_of(matrix, [(changed, vectors)])
-    return doc_ids, original, normalized, changed, provider
+    doc_ids, original, [stems], [changed], provider = pass_of(matrix, [(changed, vectors)])
+    return doc_ids, original, stems, changed, provider
 
 
 @st.composite
@@ -898,12 +929,14 @@ def irs_passes(draw):
     return pass_of(matrix, draw(st.lists(normalizations_of(matrix), min_size=1, max_size=4)))
 
 
-def check_against_reference(doc_ids, original, normalized, changed, provider):
+def check_against_reference(doc_ids, original, stems, changed, provider):
     """irs equals reference_irs bit for bit, and warns of nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        result = irs_of(provider, doc_ids, table_of(original), table_of(normalized), changed)
+        table = table_of(original)
+        result = irs_of(provider, doc_ids, table, stemmed(table, stems), changed)
         matrix = provider.embed_documents(original)
+        normalized = reference_stem_lists(original, stems)
         expected = reference_irs(doc_ids, matrix, normalized, changed, provider)
     assert result.irs.hex() == expected.irs.hex()
     assert [(d, v.hex()) for d, v in result.per_doc] == [(d, v.hex()) for d, v in expected.per_doc]
@@ -923,17 +956,18 @@ class TestBatchedIrs:
     @settings(max_examples=100, deadline=None)
     @given(irs_corpora(), st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
     def test_non_finite_row_still_raises(self, corpus, bad, data):
-        doc_ids, original, normalized, changed, provider = corpus
+        doc_ids, original, stems, changed, provider = corpus
         i = data.draw(st.integers(0, len(doc_ids) - 1))
         if data.draw(st.booleans()) or i not in changed.tolist():
             row = provider.table[tuple(original[i])]
         else:
-            row = provider.table[tuple(normalized[i])]
+            row = provider.table[tuple(reference_stem_lists(original, stems)[i])]
         row[data.draw(st.integers(0, len(row) - 1))] = bad
+        table = table_of(original)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EmbeddingError, match="NaN or infinite"):
-                irs_of(provider, doc_ids, table_of(original), table_of(normalized), changed)
+                irs_of(provider, doc_ids, table, stemmed(table, stems), changed)
 
     def test_rows_across_block_edges(self):
         n, dim = 2 * _EMBED_BLOCK + 5, 7
@@ -959,18 +993,18 @@ class TestBatchedIrs:
         n = 8 * _EMBED_BLOCK
         table = table_of([f"w{i % 50}", f"v{i % 7}"] for i in range(n))
         # every document keeps its first token only
-        normalized, changed = relabelled(table, (t if t[0] == "w" else "" for t in table.types))
+        mapping, changed = normalization(table, (t if t[0] == "w" else "" for t in table.types))
         ids = [f"d{i}" for i in range(n)]
         tracemalloc.start()
         try:
-            result = irs_of(provider, ids, table, normalized, np.flatnonzero(changed))
+            result = irs_of(provider, ids, table, mapping, changed)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert changed.all()
+        assert len(changed) == n
         assert peak < n * 256 * 8
         fresh = HashedNgramProvider(dim=256)
-        assert result == irs_of(fresh, ids, table, normalized, np.flatnonzero(changed))
+        assert result == irs_of(fresh, ids, table, mapping, changed)
 
     def test_peak_is_a_few_blocks_of_rows_and_the_tables(self):
         # eight blocks of documents at dim 256 and two normalizations that
@@ -982,11 +1016,10 @@ class TestBatchedIrs:
         # tables of the three vocabularies and the gram index come on top
         dim, n = 256, 8 * _EMBED_BLOCK
         table = table_of([f"w{i % 500}", f"v{i % 70}"] for i in range(n))
-        sides = [
-            relabelled(table, (t if t[0] == "w" else "" for t in table.types)),
-            relabelled(table, (t[:2] for t in table.types)),
+        normalized = [
+            normalization(table, (t if t[0] == "w" else "" for t in table.types)),
+            normalization(table, (t[:2] for t in table.types)),
         ]
-        normalized = [(side, np.flatnonzero(changed)) for side, changed in sides]
         ids = [f"d{i}" for i in range(n)]
         provider = HashedNgramProvider(dim=dim)
         tracemalloc.start()
@@ -998,12 +1031,48 @@ class TestBatchedIrs:
             tracemalloc.stop()
         assert all(len(changed) > 0.95 * n for _, changed in normalized)
         tables = gram_index_bytes(provider) + sum(
-            8 * (len(t.types) + 1) + 2 * sum(map(token_bin_count, t.types))
-            for t in [table] + [side for side, _ in normalized]
+            8 * (len(types) + 1) + 2 * sum(map(token_bin_count, types))
+            for types in [table.types] + [mapping.stems for mapping, _ in normalized]
         )
         assert peak < 8 * _EMBED_BLOCK * dim * 8 + tables
         fresh = HashedNgramProvider(dim=dim)
         assert outcomes == irs(fresh, ids, table, normalized)
+
+
+class TestIrsOverMappings:
+    """irs maps each block of original rows through a mapping's stem ids;
+    the documents it embeds and every score are those of the table
+    relabelled by the mapping."""
+
+    WORDS = ["run", "runs", "ran", "a", "gone", "x"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.lists(st.sampled_from(WORDS), max_size=4), min_size=1, max_size=9),
+        st.dictionaries(st.sampled_from(WORDS), st.sampled_from(["", "run", "r", "a", "x", "new"])),
+    )
+    def test_equal_to_relabelled_table(self, docs, stems):
+        # an empty document, and one whose every token has an empty stem
+        docs = [*docs, [], ["gone", "gone"]]
+        stems["gone"] = ""
+        table = table_of(docs)
+        mapping = stemmed(table, stems)
+        relabelled, mask = table.relabel(mapping)
+        changed = np.flatnonzero(mask)
+        normalized = [list(tokens) for tokens in table_tokens(relabelled)]
+        assert normalized == reference_stem_lists(docs, stems) and normalized[-1] == []
+        ids = [f"d{i}" for i in range(len(docs))]
+        provider = CountingProvider(dim=16)
+        with blocks_of(2):
+            result = irs_of(provider, ids, table, mapping, changed)
+        # the originals, and the relabelled table's changed documents
+        assert Counter(provider.embedded) == Counter(
+            [tuple(tokens) for tokens in docs] + [tuple(normalized[i]) for i in changed.tolist()]
+        )
+        fresh = HashedNgramProvider(dim=16)
+        expected = reference_irs(ids, fresh.embed_documents(docs), normalized, changed, fresh)
+        assert hexed(result) == hexed(expected)
+        assert result.zero_vector_docs == expected.zero_vector_docs >= 2
 
 
 class CountingProvider(HashedNgramProvider):
@@ -1051,8 +1120,7 @@ class TestIrsSkipsUnchangedDocuments:
     def test_identity_embeds_no_normalized_document(self):
         provider = CountingProvider(dim=16)
         table = table_of(self.ORIGINAL)
-        normalized, changed = relabelled(table, table.types)
-        result = irs_of(provider, self.IDS, table, normalized, np.flatnonzero(changed))
+        result = irs_of(provider, self.IDS, table, *normalization(table, table.types))
         # the originals, in one block, and nothing else
         assert provider.embedded == [tuple(tokens) for tokens in self.ORIGINAL]
         assert provider.calls == 1
@@ -1062,19 +1130,19 @@ class TestIrsSkipsUnchangedDocuments:
         # the two empty originals are reused and still count as zero vectors
         assert result.zero_vector_docs == 2
 
-    @pytest.mark.parametrize("changed", [["d1"], ["d2", "d4"], ["d1", "d3", "d5", "d6"]])
+    # d2 and d6 are empty, so no mapping of types changes them
+    @pytest.mark.parametrize("changed", [["d1"], ["d3", "d4"], ["d1", "d3", "d4", "d5"]])
     def test_embeds_exactly_the_changed_documents(self, changed):
-        stems = {"d1": ["run", "fast"], "d2": ["new"], "d3": ["গান"], "d4": ["the", "runner"],
-                 "d5": [], "d6": ["x"]}
-        normalized = [
-            stems[doc_id] if doc_id in changed else tokens
-            for doc_id, tokens in zip(self.IDS, self.ORIGINAL)
-        ]
+        stems = {"d1": {"running": "run"}, "d3": {"গানগুলো": "গান"}, "d4": {"runners": "runner"},
+                 "d5": {"x": ""}}
+        stems = {t: stem for doc_id in changed for t, stem in stems[doc_id].items()}
+        normalized = reference_stem_lists(self.ORIGINAL, stems)
         provider = CountingProvider(dim=16)
+        table = table_of(self.ORIGINAL)
         changed_rows = rows(*(self.IDS.index(doc_id) for doc_id in changed))
-        result = irs_of(provider, self.IDS, table_of(self.ORIGINAL), table_of(normalized), changed_rows)
+        result = irs_of(provider, self.IDS, table, stemmed(table, stems), changed_rows)
         assert provider.embedded == [tuple(tokens) for tokens in self.ORIGINAL] + [
-            tuple(stems[doc_id]) for doc_id in changed
+            tuple(normalized[i]) for i in changed_rows.tolist()
         ]
         assert self.result_tuple(result) == irs_embedding_everything(
             HashedNgramProvider(dim=16), self.IDS, self.ORIGINAL, normalized
@@ -1082,10 +1150,9 @@ class TestIrsSkipsUnchangedDocuments:
 
     def test_reused_all_zero_original_counts_as_zero_vector(self, tmp_path):
         # "zz" is not in the table, so d1 embeds to zero on both sides
-        provider = VectorFileProvider(write_vectors(tmp_path / "v.txt", ["1 2", "a 1 0"]))
-        original = table_of([["zz"], ["a"], ["a"]])
-        normalized = table_of([["zz"], ["a"], ["zz"]])
-        result = irs_of(provider, ["d1", "d2", "d3"], original, normalized, rows(2))
+        provider = VectorFileProvider(write_vectors(tmp_path / "v.txt", ["2 2", "a 1 0", "b 0 1"]))
+        original = table_of([["zz"], ["a"], ["b"]])
+        result = irs_of(provider, ["d1", "d2", "d3"], original, stemmed(original, {"b": "zz"}), rows(2))
         assert self.result_tuple(result) == (1 / 3, (("d1", 0.0), ("d2", 1.0), ("d3", 0.0)), 2)
         # the originals and the one changed document were looked up
         assert provider.missing_tokens == 2
@@ -1124,17 +1191,18 @@ class TestIrsInSmallBlocks:
     @settings(max_examples=100, deadline=None)
     @given(irs_passes())
     def test_several_normalizations_in_one_pass(self, corpus):
-        doc_ids, original, normalized, changed, provider = corpus
+        doc_ids, original, stems, changed, provider = corpus
+        table = table_of(original)
         with blocks_of(2), warnings.catch_warnings():
             warnings.simplefilter("error")
             outcomes = irs(
-                provider, doc_ids, table_of(original),
-                [(table_of(docs), rows) for docs, rows in zip(normalized, changed)],
+                provider, doc_ids, table,
+                [(stemmed(table, side), rows) for side, rows in zip(stems, changed)],
             )
             matrix = provider.embed_documents(original)
             expected = [
-                reference_irs(doc_ids, matrix, docs, rows, provider)
-                for docs, rows in zip(normalized, changed)
+                reference_irs(doc_ids, matrix, reference_stem_lists(original, side), rows, provider)
+                for side, rows in zip(stems, changed)
             ]
         assert [hexed(outcome) for outcome in outcomes] == [hexed(result) for result in expected]
 
@@ -1166,15 +1234,16 @@ class TestIrsInSmallBlocks:
         provider = SecondBlockTooShort({("x",): [1, 0], ("y",): [0, 1]})
         ids = [f"d{i}" for i in range(5)]
         with pytest.raises(EmbeddingError, match=r"shape \(1, 2\) for 2 changed documents"):
-            irs_of(provider, ids, table_of([["x"]] * 5), table_of([["y"]] * 5), rows(0, 1, 2, 3, 4))
+            table = table_of([["x"]] * 5)
+            irs_of(provider, ids, table, stemmed(table, {"x": "y"}), rows(0, 1, 2, 3, 4))
 
     @pytest.mark.parametrize("n_changed, calls", [(0, 0), (1, 1), (3, 1), (4, 2), (7, 3)])
     def test_one_call_per_block_of_changed_documents(self, n_changed, calls):
         provider = CountingProvider(dim=16)
-        original = [[f"w{i}"] for i in range(8)]
-        normalized = original[: 8 - n_changed] + [[f"s{i}"] for i in range(8 - n_changed, 8)]
+        table = table_of([f"w{i}"] for i in range(8))
+        stems = {f"w{i}": f"s{i}" for i in range(8 - n_changed, 8)}
         ids = [f"d{i}" for i in range(8)]
-        irs_of(provider, ids, table_of(original), table_of(normalized), rows(*range(8 - n_changed, 8)))
+        irs_of(provider, ids, table, stemmed(table, stems), rows(*range(8 - n_changed, 8)))
         # the three blocks of originals, then the changed documents' calls
         assert provider.calls - 3 == calls
 

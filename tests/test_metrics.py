@@ -31,6 +31,7 @@ from normeval import (
 )
 from normeval.corpus import table_of
 from normeval.data import mini_corpus_path
+from reference import reference_anld
 
 
 def recursive_distance(a: str, b: str) -> int:
@@ -229,6 +230,18 @@ def mapping(pairs, counts=None):
     return TokenMapping.of(list(pairs), list(pairs.values()), [counts[orig] for orig in pairs])
 
 
+@st.composite
+def weighted_pairs(draw):
+    """Up to 40 ``(original, stem, count)`` of distinct originals over a
+    small alphabet, so that distances tie; a stem may be longer than its
+    original, and a count is up to 2**40."""
+    originals = draw(st.lists(st.text("abé", min_size=1, max_size=5), min_size=1, max_size=40, unique=True))
+    return [
+        (orig, draw(st.text("abé", max_size=9)), draw(st.integers(1, 2**40)))
+        for orig in originals
+    ]
+
+
 class TestAnld:
     def test_identity_mapping_is_zero(self):
         result = anld(mapping({"run": "run", "cat": "cat"}))
@@ -311,29 +324,35 @@ class TestAnld:
         assert metrics.anld_with_alternate(m, weighting, worst_n=2) == expected
         assert len(calls) == len(m.types)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        pairs=st.dictionaries(
-            st.text("abé", min_size=1, max_size=5), st.text("abé", max_size=7), min_size=1, max_size=30
-        ),
-        data=st.data(),
-        weighting=st.sampled_from(["by_occurrence", "by_type"]),
-        worst_n=st.integers(0, 35),
+        weighted=weighted_pairs(),
+        weighting=st.sampled_from(metrics.WEIGHTINGS),
+        worst_n=st.integers(0, 45),
     )
-    def test_equals_one_tuple_per_pair(self, pairs, data, weighting, worst_n):
-        counts = {orig: data.draw(st.integers(1, 9)) for orig in pairs}
-        result = anld(mapping(pairs, counts), weighting, worst_n)
-        # every pair scored as an (original, stem, distance) tuple, summed
-        # in mapping order and sorted whole
-        scored = [(orig, stem, levenshtein(orig, stem) / len(orig)) for orig, stem in pairs.items()]
-        total = weight_sum = 0.0
-        for orig, _, d in scored:
-            w = counts[orig] if weighting == "by_occurrence" else 1.0
-            total += d * w
-            weight_sum += w
-        assert result.anld.hex() == (total / weight_sum).hex()
-        assert result.over_unit_pairs == sum(d > 1.0 for _, _, d in scored)
-        assert result.worst_pairs == tuple(sorted(scored, key=lambda p: (-p[2], p[0]))[:worst_n])
+    # tied worst pairs, an over-unit pair and counts near 2**40
+    @example(
+        weighted=[("cd", "c", 2**40), ("ab", "a", 3), ("ba", "b", 2**40 - 1), ("a", "abc", 1)],
+        weighting="by_occurrence",
+        worst_n=3,
+    )
+    def test_equals_left_to_right_reference(self, weighted, weighting, worst_n):
+        pairs = [(orig, stem) for orig, stem, _ in weighted]
+        counts = [count for *_, count in weighted]
+        m = TokenMapping.of([orig for orig, _ in pairs], [stem for _, stem in pairs], counts)
+        result = anld(m, weighting, worst_n)
+        expected, over_unit, worst = reference_anld(pairs, counts, weighting, worst_n)
+        assert result.anld.hex() == expected.hex()
+        assert result.over_unit_pairs == over_unit
+        assert [(o, s, d.hex()) for o, s, d in result.worst_pairs] == [
+            (o, s, d.hex()) for o, s, d in worst
+        ]
+        assert all(type(d) is float for _, _, d in result.worst_pairs)
+        # both weightings from one pass of distances
+        other = next(w for w in metrics.WEIGHTINGS if w != weighting)
+        primary, alternate = metrics.anld_with_alternate(m, weighting, worst_n)
+        assert primary == result
+        assert alternate.anld.hex() == reference_anld(pairs, counts, other, 0)[0].hex()
 
     def test_truncation_distance_non_increasing_in_prefix_length(self):
         words = ["normalization", "running", "cat", "jumped", "ab"]

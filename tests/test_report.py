@@ -41,7 +41,7 @@ from normeval import (
 )
 from normeval import downstream
 from normeval.cli import main
-from normeval.corpus import TypeTable, table_of
+from normeval.corpus import TokenMapping, TypeTable, table_of
 from normeval.data import mini_corpus_path
 from normeval.report import report_json
 from reference import mapping_items, reference_normalize_corpus, reference_tokenize_corpus
@@ -351,13 +351,17 @@ class TestOriginalEmbeddingsShared:
         """IRS of one normalizer through ``irs`` alone, with a fresh provider,
         from the per-document reference normalization."""
         original = reference_tokenize_corpus(load_corpus(corpus_path), TokenizerConfig())
-        normalized, _ = reference_normalize_corpus(build_normalizer(spec), original)
+        normalized, (pairs, counts) = reference_normalize_corpus(build_normalizer(spec), original)
         changed = [i for i, (a, b) in enumerate(zip(original, normalized)) if a is not b]
+        table = table_of(doc.tokens for doc in original)
+        mapping = TokenMapping.of(
+            table.types, [pairs[t] for t in table.types], [counts[t] for t in table.types]
+        )
         [result] = irs(
             HashedNgramProvider(dim=64, seed=0),
             [doc.doc_id for doc in original],
-            table_of(doc.tokens for doc in original),
-            [(table_of(doc.tokens for doc in normalized), np.array(changed, dtype=np.intp))],
+            table,
+            [(mapping, np.array(changed, dtype=np.intp))],
         )
         return result
 
@@ -511,7 +515,7 @@ def hand_built_report(irs=0.91):
     return NormalizerReport(
         normalizer="external-table",
         compression=compression_ratio(161, 100),
-        irs_result=IrsResult(irs=irs, per_doc=(), zero_vector_docs=0),
+        irs_result=IrsResult(irs=irs, scores=np.zeros(0), doc_ids=[], zero_vector_docs=0),
         ses_result=safety_gate(irs=0.91, cr=1.61, anld=0.05),
         anld_primary=AnldResult(
             anld=0.05, pair_count=1, over_unit_pairs=0, worst_pairs=(), weighting="by_occurrence"
@@ -682,7 +686,7 @@ class TestEmitMarkdown:
         assert "seed: 0" in text
 
     def test_zero_vector_documents_noted(self, tmp_path):
-        irs_result = IrsResult(irs=0.91, per_doc=(), zero_vector_docs=2)
+        irs_result = IrsResult(irs=0.91, scores=np.zeros(0), doc_ids=[], zero_vector_docs=2)
         path = tmp_path / "out.md"
         emit_markdown([replace(hand_built_report(), irs_result=irs_result)], str(path))
         notes = path.read_text(encoding="utf-8").split("## Notes\n\n")[1].splitlines()

@@ -28,7 +28,7 @@ from normeval import (
     type_table,
 )
 from normeval import embeddings
-from normeval.corpus import table_of
+from normeval.corpus import TypeTable, table_of
 from normeval.data import mini_corpus_path
 from normeval.downstream import table_tfidf
 from reference import (
@@ -114,12 +114,12 @@ class TestTableAgainstPerDocumentPath:
             va = reference_document_vector(provider, a.tokens)
             vb = va if a is b else reference_document_vector(provider, b.tokens)
             expected.append((a.doc_id, cosine_with_flag(va, vb)[0].hex()))
-        [result] = irs(provider, doc_ids, table, [(normalized, np.flatnonzero(changed))])
+        [result] = irs(provider, doc_ids, table, [(mapping, np.flatnonzero(changed))])
         assert [(d, v.hex()) for d, v in result.per_doc] == expected
         # a fresh provider, the originals numbered from their token lists
         fresh = HashedNgramProvider(dim=16, seed=1)
         original = table_of(doc.tokens for doc in docs)
-        [result] = irs(fresh, doc_ids, original, [(normalized, np.flatnonzero(changed))])
+        [result] = irs(fresh, doc_ids, original, [(mapping, np.flatnonzero(changed))])
         assert [(d, v.hex()) for d, v in result.per_doc] == expected
 
         # the fold TF-IDF, entry for entry
@@ -185,6 +185,25 @@ class TestRunPathStructure:
         config = RunConfig(str(path), ("identity", "truncate:2"), classifiers=("nb",), k=2)
         reports = run(config)
         assert [report.failed for report in reports] == [False, False]
+
+    def test_evaluate_relabels_only_to_featurize(self, monkeypatch):
+        # IRS maps rows through each mapping itself; the table is
+        # relabelled only for the folds of a corpus a normalizer changed
+        calls = []
+        real = TypeTable.relabel
+
+        def counting(table, mapping):
+            calls.append(mapping)
+            return real(table, mapping)
+
+        monkeypatch.setattr(TypeTable, "relabel", counting)
+        reports = run_evaluation(mini_config(classifiers=()))
+        assert not any(report.failed for report in reports)
+        assert calls == []
+        reports = run_evaluation(mini_config(classifiers=("nb",), k=2))
+        assert not any(report.failed for report in reports)
+        # snowball-en and truncate:3, each once; identity changes nothing
+        assert len(calls) == 2 and calls[0] is not calls[1]
 
     def test_each_embedded_vocabulary_built_once_in_chunks(self, monkeypatch):
         sizes = []
