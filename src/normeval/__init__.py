@@ -24,15 +24,12 @@ if _cap_blas_threads:
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 try:
     from .corpus import (
-        Corpus,
-        Document,
+        CorpusRows,
         FoldPlan,
         TokenizerConfig,
         TokenMapping,
         TypeTable,
-        load_corpus,
-        make_folds,
-        tokenize,
+        plan_folds,
         type_table,
     )
     from .downstream import (
@@ -111,15 +108,12 @@ finally:
 
 __all__ = [
     "__version__",
-    "Corpus",
-    "Document",
+    "CorpusRows",
     "FoldPlan",
     "TokenizerConfig",
     "TokenMapping",
     "TypeTable",
-    "load_corpus",
-    "make_folds",
-    "tokenize",
+    "plan_folds",
     "type_table",
     "NormEvalError",
     "CorpusError",

@@ -1,11 +1,12 @@
-"""Corpus loading, tokenization into a type table, occurrence counting,
-and fold planning.
+"""The corpus API: reading a corpus file, tokenizing it into a type
+table, occurrence counting, and fold planning.
 
 A run reads its corpus file once (:class:`CorpusRows`) and tokenizes
-each row's text as it is read, into one :class:`TypeTable`: the
-distinct tokens and every document as an array of their ids. Only the
-table is kept, with the document ids and the labels where a run reads
-them, never the texts.
+each row's text as it is read, into one :class:`TypeTable`
+(:func:`type_table`): the distinct tokens and every document as an
+array of their ids. Only the table is kept, with the document ids and
+the labels where a run reads them, never the texts; the folds are
+planned from the ids and labels (:func:`plan_folds`).
 Normalization, CR, ANLD, IRS and the fold TF-IDF all read that table,
 and a normalizer's stems of its types are one :class:`TokenMapping` of
 stem ids; a normalized corpus is the table's rows mapped through them
@@ -26,6 +27,7 @@ import csv
 import logging
 import unicodedata
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -34,23 +36,6 @@ import numpy as np
 from .errors import CorpusError, NormalizerError
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class Document:
-    id: str
-    text: str
-    label: str
-
-
-@dataclass(frozen=True)
-class Corpus:
-    documents: tuple[Document, ...]
-    labels: frozenset[str]
-    skipped_rows: int = 0
-
-    def __len__(self) -> int:
-        return len(self.documents)
 
 
 @dataclass(frozen=True)
@@ -157,22 +142,6 @@ class CorpusRows:
             raise CorpusError(f"corpus file {path!r} contains no usable rows")
         if self.skipped:
             log.warning("skipped %d empty-text row(s) while loading %s", self.skipped, path)
-
-
-def load_corpus(
-    path: str,
-    text_col: str | int = "text",
-    label_col: str | int = "label",
-    delimiter: str = "\t",
-    has_header: bool = True,
-) -> Corpus:
-    """Load a labeled corpus: one Document per row of
-    :class:`CorpusRows`, which gives the rules on ids, skipped rows,
-    row width and quoting."""
-    rows = CorpusRows(path, text_col, label_col, delimiter, has_header)
-    documents = tuple(Document(*row) for row in rows)
-    labels = frozenset(doc.label for doc in documents)
-    return Corpus(documents=documents, labels=labels, skipped_rows=rows.skipped)
 
 
 class _TypeIds(dict):
@@ -320,7 +289,10 @@ def _number(token_lists, type_ids: _TypeIds) -> tuple[np.ndarray, np.ndarray]:
 
 
 def type_table(texts, config: TokenizerConfig = TokenizerConfig()) -> TypeTable:
-    """:func:`tokenize` of every text as one :class:`TypeTable`.
+    """The tokens of every text as one :class:`TypeTable`: each text
+    split on Unicode whitespace, each token stripped of its edge
+    punctuation (Unicode category P*) and lowercased as ``config`` says,
+    and a token left empty dropped.
 
     The texts are read once, one at a time, so an iterator of them is
     never held whole. Edge punctuation is stripped by one ``str.strip``
@@ -351,29 +323,22 @@ def table_of(token_lists) -> TypeTable:
     return TypeTable(list(type_ids), ids, indptr)
 
 
-def tokenize(text: str, config: TokenizerConfig = TokenizerConfig()) -> list[str]:
-    """Split on Unicode whitespace, then optionally strip edge punctuation
-    and lowercase. Deterministic; empty text yields an empty list."""
-    table = type_table([text], config)
-    return list(map(table.types.__getitem__, table.ids.tolist()))
-
-
-def make_folds(corpus: Corpus, k: int, seed: int) -> FoldPlan:
-    """:func:`plan_folds` of the corpus's documents."""
-    documents = corpus.documents
-    return plan_folds([doc.id for doc in documents], [doc.label for doc in documents], k, seed)
-
-
 def plan_folds(doc_ids: list[str], labels: list[str], k: int, seed: int) -> FoldPlan:
     """Stratified k-fold assignment of the documents ``doc_ids``, of
     ``labels``; deterministic for fixed (documents, k, seed).
 
     Within each label the documents are shuffled with a seeded generator and
     dealt round-robin; the dealing offset carries over between labels so both
-    per-label and global fold sizes differ by at most 1.
+    per-label and global fold sizes differ by at most 1. Every document
+    has one label and a distinct id, or it is a CorpusError.
     """
     if k < 2:
         raise CorpusError(f"k must be >= 2, got {k}")
+    if len(labels) != len(doc_ids):
+        raise CorpusError(f"{len(labels)} label(s) for {len(doc_ids)} document(s)")
+    if len(set(doc_ids)) < len(doc_ids):
+        duplicate = next(doc_id for doc_id, n in Counter(doc_ids).items() if n > 1)
+        raise CorpusError(f"document id {duplicate!r} occurs more than once")
     by_label: dict[str, list[str]] = {}
     for doc_id, label in zip(doc_ids, labels):
         by_label.setdefault(label, []).append(doc_id)

@@ -165,12 +165,9 @@ def _weighted_anld(
         weight_sum = float(len(distances))
     if weight_sum == 0:
         raise MetricError("token mapping has zero total occurrence weight")
-    # tuples for the worst pairs only: a tuple per pair, kept alive at once,
-    # sets off the cyclic garbage collector at corpus scale
+    del running  # the worst pairs' partition takes its memory, not more
     types = mapping.types
-    worst = heapq.nsmallest(
-        worst_n, range(len(distances)), key=lambda i: (-distances[i], types[i])
-    )
+    worst = _worst_pairs(distances, types, worst_n)
     stems = [mapping.stems[label] if label >= 0 else "" for label in mapping.labels[worst].tolist()]
     return AnldResult(
         anld=total / weight_sum,
@@ -179,3 +176,19 @@ def _weighted_anld(
         worst_pairs=tuple(zip([types[i] for i in worst], stems, distances[worst].tolist())),
         weighting=weighting,
     )
+
+
+def _worst_pairs(distances: np.ndarray, types: list[str], worst_n: int) -> list[int]:
+    """The indexes of the ``worst_n`` pairs of greatest distance, ties
+    by type, as ``heapq.nsmallest`` over ``(-distance, type)`` keys
+    picks them, with no key built per pair: the pairs above the
+    ``worst_n``-th greatest distance are few and sorted by keys, and
+    the rest are the first of the pairs at that distance by type."""
+    n = min(worst_n, len(distances))
+    if n <= 0:
+        return []
+    cut = np.partition(distances, len(distances) - n)[len(distances) - n]  # the n-th greatest
+    above = np.flatnonzero(distances > cut).tolist()
+    worst = sorted(above, key=lambda i: (-distances[i], types[i]))
+    at_cut = np.flatnonzero(distances == cut).tolist()
+    return worst + heapq.nsmallest(worst_n - len(worst), at_cut, key=types.__getitem__)

@@ -1,17 +1,23 @@
 """Reference implementations that the tests compare normeval against.
 
 Tokenization and normalization one document at a time, ANLD one pair
-at a time, hashed n-gram vectors one gram at a time, the cosine of two
-vectors with norms from np.linalg.norm and IRS one document at a time,
-TF-IDF fitted and applied one training set
-at a time through dicts, logistic regression and the SVM trained one
-set at a time, the softmax objective with its gradient, and the English
-Snowball stemmer step by step. They share no helper with the package,
+at a time and its worst pairs by one heapq key per pair, hashed n-gram
+vectors one gram at a time, the cosine of two vectors with norms from
+np.linalg.norm and IRS one document at a time, TF-IDF fitted and
+applied one training set at a time through dicts, logistic regression
+and the SVM trained one set at a time, the softmax objective with its
+gradient, and the English Snowball stemmer step by step. They share no helper with the package,
 so a change inside one of its helpers cannot hide from the comparisons
 made against them.
+
+The corpus as one ``Document`` per row, as these references take it,
+is read through the package's own reader, ``CorpusRows``, whose row
+rules the corpus tests check; its folds are the package's
+``plan_folds`` of its documents.
 """
 
 import hashlib
+import heapq
 import math
 import unicodedata
 from collections import Counter
@@ -20,9 +26,42 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from normeval import EmbeddingError, EvaluationError, IrsResult
+from normeval import CorpusRows, EmbeddingError, EvaluationError, IrsResult, plan_folds
 from normeval.downstream import LinearClassifier
 from normeval.embeddings import _NGRAM_RANGE
+
+
+@dataclass(frozen=True)
+class Document:
+    """One row of a corpus: its id, text and label."""
+
+    id: str
+    text: str
+    label: str
+
+
+@dataclass(frozen=True)
+class Corpus:
+    """A corpus held one Document per row, and its labels."""
+
+    documents: tuple[Document, ...]
+    labels: frozenset[str]
+
+    def __len__(self):
+        return len(self.documents)
+
+
+def load_corpus(path, **columns):
+    """The corpus file at ``path`` as one Document per row of its
+    ``CorpusRows(path, **columns)``."""
+    documents = tuple(Document(*row) for row in CorpusRows(path, **columns))
+    return Corpus(documents, frozenset(doc.label for doc in documents))
+
+
+def make_folds(corpus, k, seed):
+    """The ``plan_folds`` of a corpus's documents."""
+    documents = corpus.documents
+    return plan_folds([doc.id for doc in documents], [doc.label for doc in documents], k, seed)
 
 
 @dataclass(frozen=True)
@@ -126,6 +165,12 @@ def reference_anld(pairs, counts, weighting, worst_n):
         scored.append((original, stem, d))
     worst = sorted(scored, key=lambda pair: (-pair[2], pair[0]))[:worst_n]
     return total / weight_sum, sum(d > 1.0 for _, _, d in scored), tuple(worst)
+
+
+def reference_worst_pairs(distances, types, worst_n):
+    """The indexes of the ``worst_n`` pairs of greatest distance, ties by
+    type, by one ``(-distance, type)`` key per pair."""
+    return heapq.nsmallest(worst_n, range(len(types)), key=lambda i: (-distances[i], types[i]))
 
 
 def reference_token_vector(provider, token):

@@ -17,8 +17,6 @@ import pytest
 from scipy import sparse
 
 from normeval import (
-    Corpus,
-    Document,
     HashedNgramProvider,
     IdentityNormalizer,
     SnowballEnglishNormalizer,
@@ -32,9 +30,7 @@ from normeval import (
     fold_split,
     irs,
     levenshtein,
-    load_corpus,
     make_classifier_spec,
-    make_folds,
     mcnemar,
     mpd,
     paired_t_pvalue,
@@ -47,7 +43,11 @@ from normeval import (
 from normeval.corpus import table_of
 from normeval.data import mini_corpus_path
 from reference import (
+    Corpus,
     Doc,
+    Document,
+    load_corpus,
+    make_folds,
     reference_softmax_loss_and_grad,
     reference_tfidf_fit,
     reference_tfidf_transform_all,

@@ -19,8 +19,6 @@ import normeval
 from normeval import (
     ALPHA,
     ClassifierSpec,
-    Corpus,
-    Document,
     EvalRun,
     EvaluationError,
     FoldPlan,
@@ -33,8 +31,6 @@ from normeval import (
     fold_split,
     macro_f1,
     make_classifier_spec,
-    load_corpus,
-    make_folds,
     mcnemar,
     mpd,
     paired_t_pvalue,
@@ -46,7 +42,11 @@ from normeval.corpus import table_of
 from normeval.data import mini_corpus_path
 from normeval.downstream import LinearClassifier, table_tfidf
 from reference import (
+    Corpus,
     Doc,
+    Document,
+    load_corpus,
+    make_folds,
     reference_softmax_loss_and_grad,
     reference_tfidf_fit,
     reference_tfidf_transform_all,
@@ -508,17 +508,13 @@ class TestLinearSvmLockstep:
 # process and in fresh ones under other OpenBLAS kernels
 FOLD_SVM_WEIGHTS = """
 from normeval import (
-    fold_features, fold_split, load_corpus, make_classifier_spec, make_folds, train_folds, type_table
+    CorpusRows, fold_features, fold_split, make_classifier_spec, plan_folds, train_folds, type_table
 )
 from normeval.data import mini_corpus_path
 
-corpus = load_corpus(mini_corpus_path())
-split = fold_split(
-    [d.id for d in corpus.documents],
-    {d.id: d.label for d in corpus.documents},
-    make_folds(corpus, k=5, seed=42),
-)
-features = fold_features(type_table(d.text for d in corpus.documents), split)
+doc_ids, texts, labels = zip(*CorpusRows(mini_corpus_path()))
+split = fold_split(doc_ids, dict(zip(doc_ids, labels)), plan_folds(doc_ids, labels, k=5, seed=42))
+features = fold_features(type_table(texts), split)
 sets = [(Xtr, labels) for (Xtr, _), labels in zip(features, split.train_labels)]
 models = train_folds(make_classifier_spec("linear_svm", seed=42), sets)
 weights = b"".join(model.W.tobytes() for model in models).hex()

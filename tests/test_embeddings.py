@@ -28,7 +28,6 @@ from normeval import (
     build_normalizer,
     cosine_with_flag,
     irs,
-    load_corpus,
     load_word2vec_text,
     run_evaluation,
 )
@@ -36,6 +35,7 @@ from normeval import embeddings
 from normeval.corpus import table_of
 from normeval.embeddings import _EMBED_BLOCK, _NGRAM_RANGE
 from reference import (
+    load_corpus,
     reference_cosine_with_flag,
     reference_document_vector,
     reference_irs,

@@ -19,19 +19,19 @@ from hypothesis import strategies as st
 
 from normeval import metrics
 from normeval import (
+    CorpusRows,
     MetricError,
     TokenMapping,
     TruncateNormalizer,
     anld,
     compression_ratio,
     levenshtein,
-    load_corpus,
     type_mapping,
     type_table,
 )
 from normeval.corpus import table_of
 from normeval.data import mini_corpus_path
-from reference import reference_anld
+from reference import reference_anld, reference_worst_pairs
 
 
 def recursive_distance(a: str, b: str) -> int:
@@ -354,6 +354,25 @@ class TestAnld:
         assert primary == result
         assert alternate.anld.hex() == reference_anld(pairs, counts, other, 0)[0].hex()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scored=st.lists(
+            st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0, 4 / 3]), st.text("abé", max_size=3)),
+            min_size=1, max_size=40,
+        ),
+        worst_n=st.integers(0, 45),
+    )
+    # all distances equal; a tie at the cut, by type and by equal types;
+    # worst_n above the pair count
+    @example(scored=[(0.5, "b"), (0.5, "a"), (0.5, "c")], worst_n=2)
+    @example(scored=[(1.0, "z"), (0.5, "b"), (0.5, "a"), (0.5, "a"), (0.0, "a")], worst_n=3)
+    @example(scored=[(0.25, "b"), (1.0, "a"), (0.25, "a")], worst_n=45)
+    def test_worst_pairs_equal_one_key_per_pair(self, scored, worst_n):
+        distances = np.array([d for d, _ in scored])
+        types = [t for _, t in scored]
+        expected = reference_worst_pairs(distances.tolist(), types, worst_n)
+        assert metrics._worst_pairs(distances, types, worst_n) == expected
+
     def test_truncation_distance_non_increasing_in_prefix_length(self):
         words = ["normalization", "running", "cat", "jumped", "ab"]
         values = []
@@ -368,7 +387,7 @@ class TestTruncationLadder:
     CR and ANLD must not increase from truncate:2 to truncate:8."""
 
     def test_cr_and_anld_non_increasing_in_prefix_length(self):
-        table = type_table(doc.text for doc in load_corpus(mini_corpus_path()).documents)
+        table = type_table(text for _, text, _ in CorpusRows(mini_corpus_path()))
         counts = table.occurrence_counts()
         crs, by_occurrence, by_type = [], [], []
         for k in range(2, 9):

@@ -8,6 +8,7 @@ import re
 from pathlib import Path
 
 import normeval
+from normeval import corpus
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,6 +19,18 @@ def test_star_import_resolves_every_exported_name():
     assert len(set(normeval.__all__)) == len(normeval.__all__)
     missing = [name for name in normeval.__all__ if name not in namespace]
     assert missing == []
+
+
+def test_one_corpus_api():
+    # the run's reader and fold planner are the corpus API; the
+    # per-document path beside them is gone
+    for name in ("CorpusRows", "plan_folds", "type_table", "TypeTable", "TokenMapping"):
+        assert name in normeval.__all__
+        assert getattr(normeval, name) is getattr(corpus, name)
+    for name in ("Document", "Corpus", "load_corpus", "make_folds", "tokenize"):
+        assert name not in normeval.__all__
+        assert not hasattr(normeval, name), name
+        assert not hasattr(corpus, name), name
 
 
 def readme_python_block():

@@ -31,8 +31,6 @@ from normeval import (
     emit_json,
     emit_markdown,
     irs,
-    load_corpus,
-    make_folds,
     run_evaluation,
     run_intrinsic,
     safety_gate,
@@ -44,7 +42,9 @@ from normeval.cli import main
 from normeval.corpus import TokenMapping, TypeTable, table_of
 from normeval.data import mini_corpus_path
 from normeval.report import report_json
-from reference import mapping_items, reference_normalize_corpus, reference_tokenize_corpus
+from reference import (
+    load_corpus, make_folds, mapping_items, reference_normalize_corpus, reference_tokenize_corpus,
+)
 from test_normalizers import NoneStemNormalizer, ShortNormalizer
 
 DATA = Path(__file__).parent / "data"

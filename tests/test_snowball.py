@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normeval.corpus import load_corpus, type_table
+from normeval.corpus import CorpusRows, type_table
 from normeval.data import mini_corpus_path
 from normeval.snowball import stem
 from reference import (
@@ -326,7 +326,7 @@ def _noise_endings():
 
 
 def test_stem_equals_reference_over_bundled_corpus_with_noise_endings():
-    types = sorted(type_table(doc.text for doc in load_corpus(mini_corpus_path()).documents).types)
+    types = sorted(type_table(text for _, text, _ in CorpusRows(mini_corpus_path())).types)
     words = types + [word + ending for word in types for ending in _noise_endings()]
     mismatches = [w for w in words if stem(w) != reference_snowball_stem(w)]
     assert not mismatches, f"{len(mismatches)} of {len(words)}: {mismatches[:10]}"

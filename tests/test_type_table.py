@@ -1,5 +1,5 @@
 """The type table that a run tokenizes its corpus into, against the
-per-document path, and the run path's use of it."""
+per-document references, and the run path's use of it."""
 
 import os
 import tempfile
@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normeval import (
-    Corpus,
     CorpusError,
-    Document,
+    CorpusRows,
     EvaluationError,
     HashedNgramProvider,
     IdentityNormalizer,
@@ -21,9 +20,7 @@ from normeval import (
     build_normalizer,
     cosine_with_flag,
     irs,
-    load_corpus,
     run_evaluation,
-    run_intrinsic,
     type_mapping,
     type_table,
 )
@@ -32,6 +29,8 @@ from normeval.corpus import TypeTable, table_of
 from normeval.data import mini_corpus_path
 from normeval.downstream import table_tfidf
 from reference import (
+    Corpus,
+    Document,
     mapping_items,
     reference_document_vector,
     reference_normalize_corpus,
@@ -170,22 +169,6 @@ def mini_config(**overrides):
 
 
 class TestRunPathStructure:
-    @pytest.mark.parametrize("run", [run_intrinsic, run_evaluation])
-    def test_run_builds_no_document(self, run, tmp_path, monkeypatch):
-        # the rows go from the file into the type table; the run keeps
-        # only the table, the document ids and the labels
-        def no_document(*args, **kwargs):
-            raise AssertionError("a run built a corpus.Document")
-
-        path = tmp_path / "c.tsv"
-        path.write_text("text\tlabel\n" + "".join(
-            f"doc {i} says {'yes' if i % 2 else 'no'}.\t{'ab'[i % 2]}\n" for i in range(40)
-        ), encoding="utf-8")
-        monkeypatch.setattr("normeval.corpus.Document", no_document)
-        config = RunConfig(str(path), ("identity", "truncate:2"), classifiers=("nb",), k=2)
-        reports = run(config)
-        assert [report.failed for report in reports] == [False, False]
-
     def test_evaluate_relabels_only_to_featurize(self, monkeypatch):
         # IRS maps rows through each mapping itself; the table is
         # relabelled only for the folds of a corpus a normalizer changed
@@ -221,7 +204,7 @@ class TestRunPathStructure:
         # the original types, then the types of snowball-en and of
         # truncate:3, each built once, in chunks; identity changes no
         # document and builds none
-        table = type_table(doc.text for doc in load_corpus(mini_corpus_path()).documents)
+        table = type_table(text for _, text, _ in CorpusRows(mini_corpus_path()))
         counts = table.occurrence_counts()
         vocabularies = [table.types] + [
             table.relabel(type_mapping(build_normalizer(spec), table.types, counts))[0].types
